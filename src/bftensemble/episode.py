@@ -6,7 +6,7 @@ matching Reply messages from distinct replicas.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -21,7 +21,6 @@ from .consensus import EquivocatingReplica, Replica, value_digest
 from .harness import (
     NO_OUTPUT,
     STATUS_ACTIVE,
-    STATUS_ISOLATED,
     STATUS_RESTARTING,
     FaultProfile,
     ModuleState,
@@ -34,7 +33,7 @@ from .messages import OutputDigest, Reply, Signed, StateRequest, sign_message
 from .scenario import Scenario
 from .simnet import World
 from .supervisor import Supervisor
-from .voter import FastPathResult, Verdict, VoteStrategy, fast_path_agree, tally
+from .voter import Verdict, fast_path_agree, tally
 
 HONEST_KINDS = ("honest", "diverse_honest", "slow", "crash")
 
@@ -208,10 +207,9 @@ class EpisodeRunner:
             if self.states[m].status != STATUS_ACTIVE:
                 continue
             v = values.get(m)
-            judged = True
             agreed = v is not None and v == committed and m not in equivocators
             self._agree_counts[m][0] += 1 if agreed else 0
-            self._agree_counts[m][1] += 1 if judged else 0
+            self._agree_counts[m][1] += 1
         newly = self.supervisor.review(frame)
         for m in newly:
             self.states[m].isolate()
@@ -528,10 +526,6 @@ class EpisodeRunner:
                 s.quorum,
             )
             observer_verdict = observer_result.verdict
-            if rounds_used == 1 and observer_verdict.kind == "no-quorum":
-                # digests agreed but the observer holds no full output; adopt
-                # the uniform module verdicts below via replies
-                pass
         else:
             observer_verdict = tally(
                 sorted(observer_box.values(), key=lambda o: o.module_id), s.strategy, s.quorum

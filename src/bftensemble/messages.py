@@ -11,40 +11,57 @@ from typing import Optional, Union
 from .core import AuthTag, DecisionValue, KeyRegistry, canonical, digest
 
 
+class Encoded:
+    """Base of the message types that have a canonical byte layout.
+
+    ``_fields()`` lists what is encoded, in order.  Messages are frozen, so
+    their bytes and digest are computed on first use and kept in the
+    instance ``__dict__``, outside the dataclass fields: equality, hashing
+    and repr ignore them, and ``dataclasses.replace`` builds a fresh object.
+    """
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def payload(self) -> bytes:
+        memo = self.__dict__
+        if "_payload" not in memo:
+            memo["_payload"] = canonical(*self._fields())
+        return memo["_payload"]
+
+    def payload_digest(self) -> bytes:
+        memo = self.__dict__
+        if "_digest" not in memo:
+            memo["_digest"] = digest(self.payload())
+        return memo["_digest"]
+
+
 @dataclass(frozen=True)
-class PrePrepare:
+class Endorsement(Encoded):
+    """The shared layout of PrePrepare, Prepare and Commit."""
+
+    frame: int
+    view: int
+    value_digest: bytes
+    value: DecisionValue
+
+    def _fields(self) -> tuple:
+        return (self.KIND, self.frame, self.view, self.value_digest, self.value)
+
+
+@dataclass(frozen=True)
+class PrePrepare(Endorsement):
     KIND = 1
-    frame: int
-    view: int
-    value_digest: bytes
-    value: DecisionValue
-
-    def payload(self) -> bytes:
-        return canonical(self.KIND, self.frame, self.view, self.value_digest, self.value)
 
 
 @dataclass(frozen=True)
-class Prepare:
+class Prepare(Endorsement):
     KIND = 2
-    frame: int
-    view: int
-    value_digest: bytes
-    value: DecisionValue
-
-    def payload(self) -> bytes:
-        return canonical(self.KIND, self.frame, self.view, self.value_digest, self.value)
 
 
 @dataclass(frozen=True)
-class Commit:
+class Commit(Endorsement):
     KIND = 3
-    frame: int
-    view: int
-    value_digest: bytes
-    value: DecisionValue
-
-    def payload(self) -> bytes:
-        return canonical(self.KIND, self.frame, self.view, self.value_digest, self.value)
 
 
 @dataclass(frozen=True)
@@ -56,7 +73,16 @@ class Signed:
     tag: AuthTag
 
     def verify(self, registry: KeyRegistry) -> bool:
-        return registry.verify(self.tag, self.sender, self.msg.payload())
+        """Check the tag against ``registry``.  The result is kept on this
+        object for the registry it was checked against: the message, the tag
+        and the registry are immutable, so it cannot change, and a tampered
+        message or forged tag is a new object with its own check."""
+        memo = self.__dict__.get("_verified")
+        if memo is not None and memo[0] is registry:
+            return memo[1]
+        ok = registry.verify(self.tag, self.sender, self.msg.payload())
+        self.__dict__["_verified"] = (registry, ok)
+        return ok
 
 
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
@@ -76,9 +102,7 @@ class EquivocationProof:
         if a.sender != b.sender:
             return False
         ma, mb = a.msg, b.msg
-        if not isinstance(ma, (PrePrepare, Prepare, Commit)):
-            return False
-        if not isinstance(mb, (PrePrepare, Prepare, Commit)):
+        if not isinstance(ma, Endorsement) or not isinstance(mb, Endorsement):
             return False
         if ma.frame != mb.frame or ma.view != mb.view:
             return False
@@ -88,7 +112,7 @@ class EquivocationProof:
 
 
 @dataclass(frozen=True)
-class PrepareCertificate:
+class PrepareCertificate(Encoded):
     """Proof that 2f+1 distinct replicas endorsed one digest in one view."""
 
     frame: int
@@ -97,15 +121,9 @@ class PrepareCertificate:
     value: DecisionValue
     votes: tuple[Signed, ...]
 
-    def payload(self) -> bytes:
-        return canonical(
-            "prepare-cert",
-            self.frame,
-            self.view,
-            self.value_digest,
-            self.value,
-            tuple(v.msg.payload() for v in self.votes),
-        )
+    def _fields(self) -> tuple:
+        votes = tuple(v.msg.payload() for v in self.votes)
+        return ("prepare-cert", self.frame, self.view, self.value_digest, self.value, votes)
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
         signers = set()
@@ -122,63 +140,58 @@ class PrepareCertificate:
 
 
 @dataclass(frozen=True)
-class ViewChange:
+class ViewChange(Encoded):
     KIND = 4
     frame: int
     new_view: int
     cert: Optional[PrepareCertificate]
     evidence: Optional[EquivocationProof] = None
 
-    def payload(self) -> bytes:
-        cert_bytes = digest(self.cert.payload()) if self.cert else b""
-        return canonical(self.KIND, self.frame, self.new_view, cert_bytes)
+    def _fields(self) -> tuple:
+        cert_bytes = self.cert.payload_digest() if self.cert else b""
+        return (self.KIND, self.frame, self.new_view, cert_bytes)
 
 
 @dataclass(frozen=True)
-class NewView:
+class NewView(Encoded):
     KIND = 5
     frame: int
     view: int
     view_changes: tuple[Signed, ...]
     proposal: Signed  # the new leader's PrePrepare for this view
 
-    def payload(self) -> bytes:
-        return canonical(
-            self.KIND,
-            self.frame,
-            self.view,
-            tuple(v.msg.payload() for v in self.view_changes),
-            self.proposal.msg.payload(),
-        )
+    def _fields(self) -> tuple:
+        view_changes = tuple(v.msg.payload() for v in self.view_changes)
+        return (self.KIND, self.frame, self.view, view_changes, self.proposal.msg.payload())
 
 
 @dataclass(frozen=True)
-class Reply:
+class Reply(Encoded):
     KIND = 6
     frame: int
     value: DecisionValue
 
-    def payload(self) -> bytes:
-        return canonical(self.KIND, self.frame, self.value)
+    def _fields(self) -> tuple:
+        return (self.KIND, self.frame, self.value)
 
 
 @dataclass(frozen=True)
-class StateRequest:
+class StateRequest(Encoded):
     KIND = 7
     up_to_frame: int
 
-    def payload(self) -> bytes:
-        return canonical(self.KIND, self.up_to_frame)
+    def _fields(self) -> tuple:
+        return (self.KIND, self.up_to_frame)
 
 
 @dataclass(frozen=True)
-class CheckpointAttest:
+class CheckpointAttest(Encoded):
     KIND = 9
     up_to_frame: int
     log_digest: bytes
 
-    def payload(self) -> bytes:
-        return canonical(self.KIND, self.up_to_frame, self.log_digest)
+    def _fields(self) -> tuple:
+        return (self.KIND, self.up_to_frame, self.log_digest)
 
 
 @dataclass(frozen=True)
@@ -232,12 +245,12 @@ class FrameCert:
 
 
 @dataclass(frozen=True)
-class StateSnapshot:
+class StateSnapshot(Encoded):
     KIND = 8
     checkpoint: Optional[Checkpoint]
     frame_certs: tuple[FrameCert, ...]  # frames after the checkpoint, ascending
 
-    def payload(self) -> bytes:
+    def _fields(self) -> tuple:
         cp = b""
         if self.checkpoint:
             cp = canonical(
@@ -249,7 +262,7 @@ class StateSnapshot:
             canonical(c.frame, c.value, tuple(v.msg.payload() for v in c.votes))
             for c in self.frame_certs
         )
-        return canonical(self.KIND, cp, certs)
+        return (self.KIND, cp, certs)
 
     def up_to_frame(self) -> int:
         if self.frame_certs:
@@ -260,15 +273,15 @@ class StateSnapshot:
 
 
 @dataclass(frozen=True)
-class OutputDigest:
+class OutputDigest(Encoded):
     """Vote-only fast path: a module announces only the hash of its output."""
 
     KIND = 10
     frame: int
     value_digest: bytes
 
-    def payload(self) -> bytes:
-        return canonical(self.KIND, self.frame, self.value_digest)
+    def _fields(self) -> tuple:
+        return (self.KIND, self.frame, self.value_digest)
 
 
 Message = Union[

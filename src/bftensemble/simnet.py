@@ -5,7 +5,7 @@ index), so identical scenarios replay to byte-identical event logs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import BROADCAST, OBSERVER, canonical, digest, short_digest
@@ -42,10 +42,13 @@ class NetworkPolicy:
             raise ValueError("base delay must be >= 0")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
+        # canonical() concatenates per-field encodings, so this prefix plus
+        # canonical(i) is canonical("net-fate", seed, i); not a field.
+        object.__setattr__(self, "_fate_prefix", canonical("net-fate", self.seed))
 
     def fate(self, envelope_index: int) -> Optional[int]:
         """Extra delay for this envelope, or None if dropped."""
-        h = digest(canonical("net-fate", self.seed, envelope_index))
+        h = digest(self._fate_prefix + canonical(envelope_index))
         drop_draw = int.from_bytes(h[:8], "big") / 2**64
         if drop_draw < self.drop_rate:
             return None
@@ -81,7 +84,7 @@ def payload_kind(payload) -> str:
 
 def payload_digest_hex(payload) -> str:
     if isinstance(payload, Signed):
-        return short_digest(payload.msg.payload())
+        return payload.msg.payload_digest().hex()[:12]
     if hasattr(payload, "payload"):
         return short_digest(payload.payload())
     return short_digest(repr(payload).encode("utf-8"))
@@ -116,6 +119,7 @@ class World:
             if to == BROADCAST
             else [to]
         )
+        kind = payload_kind(payload)
         for recipient in recipients:
             self._seq += 1
             if recipient in self._muted:
@@ -132,7 +136,7 @@ class World:
                     frm=frm,
                     to=recipient,
                     payload=payload,
-                    kind=payload_kind(payload),
+                    kind=kind,
                     send_round=self.round,
                     deliver_round=self.round + delay,
                     seq=self._seq,

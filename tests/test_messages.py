@@ -1,0 +1,138 @@
+"""Message encodings and the per-object caches of bytes, digest and tag check.
+
+A message keeps its canonical bytes and digest, and a Signed keeps its
+verification result for the registry it was checked against.  These tests
+pin what that must not change: forged or swapped messages still fail,
+another registry still gets its own answer, and equality, hashing and repr
+still see only the dataclass fields.
+"""
+from dataclasses import replace
+
+import pytest
+
+from bftensemble.core import DecisionSpace, KeyRegistry, canonical, digest
+from bftensemble.messages import (
+    Commit,
+    EquivocationProof,
+    FrameCert,
+    PrePrepare,
+    Prepare,
+    PrepareCertificate,
+    Reply,
+    StateRequest,
+    ViewChange,
+    sign_message,
+    Signed,
+)
+
+SPACE = DecisionSpace(labels=("north", "south"), safe_default="north")
+NORTH, SOUTH = SPACE.value("north"), SPACE.value("south")
+D_NORTH, D_SOUTH = digest(b"north"), digest(b"south")
+
+
+@pytest.fixture
+def registry():
+    return KeyRegistry(17, range(4))
+
+
+class TestEncoding:
+    @pytest.mark.parametrize("cls", [PrePrepare, Prepare, Commit])
+    def test_endorsement_layout(self, cls):
+        msg = cls(3, 1, D_NORTH, NORTH)
+        assert msg.payload() == canonical(cls.KIND, 3, 1, D_NORTH, NORTH)
+        assert msg.payload_digest() == digest(msg.payload())
+
+    def test_endorsement_kinds_are_distinct_types(self):
+        pp, p, c = (cls(0, 0, D_NORTH, NORTH) for cls in (PrePrepare, Prepare, Commit))
+        assert pp != p and p != c and pp != c
+        assert len({pp.payload(), p.payload(), c.payload()}) == 3
+        assert repr(p) == f"Prepare(frame=0, view=0, value_digest={D_NORTH!r}, value={NORTH!r})"
+
+    def test_view_change_binds_the_certificate_digest(self, registry):
+        votes = tuple(sign_message(registry, m, Prepare(0, 0, D_NORTH, NORTH)) for m in range(3))
+        cert = PrepareCertificate(0, 0, D_NORTH, NORTH, votes)
+        assert cert.payload() == canonical(
+            "prepare-cert", 0, 0, D_NORTH, NORTH, tuple(v.msg.payload() for v in votes)
+        )
+        assert ViewChange(0, 1, cert).payload() == canonical(4, 0, 1, digest(cert.payload()))
+        assert ViewChange(0, 1, None).payload() == canonical(4, 0, 1, b"")
+
+    def test_replace_builds_a_fresh_encoding(self):
+        msg = Prepare(0, 0, D_NORTH, NORTH)
+        msg.payload(), msg.payload_digest()
+        moved = replace(msg, view=5)
+        assert moved.payload() == canonical(2, 0, 5, D_NORTH, NORTH)
+        assert moved.payload_digest() == digest(moved.payload())
+        assert msg.payload() == canonical(2, 0, 0, D_NORTH, NORTH)
+
+
+class TestVerifyCache:
+    def test_tag_of_another_sender_fails(self, registry):
+        msg = Commit(0, 0, D_NORTH, NORTH)
+        honest = sign_message(registry, 1, msg)
+        assert honest.verify(registry)
+        # sender 2's tag passed off as sender 1's, and sender 1 claiming 2's tag
+        assert not Signed(msg, 1, registry.sign(2, msg.payload())).verify(registry)
+        assert not Signed(msg, 2, honest.tag).verify(registry)
+        assert honest.verify(registry)
+
+    def test_swapped_message_fails(self, registry):
+        honest = sign_message(registry, 1, Commit(0, 0, D_NORTH, NORTH))
+        assert honest.verify(registry)
+        swapped = Signed(Commit(0, 0, D_SOUTH, SOUTH), honest.sender, honest.tag)
+        assert not swapped.verify(registry)
+        assert honest.verify(registry)
+
+    def test_result_is_per_registry(self, registry):
+        other = KeyRegistry(18, range(4))  # same modules, other seed
+        signed = sign_message(registry, 1, Reply(0, NORTH))
+        assert signed.verify(registry)
+        assert not signed.verify(other)
+        assert signed.verify(registry)
+        assert not signed.verify(other)
+
+    def test_failed_check_is_not_reused_for_the_right_registry(self, registry):
+        other = KeyRegistry(18, range(4))
+        signed = sign_message(registry, 1, Reply(0, NORTH))
+        assert not signed.verify(other)
+        assert signed.verify(registry)
+
+    def test_unknown_signer_fails(self, registry):
+        small = KeyRegistry(17, range(2))
+        signed = sign_message(registry, 3, StateRequest(4))
+        assert signed.verify(registry)
+        assert not signed.verify(small)
+
+    def test_caches_leave_equality_hash_and_repr_alone(self, registry):
+        used = sign_message(registry, 2, Prepare(1, 0, D_NORTH, NORTH))
+        used.msg.payload(), used.msg.payload_digest()
+        assert used.verify(registry)
+        fresh = Signed(Prepare(1, 0, D_NORTH, NORTH), 2, used.tag)
+        assert used == fresh and used.msg == fresh.msg
+        assert hash(used) == hash(fresh) and hash(used.msg) == hash(fresh.msg)
+        assert repr(used) == repr(fresh) and repr(used.msg) == repr(fresh.msg)
+        assert {used: 1}[fresh] == 1
+
+
+class TestEvidenceRejectsForgeries:
+    def test_equivocation_proof_with_a_forged_vote(self, registry):
+        first = sign_message(registry, 0, PrePrepare(0, 0, D_NORTH, NORTH))
+        second = sign_message(registry, 0, PrePrepare(0, 0, D_SOUTH, SOUTH))
+        assert EquivocationProof(first, second).valid(registry)
+        # a second endorsement that replica 0 never signed
+        stolen = Signed(second.msg, 0, registry.sign(1, second.msg.payload()))
+        minted = Signed(second.msg, 0, KeyRegistry(99, range(4)).sign(0, second.msg.payload()))
+        relabelled = Signed(PrePrepare(0, 0, D_SOUTH, SOUTH), 0, first.tag)
+        for forged in (stolen, minted, relabelled):
+            assert not EquivocationProof(first, forged).valid(registry)
+            assert not EquivocationProof(forged, first).valid(registry)
+        assert EquivocationProof(first, second).valid(registry)
+
+    def test_frame_cert_with_a_forged_vote(self, registry):
+        commit = Commit(0, 0, D_NORTH, NORTH)
+        votes = tuple(sign_message(registry, m, commit) for m in range(3))
+        assert FrameCert(0, NORTH, votes).valid(registry, 3)
+        forged = Signed(commit, 3, registry.sign(0, commit.payload()))
+        assert not FrameCert(0, NORTH, votes[:2] + (forged,)).valid(registry, 3)
+        assert not FrameCert(0, NORTH, votes + (forged,)).valid(registry, 3)
+        assert FrameCert(0, NORTH, votes).valid(registry, 3)

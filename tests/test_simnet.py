@@ -1,7 +1,9 @@
 """Deterministic network: delays, drops, partitions, and delivery order."""
+from dataclasses import replace
+
 import pytest
 
-from bftensemble.core import BROADCAST, OBSERVER
+from bftensemble.core import BROADCAST, OBSERVER, canonical, digest
 from bftensemble.simnet import NetworkPolicy, Partition, World, timeout_check
 
 MODULES = (0, 1, 2, 3)
@@ -159,3 +161,39 @@ class TestTimeoutCheck:
 
     def test_decided_instance_never_fires(self):
         assert not timeout_check(2, 100, 10, decided=True)
+
+
+class TestFatePrefix:
+    """fate() hashes a per-policy prefix plus the envelope index; the draws
+    must equal those over canonical("net-fate", seed, index)."""
+
+    @staticmethod
+    def reference_fate(policy, index):
+        h = digest(canonical("net-fate", policy.seed, index))
+        if int.from_bytes(h[:8], "big") / 2**64 < policy.drop_rate:
+            return None
+        if policy.jitter_rounds == 0:
+            return 0
+        return int.from_bytes(h[8:16], "big") % (policy.jitter_rounds + 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2026, -7, 2**40])
+    @pytest.mark.parametrize("drop_rate,jitter", [(0.0, 0), (0.01, 1), (0.3, 3), (0.9, 0)])
+    def test_matches_the_full_encoding(self, seed, drop_rate, jitter):
+        policy = quiet_policy(jitter_rounds=jitter, drop_rate=drop_rate, seed=seed)
+        for i in [*range(300), 2**31 + 5, 2**62]:
+            assert policy.fate(i) == self.reference_fate(policy, i)
+
+    def test_policy_from_replace_uses_its_own_seed(self):
+        policy = quiet_policy(jitter_rounds=2, drop_rate=0.1, seed=5)
+        policy.fate(0)
+        for changes in ({"seed": 6}, {"drop_rate": 0.4}, {"jitter_rounds": 1}, {}):
+            derived = replace(policy, **changes)
+            assert [derived.fate(i) for i in range(300)] == [
+                self.reference_fate(derived, i) for i in range(300)
+            ]
+
+    def test_prefix_is_not_a_field(self):
+        a, b = quiet_policy(seed=4), quiet_policy(seed=4)
+        a.fate(1)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "net-fate" not in repr(a)
