@@ -291,7 +291,7 @@ class Replica:
         signed_commit = self._sign(commit)
         inst.outbox.append((BROADCAST, signed_commit))
         self._record_commit(signed_commit)
-        return [(BROADCAST, signed_commit)] + self._check_committed()
+        return [(BROADCAST, signed_commit)] + self._check_committed(signed_commit)
 
     def _record_commit(self, signed: Signed) -> None:
         inst = self.inst
@@ -305,19 +305,19 @@ class Replica:
     def _on_commit(self, signed: Signed, round_: int) -> list[Outbound]:
         out = self._note_leader_endorsement(signed)
         self._record_commit(signed)
-        return out + self._check_committed()
+        return out + self._check_committed(signed)
 
-    def _check_committed(self) -> list[Outbound]:
+    def _check_committed(self, signed: Signed) -> list[Outbound]:
+        """Commit once the (view, digest) bucket of the Commit just recorded
+        reaches the threshold.  Every recorded Commit is checked while the
+        frame is undecided, so no other bucket can newly reach it."""
         inst = self.inst
         if inst.decided:
             return []
-        for view, votes in sorted(inst.commits.items()):
-            by_digest: dict[bytes, list[Signed]] = {}
-            for s in votes.values():
-                by_digest.setdefault(s.msg.value_digest, []).append(s)
-            for matching in by_digest.values():
-                if len(matching) >= self.execution_threshold:
-                    return self._commit(matching)
+        want = signed.msg.value_digest
+        matching = [s for s in inst.commits[signed.msg.view].values() if s.msg.value_digest == want]
+        if len(matching) >= self.execution_threshold:
+            return self._commit(matching)
         return []
 
     def _commit(self, votes: list[Signed]) -> list[Outbound]:

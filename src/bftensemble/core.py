@@ -198,8 +198,41 @@ class KeyRegistry:
         return hashlib.blake2b(d, key=secret, digest_size=TAG_SIZE).digest() == tag.tag
 
 
+class Encoded:
+    """Base of the objects that have a canonical byte layout.
+
+    ``_fields()`` lists what is encoded, in order.  The subclasses are
+    frozen, so their bytes and digest are computed on first use and kept in
+    the instance ``__dict__``, outside the dataclass fields: equality,
+    hashing and repr ignore them, and ``dataclasses.replace`` builds a fresh
+    object.
+    """
+
+    def _fields(self) -> tuple:
+        raise NotImplementedError
+
+    def payload(self) -> bytes:
+        memo = self.__dict__
+        if "_payload" not in memo:
+            memo["_payload"] = canonical(*self._fields())
+        return memo["_payload"]
+
+    def payload_digest(self) -> bytes:
+        memo = self.__dict__
+        if "_digest" not in memo:
+            memo["_digest"] = digest(self.payload())
+        return memo["_digest"]
+
+    def short_hex(self) -> str:
+        """:func:`short_digest` of the payload, as used in log lines."""
+        memo = self.__dict__
+        if "_short_hex" not in memo:
+            memo["_short_hex"] = self.payload_digest().hex()[:12]
+        return memo["_short_hex"]
+
+
 @dataclass(frozen=True)
-class ModuleOutput:
+class ModuleOutput(Encoded):
     """One module's signed proposal for one frame."""
 
     module_id: int
@@ -208,8 +241,8 @@ class ModuleOutput:
     confidence: float
     sig: AuthTag
 
-    def payload(self) -> bytes:
-        return output_payload(self.module_id, self.frame, self.value, self.confidence)
+    def _fields(self) -> tuple:
+        return ("output", self.module_id, self.frame, self.value, self.confidence)
 
 
 def output_payload(module_id: int, frame: int, value: DecisionValue, confidence: float) -> bytes:
@@ -226,6 +259,11 @@ def make_output(
 
 
 def verify_output(registry: KeyRegistry, out: ModuleOutput) -> bool:
-    if not 0.0 <= out.confidence <= 1.0:
-        return False
-    return registry.verify(out.sig, out.module_id, out.payload())
+    """Check ``out``'s tag against ``registry``.  As with ``Signed.verify``,
+    the result is kept on ``out`` for the registry it was checked against."""
+    memo = out.__dict__.get("_verified")
+    if memo is not None and memo[0] is registry:
+        return memo[1]
+    ok = 0.0 <= out.confidence <= 1.0 and registry.verify(out.sig, out.module_id, out.payload())
+    out.__dict__["_verified"] = (registry, ok)
+    return ok

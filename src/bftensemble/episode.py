@@ -285,12 +285,17 @@ class EpisodeRunner:
             m for m, p in enumerate(s.modules)
             if p.kind == "byzantine_equivocate" and self.states[m].status == STATUS_ACTIVE
         }
+        # statuses and engines change only between frames: `live` run the
+        # frame, and restarting modules also take deliveries to catch up
+        live = [(m, self.engines[m]) for m in range(self.n) if self._engine_alive(m, frame)]
+        receivers = dict(live)
         for m in range(self.n):
-            if not self._engine_alive(m, frame):
-                continue
+            if self.states[m].status == STATUS_RESTARTING:
+                receivers[m] = self.engines[m]
+        for m, engine in live:
             out = outputs[m]
             own = out[0] if isinstance(out, tuple) else (out if isinstance(out, ModuleOutput) else None)
-            self._send_all(m, self.engines[m].start_frame(frame, own, start_round))
+            self._send_all(m, engine.start_frame(frame, own, start_round))
 
         replies: dict[int, DecisionValue] = {}
         finalized: Optional[DecisionValue] = None
@@ -315,12 +320,10 @@ class EpisodeRunner:
                     ):
                         replies.setdefault(payload.sender, payload.msg.value)
                     continue
-                if self._engine_alive(env.to, frame) or self.states[env.to].status == STATUS_RESTARTING:
-                    outs = self.engines[env.to].handle(env.payload, self.world.round)
-                    self._send_all(env.to, outs)
-            for m in range(self.n):
-                if self._engine_alive(m, frame):
-                    self._send_all(m, self.engines[m].on_round(self.world.round))
+                if env.to in receivers:
+                    self._send_all(env.to, receivers[env.to].handle(env.payload, self.world.round))
+            for m, engine in live:
+                self._send_all(m, engine.on_round(self.world.round))
             if finalized is None:
                 counts: dict[DecisionValue, int] = {}
                 for value in replies.values():
@@ -334,16 +337,14 @@ class EpisodeRunner:
         # post-frame straggler sync: undecided honest replicas ask for the
         # committed prefix; committed peers answer with certificates.
         if finalized is not None:
-            for m in range(self.n):
-                if self._engine_alive(m, frame) and not self.engines[m].inst.decided:
+            for m, engine in live:
+                if not engine.inst.decided:
                     req = sign_message(self.registry, m, StateRequest(frame))
                     self.world.send(m, BROADCAST, req)
             for _ in range(2 * (s.network.base_delay_rounds + s.network.jitter_rounds) + 2):
                 for env in self.world.advance_round():
-                    if env.to == OBSERVER:
-                        continue
-                    if self._engine_alive(env.to, frame) or self.states[env.to].status == STATUS_RESTARTING:
-                        self._send_all(env.to, self.engines[env.to].handle(env.payload, self.world.round))
+                    if env.to in receivers:
+                        self._send_all(env.to, receivers[env.to].handle(env.payload, self.world.round))
 
         rounds_to_commit = (finality_round - start_round) if finality_round is not None else bound
         if finalized is not None:
@@ -372,16 +373,16 @@ class EpisodeRunner:
                 and inst.decided_view >= 0
                 and frame not in self.vote_logs
             ):
+                want = value_digest(inst.decided_value)
                 prepare_signers = frozenset(
                     s_.sender
                     for s_ in inst.prepares.get(inst.decided_view, {}).values()
-                    if inst.decided_value is not None
-                    and s_.msg.value_digest == value_digest(inst.decided_value)
+                    if inst.decided_value is not None and s_.msg.value_digest == want
                 )
                 commit_signers = frozenset(
                     s_.sender
                     for s_ in inst.commits.get(inst.decided_view, {}).values()
-                    if s_.msg.value_digest == value_digest(inst.decided_value)
+                    if s_.msg.value_digest == want
                 )
                 self.vote_logs[frame] = FrameVoteLog(
                     frame, inst.decided_view, prepare_signers, commit_signers

@@ -6,7 +6,7 @@ nothing here lets one module touch another's state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .core import DecisionSpace, DecisionValue, KeyRegistry, ModuleOutput, canonical, digest, make_output
@@ -43,7 +43,6 @@ class FaultProfile:
         "byzantine_equivocate",
     )
     BYZANTINE_KINDS = ("byzantine_fixed", "byzantine_random", "byzantine_equivocate")
-    FAULTY_KINDS = BYZANTINE_KINDS + ("crash", "silent", "slow", "diverse_honest")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
@@ -65,10 +64,6 @@ class FaultProfile:
     @property
     def byzantine(self) -> bool:
         return self.kind in self.BYZANTINE_KINDS
-
-    @property
-    def faulty(self) -> bool:
-        return self.kind in self.FAULTY_KINDS
 
     def check_labels(self, space: DecisionSpace) -> list[str]:
         errors = []

@@ -8,32 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import AuthTag, DecisionValue, KeyRegistry, canonical, digest
-
-
-class Encoded:
-    """Base of the message types that have a canonical byte layout.
-
-    ``_fields()`` lists what is encoded, in order.  Messages are frozen, so
-    their bytes and digest are computed on first use and kept in the
-    instance ``__dict__``, outside the dataclass fields: equality, hashing
-    and repr ignore them, and ``dataclasses.replace`` builds a fresh object.
-    """
-
-    def _fields(self) -> tuple:
-        raise NotImplementedError
-
-    def payload(self) -> bytes:
-        memo = self.__dict__
-        if "_payload" not in memo:
-            memo["_payload"] = canonical(*self._fields())
-        return memo["_payload"]
-
-    def payload_digest(self) -> bytes:
-        memo = self.__dict__
-        if "_digest" not in memo:
-            memo["_digest"] = digest(self.payload())
-        return memo["_digest"]
+from .core import AuthTag, DecisionValue, Encoded, KeyRegistry, canonical, digest
 
 
 @dataclass(frozen=True)

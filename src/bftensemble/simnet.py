@@ -5,10 +5,12 @@ index), so identical scenarios replay to byte-identical event logs.
 """
 from __future__ import annotations
 
+import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BROADCAST, OBSERVER, canonical, digest, short_digest
+from .core import BROADCAST, DIGEST_SIZE, OBSERVER, Encoded, canonical, short_digest
 from .messages import KIND_NAMES, Signed
 
 
@@ -42,13 +44,20 @@ class NetworkPolicy:
             raise ValueError("base delay must be >= 0")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
-        # canonical() concatenates per-field encodings, so this prefix plus
-        # canonical(i) is canonical("net-fate", seed, i); not a field.
-        object.__setattr__(self, "_fate_prefix", canonical("net-fate", self.seed))
+        # canonical() concatenates per-field encodings, so hashing this prefix
+        # and then the index's 8 bytes digests canonical("net-fate", seed, i).
+        # A hash state, not a field; fate() copies it for each envelope.
+        object.__setattr__(
+            self,
+            "_fate_hash",
+            hashlib.blake2b(canonical("net-fate", self.seed) + b"i", digest_size=DIGEST_SIZE),
+        )
 
     def fate(self, envelope_index: int) -> Optional[int]:
         """Extra delay for this envelope, or None if dropped."""
-        h = digest(self._fate_prefix + canonical(envelope_index))
+        state = self._fate_hash.copy()
+        state.update(struct.pack(">q", envelope_index))
+        h = state.digest()
         drop_draw = int.from_bytes(h[:8], "big") / 2**64
         if drop_draw < self.drop_rate:
             return None
@@ -60,7 +69,7 @@ class NetworkPolicy:
         return any(p.blocks(round_, frm, to) for p in self.partitions)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Envelope:
     frm: int
     to: int
@@ -77,16 +86,16 @@ class Envelope:
 def payload_kind(payload) -> str:
     if isinstance(payload, Signed):
         return KIND_NAMES[payload.msg.KIND]
-    if hasattr(payload, "payload"):
+    if isinstance(payload, Encoded):
         return "output"
     return "opaque"
 
 
 def payload_digest_hex(payload) -> str:
     if isinstance(payload, Signed):
-        return payload.msg.payload_digest().hex()[:12]
-    if hasattr(payload, "payload"):
-        return short_digest(payload.payload())
+        return payload.msg.short_hex()
+    if isinstance(payload, Encoded):
+        return payload.short_hex()
     return short_digest(repr(payload).encode("utf-8"))
 
 
@@ -112,7 +121,8 @@ class World:
     def send(self, frm: int, to: int, payload, extra_delay: int = 0) -> None:
         """Queue one envelope; broadcasts expand to one per recipient, each
         with an independent delivery fate.  Drops are silent."""
-        if frm in self._muted:
+        muted = self._muted
+        if frm in muted:
             return
         recipients = (
             [m for m in self.module_ids if m != frm] + [OBSERVER]
@@ -120,41 +130,40 @@ class World:
             else [to]
         )
         kind = payload_kind(payload)
+        policy = self.policy
+        partitioned = policy.partitioned if policy.partitions else None
+        now = self.round
+        earliest = now + policy.base_delay_rounds + self.slow_extra.get(frm, 0) + extra_delay
+        queue = self._queue
+        seq = self._seq
         for recipient in recipients:
-            self._seq += 1
-            if recipient in self._muted:
+            seq += 1
+            if recipient in muted:
                 continue
-            if self.policy.partitioned(self.round, frm, recipient):
+            if partitioned is not None and partitioned(now, frm, recipient):
                 continue
-            fate = self.policy.fate(self._seq)
+            fate = policy.fate(seq)
             if fate is None and recipient != OBSERVER:
                 continue
-            delay = self.policy.base_delay_rounds + (fate or 0)
-            delay += self.slow_extra.get(frm, 0) + extra_delay
-            self._queue.append(
-                Envelope(
-                    frm=frm,
-                    to=recipient,
-                    payload=payload,
-                    kind=kind,
-                    send_round=self.round,
-                    deliver_round=self.round + delay,
-                    seq=self._seq,
-                )
-            )
+            queue.append(Envelope(frm, recipient, payload, kind, now, earliest + (fate or 0), seq))
+        self._seq = seq
 
     def advance_round(self) -> list[Envelope]:
         """Advance the clock one round; return due envelopes in deterministic
         order (deliver_round, send_round, from, to, send sequence)."""
-        self.round += 1
-        due = [e for e in self._queue if e.deliver_round <= self.round]
-        self._queue = [e for e in self._queue if e.deliver_round > self.round]
+        self.round = now = self.round + 1
+        due: list[Envelope] = []
+        later: list[Envelope] = []
+        for env in self._queue:
+            (due if env.deliver_round <= now else later).append(env)
+        self._queue = later
         due.sort(key=Envelope.sort_key)
-        due = [e for e in due if e.to not in self._muted and e.frm not in self._muted]
+        muted = self._muted
+        if muted:
+            due = [e for e in due if e.to not in muted and e.frm not in muted]
+        log = self.event_log
         for env in due:
-            self.event_log.append(
-                f"{self.round}|{env.frm}|{env.to}|{env.kind}|{payload_digest_hex(env.payload)}"
-            )
+            log.append(f"{now}|{env.frm}|{env.to}|{env.kind}|{payload_digest_hex(env.payload)}")
         return due
 
     def pending(self) -> int:

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DecisionValue, ModuleOutput, QuorumConfig
+from .core import DecisionValue, QuorumConfig
 
 ABSTAIN_CONFIDENCE = 0.05  # below this a module effectively abstains (weighted voting)
 

@@ -382,3 +382,73 @@ class TestStateTransfer:
             late.handle(sign_message(registry, sender, Commit(0, 0, d, NORTH)), 0)
         assert late.inst.decided
         assert late.inst.decided_value == NORTH
+
+
+class TestCommitQuorum:
+    """A replica commits on 2f+1 Commits from distinct signers for one
+    (view, digest); it learns the value from the Commits themselves."""
+
+    # replica 3 leads frame 3's view 0, so the Commits it hears from 0, 1
+    # and 2 there are not leader endorsements (two of those would be proof
+    # of equivocation and move it to view 1)
+    FRAME = 3
+
+    @classmethod
+    def listener(cls):
+        replicas, registry = make_ensemble()
+        rep = replicas[3]
+        rep.start_frame(cls.FRAME, None, 0)
+        return rep, registry
+
+    @classmethod
+    def commit(cls, registry, sender, view=0, value=NORTH, digest_of=None):
+        d = value_digest(digest_of or value)
+        return sign_message(registry, sender, Commit(cls.FRAME, view, d, value))
+
+    def test_conflicting_second_commit_from_one_signer_is_not_counted(self):
+        rep, registry = self.listener()
+        rep.handle(self.commit(registry, 0, value=NORTH), 0)
+        rep.handle(self.commit(registry, 0, value=SOUTH), 0)
+        rep.handle(self.commit(registry, 1, value=SOUTH), 0)
+        rep.handle(self.commit(registry, 2, value=SOUTH), 0)
+        assert not rep.inst.decided
+        assert rep.misbehavior == [(self.FRAME, 0, "conflicting-commit")]
+        rep.handle(self.commit(registry, 0, value=NORTH), 0)  # a retransmission
+        assert not rep.inst.decided
+
+    def test_commits_split_across_views_do_not_add_up(self):
+        rep, registry = self.listener()
+        for sender in (0, 1):
+            rep.handle(self.commit(registry, sender, view=0), 0)
+        rep.handle(self.commit(registry, 2, view=1), 0)
+        assert not rep.inst.decided
+        for sender in (0, 1):
+            rep.handle(self.commit(registry, sender, view=1), 0)
+        assert rep.inst.decided and rep.inst.decided_view == 1
+        assert {v.msg.view for v in rep.frame_certs[self.FRAME].votes} == {1}
+        assert rep.misbehavior == []
+
+    def test_mismatched_commit_is_bucketed_by_its_digest(self):
+        # SOUTH's digest gets two Commits; the third carries SOUTH under
+        # NORTH's digest, so it is not one of them
+        rep, registry = self.listener()
+        rep.handle(self.commit(registry, 0, value=SOUTH, digest_of=NORTH), 0)
+        for sender in (1, 2):
+            rep.handle(self.commit(registry, sender, value=SOUTH), 0)
+        assert not rep.inst.decided
+        # and it counts toward NORTH's digest
+        rep, registry = self.listener()
+        rep.handle(self.commit(registry, 1, value=NORTH), 0)
+        rep.handle(self.commit(registry, 0, value=SOUTH, digest_of=NORTH), 0)
+        assert not rep.inst.decided
+        rep.handle(self.commit(registry, 2, value=NORTH), 0)
+        assert rep.inst.decided and rep.inst.decided_value == NORTH
+        assert [v.sender for v in rep.frame_certs[self.FRAME].votes] == [0, 1, 2]
+
+    def test_frame_cert_votes_are_sorted_by_sender(self):
+        rep, registry = self.listener()
+        for sender in (2, 0, 1):
+            rep.handle(self.commit(registry, sender), 0)
+        cert = rep.frame_certs[self.FRAME]
+        assert [v.sender for v in cert.votes] == [0, 1, 2]
+        assert cert.valid(registry, 3)

@@ -1,7 +1,8 @@
 """Message encodings and the per-object caches of bytes, digest and tag check.
 
-A message keeps its canonical bytes and digest, and a Signed keeps its
-verification result for the registry it was checked against.  These tests
+A message or module output keeps its canonical bytes and digest, and a
+Signed or module output keeps its verification result for the registry it
+was checked against.  These tests
 pin what that must not change: forged or swapped messages still fail,
 another registry still gets its own answer, and equality, hashing and repr
 still see only the dataclass fields.
@@ -10,7 +11,16 @@ from dataclasses import replace
 
 import pytest
 
-from bftensemble.core import DecisionSpace, KeyRegistry, canonical, digest
+from bftensemble.core import (
+    DecisionSpace,
+    KeyRegistry,
+    ModuleOutput,
+    canonical,
+    digest,
+    make_output,
+    output_payload,
+    verify_output,
+)
 from bftensemble.messages import (
     Commit,
     EquivocationProof,
@@ -136,3 +146,59 @@ class TestEvidenceRejectsForgeries:
         assert not FrameCert(0, NORTH, votes[:2] + (forged,)).valid(registry, 3)
         assert not FrameCert(0, NORTH, votes + (forged,)).valid(registry, 3)
         assert FrameCert(0, NORTH, votes).valid(registry, 3)
+
+
+class TestOutputCache:
+    """ModuleOutput shares the message memo, and verify_output keeps its
+    result per registry as Signed.verify does."""
+
+    def test_payload_and_digest(self, registry):
+        out = make_output(registry, 1, 2, NORTH, 0.75)
+        assert out.payload() == output_payload(1, 2, NORTH, 0.75)
+        assert out.payload_digest() == digest(out.payload())
+        assert out.short_hex() == digest(out.payload()).hex()[:12]
+
+    def test_forged_tag_fails_after_a_cached_success(self, registry):
+        out = make_output(registry, 1, 0, NORTH, 0.9)
+        assert verify_output(registry, out)
+        stolen = replace(out, sig=registry.sign(2, out.payload()))
+        minted = replace(out, sig=KeyRegistry(99, range(4)).sign(1, out.payload()))
+        for forged in (stolen, minted):
+            assert not verify_output(registry, forged)
+        assert verify_output(registry, out)
+
+    def test_result_is_per_registry(self, registry):
+        other = KeyRegistry(18, range(4))
+        out = make_output(registry, 1, 0, NORTH, 0.9)
+        assert verify_output(registry, out)
+        assert not verify_output(other, out)
+        assert verify_output(registry, out)
+        assert not verify_output(other, out)
+
+    @pytest.mark.parametrize(
+        "change", [{"module_id": 2}, {"frame": 1}, {"value": SOUTH}, {"confidence": 0.5}]
+    )
+    def test_swapped_field_fails_after_a_cached_success(self, registry, change):
+        out = make_output(registry, 1, 0, NORTH, 0.9)
+        assert verify_output(registry, out)
+        swapped = replace(out, **change)
+        assert not verify_output(registry, swapped)
+        assert verify_output(registry, out)
+
+    def test_out_of_range_confidence_fails(self, registry):
+        out = make_output(registry, 1, 0, NORTH, 1.0)
+        tagged = replace(out, confidence=1.5)
+        tagged = replace(tagged, sig=registry.sign(1, tagged.payload()))
+        assert not verify_output(registry, tagged)
+        assert not verify_output(registry, tagged)
+
+    def test_caches_leave_equality_hash_repr_and_replace_alone(self, registry):
+        used = make_output(registry, 2, 1, NORTH, 0.9)
+        used.payload(), used.payload_digest(), used.short_hex()
+        assert verify_output(registry, used)
+        fresh = ModuleOutput(2, 1, NORTH, 0.9, used.sig)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        assert {used: 1}[fresh] == 1
+        moved = replace(used, frame=4)
+        assert moved.payload() == output_payload(2, 4, NORTH, 0.9)
+        assert not verify_output(registry, moved)

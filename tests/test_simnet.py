@@ -1,9 +1,21 @@
 """Deterministic network: delays, drops, partitions, and delivery order."""
+import random
 from dataclasses import replace
 
 import pytest
 
-from bftensemble.core import BROADCAST, OBSERVER, canonical, digest
+from bftensemble.core import (
+    BROADCAST,
+    OBSERVER,
+    DecisionSpace,
+    KeyRegistry,
+    ModuleOutput,
+    canonical,
+    digest,
+    make_output,
+    output_payload,
+)
+from bftensemble.messages import KIND_NAMES, Commit, Prepare, Reply, Signed, sign_message
 from bftensemble.simnet import NetworkPolicy, Partition, World, timeout_check
 
 MODULES = (0, 1, 2, 3)
@@ -197,3 +209,133 @@ class TestFatePrefix:
         a.fate(1)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "net-fate" not in repr(a)
+
+
+class ListScanWorld:
+    """A plain reimplementation of the network: one list of envelopes,
+    scanned in full every round, with fates drawn from the full encoding.
+    World must return the same envelopes and write the same event log."""
+
+    def __init__(self, policy, module_ids, slow_extra):
+        self.policy = policy
+        self.module_ids = sorted(module_ids)
+        self.slow_extra = dict(slow_extra)
+        self.round = 0
+        self.queue = []
+        self.seq = 0
+        self.muted = set()
+        self.event_log = []
+
+    def send(self, frm, to, payload, extra_delay=0):
+        if frm in self.muted:
+            return
+        if to == BROADCAST:
+            recipients = [m for m in self.module_ids if m != frm] + [OBSERVER]
+        else:
+            recipients = [to]
+        for recipient in recipients:
+            self.seq += 1
+            if recipient in self.muted:
+                continue
+            if any(p.blocks(self.round, frm, recipient) for p in self.policy.partitions):
+                continue
+            fate = TestFatePrefix.reference_fate(self.policy, self.seq)
+            if fate is None and recipient != OBSERVER:
+                continue
+            delay = self.policy.base_delay_rounds + (fate or 0)
+            delay += self.slow_extra.get(frm, 0) + extra_delay
+            self.queue.append((self.round + delay, self.round, frm, recipient, self.seq, payload))
+
+    def advance_round(self):
+        self.round += 1
+        due = sorted(e for e in self.queue if e[0] <= self.round)
+        self.queue = [e for e in self.queue if e[0] > self.round]
+        due = [e for e in due if e[3] not in self.muted and e[2] not in self.muted]
+        for _, _, frm, to, _, payload in due:
+            self.event_log.append(f"{self.round}|{frm}|{to}|{kind_of(payload)}|{hex_of(payload)}")
+        return due
+
+
+def kind_of(payload):
+    if isinstance(payload, Signed):
+        return KIND_NAMES[payload.msg.KIND]
+    return "output" if isinstance(payload, ModuleOutput) else "opaque"
+
+
+def hex_of(payload):
+    if isinstance(payload, Signed):
+        raw = canonical(*payload.msg._fields())
+    elif isinstance(payload, ModuleOutput):
+        raw = output_payload(payload.module_id, payload.frame, payload.value, payload.confidence)
+    else:
+        raw = repr(payload).encode("utf-8")
+    return digest(raw).hex()[:12]
+
+
+class TestAgainstListScan:
+    """Random sends, broadcasts, mutes, partitions, slow senders and jitter:
+    World's deliveries and event log equal those of ListScanWorld."""
+
+    @staticmethod
+    def payloads(registry):
+        space = DecisionSpace(labels=("go", "stop"), safe_default="stop")
+        go = space.value("go")
+        d = digest(b"go")
+        return [
+            "ping",
+            ("tuple", 3),
+            sign_message(registry, 1, Prepare(0, 0, d, go)),
+            sign_message(registry, 2, Commit(0, 1, d, go)),
+            sign_message(registry, 0, Reply(2, go)),
+            make_output(registry, 3, 1, go, 0.9),
+        ]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_deliveries_and_log(self, seed):
+        rng = random.Random(seed)
+        modules = tuple(range(rng.choice([4, 5, 7])))
+        partitions = tuple(
+            Partition(
+                start=(start := rng.randrange(30)),
+                end=start + rng.randrange(15),
+                side_a=frozenset(side := rng.sample(modules, 2)),
+                side_b=frozenset(m for m in modules if m not in side),
+            )
+            for _ in range(rng.randrange(3))
+        )
+        policy = quiet_policy(
+            base_delay_rounds=rng.randrange(3),
+            jitter_rounds=rng.randrange(4),
+            drop_rate=rng.choice([0.0, 0.1, 0.4]),
+            partitions=partitions,
+            seed=seed,
+        )
+        slow = {m: rng.randrange(1, 4) for m in rng.sample(modules, rng.randrange(3))}
+        world = World(policy, modules, slow)
+        model = ListScanWorld(policy, modules, slow)
+        payloads = self.payloads(KeyRegistry(seed, range(8)))
+        delivered = 0
+        for _ in range(80):
+            for _ in range(rng.randrange(6)):
+                frm = rng.choice(modules)
+                to = rng.choice([BROADCAST, OBSERVER, *modules])
+                payload, extra = rng.choice(payloads), rng.choice([0, 0, 0, 2])
+                world.send(frm, to, payload, extra)
+                model.send(frm, to, payload, extra)
+            if rng.random() < 0.1:
+                m = rng.choice(modules)
+                world.mute(m)
+                model.muted.add(m)
+            if rng.random() < 0.1 and model.muted:
+                m = rng.choice(sorted(model.muted))
+                world.unmute(m)
+                model.muted.discard(m)
+            got = [
+                (e.deliver_round, e.send_round, e.frm, e.to, e.seq, e.payload)
+                for e in world.advance_round()
+            ]
+            assert got == model.advance_round()
+            assert world.pending() == len(model.queue)
+            delivered += len(got)
+        assert world.event_log == model.event_log
+        assert delivered > 0
