@@ -8,6 +8,7 @@ through the simulated network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -39,7 +40,6 @@ from .messages import (
     log_prefix_digest,
     sign_message,
 )
-from .simnet import timeout_check
 
 PHASE_IDLE = "idle"
 PHASE_PRE_PREPARED = "pre-prepared"
@@ -50,7 +50,21 @@ Outbound = tuple[int, Signed]  # (destination, signed message)
 
 
 def value_digest(value: DecisionValue) -> bytes:
-    return digest(canonical("decision", value))
+    return _label_digest(value.label)
+
+
+@lru_cache(maxsize=256)
+def _label_digest(label: str) -> bytes:
+    # a decision space has a few labels, and a label encodes as a DecisionValue does
+    return digest(canonical("decision", label))
+
+
+def timeout_check(start_round: int, round_: int, timeout_rounds: int, decided: bool) -> bool:
+    """A consensus instance times out once it has been open for at least
+    timeout_rounds without deciding."""
+    if decided:
+        return False
+    return (round_ - start_round) >= timeout_rounds
 
 
 def validate_proposal(own: Optional[DecisionValue], proposed: DecisionValue) -> bool:
@@ -76,6 +90,9 @@ class FrameInstance:
     # view -> signer -> first signed Prepare/Commit seen
     prepares: dict = field(default_factory=dict)
     commits: dict = field(default_factory=dict)
+    # (view, digest) -> signers in prepares/commits whose vote has that digest
+    prepare_counts: dict = field(default_factory=dict)
+    commit_counts: dict = field(default_factory=dict)
     # new_view -> signer -> signed ViewChange
     view_changes: dict = field(default_factory=dict)
     # view -> digest -> first signed leader endorsement (equivocation detection)
@@ -183,19 +200,21 @@ class Replica:
             self.misbehavior.append((getattr(signed.msg, "frame", -1), signed.sender, "bad-tag"))
             return []
         msg = signed.msg
+        kind = type(msg)
+        if kind is Prepare or kind is Commit or kind is PrePrepare:
+            inst = self.inst
+            if inst is None or msg.frame != inst.frame or msg.view < inst.view:
+                return []  # another frame, or a stale view: views only move forward
+            if kind is Prepare:
+                return self._on_prepare(signed)
+            if kind is Commit:
+                return self._on_commit(signed, round_)
+            return self._on_preprepare(signed, round_)
         if isinstance(msg, (StateRequest, StateSnapshot, CheckpointAttest)):
             return self._handle_global(signed, round_)
         inst = self.inst
         if inst is None or msg.frame != inst.frame:
             return []
-        if isinstance(msg, (PrePrepare, Prepare, Commit)):
-            if msg.view < inst.view:
-                return []  # view monotonicity: stale-view messages discarded
-            if isinstance(msg, PrePrepare):
-                return self._on_preprepare(signed, round_)
-            if isinstance(msg, Prepare):
-                return self._on_prepare(signed)
-            return self._on_commit(signed, round_)
         if isinstance(msg, ViewChange):
             return self._on_viewchange(signed, round_)
         if isinstance(msg, NewView):
@@ -252,13 +271,20 @@ class Replica:
         return out + self._accept_proposal(signed)
 
     def _record_prepare(self, signed: Signed) -> None:
-        inst = self.inst
-        votes = inst.prepares.setdefault(signed.msg.view, {})
+        self._record_vote(signed, self.inst.prepares, self.inst.prepare_counts, "conflicting-prepare")
+
+    def _record_vote(self, signed: Signed, votes_by_view: dict, counts: dict, conflict: str) -> None:
+        """Keep each signer's first vote per view, and count it under its
+        (view, digest); a later vote with another digest is misbehaviour."""
+        msg = signed.msg
+        votes = votes_by_view.setdefault(msg.view, {})
         prev = votes.get(signed.sender)
         if prev is None:
             votes[signed.sender] = signed
-        elif prev.msg.value_digest != signed.msg.value_digest:
-            self.misbehavior.append((inst.frame, signed.sender, "conflicting-prepare"))
+            key = (msg.view, msg.value_digest)
+            counts[key] = counts.get(key, 0) + 1
+        elif prev.msg.value_digest != msg.value_digest:
+            self.misbehavior.append((self.inst.frame, signed.sender, conflict))
 
     def _on_prepare(self, signed: Signed) -> list[Outbound]:
         out = self._note_leader_endorsement(signed)
@@ -270,13 +296,9 @@ class Replica:
         if inst.phase != PHASE_PRE_PREPARED or inst.proposal is None:
             return []
         want = inst.proposal.msg.value_digest
-        votes = [
-            s
-            for s in inst.prepares.get(inst.view, {}).values()
-            if s.msg.value_digest == want
-        ]
-        if len(votes) < self.cfg.quorum:
+        if inst.prepare_counts.get((inst.view, want), 0) < self.cfg.quorum:
             return []
+        votes = [s for s in inst.prepares[inst.view].values() if s.msg.value_digest == want]
         inst.phase = PHASE_PREPARED
         cert = PrepareCertificate(
             frame=inst.frame,
@@ -294,15 +316,15 @@ class Replica:
         return [(BROADCAST, signed_commit)] + self._check_committed(signed_commit)
 
     def _record_commit(self, signed: Signed) -> None:
-        inst = self.inst
-        votes = inst.commits.setdefault(signed.msg.view, {})
-        prev = votes.get(signed.sender)
-        if prev is None:
-            votes[signed.sender] = signed
-        elif prev.msg.value_digest != signed.msg.value_digest:
-            self.misbehavior.append((inst.frame, signed.sender, "conflicting-commit"))
+        self._record_vote(signed, self.inst.commits, self.inst.commit_counts, "conflicting-commit")
 
     def _on_commit(self, signed: Signed, round_: int) -> list[Outbound]:
+        msg = signed.msg
+        if msg.value_digest != value_digest(msg.value):
+            # the value is decided from the Commits, so each must carry the
+            # value its digest names
+            self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
+            return []
         out = self._note_leader_endorsement(signed)
         self._record_commit(signed)
         return out + self._check_committed(signed)
@@ -314,11 +336,10 @@ class Replica:
         inst = self.inst
         if inst.decided:
             return []
-        want = signed.msg.value_digest
-        matching = [s for s in inst.commits[signed.msg.view].values() if s.msg.value_digest == want]
-        if len(matching) >= self.execution_threshold:
-            return self._commit(matching)
-        return []
+        view, want = signed.msg.view, signed.msg.value_digest
+        if inst.commit_counts.get((view, want), 0) < self.execution_threshold:
+            return []
+        return self._commit([s for s in inst.commits[view].values() if s.msg.value_digest == want])
 
     def _commit(self, votes: list[Signed]) -> list[Outbound]:
         inst = self.inst

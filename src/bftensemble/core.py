@@ -169,33 +169,42 @@ class UnknownSignerError(KeyError):
 
 
 class KeyRegistry:
-    """Immutable map of module ids to signing secrets, private to the harness."""
+    """Immutable map of module ids to keyed MAC states, private to the harness."""
 
     def __init__(self, master_seed: int, module_ids) -> None:
-        self._secrets = {
-            m: hashlib.blake2b(canonical(master_seed, m, "module-secret"), digest_size=32).digest()
+        # One keyed MAC state per signer, built once: a tag is
+        # blake2b(digest, key=secret, digest_size=TAG_SIZE), and each sign or
+        # verify feeds the digest to a copy of the signer's state.
+        self._macs = {
+            m: hashlib.blake2b(
+                key=hashlib.blake2b(canonical(master_seed, m, "module-secret"), digest_size=32).digest(),
+                digest_size=TAG_SIZE,
+            )
             for m in module_ids
         }
 
     def known(self, module_id: int) -> bool:
-        return module_id in self._secrets
+        return module_id in self._macs
 
     def sign(self, module_id: int, payload: bytes) -> AuthTag:
-        secret = self._secrets.get(module_id)
-        if secret is None:
+        mac = self._macs.get(module_id)
+        if mac is None:
             raise UnknownSignerError(module_id)
         d = digest(payload)
-        tag = hashlib.blake2b(d, key=secret, digest_size=TAG_SIZE).digest()
-        return AuthTag(signer=module_id, payload_digest=d, tag=tag)
+        mac = mac.copy()
+        mac.update(d)
+        return AuthTag(signer=module_id, payload_digest=d, tag=mac.digest())
 
     def verify(self, tag: AuthTag, module_id: int, payload: bytes) -> bool:
-        secret = self._secrets.get(module_id)
-        if secret is None or tag.signer != module_id:
+        mac = self._macs.get(module_id)
+        if mac is None or tag.signer != module_id:
             return False
         d = digest(payload)
         if d != tag.payload_digest:
             return False
-        return hashlib.blake2b(d, key=secret, digest_size=TAG_SIZE).digest() == tag.tag
+        mac = mac.copy()
+        mac.update(d)
+        return mac.digest() == tag.tag
 
 
 class Encoded:
@@ -222,6 +231,11 @@ class Encoded:
         if "_digest" not in memo:
             memo["_digest"] = digest(self.payload())
         return memo["_digest"]
+
+    def memoise(self, payload: bytes, payload_digest: bytes) -> None:
+        """Keep bytes and a digest computed elsewhere (by the signer), which
+        must be those of ``_fields()``."""
+        self.__dict__.update(_payload=payload, _digest=payload_digest)
 
     def short_hex(self) -> str:
         """:func:`short_digest` of the payload, as used in log lines."""
@@ -255,7 +269,10 @@ def make_output(
     if not 0.0 <= confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside [0, 1]")
     payload = output_payload(module_id, frame, value, confidence)
-    return ModuleOutput(module_id, frame, value, confidence, registry.sign(module_id, payload))
+    sig = registry.sign(module_id, payload)
+    out = ModuleOutput(module_id, frame, value, confidence, sig)
+    out.memoise(payload, sig.payload_digest)
+    return out
 
 
 def verify_output(registry: KeyRegistry, out: ModuleOutput) -> bool:

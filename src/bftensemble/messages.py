@@ -61,7 +61,10 @@ class Signed:
 
 
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
-    return Signed(msg=msg, sender=sender, tag=registry.sign(sender, msg.payload()))
+    payload = msg.payload()
+    tag = registry.sign(sender, payload)
+    msg.memoise(payload, tag.payload_digest)
+    return Signed(msg=msg, sender=sender, tag=tag)
 
 
 @dataclass(frozen=True)

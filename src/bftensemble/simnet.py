@@ -55,15 +55,17 @@ class NetworkPolicy:
 
     def fate(self, envelope_index: int) -> Optional[int]:
         """Extra delay for this envelope, or None if dropped."""
+        drop_rate, jitter = self.drop_rate, self.jitter_rounds
+        if not drop_rate and not jitter:
+            return 0  # a quiet network: no draw can drop or delay
         state = self._fate_hash.copy()
         state.update(struct.pack(">q", envelope_index))
         h = state.digest()
-        drop_draw = int.from_bytes(h[:8], "big") / 2**64
-        if drop_draw < self.drop_rate:
+        if drop_rate and int.from_bytes(h[:8], "big") / 2**64 < drop_rate:
             return None
-        if self.jitter_rounds == 0:
+        if not jitter:
             return 0
-        return int.from_bytes(h[8:16], "big") % (self.jitter_rounds + 1)
+        return int.from_bytes(h[8:16], "big") % (jitter + 1)
 
     def partitioned(self, round_: int, frm: int, to: int) -> bool:
         return any(p.blocks(round_, frm, to) for p in self.partitions)
@@ -78,6 +80,7 @@ class Envelope:
     send_round: int
     deliver_round: int
     seq: int
+    log_tag: str  # "kind|short digest", the payload's part of its event-log line
 
     def sort_key(self):
         return (self.deliver_round, self.send_round, self.frm, self.to, self.seq)
@@ -130,6 +133,7 @@ class World:
             else [to]
         )
         kind = payload_kind(payload)
+        log_tag = f"{kind}|{payload_digest_hex(payload)}"
         policy = self.policy
         partitioned = policy.partitioned if policy.partitions else None
         now = self.round
@@ -145,7 +149,9 @@ class World:
             fate = policy.fate(seq)
             if fate is None and recipient != OBSERVER:
                 continue
-            queue.append(Envelope(frm, recipient, payload, kind, now, earliest + (fate or 0), seq))
+            queue.append(
+                Envelope(frm, recipient, payload, kind, now, earliest + (fate or 0), seq, log_tag)
+            )
         self._seq = seq
 
     def advance_round(self) -> list[Envelope]:
@@ -163,16 +169,8 @@ class World:
             due = [e for e in due if e.to not in muted and e.frm not in muted]
         log = self.event_log
         for env in due:
-            log.append(f"{now}|{env.frm}|{env.to}|{env.kind}|{payload_digest_hex(env.payload)}")
+            log.append(f"{now}|{env.frm}|{env.to}|{env.log_tag}")
         return due
 
     def pending(self) -> int:
         return len(self._queue)
-
-
-def timeout_check(start_round: int, round_: int, timeout_rounds: int, decided: bool) -> bool:
-    """A consensus instance times out once it has been open for at least
-    timeout_rounds without deciding."""
-    if decided:
-        return False
-    return (round_ - start_round) >= timeout_rounds

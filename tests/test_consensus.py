@@ -5,6 +5,7 @@ pump instead of the simulated network, so schedules can be controlled (and,
 for the equivocation property, enumerated) exactly.
 """
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,8 @@ from bftensemble.core import (
     QuorumConfig,
 )
 from bftensemble.consensus import (
+    PHASE_PRE_PREPARED,
+    PHASE_PREPARED,
     EquivocatingReplica,
     Replica,
     value_digest,
@@ -26,6 +29,7 @@ from bftensemble.messages import (
     Commit,
     NewView,
     Prepare,
+    PrepareCertificate,
     PrePrepare,
     Reply,
     Signed,
@@ -428,7 +432,7 @@ class TestCommitQuorum:
         assert {v.msg.view for v in rep.frame_certs[self.FRAME].votes} == {1}
         assert rep.misbehavior == []
 
-    def test_mismatched_commit_is_bucketed_by_its_digest(self):
+    def test_mismatched_commit_is_not_counted(self):
         # SOUTH's digest gets two Commits; the third carries SOUTH under
         # NORTH's digest, so it is not one of them
         rep, registry = self.listener()
@@ -436,14 +440,40 @@ class TestCommitQuorum:
         for sender in (1, 2):
             rep.handle(self.commit(registry, sender, value=SOUTH), 0)
         assert not rep.inst.decided
-        # and it counts toward NORTH's digest
+        # nor does it count toward NORTH's digest: it is rejected as misbehaviour
         rep, registry = self.listener()
         rep.handle(self.commit(registry, 1, value=NORTH), 0)
         rep.handle(self.commit(registry, 0, value=SOUTH, digest_of=NORTH), 0)
-        assert not rep.inst.decided
         rep.handle(self.commit(registry, 2, value=NORTH), 0)
+        assert not rep.inst.decided
+        assert rep.misbehavior == [(self.FRAME, 0, "digest-mismatch")]
+        assert 0 not in rep.inst.commits[0]
+        # the signer's well-formed Commit still counts
+        rep.handle(self.commit(registry, 0, value=NORTH), 0)
         assert rep.inst.decided and rep.inst.decided_value == NORTH
         assert [v.sender for v in rep.frame_certs[self.FRAME].votes] == [0, 1, 2]
+
+    def test_missed_preprepare_and_a_mismatched_commit(self):
+        """A replica that missed the PrePrepare learns the value from the
+        Commits, so a faulty signer's SOUTH under NORTH's digest must not
+        become its decision."""
+        replicas, registry = make_ensemble()
+        pump = Pump(replicas)
+        start(replicas, pump, {m: NORTH for m in replicas})
+        pump.blocked.add(3)
+        pump.pending = [(d, s) for d, s in pump.pending if d != 3]
+        pump.drain()
+        late = replicas[3]
+        d = value_digest(NORTH)
+        late.handle(sign_message(registry, 1, Commit(0, 0, d, SOUTH)), 0)
+        for sender in (0, 2):
+            late.handle(sign_message(registry, sender, Commit(0, 0, d, NORTH)), 0)
+        assert late.committed.get(0) != SOUTH and late.inst.decided_value != SOUTH
+        assert all(cert.valid(registry, 3) for cert in late.frame_certs.values())
+        assert (0, 1, "digest-mismatch") in late.misbehavior
+        late.handle(sign_message(registry, 1, Commit(0, 0, d, NORTH)), 0)
+        assert late.inst.decided_value == NORTH and late.committed[0] == NORTH
+        assert late.frame_certs[0].valid(registry, 3)
 
     def test_frame_cert_votes_are_sorted_by_sender(self):
         rep, registry = self.listener()
@@ -452,3 +482,105 @@ class TestCommitQuorum:
         cert = rep.frame_certs[self.FRAME]
         assert [v.sender for v in cert.votes] == [0, 1, 2]
         assert cert.valid(registry, 3)
+
+
+class RescanReplica(Replica):
+    """Reference for the running tallies: both quorum checks rebuild the
+    list of matching votes from the per-view maps on every vote."""
+
+    def _check_prepared(self):
+        inst = self.inst
+        if inst.phase != PHASE_PRE_PREPARED or inst.proposal is None:
+            return []
+        want = inst.proposal.msg.value_digest
+        votes = [
+            s for s in inst.prepares.get(inst.view, {}).values() if s.msg.value_digest == want
+        ]
+        if len(votes) < self.cfg.quorum:
+            return []
+        inst.phase = PHASE_PREPARED
+        cert = PrepareCertificate(
+            frame=inst.frame,
+            view=inst.view,
+            value_digest=want,
+            value=inst.proposal.msg.value,
+            votes=tuple(sorted(votes, key=lambda s: s.sender)),
+        )
+        if inst.prepared_cert is None or cert.view > inst.prepared_cert.view:
+            inst.prepared_cert = cert
+        signed_commit = self._sign(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
+        inst.outbox.append((BROADCAST, signed_commit))
+        self._record_commit(signed_commit)
+        return [(BROADCAST, signed_commit)] + self._check_committed(signed_commit)
+
+    def _check_committed(self, signed):
+        inst = self.inst
+        if inst.decided:
+            return []
+        want = signed.msg.value_digest
+        matching = [s for s in inst.commits[signed.msg.view].values() if s.msg.value_digest == want]
+        if len(matching) >= self.execution_threshold:
+            return self._commit(matching)
+        return []
+
+
+def replica_state(rep):
+    inst = rep.inst
+    return (
+        inst.phase,
+        inst.view,
+        inst.decided,
+        inst.decided_value,
+        inst.decided_view,
+        inst.prepared_cert,
+        dict(rep.frame_certs),
+        list(rep.misbehavior),
+    )
+
+
+class TestRunningTallies:
+    """Random Prepares and Commits (duplicates, conflicting second votes,
+    several views and digests, digests that do not match their value, and
+    execution thresholds above the quorum) drive a Replica and a
+    RescanReplica alike; after every step both must agree."""
+
+    FRAME = 0  # so replica v leads view v
+
+    def test_same_state_as_a_rescan(self):
+        reached = {"prepared": 0, "decided": 0, "conflict": 0, "no-decision": 0}
+        for seed in range(200):
+            rng = random.Random(seed)
+            n, f = rng.choice([(4, 1), (7, 2)])
+            cfg = QuorumConfig(n=n, f=f)
+            threshold = rng.choice([None, cfg.quorum + 1, n])
+            registry = KeyRegistry(seed, range(n))
+            me = n - 1
+            pair = [
+                cls(me, cfg, SPACE, registry, timeout_rounds=1000, execution_threshold=threshold)
+                for cls in (Replica, RescanReplica)
+            ]
+            for rep in pair:
+                rep.start_frame(self.FRAME, None, 0)
+                rep.inst.own_output = NORTH
+            sent = []
+            for step in range(rng.randrange(10, 120)):
+                if sent and rng.random() < 0.2:
+                    signed = rng.choice(sent)  # a duplicate
+                else:
+                    kind = rng.choices([PrePrepare, Prepare, Commit], [1, 6, 6])[0]
+                    signer = 0 if kind is PrePrepare else rng.randrange(n - 1)
+                    value = rng.choices([NORTH, SOUTH, EAST], [12, 2, 1])[0]
+                    named = value if rng.random() < 0.95 else rng.choice([NORTH, SOUTH])
+                    view = rng.choices([0, 1, 2], [6, 2, 1])[0]
+                    msg = kind(self.FRAME, view, value_digest(named), value)
+                    signed = sign_message(registry, signer, msg)
+                    sent.append(signed)
+                outs = [rep.handle(signed, step) for rep in pair]
+                assert outs[0] == outs[1], (seed, step)
+                assert replica_state(pair[0]) == replica_state(pair[1]), (seed, step)
+            tallied = pair[0]
+            reached["prepared"] += tallied.inst.prepared_cert is not None
+            reached["decided"] += tallied.inst.decided
+            reached["no-decision"] += not tallied.inst.decided
+            reached["conflict"] += any("conflicting" in what for _, _, what in tallied.misbehavior)
+        assert all(reached.values()), reached

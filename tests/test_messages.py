@@ -1,17 +1,21 @@
 """Message encodings and the per-object caches of bytes, digest and tag check.
 
-A message or module output keeps its canonical bytes and digest, and a
-Signed or module output keeps its verification result for the registry it
-was checked against.  These tests
-pin what that must not change: forged or swapped messages still fail,
-another registry still gets its own answer, and equality, hashing and repr
-still see only the dataclass fields.
+A message or module output keeps its canonical bytes and digest (seeded by
+its signer), and a Signed or module output keeps its verification result for
+the registry it was checked against; a KeyRegistry reuses one MAC state per
+signer.  These tests pin what that must not change: tags are those of a
+fresh keyed hash, forged or swapped messages still fail, another registry
+still gets its own answer, and equality, hashing and repr still see only the
+dataclass fields.
 """
+import hashlib
+import random
 from dataclasses import replace
 
 import pytest
 
 from bftensemble.core import (
+    TAG_SIZE,
     DecisionSpace,
     KeyRegistry,
     ModuleOutput,
@@ -202,3 +206,62 @@ class TestOutputCache:
         moved = replace(used, frame=4)
         assert moved.payload() == output_payload(2, 4, NORTH, 0.9)
         assert not verify_output(registry, moved)
+
+
+def module_secret(master_seed, module_id):
+    return hashlib.blake2b(canonical(master_seed, module_id, "module-secret"), digest_size=32).digest()
+
+
+class TestSigningState:
+    """KeyRegistry reuses one keyed MAC state per signer, and the signer
+    seeds each object's memo with the bytes and digest it computed."""
+
+    def test_tags_equal_a_fresh_keyed_hash(self, registry):
+        rng = random.Random(3)
+        for _ in range(300):
+            signer = rng.randrange(4)
+            payload = rng.randbytes(rng.randrange(80))
+            tag = registry.sign(signer, payload)
+            assert tag.tag == hashlib.blake2b(
+                digest(payload), key=module_secret(17, signer), digest_size=TAG_SIZE
+            ).digest()
+            assert registry.verify(tag, signer, payload)
+            assert not registry.verify(tag, (signer + 1) % 4, payload)
+            assert not registry.verify(tag, signer, payload + b"x")
+
+    @pytest.mark.parametrize(
+        "msg",
+        [
+            PrePrepare(0, 0, D_NORTH, NORTH),
+            Prepare(1, 2, D_SOUTH, SOUTH),
+            Commit(3, 1, D_NORTH, NORTH),
+            Reply(4, SOUTH),
+            StateRequest(7),
+            ViewChange(2, 1, None),
+        ],
+    )
+    def test_sign_message_seeds_the_memo(self, registry, msg):
+        signed = sign_message(registry, 2, msg)
+        fresh = canonical(*msg._fields())
+        assert msg.__dict__["_payload"] == fresh
+        assert msg.__dict__["_digest"] == digest(fresh) == signed.tag.payload_digest
+        assert signed.verify(registry)
+        assert not Signed(msg, 1, signed.tag).verify(registry)
+
+    def test_make_output_seeds_the_memo(self, registry):
+        out = make_output(registry, 1, 2, NORTH, 0.75)
+        fresh = canonical(*out._fields())
+        assert out.__dict__["_payload"] == fresh
+        assert out.__dict__["_digest"] == digest(fresh) == out.sig.payload_digest
+
+    def test_forgeries_fail_after_a_seeded_success(self, registry):
+        signed = sign_message(registry, 1, Commit(0, 0, D_NORTH, NORTH))
+        assert signed.verify(registry)
+        for msg in (replace(signed.msg, value=SOUTH), replace(signed.msg, view=1)):
+            assert not Signed(msg, 1, signed.tag).verify(registry)
+        assert not Signed(signed.msg, 2, signed.tag).verify(registry)
+        out = make_output(registry, 1, 0, NORTH, 0.9)
+        assert verify_output(registry, out)
+        assert not verify_output(registry, replace(out, value=SOUTH))
+        assert not verify_output(registry, replace(out, sig=registry.sign(2, out.payload())))
+        assert signed.verify(registry) and verify_output(registry, out)

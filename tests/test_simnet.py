@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from bftensemble.consensus import timeout_check
 from bftensemble.core import (
     BROADCAST,
     OBSERVER,
@@ -16,7 +17,7 @@ from bftensemble.core import (
     output_payload,
 )
 from bftensemble.messages import KIND_NAMES, Commit, Prepare, Reply, Signed, sign_message
-from bftensemble.simnet import NetworkPolicy, Partition, World, timeout_check
+from bftensemble.simnet import NetworkPolicy, Partition, World
 
 MODULES = (0, 1, 2, 3)
 
@@ -189,7 +190,9 @@ class TestFatePrefix:
         return int.from_bytes(h[8:16], "big") % (policy.jitter_rounds + 1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2026, -7, 2**40])
-    @pytest.mark.parametrize("drop_rate,jitter", [(0.0, 0), (0.01, 1), (0.3, 3), (0.9, 0)])
+    @pytest.mark.parametrize(
+        "drop_rate,jitter", [(0.0, 0), (0.0, 2), (0.01, 1), (0.3, 3), (0.9, 0)]
+    )
     def test_matches_the_full_encoding(self, seed, drop_rate, jitter):
         policy = quiet_policy(jitter_rounds=jitter, drop_rate=drop_rate, seed=seed)
         for i in [*range(300), 2**31 + 5, 2**62]:
