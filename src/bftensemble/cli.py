@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .campaign import CampaignViolation, episode_report, fuzz_campaign
 from .episode import run_episode
-from .scenario import ScenarioError, parse_scenario
+from .scenario import parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,7 +28,7 @@ def _load_scenario(path: str, seed):
 def cmd_run(args) -> int:
     try:
         scenario = _load_scenario(args.scenario, args.seed)
-    except (ScenarioError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError and UnicodeDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     result = run_episode(scenario)
@@ -51,7 +51,7 @@ def cmd_run(args) -> int:
 def cmd_fuzz(args) -> int:
     try:
         scenario = _load_scenario(args.scenario, None)
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -86,7 +86,7 @@ def cmd_verify(args) -> int:
     """Recompute structural invariants over a stored decision log."""
     try:
         text = Path(args.decision_log).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     frames_seen = []
@@ -130,10 +130,11 @@ def cmd_report(args) -> int:
         print(f"error: {decision} not found", file=sys.stderr)
         return EXIT_USAGE
     report = log_dir / "report.txt"
-    if report.exists():
-        print(report.read_text(), end="")
-        return EXIT_OK
-    print(decision.read_text(), end="")
+    try:
+        print((report if report.exists() else decision).read_text(), end="")
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

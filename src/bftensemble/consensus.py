@@ -107,10 +107,6 @@ class FrameInstance:
     outbox: list = field(default_factory=list)
 
 
-class ProtocolViolation(Exception):
-    pass
-
-
 class Replica:
     """Honest PBFT replica for one module slot."""
 

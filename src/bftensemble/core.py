@@ -186,24 +186,23 @@ class KeyRegistry:
     def known(self, module_id: int) -> bool:
         return module_id in self._macs
 
-    def sign(self, module_id: int, payload: bytes) -> AuthTag:
+    def sign(self, module_id: int, payload_digest: bytes) -> AuthTag:
+        """Tag ``payload_digest``, the :func:`digest` of a canonical payload."""
         mac = self._macs.get(module_id)
         if mac is None:
             raise UnknownSignerError(module_id)
-        d = digest(payload)
         mac = mac.copy()
-        mac.update(d)
-        return AuthTag(signer=module_id, payload_digest=d, tag=mac.digest())
+        mac.update(payload_digest)
+        return AuthTag(signer=module_id, payload_digest=payload_digest, tag=mac.digest())
 
-    def verify(self, tag: AuthTag, module_id: int, payload: bytes) -> bool:
+    def verify(self, tag: AuthTag, module_id: int, payload_digest: bytes) -> bool:
+        """Check that ``tag`` is ``module_id``'s tag over ``payload_digest``,
+        the digest of the payload the caller holds."""
         mac = self._macs.get(module_id)
-        if mac is None or tag.signer != module_id:
-            return False
-        d = digest(payload)
-        if d != tag.payload_digest:
+        if mac is None or tag.signer != module_id or tag.payload_digest != payload_digest:
             return False
         mac = mac.copy()
-        mac.update(d)
+        mac.update(payload_digest)
         return mac.digest() == tag.tag
 
 
@@ -269,9 +268,9 @@ def make_output(
     if not 0.0 <= confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside [0, 1]")
     payload = output_payload(module_id, frame, value, confidence)
-    sig = registry.sign(module_id, payload)
-    out = ModuleOutput(module_id, frame, value, confidence, sig)
-    out.memoise(payload, sig.payload_digest)
+    payload_digest = digest(payload)
+    out = ModuleOutput(module_id, frame, value, confidence, registry.sign(module_id, payload_digest))
+    out.memoise(payload, payload_digest)
     return out
 
 
@@ -281,6 +280,6 @@ def verify_output(registry: KeyRegistry, out: ModuleOutput) -> bool:
     memo = out.__dict__.get("_verified")
     if memo is not None and memo[0] is registry:
         return memo[1]
-    ok = 0.0 <= out.confidence <= 1.0 and registry.verify(out.sig, out.module_id, out.payload())
+    ok = 0.0 <= out.confidence <= 1.0 and registry.verify(out.sig, out.module_id, out.payload_digest())
     out.__dict__["_verified"] = (registry, ok)
     return ok

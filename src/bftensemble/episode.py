@@ -1,12 +1,13 @@
 """Lock-step episode execution: one frame at a time, consensus fully resolved
 (commit or timeout budget exhausted) before the next frame starts.
 
-The runner is the observer ("client"): a frame is final only after f+1
-matching Reply messages from distinct replicas.
+The runner is the observer ("client"): in either consensus mode, a frame is
+final only after f+1 matching Reply messages from distinct replicas.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -116,6 +117,9 @@ class EpisodeRunner:
         if scenario.consensus_mode == "pbft":
             for m in range(self.n):
                 self.engines[m] = self._make_engine(m, scenario.modules[m])
+            self._rounds = self._pbft_rounds
+        else:
+            self._rounds = self._vote_rounds
         self.supervisor = Supervisor(scenario.quorum, scenario.supervisor) if scenario.supervise else None
         self._emitted_events = 0
         self.records: list[DecisionRecord] = []
@@ -243,7 +247,7 @@ class EpisodeRunner:
                 continue
             engine = self.engines.get(m)
             if engine is not None and engine.last_contiguous_frame >= target:
-                self.states[m] = complete_restart(self.states[m], engine.last_contiguous_frame)
+                self.states[m] = complete_restart(self.states[m])
                 self.supervisor.recovered(m, frame)
         self._flush_supervisor_events()
 
@@ -258,33 +262,98 @@ class EpisodeRunner:
                 committed[m] = engine.committed[frame]
         return committed
 
-    def _frame_flags(self, frame: int, verdict: str, value: Optional[DecisionValue]) -> tuple[str, ...]:
+    def _frame_flags(
+        self, frame: int, verdict: str, value: Optional[DecisionValue], split: bool
+    ) -> tuple[str, ...]:
         flags = []
-        honest = self._honest_committed(frame) if self.s.consensus_mode == "pbft" else {}
-        distinct = {v.label for v in honest.values()}
+        distinct = {v.label for v in self._honest_committed(frame).values()}
         if value is not None:
             distinct.add(value.label)
         if len(distinct) > 1:
             flags.append("agreement-violation")
-            self.agreement_violations.append(frame)
         if verdict == "safe-mode":
             flags.append("safe-mode")
         truth = self.s.observations.truth(self.s.decision_space, frame)
         if value is not None and value != truth:
             flags.append("ground-truth-mismatch")
+        # vote-only uniformity check: honest module verdicts must not conflict
+        if split and "agreement-violation" not in flags:
+            flags.append("agreement-violation")
+        if "agreement-violation" in flags:
+            self.agreement_violations.append(frame)
         return tuple(flags)
 
-    # --- PBFT mode -----------------------------------------------------------
+    def _observe_reply(self, replies: dict[int, DecisionValue], env, frame: int) -> None:
+        """Keep the first verified Reply for ``frame`` from each sender that
+        reaches the observer."""
+        payload = env.payload
+        if (
+            env.to == OBSERVER
+            and isinstance(payload, Signed)
+            and isinstance(payload.msg, Reply)
+            and payload.msg.frame == frame
+            and payload.verify(self.registry)
+        ):
+            replies.setdefault(payload.sender, payload.msg.value)
 
-    def _run_pbft_frame(self, frame: int) -> DecisionRecord:
+    def _reply_quorum(self, replies: dict[int, DecisionValue]) -> Optional[DecisionValue]:
+        """The value at least f+1 senders replied with (the lowest label if
+        several did), or None."""
+        counts: dict[DecisionValue, int] = {}
+        for value in replies.values():
+            counts[value] = counts.get(value, 0) + 1
+        matched = [v for v, c in counts.items() if c >= self.s.quorum.reply_matches]
+        return min(matched, key=attrgetter("label")) if matched else None
+
+    # --- one frame -----------------------------------------------------------
+
+    def _run_frame(self, frame: int) -> DecisionRecord:
+        """Run one frame in the scenario's consensus mode and judge it.
+
+        The mode body moves the frame's messages and fills ``replies`` with
+        the observer's verified Replies.  It returns the finalized value, the
+        rounds it took, the view changes, the observer's own vote-only
+        verdict (or None) and whether honest vote-only verdicts split.
+        """
         s = self.s
         self._handle_restarts(frame)
-        start_round = self.world.round
         outputs = self._produce(frame)
         equivocators = {
             m for m, p in enumerate(s.modules)
             if p.kind == "byzantine_equivocate" and self.states[m].status == STATUS_ACTIVE
         }
+        replies: dict[int, DecisionValue] = {}
+        finalized, rounds, view_changes, observed, split = self._rounds(frame, outputs, replies)
+
+        if finalized is not None:
+            verdict, value = "decided", finalized
+            self._finalized[frame] = finalized
+        elif frame in s.observations.critical_frames:
+            verdict, value = "safe-mode", s.decision_space.value(s.decision_space.safe_default)
+        else:
+            verdict, value = "no-quorum", None
+        if observed is not None and observed.decided and observed.value == finalized:
+            supporters = tuple(sorted(observed.supporters))
+        else:
+            supporters = tuple(sorted(m for m, v in replies.items() if finalized is not None and v == finalized))
+        record = DecisionRecord(
+            frame=frame,
+            verdict=verdict,
+            value=value.label if value is not None else None,
+            supporters=supporters,
+            rounds_to_commit=rounds,
+            view_changes=view_changes,
+            flags=self._frame_flags(frame, verdict, finalized, split),
+        )
+        self._supervise(frame, finalized, outputs, equivocators)
+        self._check_recoveries(frame)
+        return record
+
+    # --- PBFT mode -----------------------------------------------------------
+
+    def _pbft_rounds(self, frame: int, outputs, replies: dict[int, DecisionValue]):
+        s = self.s
+        start_round = self.world.round
         # statuses and engines change only between frames: `live` run the
         # frame, and restarting modules also take deliveries to catch up
         live = [(m, self.engines[m]) for m in range(self.n) if self._engine_alive(m, frame)]
@@ -297,42 +366,26 @@ class EpisodeRunner:
             own = out[0] if isinstance(out, tuple) else (out if isinstance(out, ModuleOutput) else None)
             self._send_all(m, engine.start_frame(frame, own, start_round))
 
-        replies: dict[int, DecisionValue] = {}
         finalized: Optional[DecisionValue] = None
-        finality_round: Optional[int] = None
+        finality_round = start_round
         bound = liveness_bound(self.f, s.timeout_rounds)
         drain = s.network.base_delay_rounds + s.network.jitter_rounds + 2
 
         while True:
-            elapsed = self.world.round - start_round
             if finalized is not None and self.world.round >= finality_round + drain:
                 break
-            if finalized is None and elapsed >= bound:
+            if finalized is None and self.world.round - start_round >= bound:
                 break
             for env in self.world.advance_round():
-                if env.to == OBSERVER:
-                    payload = env.payload
-                    if (
-                        isinstance(payload, Signed)
-                        and isinstance(payload.msg, Reply)
-                        and payload.msg.frame == frame
-                        and payload.verify(self.registry)
-                    ):
-                        replies.setdefault(payload.sender, payload.msg.value)
-                    continue
                 if env.to in receivers:
                     self._send_all(env.to, receivers[env.to].handle(env.payload, self.world.round))
+                else:
+                    self._observe_reply(replies, env, frame)
             for m, engine in live:
                 self._send_all(m, engine.on_round(self.world.round))
             if finalized is None:
-                counts: dict[DecisionValue, int] = {}
-                for value in replies.values():
-                    counts[value] = counts.get(value, 0) + 1
-                for value, count in counts.items():
-                    if count >= s.quorum.reply_matches:
-                        finalized = value
-                        finality_round = self.world.round
-                        break
+                finalized = self._reply_quorum(replies)
+                finality_round = self.world.round
 
         # post-frame straggler sync: undecided honest replicas ask for the
         # committed prefix; committed peers answer with certificates.
@@ -345,14 +398,9 @@ class EpisodeRunner:
                 for env in self.world.advance_round():
                     if env.to in receivers:
                         self._send_all(env.to, receivers[env.to].handle(env.payload, self.world.round))
-
-        rounds_to_commit = (finality_round - start_round) if finality_round is not None else bound
-        if finalized is not None:
-            self._finalized[frame] = finalized
         else:
             self.liveness_failures.append(frame)
 
-        view_changes = 0
         decided_views = [
             self.engines[m].inst.decided_view
             for m in self._honest_committed(frame)
@@ -360,8 +408,7 @@ class EpisodeRunner:
             and self.engines[m].inst.frame == frame
             and self.engines[m].inst.decided_view >= 0
         ]
-        if decided_views:
-            view_changes = min(decided_views)
+        view_changes = min(decided_views, default=0)
 
         for m, engine in self.engines.items():
             if engine is None or engine.inst is None or engine.inst.frame != frame:
@@ -388,30 +435,8 @@ class EpisodeRunner:
                     frame, inst.decided_view, prepare_signers, commit_signers
                 )
 
-        if finalized is not None:
-            verdict = "decided"
-            value = finalized
-        elif frame in s.observations.critical_frames:
-            verdict = "safe-mode"
-            value = self.s.decision_space.value(self.s.decision_space.safe_default)
-        else:
-            verdict = "no-quorum"
-            value = None
-
-        supporters = tuple(sorted(m for m, v in replies.items() if finalized is not None and v == finalized))
-        flags = self._frame_flags(frame, verdict, finalized)
-        record = DecisionRecord(
-            frame=frame,
-            verdict=verdict,
-            value=value.label if value is not None else None,
-            supporters=supporters,
-            rounds_to_commit=rounds_to_commit,
-            view_changes=view_changes,
-            flags=flags,
-        )
-        self._supervise(frame, finalized, outputs, equivocators)
-        self._check_recoveries(frame)
-        return record
+        rounds = finality_round - start_round if finalized is not None else bound
+        return finalized, rounds, view_changes, None, False
 
     # --- vote-only mode ------------------------------------------------------
 
@@ -462,14 +487,8 @@ class EpisodeRunner:
                             payload.sender, payload.msg.value_digest
                         )
 
-    def _run_vote_frame(self, frame: int) -> DecisionRecord:
+    def _vote_rounds(self, frame: int, outputs, replies: dict[int, DecisionValue]):
         s = self.s
-        self._handle_restarts(frame)
-        outputs = self._produce(frame)
-        equivocators = {
-            m for m, p in enumerate(s.modules)
-            if p.kind == "byzantine_equivocate" and self.states[m].status == STATUS_ACTIVE
-        }
         fastpath = s.strategy.kind == "fastpath"
         inboxes: dict[int, dict[int, ModuleOutput]] = {}
         digest_boxes: dict[int, dict[int, bytes]] = {}
@@ -480,128 +499,52 @@ class EpisodeRunner:
 
         if fastpath:
             # each participant decides locally whether the fast path closed
-            need_fallback = False
-            for m in list(range(self.n)) + [OBSERVER]:
-                seen = dict(digest_boxes.get(m, {}))
-                if 0 <= m < self.n and isinstance(outputs[m], ModuleOutput):
-                    seen[m] = value_digest(outputs[m].value)
-                if len(seen) < self.n or len(set(seen.values())) > 1:
-                    need_fallback = True
-            if need_fallback:
+            for m in range(self.n):
+                if isinstance(outputs[m], ModuleOutput):
+                    digest_boxes.setdefault(m, {})[m] = value_digest(outputs[m].value)
+            seen_by = [digest_boxes.get(m, {}) for m in (*range(self.n), OBSERVER)]
+            if any(len(seen) < self.n or len(set(seen.values())) > 1 for seen in seen_by):
                 rounds_used = 2
                 self._broadcast_outputs(frame, outputs, digests_only=False)
                 self._deliver_window(frame, collect_outputs=inboxes)
+
+        def verdict_of(m: int) -> Verdict:
+            """What module ``m``, or the observer, concludes from what it holds."""
+            own = [outputs[m]] if isinstance(outputs.get(m), ModuleOutput) else []
+            box = dict(inboxes.get(m, {}))
+            for out in own:
+                box[m] = out
+            if fastpath:
+                full = box.values() if rounds_used == 2 else own
+                return fast_path_agree(digest_boxes.get(m, {}), full, s.quorum).verdict
+            return tally(sorted(box.values(), key=attrgetter("module_id")), s.strategy, s.quorum)
 
         # every module tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}
         for m in range(self.n):
             if self.states[m].status != STATUS_ACTIVE or self.states[m].profile.kind == "silent":
                 continue
-            box = dict(inboxes.get(m, {}))
-            if isinstance(outputs[m], ModuleOutput):
-                box[m] = outputs[m]
-            if fastpath:
-                seen = dict(digest_boxes.get(m, {}))
-                if isinstance(outputs[m], ModuleOutput):
-                    seen[m] = value_digest(outputs[m].value)
-                own = [outputs[m]] if isinstance(outputs[m], ModuleOutput) else []
-                result = fast_path_agree(
-                    seen, (box.values() if rounds_used == 2 else own), s.quorum
-                )
-                verdicts[m] = result.verdict
-            else:
-                verdicts[m] = tally(
-                    sorted(box.values(), key=lambda o: o.module_id), s.strategy, s.quorum
-                )
+            verdicts[m] = verdict_of(m)
             if verdicts[m].decided:
                 reply = sign_message(self.registry, m, Reply(frame, verdicts[m].value))
                 self.world.send(m, OBSERVER, reply)
 
-        # observer view
-        observer_box = dict(inboxes.get(OBSERVER, {}))
-        if fastpath:
-            seen = dict(digest_boxes.get(OBSERVER, {}))
-            observer_result = fast_path_agree(
-                seen,
-                (observer_box.values() if rounds_used == 2 else []),
-                s.quorum,
-            )
-            observer_verdict = observer_result.verdict
-        else:
-            observer_verdict = tally(
-                sorted(observer_box.values(), key=lambda o: o.module_id), s.strategy, s.quorum
-            )
-
-        replies: dict[int, DecisionValue] = {}
         for _ in range(s.network.base_delay_rounds + s.network.jitter_rounds + 1):
             for env in self.world.advance_round():
-                payload = env.payload
-                if (
-                    env.to == OBSERVER
-                    and isinstance(payload, Signed)
-                    and isinstance(payload.msg, Reply)
-                    and payload.msg.frame == frame
-                    and payload.verify(self.registry)
-                ):
-                    replies.setdefault(payload.sender, payload.msg.value)
+                self._observe_reply(replies, env, frame)
 
-        finalized = None
-        counts: dict[DecisionValue, int] = {}
-        for value in replies.values():
-            counts[value] = counts.get(value, 0) + 1
-        for value, count in sorted(counts.items(), key=lambda kv: kv[0].label):
-            if count >= s.quorum.reply_matches:
-                finalized = value
-                break
-
-        if finalized is not None:
-            verdict_kind = "decided"
-            value = finalized
-            if observer_verdict.decided and observer_verdict.value == finalized:
-                supporters = tuple(sorted(observer_verdict.supporters))
-            else:
-                supporters = tuple(sorted(m for m, v in replies.items() if v == finalized))
-            self._finalized[frame] = finalized
-        elif frame in s.observations.critical_frames:
-            verdict_kind = "safe-mode"
-            value = s.decision_space.value(s.decision_space.safe_default)
-            supporters = ()
-        else:
-            verdict_kind = "no-quorum"
-            value = None
-            supporters = ()
-
-        flags = self._frame_flags(frame, verdict_kind, finalized)
-        # uniformity check: honest module verdicts must not conflict
         decided_labels = {
             v.value.label
             for m, v in verdicts.items()
             if v.decided and s.modules[m].kind in HONEST_KINDS
         }
-        if len(decided_labels) > 1 and "agreement-violation" not in flags:
-            flags = flags + ("agreement-violation",)
-            self.agreement_violations.append(frame)
-
-        record = DecisionRecord(
-            frame=frame,
-            verdict=verdict_kind,
-            value=value.label if value is not None else None,
-            supporters=supporters,
-            rounds_to_commit=rounds_used,
-            view_changes=0,
-            flags=flags,
-        )
-        self._supervise(frame, finalized, outputs, equivocators)
-        return record
+        return self._reply_quorum(replies), rounds_used, 0, verdict_of(OBSERVER), len(decided_labels) > 1
 
     # --- top level -----------------------------------------------------------
 
     def run(self) -> EpisodeResult:
         for frame in range(self.s.frames):
-            if self.s.consensus_mode == "pbft":
-                record = self._run_pbft_frame(frame)
-            else:
-                record = self._run_vote_frame(frame)
+            record = self._run_frame(frame)
             self.records.append(record)
             self.decision_log.append(record.line())
         agreement = {

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .core import DecisionSpace, DecisionValue, KeyRegistry, ModuleOutput, canonical, digest, make_output
+from .core import DecisionSpace, DecisionValue, KeyRegistry, canonical, digest, make_output
 
 HONEST_CONFIDENCE = 0.9
 BYZANTINE_CONFIDENCE = 1.0  # a liar claims certainty
@@ -122,7 +122,6 @@ _TRANSITIONS = {
 class ModuleState:
     module_id: int
     profile: FaultProfile
-    last_committed_frame: int = -1
     status: str = STATUS_ACTIVE
 
     def _advance(self, to: str) -> None:
@@ -225,26 +224,11 @@ def begin_restart(state: ModuleState) -> ModuleState:
     return ModuleState(
         module_id=state.module_id,
         profile=profile,
-        last_committed_frame=state.last_committed_frame,
         status=STATUS_RESTARTING,
     )
 
 
-def complete_restart(state: ModuleState, snapshot_frame: int) -> ModuleState:
+def complete_restart(state: ModuleState) -> ModuleState:
     if state.status != STATUS_RESTARTING:
         raise ValueError(f"cannot activate a module in status {state.status!r}")
-    return replace(state, status=STATUS_ACTIVE, last_committed_frame=snapshot_frame)
-
-
-def equivocation_proof_outputs(registry: KeyRegistry, a: ModuleOutput, b: ModuleOutput) -> bool:
-    """Two verified outputs from one signer for one frame with different values
-    are a proof of equivocation."""
-    from .core import verify_output
-
-    return (
-        a.module_id == b.module_id
-        and a.frame == b.frame
-        and a.value != b.value
-        and verify_output(registry, a)
-        and verify_output(registry, b)
-    )
+    return replace(state, status=STATUS_ACTIVE)

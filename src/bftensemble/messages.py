@@ -55,16 +55,13 @@ class Signed:
         memo = self.__dict__.get("_verified")
         if memo is not None and memo[0] is registry:
             return memo[1]
-        ok = registry.verify(self.tag, self.sender, self.msg.payload())
+        ok = registry.verify(self.tag, self.sender, self.msg.payload_digest())
         self.__dict__["_verified"] = (registry, ok)
         return ok
 
 
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
-    payload = msg.payload()
-    tag = registry.sign(sender, payload)
-    msg.memoise(payload, tag.payload_digest)
-    return Signed(msg=msg, sender=sender, tag=tag)
+    return Signed(msg, sender, registry.sign(sender, msg.payload_digest()))
 
 
 @dataclass(frozen=True)

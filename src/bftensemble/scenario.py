@@ -236,6 +236,17 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 errors.append(f"line {lineno}: bad float {value!r}")
         else:
             errors.append(f"line {lineno}: unknown network key {key!r}")
+    network = None
+    try:
+        network = NetworkPolicy(
+            base_delay_rounds=net["base_delay"],
+            jitter_rounds=net["jitter"],
+            drop_rate=net["drop_rate"],
+            partitions=tuple(partitions),
+            seed=seed,
+        )
+    except ValueError as exc:
+        errors.append(f"[network]: {exc}")
 
     # supervisor
     sup_kwargs = {}
@@ -330,13 +341,6 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioError(errors)
 
     quorum = QuorumConfig(n=n, f=f, enforce_resilience=(consensus_mode == "pbft"))
-    network = NetworkPolicy(
-        base_delay_rounds=net["base_delay"],
-        jitter_rounds=net["jitter"],
-        drop_rate=net["drop_rate"],
-        partitions=tuple(partitions),
-        seed=seed,
-    )
     return Scenario(
         name=name,
         quorum=quorum,

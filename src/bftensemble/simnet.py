@@ -42,6 +42,8 @@ class NetworkPolicy:
     def __post_init__(self) -> None:
         if self.base_delay_rounds < 0:
             raise ValueError("base delay must be >= 0")
+        if self.jitter_rounds < 0:
+            raise ValueError("jitter must be >= 0")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
         # canonical() concatenates per-field encodings, so hashing this prefix

@@ -1,7 +1,13 @@
 """Command-line interface: exit codes, log files, verify, report."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bftensemble
 from bftensemble.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from bftensemble.scenario import bundled_scenario_path
 
@@ -134,3 +140,35 @@ def test_report_prefers_report_txt(tmp_path, capsys):
 def test_report_missing_dir(capsys):
     assert main(["report", "/no/such/dir"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+NON_UTF8 = b"name = broken\n\xff\xfe = 1\n"
+
+
+def _network_edit(old, new):
+    return bundled_scenario_path("fuzz_base_n4").read_text().replace(old, new).encode()
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("run", NON_UTF8),
+        ("verify", NON_UTF8),
+        ("run", _network_edit("base_delay = 1", "base_delay = -1")),
+        ("run", _network_edit("drop_rate = 0.0", "drop_rate = 1.5")),
+        ("run", _network_edit("jitter = 0", "jitter = -1")),
+        ("run", _network_edit("jitter = 0", "jitter = -3")),
+    ],
+    ids=["run-non-utf8", "verify-non-utf8", "negative-delay", "drop-rate-above-1",
+         "jitter-minus-1", "jitter-minus-3"],
+)
+def test_malformed_input_is_a_usage_error(tmp_path, command, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    env = dict(os.environ, PYTHONPATH=str(Path(bftensemble.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bftensemble.cli", command, str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

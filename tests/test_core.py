@@ -126,36 +126,36 @@ class TestAuthentication:
 
     def test_sign_verify_roundtrip(self):
         reg = self.fresh_registry()
-        tag = reg.sign(2, b"hello")
-        assert reg.verify(tag, 2, b"hello")
+        tag = reg.sign(2, digest(b"hello"))
+        assert reg.verify(tag, 2, digest(b"hello"))
 
     def test_wrong_signer_fails(self):
         reg = self.fresh_registry()
-        tag = reg.sign(2, b"hello")
-        assert not reg.verify(tag, 3, b"hello")
+        tag = reg.sign(2, digest(b"hello"))
+        assert not reg.verify(tag, 3, digest(b"hello"))
 
     def test_unknown_signer_raises(self):
         from bftensemble.core import UnknownSignerError
 
         reg = self.fresh_registry()
         with pytest.raises(UnknownSignerError):
-            reg.sign(17, b"hello")
+            reg.sign(17, digest(b"hello"))
 
     def test_independent_master_seeds_disagree(self):
         a = KeyRegistry(1, range(4))
         b = KeyRegistry(2, range(4))
-        tag = a.sign(0, b"payload")
-        assert not b.verify(tag, 0, b"payload")
+        tag = a.sign(0, digest(b"payload"))
+        assert not b.verify(tag, 0, digest(b"payload"))
 
     @given(payload=st.binary(min_size=1, max_size=64), flip=st.integers(min_value=0))
     def test_tampered_payload_rejected(self, payload, flip):
         reg = KeyRegistry(7, range(4))
-        tag = reg.sign(1, payload)
+        tag = reg.sign(1, digest(payload))
         pos = flip % len(payload)
         tampered = bytes(
             b ^ (1 if i == pos else 0) for i, b in enumerate(payload)
         )
-        assert not reg.verify(tag, 1, tampered)
+        assert not reg.verify(tag, 1, digest(tampered))
 
     def test_output_verification(self):
         reg = self.fresh_registry()

@@ -1,0 +1,80 @@
+"""The observer's side of `EpisodeRunner._run_frame`: which Replies it keeps,
+and when f+1 matching Replies finalize a frame.  Both consensus modes end a
+frame through these two helpers."""
+import pytest
+
+from bftensemble.core import OBSERVER
+from bftensemble.episode import EpisodeRunner
+from bftensemble.messages import Reply, Signed, sign_message
+from bftensemble.scenario import load_bundled
+from bftensemble.simnet import Envelope
+
+
+@pytest.fixture(params=["fuzz_base_n4", "fuzz_base_n7"])
+def runner(request):
+    return EpisodeRunner(load_bundled(request.param))
+
+
+def envelope(payload, to=OBSERVER):
+    return Envelope(
+        frm=payload.sender, to=to, payload=payload, kind="reply",
+        send_round=0, deliver_round=1, seq=0, log_tag="",
+    )
+
+
+def reply(runner, sender, label, frame=0):
+    value = runner.s.decision_space.value(label)
+    return sign_message(runner.registry, sender, Reply(frame, value))
+
+
+def observe(runner, votes, frame=0):
+    """Feed (sender, label) Replies to the observer in order; return the
+    quorum value's label, or None."""
+    replies = {}
+    for sender, label in votes:
+        runner._observe_reply(replies, envelope(reply(runner, sender, label)), frame)
+    quorum = runner._reply_quorum(replies)
+    return quorum.label if quorum is not None else None
+
+
+@pytest.mark.parametrize("first, second", [("continue", "brake"), ("brake", "continue")])
+def test_two_quorums_decide_the_lower_label(runner, first, second):
+    f = runner.f
+    votes = [(m, first) for m in range(f + 1)] + [(m, second) for m in range(f + 1, 2 * f + 2)]
+    assert observe(runner, votes) == "brake"
+
+
+def test_f_matching_replies_decide_nothing(runner):
+    f = runner.f
+    assert observe(runner, [(m, "brake") for m in range(f)]) is None
+    others = [(m, "continue") for m in range(f, 2 * f)]
+    assert observe(runner, [(m, "brake") for m in range(f)] + others) is None
+    assert observe(runner, [(m, "brake") for m in range(f + 1)]) == "brake"
+
+
+def test_duplicate_replies_from_one_sender_count_once(runner):
+    f = runner.f
+    votes = [(m, "brake") for m in range(f)] + [(0, "brake")] * 3
+    assert observe(runner, votes) is None
+    # a sender's first Reply stands; a later, different one is ignored
+    votes = [(0, "continue")] + [(m, "brake") for m in range(f + 1)]
+    assert observe(runner, votes) is None
+
+
+def test_only_verified_replies_for_this_frame_reach_the_count(runner):
+    f = runner.f
+    replies = {}
+    for m in range(f):
+        runner._observe_reply(replies, envelope(reply(runner, m, "brake")), 0)
+    honest = reply(runner, f, "brake")
+    forged = Signed(honest.msg, f, reply(runner, 0, "brake").tag)
+    rejected = [
+        envelope(forged),
+        envelope(reply(runner, f, "brake", frame=1)),
+        envelope(honest, to=f),
+    ]
+    for env in rejected:
+        runner._observe_reply(replies, env, 0)
+    assert runner._reply_quorum(replies) is None and len(replies) == f
+    runner._observe_reply(replies, envelope(honest), 0)
+    assert runner._reply_quorum(replies).label == "brake"

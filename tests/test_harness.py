@@ -1,7 +1,7 @@
 """Fault profile behaviors, module lifecycle, and per-module randomness."""
 import pytest
 
-from bftensemble.core import DecisionSpace, DecisionValue, KeyRegistry
+from bftensemble.core import DecisionSpace, DecisionValue, KeyRegistry, verify_output
 from bftensemble.harness import (
     NO_OUTPUT,
     STATUS_ACTIVE,
@@ -13,7 +13,6 @@ from bftensemble.harness import (
     begin_restart,
     complete_restart,
     confidence_of,
-    equivocation_proof_outputs,
     module_rng,
     produce_output,
 )
@@ -61,14 +60,7 @@ class TestProfiles:
         a, b = pair
         assert a.value != b.value
         assert a.module_id == b.module_id
-        assert equivocation_proof_outputs(REGISTRY, a, b)
-
-    def test_agreeing_outputs_are_not_an_equivocation_proof(self):
-        rng = module_rng(1, 0)
-        st = state_for(FaultProfile(kind="honest"))
-        a = produce_output(st, 0, GO, SPACE, REGISTRY, rng)
-        b = produce_output(st, 0, GO, SPACE, REGISTRY, rng)
-        assert not equivocation_proof_outputs(REGISTRY, a, b)
+        assert verify_output(REGISTRY, a) and verify_output(REGISTRY, b)
 
     def test_diverse_honest_error_rate_zero_is_honest(self):
         profile = FaultProfile(kind="diverse_honest", error_rate=0.0)
@@ -142,9 +134,8 @@ class TestLifecycle:
         st = begin_restart(st)
         assert st.status == STATUS_RESTARTING
         assert st.profile.kind == "honest"  # restart wipes the fault
-        st = complete_restart(st, snapshot_frame=4)
+        st = complete_restart(st)
         assert st.status == STATUS_ACTIVE
-        assert st.last_committed_frame == 4
 
     def test_restart_keeps_fault_by_default(self):
         st = state_for(FaultProfile(kind="byzantine_fixed", bad_label="stop"))

@@ -86,7 +86,7 @@ class TestVerifyCache:
         honest = sign_message(registry, 1, msg)
         assert honest.verify(registry)
         # sender 2's tag passed off as sender 1's, and sender 1 claiming 2's tag
-        assert not Signed(msg, 1, registry.sign(2, msg.payload())).verify(registry)
+        assert not Signed(msg, 1, registry.sign(2, msg.payload_digest())).verify(registry)
         assert not Signed(msg, 2, honest.tag).verify(registry)
         assert honest.verify(registry)
 
@@ -134,8 +134,8 @@ class TestEvidenceRejectsForgeries:
         second = sign_message(registry, 0, PrePrepare(0, 0, D_SOUTH, SOUTH))
         assert EquivocationProof(first, second).valid(registry)
         # a second endorsement that replica 0 never signed
-        stolen = Signed(second.msg, 0, registry.sign(1, second.msg.payload()))
-        minted = Signed(second.msg, 0, KeyRegistry(99, range(4)).sign(0, second.msg.payload()))
+        stolen = Signed(second.msg, 0, registry.sign(1, second.msg.payload_digest()))
+        minted = Signed(second.msg, 0, KeyRegistry(99, range(4)).sign(0, second.msg.payload_digest()))
         relabelled = Signed(PrePrepare(0, 0, D_SOUTH, SOUTH), 0, first.tag)
         for forged in (stolen, minted, relabelled):
             assert not EquivocationProof(first, forged).valid(registry)
@@ -146,7 +146,7 @@ class TestEvidenceRejectsForgeries:
         commit = Commit(0, 0, D_NORTH, NORTH)
         votes = tuple(sign_message(registry, m, commit) for m in range(3))
         assert FrameCert(0, NORTH, votes).valid(registry, 3)
-        forged = Signed(commit, 3, registry.sign(0, commit.payload()))
+        forged = Signed(commit, 3, registry.sign(0, commit.payload_digest()))
         assert not FrameCert(0, NORTH, votes[:2] + (forged,)).valid(registry, 3)
         assert not FrameCert(0, NORTH, votes + (forged,)).valid(registry, 3)
         assert FrameCert(0, NORTH, votes).valid(registry, 3)
@@ -165,8 +165,8 @@ class TestOutputCache:
     def test_forged_tag_fails_after_a_cached_success(self, registry):
         out = make_output(registry, 1, 0, NORTH, 0.9)
         assert verify_output(registry, out)
-        stolen = replace(out, sig=registry.sign(2, out.payload()))
-        minted = replace(out, sig=KeyRegistry(99, range(4)).sign(1, out.payload()))
+        stolen = replace(out, sig=registry.sign(2, out.payload_digest()))
+        minted = replace(out, sig=KeyRegistry(99, range(4)).sign(1, out.payload_digest()))
         for forged in (stolen, minted):
             assert not verify_output(registry, forged)
         assert verify_output(registry, out)
@@ -192,7 +192,7 @@ class TestOutputCache:
     def test_out_of_range_confidence_fails(self, registry):
         out = make_output(registry, 1, 0, NORTH, 1.0)
         tagged = replace(out, confidence=1.5)
-        tagged = replace(tagged, sig=registry.sign(1, tagged.payload()))
+        tagged = replace(tagged, sig=registry.sign(1, tagged.payload_digest()))
         assert not verify_output(registry, tagged)
         assert not verify_output(registry, tagged)
 
@@ -221,13 +221,13 @@ class TestSigningState:
         for _ in range(300):
             signer = rng.randrange(4)
             payload = rng.randbytes(rng.randrange(80))
-            tag = registry.sign(signer, payload)
+            tag = registry.sign(signer, digest(payload))
             assert tag.tag == hashlib.blake2b(
                 digest(payload), key=module_secret(17, signer), digest_size=TAG_SIZE
             ).digest()
-            assert registry.verify(tag, signer, payload)
-            assert not registry.verify(tag, (signer + 1) % 4, payload)
-            assert not registry.verify(tag, signer, payload + b"x")
+            assert registry.verify(tag, signer, digest(payload))
+            assert not registry.verify(tag, (signer + 1) % 4, digest(payload))
+            assert not registry.verify(tag, signer, digest(payload + b"x"))
 
     @pytest.mark.parametrize(
         "msg",
@@ -263,5 +263,5 @@ class TestSigningState:
         out = make_output(registry, 1, 0, NORTH, 0.9)
         assert verify_output(registry, out)
         assert not verify_output(registry, replace(out, value=SOUTH))
-        assert not verify_output(registry, replace(out, sig=registry.sign(2, out.payload())))
+        assert not verify_output(registry, replace(out, sig=registry.sign(2, out.payload_digest())))
         assert signed.verify(registry) and verify_output(registry, out)
