@@ -353,6 +353,16 @@ class Replica:
 
     # --- view changes --------------------------------------------------------
 
+    def _enter_view(self, view: int) -> None:
+        """Move to ``view``: the old view's proposal and outbox are dropped,
+        and an undecided replica waits for the new view's proposal."""
+        inst = self.inst
+        inst.view = view
+        inst.proposal = None
+        inst.outbox = []
+        if not inst.decided:
+            inst.phase = PHASE_IDLE
+
     def _initiate_viewchange(self, new_view: int) -> list[Outbound]:
         inst = self.inst
         if new_view in inst.viewchange_sent:
@@ -362,11 +372,7 @@ class Replica:
         signed_vc = self._sign(vc)
         inst.view_changes.setdefault(new_view, {})[self.module_id] = signed_vc
         if new_view > inst.view:
-            inst.view = new_view
-            inst.proposal = None
-            inst.outbox = []
-            if not inst.decided:
-                inst.phase = PHASE_IDLE
+            self._enter_view(new_view)
         inst.outbox.append((BROADCAST, signed_vc))
         return [(BROADCAST, signed_vc)] + self._maybe_newview(new_view)
 
@@ -424,11 +430,7 @@ class Replica:
         else:
             return []  # nothing proposable; let the next timeout rotate further
         inst.newview_sent.add(new_view)
-        inst.view = new_view
-        inst.proposal = None
-        inst.outbox = []
-        if not inst.decided:
-            inst.phase = PHASE_IDLE
+        self._enter_view(new_view)
         pp = self._sign(PrePrepare(inst.frame, new_view, value_digest(value), value))
         nv = self._sign(NewView(inst.frame, new_view, ordered, pp))
         inst.outbox.append((BROADCAST, nv))
@@ -474,12 +476,8 @@ class Replica:
             return []
         # enter the new view
         inst.newview_processed.add(msg.view)
-        inst.view = msg.view
+        self._enter_view(msg.view)
         inst.view_start_round = round_
-        inst.proposal = None
-        inst.outbox = []
-        if not inst.decided:
-            inst.phase = PHASE_IDLE
         out = self._note_leader_endorsement(pp)
         if inst.decided:
             return out

@@ -19,17 +19,7 @@ from .core import (
     verify_output,
 )
 from .consensus import EquivocatingReplica, Replica, value_digest
-from .harness import (
-    NO_OUTPUT,
-    STATUS_ACTIVE,
-    STATUS_RESTARTING,
-    FaultProfile,
-    ModuleState,
-    begin_restart,
-    complete_restart,
-    module_rng,
-    produce_output,
-)
+from .harness import NO_OUTPUT, FaultProfile, module_rng, produce_output
 from .messages import OutputDigest, Reply, Signed, StateRequest, sign_message
 from .scenario import Scenario
 from .simnet import World
@@ -92,9 +82,6 @@ class EpisodeResult:
     def event_log_text(self) -> str:
         return "\n".join(self.event_log) + "\n"
 
-    def record_for(self, frame: int) -> DecisionRecord:
-        return self.records[frame]
-
 
 class EpisodeRunner:
     def __init__(self, scenario: Scenario):
@@ -102,9 +89,8 @@ class EpisodeRunner:
         self.n = scenario.quorum.n
         self.f = scenario.quorum.f
         self.registry = KeyRegistry(scenario.seed, range(self.n))
-        self.states = [
-            ModuleState(module_id=m, profile=scenario.modules[m]) for m in range(self.n)
-        ]
+        # each module's current profile; a restart may replace it
+        self.profiles = list(scenario.modules)
         self.rngs = [
             module_rng(scenario.seed, m, scenario.modules[m].perturb_seed)
             for m in range(self.n)
@@ -120,14 +106,15 @@ class EpisodeRunner:
             self._rounds = self._pbft_rounds
         else:
             self._rounds = self._vote_rounds
-        self.supervisor = Supervisor(scenario.quorum, scenario.supervisor) if scenario.supervise else None
+        # the supervisor owns module status; `supervise = false` only stops
+        # it from judging frames, so no module is ever isolated
+        self.supervisor = Supervisor(scenario.quorum, scenario.supervisor)
         self._emitted_events = 0
         self.records: list[DecisionRecord] = []
         self.decision_log: list[str] = []
         self.vote_logs: dict[int, FrameVoteLog] = {}
         self.agreement_violations: list[int] = []
         self.liveness_failures: list[int] = []
-        self._agree_counts = {m: [0, 0] for m in range(self.n)}  # agreed, judged
         self._finalized: dict[int, DecisionValue] = {}
 
     # --- construction --------------------------------------------------------
@@ -155,15 +142,11 @@ class EpisodeRunner:
         return Replica(m, self.s.quorum, self.s.decision_space, self.registry, **kwargs)
 
     def _engine_alive(self, m: int, frame: int) -> bool:
-        state = self.states[m]
-        if state.status != STATUS_ACTIVE:
+        # engines[m] is None exactly when the module's profile is silent
+        if self.engines[m] is None or not self.supervisor.active(m):
             return False
-        profile = state.profile
-        if profile.kind == "silent":
-            return False
-        if profile.kind == "crash" and frame >= profile.at_frame:
-            return False
-        return self.engines.get(m) is not None
+        profile = self.profiles[m]
+        return not (profile.kind == "crash" and frame >= profile.at_frame)
 
     # --- shared plumbing -----------------------------------------------------
 
@@ -175,87 +158,58 @@ class EpisodeRunner:
         """Per-module outputs for this frame.  Equivocators yield a pair."""
         outputs = {}
         for m in range(self.n):
-            state = self.states[m]
-            if state.status != STATUS_ACTIVE:
+            if not self.supervisor.active(m):
                 outputs[m] = NO_OUTPUT
                 continue
             obs = self.s.observations.observed(self.s.decision_space, frame, m)
             outputs[m] = produce_output(
-                state, frame, obs, self.s.decision_space, self.registry, self.rngs[m]
+                self.profiles[m], m, frame, obs, self.s.decision_space, self.registry, self.rngs[m]
             )
         return outputs
 
     def _flush_supervisor_events(self) -> None:
-        if self.supervisor is None:
-            return
         for frame, module, event in self.supervisor.events[self._emitted_events:]:
             self.decision_log.append(f"{frame}|SUPERVISOR|{module}|{event}")
         self._emitted_events = len(self.supervisor.events)
 
     def _supervise(self, frame: int, committed: Optional[DecisionValue], outputs, equivocators) -> None:
-        if self.supervisor is None:
-            return
-        if committed is None:
+        if not self.s.supervise or committed is None:
             return  # only committed frames are judged
-        values = {}
-        for m, out in outputs.items():
-            if isinstance(out, ModuleOutput):
-                values[m] = out.value
-            else:
-                values[m] = None
-        for m in range(self.n):
-            if self.states[m].status != STATUS_ACTIVE:
-                values[m] = None
+        values = {
+            m: out.value if isinstance(out, ModuleOutput) else None for m, out in outputs.items()
+        }
         self.supervisor.record_round(frame, committed, values, equivocators)
-        for m in range(self.n):
-            if self.states[m].status != STATUS_ACTIVE:
-                continue
-            v = values.get(m)
-            agreed = v is not None and v == committed and m not in equivocators
-            self._agree_counts[m][0] += 1 if agreed else 0
-            self._agree_counts[m][1] += 1
-        newly = self.supervisor.review(frame)
-        for m in newly:
-            self.states[m].isolate()
+        for m in self.supervisor.review(frame):
             self.world.mute(m)
         self._flush_supervisor_events()
 
     def _handle_restarts(self, frame: int) -> None:
-        if self.supervisor is None:
-            return
         for m in self.supervisor.due_for_restart(frame):
-            self.states[m] = begin_restart(self.states[m])
+            profile = self.profiles[m] = self.profiles[m].restarted()
             self.world.unmute(m)
-            profile = self.states[m].profile
             self.engines[m] = self._make_engine(m, profile)
             self.rngs[m] = module_rng(self.s.seed, m, profile.perturb_seed)
         # restarting modules keep asking for state until a snapshot lands
-        for m in range(self.n):
-            if self.states[m].status == STATUS_RESTARTING and self.engines.get(m) is not None:
+        for m in sorted(self.supervisor.restarting):
+            if self.engines.get(m) is not None:
                 req = sign_message(self.registry, m, StateRequest(max(frame - 1, 0)))
                 self.world.send(m, BROADCAST, req)
         self._flush_supervisor_events()
 
     def _check_recoveries(self, frame: int) -> None:
-        if self.supervisor is None:
-            return
         # a snapshot requested while frame `frame` was still running can only
         # cover the frames decided before it
         target = max((f for f in self._finalized if f < frame), default=-1)
-        for m in range(self.n):
-            if self.states[m].status != STATUS_RESTARTING:
-                continue
+        for m in sorted(self.supervisor.restarting):
             engine = self.engines.get(m)
             if engine is not None and engine.last_contiguous_frame >= target:
-                self.states[m] = complete_restart(self.states[m])
                 self.supervisor.recovered(m, frame)
         self._flush_supervisor_events()
 
     def _honest_committed(self, frame: int) -> dict[int, DecisionValue]:
         committed = {}
         for m in range(self.n):
-            profile = self.states[m].profile
-            if profile.kind not in HONEST_KINDS:
+            if self.profiles[m].kind not in HONEST_KINDS:
                 continue
             engine = self.engines.get(m)
             if engine is not None and frame in engine.committed:
@@ -320,7 +274,7 @@ class EpisodeRunner:
         outputs = self._produce(frame)
         equivocators = {
             m for m, p in enumerate(s.modules)
-            if p.kind == "byzantine_equivocate" and self.states[m].status == STATUS_ACTIVE
+            if p.kind == "byzantine_equivocate" and self.supervisor.active(m)
         }
         replies: dict[int, DecisionValue] = {}
         finalized, rounds, view_changes, observed, split = self._rounds(frame, outputs, replies)
@@ -358,9 +312,8 @@ class EpisodeRunner:
         # frame, and restarting modules also take deliveries to catch up
         live = [(m, self.engines[m]) for m in range(self.n) if self._engine_alive(m, frame)]
         receivers = dict(live)
-        for m in range(self.n):
-            if self.states[m].status == STATUS_RESTARTING:
-                receivers[m] = self.engines[m]
+        for m in self.supervisor.restarting:
+            receivers[m] = self.engines[m]
         for m, engine in live:
             out = outputs[m]
             own = out[0] if isinstance(out, tuple) else (out if isinstance(out, ModuleOutput) else None)
@@ -415,7 +368,7 @@ class EpisodeRunner:
                 continue
             inst = engine.inst
             if (
-                self.states[m].profile.kind in HONEST_KINDS
+                self.profiles[m].kind in HONEST_KINDS
                 and inst.decided
                 and inst.decided_view >= 0
                 and frame not in self.vote_logs
@@ -443,7 +396,7 @@ class EpisodeRunner:
     def _broadcast_outputs(self, frame: int, outputs, digests_only: bool) -> None:
         for m in range(self.n):
             out = outputs[m]
-            if out is NO_OUTPUT or self.states[m].status != STATUS_ACTIVE:
+            if out is NO_OUTPUT:  # also every module not active
                 continue
             if isinstance(out, tuple):
                 out_a, out_b = out
@@ -522,7 +475,7 @@ class EpisodeRunner:
         # every module tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}
         for m in range(self.n):
-            if self.states[m].status != STATUS_ACTIVE or self.states[m].profile.kind == "silent":
+            if not self.supervisor.active(m) or self.profiles[m].kind == "silent":
                 continue
             verdicts[m] = verdict_of(m)
             if verdicts[m].decided:
@@ -547,19 +500,16 @@ class EpisodeRunner:
             record = self._run_frame(frame)
             self.records.append(record)
             self.decision_log.append(record.line())
-        agreement = {
-            m: (c[0] / c[1] if c[1] else 1.0) for m, c in self._agree_counts.items()
-        }
         return EpisodeResult(
             scenario=self.s,
             records=self.records,
             decision_log=self.decision_log,
             event_log=list(self.world.event_log),
-            supervisor_events=list(self.supervisor.events) if self.supervisor else [],
+            supervisor_events=list(self.supervisor.events),
             vote_logs=self.vote_logs,
             agreement_violations=sorted(set(self.agreement_violations)),
             liveness_failures=self.liveness_failures,
-            module_agreement=agreement,
+            module_agreement=self.supervisor.agreement_rates(),
         )
 
 

@@ -6,7 +6,7 @@ nothing here lets one module touch another's state.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import DecisionSpace, DecisionValue, KeyRegistry, canonical, digest, make_output
@@ -65,6 +65,13 @@ class FaultProfile:
     def byzantine(self) -> bool:
         return self.kind in self.BYZANTINE_KINDS
 
+    def restarted(self) -> "FaultProfile":
+        """The profile a module runs after a restart: ``on_restart = honest``
+        wipes the fault, ``same`` keeps it."""
+        if self.on_restart == "honest":
+            return FaultProfile(kind="honest", base_confidence=self.base_confidence)
+        return self
+
     def check_labels(self, space: DecisionSpace) -> list[str]:
         errors = []
         for name in ("bad_label", "label_a", "label_b"):
@@ -107,32 +114,6 @@ class ObservationTable:
         return space.value(self.ground_truth[frame])
 
 
-STATUS_ACTIVE = "active"
-STATUS_ISOLATED = "isolated"
-STATUS_RESTARTING = "restarting"
-
-_TRANSITIONS = {
-    STATUS_ACTIVE: STATUS_ISOLATED,
-    STATUS_ISOLATED: STATUS_RESTARTING,
-    STATUS_RESTARTING: STATUS_ACTIVE,
-}
-
-
-@dataclass
-class ModuleState:
-    module_id: int
-    profile: FaultProfile
-    status: str = STATUS_ACTIVE
-
-    def _advance(self, to: str) -> None:
-        if _TRANSITIONS[self.status] != to:
-            raise ValueError(f"illegal status transition {self.status} -> {to}")
-        self.status = to
-
-    def isolate(self) -> None:
-        self._advance(STATUS_ISOLATED)
-
-
 class NoOutput:
     """Sentinel: the module produced nothing this frame."""
 
@@ -166,7 +147,8 @@ def confidence_of(profile: FaultProfile) -> float:
 
 
 def produce_output(
-    state: ModuleState,
+    profile: FaultProfile,
+    module_id: int,
     frame: int,
     observation: DecisionValue,
     space: DecisionSpace,
@@ -179,56 +161,31 @@ def produce_output(
     conflicting ModuleOutputs (partition assignment is the caller's job).
     Slow modules produce normally; their delay is applied by the network.
     """
-    if state.status != STATUS_ACTIVE:
-        raise ValueError(f"module {state.module_id} is {state.status}, not active")
     if observation.label not in space:
         raise ValueError(f"observation {observation.label!r} not in decision space")
-    profile = state.profile
     conf = confidence_of(profile)
-    mid = state.module_id
 
     if profile.kind == "silent":
         return NO_OUTPUT
     if profile.kind == "crash":
         if frame >= profile.at_frame:
             return NO_OUTPUT
-        return make_output(registry, mid, frame, observation, conf)
+        return make_output(registry, module_id, frame, observation, conf)
     if profile.kind in ("honest", "slow"):
-        return make_output(registry, mid, frame, observation, conf)
+        return make_output(registry, module_id, frame, observation, conf)
     if profile.kind == "diverse_honest":
         value = observation
         if rng.random() < profile.error_rate:
             wrong = [l for l in space.labels if l != observation.label]
             if wrong:
                 value = space.value(rng.choice(wrong))
-        return make_output(registry, mid, frame, value, conf)
+        return make_output(registry, module_id, frame, value, conf)
     if profile.kind == "byzantine_fixed":
-        return make_output(registry, mid, frame, space.value(profile.bad_label), conf)
+        return make_output(registry, module_id, frame, space.value(profile.bad_label), conf)
     if profile.kind == "byzantine_random":
-        return make_output(registry, mid, frame, space.value(rng.choice(space.labels)), conf)
+        return make_output(registry, module_id, frame, space.value(rng.choice(space.labels)), conf)
     if profile.kind == "byzantine_equivocate":
-        out_a = make_output(registry, mid, frame, space.value(profile.label_a), conf)
-        out_b = make_output(registry, mid, frame, space.value(profile.label_b), conf)
+        out_a = make_output(registry, module_id, frame, space.value(profile.label_a), conf)
+        out_b = make_output(registry, module_id, frame, space.value(profile.label_b), conf)
         return (out_a, out_b)
     raise AssertionError(profile.kind)
-
-
-def begin_restart(state: ModuleState) -> ModuleState:
-    """Move an isolated module into the restarting state; it becomes active
-    again only once a state snapshot is applied."""
-    if state.status not in (STATUS_ISOLATED,):
-        raise ValueError(f"cannot restart a module in status {state.status!r}")
-    profile = state.profile
-    if profile.on_restart == "honest":
-        profile = FaultProfile(kind="honest", base_confidence=profile.base_confidence)
-    return ModuleState(
-        module_id=state.module_id,
-        profile=profile,
-        status=STATUS_RESTARTING,
-    )
-
-
-def complete_restart(state: ModuleState) -> ModuleState:
-    if state.status != STATUS_RESTARTING:
-        raise ValueError(f"cannot activate a module in status {state.status!r}")
-    return replace(state, status=STATUS_ACTIVE)

@@ -49,12 +49,14 @@ class DeviationLedger:
         for m in range(self.n):
             self.buffers.setdefault(m, deque(maxlen=self.cfg.window))
 
-    def record_round(self, frame: int, committed: Optional[DecisionValue], outputs, equivocators=()) -> None:
-        """Mark each module agreed/disagreed/absent against the committed value.
+    def record_round(self, frame: int, committed: Optional[DecisionValue], outputs, equivocators=()) -> list[str]:
+        """Mark each module agreed/disagreed/absent against the committed value,
+        and return the flags in module order.
 
         ``outputs`` maps module id to its DecisionValue (or None for no
         output).  Proven equivocators count as disagreed regardless of value.
         """
+        flags = []
         for m in range(self.n):
             value = outputs.get(m)
             if m in equivocators:
@@ -66,6 +68,8 @@ class DeviationLedger:
             else:
                 flag = DISAGREED
             self.buffers[m].append(flag)
+            flags.append(flag)
+        return flags
 
     def deviation_rate(self, module_id: int) -> Optional[float]:
         buf = self.buffers[module_id]
@@ -88,7 +92,9 @@ class DeviationLedger:
 
 @dataclass
 class Supervisor:
-    """Drives the flag -> isolate -> restart -> recover cycle.
+    """Drives the flag -> isolate -> restart -> recover cycle, and is the only
+    record of each module's status: a module is active unless it is in
+    ``isolated`` or ``restarting``.
 
     Quorum thresholds stay pinned to the configured f while modules are
     isolated; isolation is an availability action, not a threat-model change.
@@ -101,20 +107,35 @@ class Supervisor:
     restarting: set[int] = field(default_factory=set)
     flagged: set[int] = field(default_factory=set)
     events: list[tuple[int, int, str]] = field(default_factory=list)  # (frame, module, event)
+    agreement: dict[int, list[int]] = field(init=False)  # module -> [agreed, judged]
 
     def __post_init__(self) -> None:
         if self.ledger is None:
             self.ledger = DeviationLedger(self.cfg, self.quorum_cfg.n)
+        self.agreement = {m: [0, 0] for m in range(self.quorum_cfg.n)}
 
     @property
     def live_count(self) -> int:
         return self.quorum_cfg.n - len(self.isolated) - len(self.restarting)
 
+    def active(self, module_id: int) -> bool:
+        return module_id not in self.isolated and module_id not in self.restarting
+
     def record_round(self, frame: int, committed, outputs, equivocators=()) -> None:
-        self.ledger.record_round(frame, committed, outputs, equivocators)
-        # a module we took offline ourselves is not deviating by being absent
-        for m in list(self.isolated) + list(self.restarting):
-            self.ledger.reset(m)
+        """Judge one committed frame: active modules count towards their
+        agreement rate; a module we took offline ourselves is not deviating
+        by being absent."""
+        flags = self.ledger.record_round(frame, committed, outputs, equivocators)
+        for m, flag in enumerate(flags):
+            if self.active(m):
+                self.agreement[m][0] += flag == AGREED
+                self.agreement[m][1] += 1
+            else:
+                self.ledger.reset(m)
+
+    def agreement_rates(self) -> dict[int, float]:
+        """Share of judged frames each module agreed on (1.0 if none was judged)."""
+        return {m: agreed / judged if judged else 1.0 for m, (agreed, judged) in self.agreement.items()}
 
     def review(self, frame: int) -> list[int]:
         """Flag deviants and isolate those the availability budget allows."""

@@ -1,12 +1,12 @@
 """The observer's side of `EpisodeRunner._run_frame`: which Replies it keeps,
 and when f+1 matching Replies finalize a frame.  Both consensus modes end a
-frame through these two helpers."""
+frame through these two helpers.  Also what `supervise = false` turns off."""
 import pytest
 
 from bftensemble.core import OBSERVER
-from bftensemble.episode import EpisodeRunner
+from bftensemble.episode import EpisodeRunner, run_episode
 from bftensemble.messages import Reply, Signed, sign_message
-from bftensemble.scenario import load_bundled
+from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
 from bftensemble.simnet import Envelope
 
 
@@ -78,3 +78,25 @@ def test_only_verified_replies_for_this_frame_reach_the_count(runner):
     assert runner._reply_quorum(replies) is None and len(replies) == f
     runner._observe_reply(replies, envelope(honest), 0)
     assert runner._reply_quorum(replies).label == "brake"
+
+
+def deviant_scenario(mode: str, supervise: bool):
+    """fuzz_base_n4 with module 3 always reporting a wrong label, judged over
+    two-frame windows, so a deviant is flagged within its five frames."""
+    text = scenario_to_text(load_bundled("fuzz_base_n4"))
+    text = text.replace("3 = honest", "3 = byzantine_fixed label=swerve-left")
+    text = text.replace("window = 10", "window = 2")
+    text = text.replace("consensus_mode = pbft", f"consensus_mode = {mode}")
+    return parse_scenario_text(text.replace("supervise = true", f"supervise = {str(supervise).lower()}"))
+
+
+@pytest.mark.parametrize("mode", ["pbft", "vote-only"])
+def test_supervise_false_never_judges_a_module(mode):
+    supervised = run_episode(deviant_scenario(mode, supervise=True))
+    assert any("|SUPERVISOR|" in line for line in supervised.decision_log)
+    assert supervised.module_agreement[3] < 1.0
+
+    result = run_episode(deviant_scenario(mode, supervise=False))
+    assert not any("|SUPERVISOR|" in line for line in result.decision_log)
+    assert result.supervisor_events == []
+    assert result.module_agreement == {m: 1.0 for m in range(4)}

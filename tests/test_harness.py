@@ -1,17 +1,11 @@
-"""Fault profile behaviors, module lifecycle, and per-module randomness."""
+"""Fault profile behaviors, restart profiles, and per-module randomness."""
 import pytest
 
 from bftensemble.core import DecisionSpace, DecisionValue, KeyRegistry, verify_output
 from bftensemble.harness import (
     NO_OUTPUT,
-    STATUS_ACTIVE,
-    STATUS_ISOLATED,
-    STATUS_RESTARTING,
     FaultProfile,
-    ModuleState,
     ObservationTable,
-    begin_restart,
-    complete_restart,
     confidence_of,
     module_rng,
     produce_output,
@@ -22,41 +16,36 @@ REGISTRY = KeyRegistry(21, range(4))
 GO = SPACE.value("go")
 
 
-def state_for(profile, module_id=0):
-    return ModuleState(module_id=module_id, profile=profile)
-
-
 class TestProfiles:
     def test_honest_reports_observation(self):
         rng = module_rng(1, 0)
-        out = produce_output(state_for(FaultProfile(kind="honest")), 0, GO, SPACE, REGISTRY, rng)
+        out = produce_output(FaultProfile(kind="honest"), 0, 0, GO, SPACE, REGISTRY, rng)
         assert out.value == GO
         assert out.confidence == pytest.approx(0.9)
 
     def test_silent_produces_nothing(self):
         rng = module_rng(1, 0)
-        out = produce_output(state_for(FaultProfile(kind="silent")), 0, GO, SPACE, REGISTRY, rng)
+        out = produce_output(FaultProfile(kind="silent"), 0, 0, GO, SPACE, REGISTRY, rng)
         assert out is NO_OUTPUT
 
     def test_crash_stops_at_configured_frame(self):
         profile = FaultProfile(kind="crash", at_frame=2)
         rng = module_rng(1, 0)
-        st = state_for(profile)
-        assert produce_output(st, 1, GO, SPACE, REGISTRY, rng) is not NO_OUTPUT
-        assert produce_output(st, 2, GO, SPACE, REGISTRY, rng) is NO_OUTPUT
-        assert produce_output(st, 3, GO, SPACE, REGISTRY, rng) is NO_OUTPUT
+        assert produce_output(profile, 0, 1, GO, SPACE, REGISTRY, rng) is not NO_OUTPUT
+        assert produce_output(profile, 0, 2, GO, SPACE, REGISTRY, rng) is NO_OUTPUT
+        assert produce_output(profile, 0, 3, GO, SPACE, REGISTRY, rng) is NO_OUTPUT
 
     def test_byzantine_fixed_ignores_observation(self):
         profile = FaultProfile(kind="byzantine_fixed", bad_label="stop")
         rng = module_rng(1, 0)
-        out = produce_output(state_for(profile), 0, GO, SPACE, REGISTRY, rng)
+        out = produce_output(profile, 0, 0, GO, SPACE, REGISTRY, rng)
         assert out.value == SPACE.value("stop")
         assert out.confidence == pytest.approx(1.0)
 
     def test_equivocator_returns_a_conflicting_pair(self):
         profile = FaultProfile(kind="byzantine_equivocate", label_a="go", label_b="stop")
         rng = module_rng(1, 0)
-        pair = produce_output(state_for(profile), 0, GO, SPACE, REGISTRY, rng)
+        pair = produce_output(profile, 0, 0, GO, SPACE, REGISTRY, rng)
         a, b = pair
         assert a.value != b.value
         assert a.module_id == b.module_id
@@ -66,14 +55,14 @@ class TestProfiles:
         profile = FaultProfile(kind="diverse_honest", error_rate=0.0)
         rng = module_rng(1, 0)
         for frame in range(20):
-            out = produce_output(state_for(profile), frame, GO, SPACE, REGISTRY, rng)
+            out = produce_output(profile, 0, frame, GO, SPACE, REGISTRY, rng)
             assert out.value == GO
 
     def test_diverse_honest_errors_land_inside_the_space(self):
         profile = FaultProfile(kind="diverse_honest", error_rate=1.0)
         rng = module_rng(1, 0)
         for frame in range(20):
-            out = produce_output(state_for(profile), frame, GO, SPACE, REGISTRY, rng)
+            out = produce_output(profile, 0, frame, GO, SPACE, REGISTRY, rng)
             assert out.value.label in SPACE
             assert out.value != GO  # error rate 1: always perturbed
 
@@ -81,7 +70,7 @@ class TestProfiles:
         profile = FaultProfile(kind="byzantine_random")
         rng = module_rng(1, 0)
         seen = {
-            produce_output(state_for(profile), fr, GO, SPACE, REGISTRY, rng).value.label
+            produce_output(profile, 0, fr, GO, SPACE, REGISTRY, rng).value.label
             for fr in range(30)
         }
         assert seen <= set(SPACE.labels)
@@ -107,7 +96,7 @@ class TestDeterminism:
         def stream():
             rng = module_rng(77, 2)
             return [
-                produce_output(state_for(profile, 2), fr, GO, SPACE, REGISTRY, rng).value.label
+                produce_output(profile, 2, fr, GO, SPACE, REGISTRY, rng).value.label
                 for fr in range(10)
             ]
 
@@ -125,34 +114,16 @@ class TestDeterminism:
         assert module_rng(77, 0, 0).random() != module_rng(77, 0, 1).random()
 
 
-class TestLifecycle:
-    def test_isolate_restart_recover(self):
-        st = state_for(FaultProfile(kind="byzantine_fixed", bad_label="stop", on_restart="honest"))
-        assert st.status == STATUS_ACTIVE
-        st.isolate()
-        assert st.status == STATUS_ISOLATED
-        st = begin_restart(st)
-        assert st.status == STATUS_RESTARTING
-        assert st.profile.kind == "honest"  # restart wipes the fault
-        st = complete_restart(st)
-        assert st.status == STATUS_ACTIVE
+class TestRestart:
+    def test_honest_restart_wipes_the_fault_and_keeps_confidence(self):
+        profile = FaultProfile(
+            kind="byzantine_fixed", bad_label="stop", base_confidence=0.42, on_restart="honest"
+        )
+        assert profile.restarted() == FaultProfile(kind="honest", base_confidence=0.42)
 
     def test_restart_keeps_fault_by_default(self):
-        st = state_for(FaultProfile(kind="byzantine_fixed", bad_label="stop"))
-        st.isolate()
-        st = begin_restart(st)
-        assert st.profile.kind == "byzantine_fixed"
-
-    def test_cannot_restart_an_active_module(self):
-        st = state_for(FaultProfile(kind="honest"))
-        with pytest.raises(ValueError):
-            begin_restart(st)
-
-    def test_isolated_module_produces_no_output(self):
-        st = state_for(FaultProfile(kind="honest"))
-        st.isolate()
-        with pytest.raises(ValueError):
-            produce_output(st, 0, GO, SPACE, REGISTRY, module_rng(1, 0))
+        profile = FaultProfile(kind="byzantine_fixed", bad_label="stop")
+        assert profile.restarted() is profile
 
 
 class TestObservationTable:

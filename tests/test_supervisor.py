@@ -148,6 +148,22 @@ class TestSupervisor:
         assert sup.review(9) == []
         assert len([e for e in sup.events if e[2] == "flagged"]) == 1
 
+    def test_only_active_modules_are_judged(self):
+        sup = self.supervisor()
+        feed(sup, 4, deviant=1)
+        assert sup.agreement[1] == [0, 4] and sup.agreement[0] == [4, 4]
+        sup.review(3)
+        assert not sup.active(1)
+        feed(sup, 2, absent=1)
+        sup.due_for_restart(5)
+        assert not sup.active(1)
+        feed(sup, 1, absent=1)
+        sup.recovered(1, 6)
+        assert sup.active(1)
+        feed(sup, 4)
+        assert sup.agreement[1] == [4, 8] and sup.agreement[0] == [11, 11]
+        assert sup.agreement_rates() == {0: 1.0, 1: 0.5, 2: 1.0, 3: 1.0}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SupervisorConfig(window=0)
