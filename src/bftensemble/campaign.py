@@ -76,7 +76,8 @@ def _random_fault(rng: random.Random, scenario: Scenario, slot: int) -> FaultPro
     if kind == "byzantine_fixed":
         return FaultProfile(kind=kind, bad_label=rng.choice(labels))
     if kind == "byzantine_random":
-        return FaultProfile(kind=kind, seed=rng.randrange(2**31))
+        rng.randrange(2**31)  # a draw kept so that later draws stay where they were
+        return FaultProfile(kind=kind)
     if kind == "byzantine_equivocate":
         if len(labels) < 2:
             return FaultProfile(kind="byzantine_fixed", bad_label=labels[0])
@@ -112,6 +113,8 @@ def randomize_episode(base: Scenario, rng: random.Random, episode_seed: int) -> 
 def fuzz_campaign(base: Scenario, episodes: int, seed: int, strict: bool = True) -> CampaignReport:
     """Run randomized variants of a base scenario and check the safety and
     liveness claims on every frame of every episode."""
+    if episodes < 1:
+        raise ValueError(f"a campaign needs at least one episode, got {episodes}")
     if base.expects_violation:
         raise ValueError("fuzz base scenario must stay within the fault model")
     faulty = sum(1 for p in base.modules if p.kind in FaultProfile.BYZANTINE_KINDS)

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from .campaign import CampaignViolation, episode_report, fuzz_campaign
+from .core import int64
 from .episode import run_episode
 from .scenario import parse_scenario
 
@@ -138,8 +139,14 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A malformed command line is a usage error, not argparse's exit 2."""
+        self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bftensemble",
         description="Byzantine-fault-tolerant decision ensemble simulator",
     )
@@ -147,14 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario episode")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", type=int64, default=None)
     p_run.add_argument("--log-dir", default=None)
     p_run.set_defaults(func=cmd_run)
 
     p_fuzz = sub.add_parser("fuzz", help="randomized fault-schedule campaign")
     p_fuzz.add_argument("scenario")
     p_fuzz.add_argument("--episodes", type=int, required=True)
-    p_fuzz.add_argument("--seed", type=int, required=True)
+    p_fuzz.add_argument("--seed", type=int64, required=True)
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_verify = sub.add_parser("verify", help="check invariants over a stored decision log")

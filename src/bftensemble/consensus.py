@@ -119,7 +119,6 @@ class Replica:
         *,
         timeout_rounds: int = 10,
         execution_threshold: Optional[int] = None,
-        evidence_fast_path: bool = True,
         checkpoint_interval: int = 5,
     ):
         self.module_id = module_id
@@ -128,7 +127,6 @@ class Replica:
         self.registry = registry
         self.timeout_rounds = timeout_rounds
         self.execution_threshold = max(cfg.quorum, execution_threshold or cfg.quorum)
-        self.evidence_fast_path = evidence_fast_path
         self.checkpoint_interval = checkpoint_interval
 
         self.inst: Optional[FrameInstance] = None
@@ -232,8 +230,7 @@ class Replica:
             if proof.valid(self.registry):
                 inst.evidence = proof
                 self.misbehavior.append((inst.frame, signed.sender, "equivocation"))
-                if self.evidence_fast_path:
-                    return self._initiate_viewchange(inst.view + 1)
+                return self._initiate_viewchange(inst.view + 1)
         return []
 
     def _accept_proposal(self, signed_pp: Signed) -> list[Outbound]:
@@ -386,11 +383,7 @@ class Replica:
         out: list[Outbound] = []
         join = False
         if msg.new_view > inst.view:
-            if (
-                self.evidence_fast_path
-                and msg.evidence is not None
-                and msg.evidence.valid(self.registry)
-            ):
+            if msg.evidence is not None and msg.evidence.valid(self.registry):
                 if inst.evidence is None:
                     inst.evidence = msg.evidence
                 join = True

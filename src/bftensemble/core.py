@@ -137,6 +137,14 @@ def canonical(*fields) -> bytes:
     return bytes(out)
 
 
+def int64(text: str) -> int:
+    """An integer read from text that ``canonical`` can encode."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{value} is outside the signed 64-bit range")
+    return value
+
+
 def digest(payload: bytes) -> bytes:
     """Deterministic 256-bit digest of a canonical byte string."""
     return hashlib.blake2b(payload, digest_size=DIGEST_SIZE).digest()

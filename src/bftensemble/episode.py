@@ -123,7 +123,6 @@ class EpisodeRunner:
         kwargs = dict(
             timeout_rounds=self.s.timeout_rounds,
             execution_threshold=self.s.execution_threshold,
-            evidence_fast_path=self.s.evidence_fast_path,
             checkpoint_interval=self.s.checkpoint_interval,
         )
         if profile.kind == "silent":

@@ -9,10 +9,24 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DecisionSpace, DecisionValue, KeyRegistry, canonical, digest, make_output
+from .core import DecisionSpace, DecisionValue, KeyRegistry, canonical, digest, int64, make_output
 
 HONEST_CONFIDENCE = 0.9
 BYZANTINE_CONFIDENCE = 1.0  # a liar claims certainty
+
+
+# scenario-file profile option -> (FaultProfile field, reader)
+PROFILE_OPTIONS = {
+    "error_rate": ("error_rate", float),
+    "perturb_seed": ("perturb_seed", int64),
+    "at_frame": ("at_frame", int),
+    "delay": ("delay_rounds", int),
+    "label": ("bad_label", str),
+    "a": ("label_a", str),
+    "b": ("label_b", str),
+    "confidence": ("base_confidence", float),
+    "on_restart": ("on_restart", str),
+}
 
 
 @dataclass(frozen=True)
@@ -20,32 +34,32 @@ class FaultProfile:
     """One module's behavior.  ``kind`` selects the variant; the remaining
     fields apply only where noted."""
 
-    kind: str  # honest | diverse_honest | crash | silent | slow | byzantine_fixed | byzantine_random | byzantine_equivocate
+    kind: str  # one of KIND_OPTIONS
     error_rate: float = 0.0          # diverse_honest
-    perturb_seed: int = 0            # diverse_honest
+    perturb_seed: int = 0            # diverse_honest, byzantine_random
     at_frame: int = 0                # crash
     delay_rounds: int = 1            # slow
     bad_label: Optional[str] = None  # byzantine_fixed
-    seed: int = 0                    # byzantine_random
     label_a: Optional[str] = None    # byzantine_equivocate
     label_b: Optional[str] = None    # byzantine_equivocate
     base_confidence: Optional[float] = None
     on_restart: str = "same"         # same | honest
 
-    KINDS = (
-        "honest",
-        "diverse_honest",
-        "crash",
-        "silent",
-        "slow",
-        "byzantine_fixed",
-        "byzantine_random",
-        "byzantine_equivocate",
-    )
+    # each kind and the options it takes besides confidence and on_restart
+    KIND_OPTIONS = {
+        "honest": (),
+        "diverse_honest": ("error_rate", "perturb_seed"),
+        "crash": ("at_frame",),
+        "silent": (),
+        "slow": ("delay",),
+        "byzantine_fixed": ("label",),
+        "byzantine_random": ("perturb_seed",),
+        "byzantine_equivocate": ("a", "b"),
+    }
     BYZANTINE_KINDS = ("byzantine_fixed", "byzantine_random", "byzantine_equivocate")
 
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
+        if self.kind not in self.KIND_OPTIONS:
             raise ValueError(f"unknown fault profile {self.kind!r}")
         if not 0.0 <= self.error_rate <= 1.0:
             raise ValueError(f"error_rate {self.error_rate} outside [0, 1]")
@@ -58,8 +72,15 @@ class FaultProfile:
         if self.kind == "byzantine_equivocate":
             if self.label_a is None or self.label_b is None or self.label_a == self.label_b:
                 raise ValueError("byzantine_equivocate needs two distinct labels")
+        if self.base_confidence is not None and not 0.0 <= self.base_confidence <= 1.0:
+            raise ValueError(f"confidence {self.base_confidence} outside [0, 1]")
         if self.on_restart not in ("same", "honest"):
             raise ValueError(f"on_restart must be 'same' or 'honest', got {self.on_restart!r}")
+
+    @classmethod
+    def options(cls, kind: str) -> dict:
+        """The options ``kind`` takes, in PROFILE_OPTIONS form."""
+        return {k: PROFILE_OPTIONS[k] for k in cls.KIND_OPTIONS[kind] + ("confidence", "on_restart")}
 
     @property
     def byzantine(self) -> bool:
@@ -91,7 +112,8 @@ class ObservationTable:
     critical_frames: frozenset[int] = frozenset()
 
     def validate(self, space: DecisionSpace, frames: int, n: int) -> list[str]:
-        errors = []
+        extra = sorted(set(self.ground_truth) - set(range(frames)))
+        errors = [f"frame {frame}: no such frame, want 0..{frames - 1}" for frame in extra]
         for frame in range(frames):
             if frame not in self.ground_truth:
                 errors.append(f"frame {frame}: missing ground truth")

@@ -16,15 +16,17 @@ Grammar (line-oriented, ``#`` comments):
     0 | continue  | 2:brake       # frame | ground_truth[!] | module:label ...
     1 | continue! |               # '!' marks the frame action-critical
 
-Parsing reports every validation error, not just the first.
+Each section's keys are in its table below; an unknown, repeated or unreadable
+key, or an unknown section, is an error.  Parsing reports every error at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
-from .core import DecisionSpace, QuorumConfig, min_replicas
+from .core import DecisionSpace, QuorumConfig, int64, min_replicas
 from .harness import FaultProfile, ObservationTable
 from .simnet import NetworkPolicy, Partition
 from .supervisor import SupervisorConfig
@@ -46,22 +48,63 @@ class Scenario:
     decision_space: DecisionSpace
     modules: tuple[FaultProfile, ...]
     observations: ObservationTable
-    strategy: VoteStrategy
-    consensus_mode: str
     network: NetworkPolicy
-    timeout_rounds: int
     frames: int
-    seed: int
+    seed: int = 0
+    consensus_mode: str = "pbft"
+    strategy: VoteStrategy = VoteStrategy("majority")
+    timeout_rounds: int = 10
+    checkpoint_interval: int = 5
+    supervise: bool = True
     execution_threshold: Optional[int] = None
     expects_violation: bool = False
     n_override: bool = False
-    checkpoint_interval: int = 5
-    evidence_fast_path: bool = True
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-    supervise: bool = True
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed, network=replace(self.network, seed=seed))
+
+
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("want true or false")
+    return text == "true"
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+# Each section's file keys -> (attribute, reader), in the order the writer
+# emits them.  Defaults live on the dataclass each value lands in.
+TOP_KEYS = {
+    "frames": ("frames", _positive),
+    "seed": ("seed", int64),
+    "consensus_mode": ("consensus_mode", str),
+    "strategy": ("strategy", VoteStrategy.parse),
+    "timeout_rounds": ("timeout_rounds", _positive),
+    "checkpoint_interval": ("checkpoint_interval", _positive),
+    "supervise": ("supervise", _bool),
+    "execution_threshold": ("execution_threshold", int),
+    "expects_violation": ("expects_violation", _bool),
+    "n_override": ("n_override", _bool),
+}
+_HEAD_KEYS = {"name": ("name", str), "n": ("n", int), "f": ("f", int)}
+_SPACE_KEYS = {"labels": ("labels", str.split), "safe_default": ("safe_default", str)}
+NETWORK_KEYS = {
+    "base_delay": ("base_delay_rounds", int),
+    "jitter": ("jitter_rounds", int),
+    "drop_rate": ("drop_rate", float),
+}
+SUPERVISOR_KEYS = {
+    "window": ("window", int),
+    "flag_threshold": ("flag_threshold", float),
+    "restart_delay": ("restart_delay", int),
+}
+_DEFAULTS = {fld.name: fld.default for fld in fields(Scenario) if fld.default is not MISSING}
 
 
 def _parse_kv(text: str) -> tuple[str, str]:
@@ -69,53 +112,62 @@ def _parse_kv(text: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-_PROFILE_KEYS = {
-    "error_rate": float,
-    "perturb_seed": int,
-    "at_frame": int,
-    "delay": int,
-    "label": str,
-    "seed": int,
-    "a": str,
-    "b": str,
-    "confidence": float,
-    "on_restart": str,
-}
+def _read_keys(lines, table: dict, errors: list[str], where: str) -> dict:
+    """Read ``key = value`` lines through ``table`` into {attribute: value};
+    unknown, repeated and unreadable keys are errors."""
+    values, seen = {}, set()
+    for lineno, line in lines:
+        key, value = _parse_kv(line)
+        if "=" not in line:
+            errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
+        elif key not in table:
+            errors.append(f"line {lineno}: unknown key {key!r} in {where}")
+        elif key in seen:
+            errors.append(f"line {lineno}: duplicate key {key!r} in {where}")
+        else:
+            seen.add(key)
+            attr, read = table[key]
+            try:
+                values[attr] = read(value)
+            except ValueError as exc:
+                errors.append(f"line {lineno}: bad value {value!r} for {key}: {exc}")
+    return values
 
 
-def _parse_profile(text: str, errors: list[str], where: str) -> Optional[FaultProfile]:
-    parts = text.split()
-    if not parts:
-        errors.append(f"{where}: empty module profile")
+def _write_keys(obj, table: dict) -> list[str]:
+    """``key = value`` lines for each attribute in ``table`` that is not None."""
+    values = [(key, getattr(obj, attr)) for key, (attr, _) in table.items()]
+    values = [(key, str(v).lower() if isinstance(v, bool) else v) for key, v in values]
+    return [f"{key} = {value}" for key, value in values if value is not None]
+
+
+def _parse_profile(text: str, lineno: int, errors: list[str]) -> Optional[FaultProfile]:
+    kind, *items = text.split() or [""]
+    if kind not in FaultProfile.KIND_OPTIONS:
+        errors.append(f"line {lineno}: unknown fault profile {kind!r}")
         return None
-    kind = parts[0]
-    kwargs = {}
-    for item in parts[1:]:
-        key, value = _parse_kv(item)
-        conv = _PROFILE_KEYS.get(key)
-        if conv is None:
-            errors.append(f"{where}: unknown profile option {key!r}")
-            continue
-        try:
-            kwargs[key] = conv(value)
-        except ValueError:
-            errors.append(f"{where}: bad value {value!r} for {key}")
-    rename = {
-        "delay": "delay_rounds",
-        "label": "bad_label",
-        "a": "label_a",
-        "b": "label_b",
-        "confidence": "base_confidence",
-    }
-    kwargs = {rename.get(k, k): v for k, v in kwargs.items()}
+    options = FaultProfile.options(kind)
+    kwargs = _read_keys([(lineno, item) for item in items], options, errors, f"the {kind} profile")
     try:
         return FaultProfile(kind=kind, **kwargs)
-    except (ValueError, TypeError) as exc:
-        errors.append(f"{where}: {exc}")
+    except ValueError as exc:
+        errors.append(f"line {lineno}: {exc}")
         return None
 
 
-def _parse_partition(text: str, errors: list[str], where: str) -> Optional[Partition]:
+def _profile_text(p: FaultProfile) -> str:
+    """A profile as its kind and options: the kind's own options always, the
+    common ones where they differ from the field default."""
+    own = FaultProfile.KIND_OPTIONS[p.kind]
+    opts = [
+        f"{key}={getattr(p, attr)}"
+        for key, (attr, _) in FaultProfile.options(p.kind).items()
+        if key in own or getattr(p, attr) != getattr(FaultProfile, attr)
+    ]
+    return " ".join([p.kind] + opts)
+
+
+def _parse_partition(text: str, where: str, n, errors: list[str]) -> Optional[Partition]:
     try:
         interval, sides = text.split(None, 1)
         start, end = (int(x) for x in interval.split(":"))
@@ -125,155 +177,96 @@ def _parse_partition(text: str, errors: list[str], where: str) -> Optional[Parti
     except ValueError:
         errors.append(f"{where}: bad partition spec {text!r} (want 'start:end a,b|c,d')")
         return None
-    if side_a & side_b:
-        errors.append(f"{where}: partition sides overlap: {sorted(side_a & side_b)}")
-        return None
-    return Partition(start=start, end=end, side_a=side_a, side_b=side_b)
+    outside = n is not None and not side_a | side_b <= set(range(n))
+    checks = (
+        (side_a & side_b, f"partition sides overlap: {sorted(side_a & side_b)}"),
+        (start > end, f"partition starts at round {start}, after its end {end}"),
+        (outside, "partition names a module outside 0..n-1"),
+    )
+    problems = [why for bad, why in checks if bad]
+    errors.extend(f"{where}: {why}" for why in problems)
+    return None if problems else Partition(start=start, end=end, side_a=side_a, side_b=side_b)
 
 
-def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
-    errors: list[str] = []
-    top: dict[str, str] = {}
-    sections: dict[str, list[tuple[int, str]]] = {}
-    section = None
+def _split_sections(text: str, errors: list[str]) -> dict[str, list[tuple[int, str]]]:
+    """Non-blank lines by section; top-level lines sit under ``""``."""
+    names = ("", "decision_space", "modules", "network", "supervisor", "observations")
+    sections: dict[str, list] = {name: [] for name in names}
+    section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            sections.setdefault(section, [])
+            if section not in sections:
+                errors.append(f"line {lineno}: unknown section [{section}]")
+                sections[section] = []
             continue
-        if section is None:
-            key, value = _parse_kv(line)
-            if not value and "=" not in line:
-                errors.append(f"line {lineno}: expected 'key = value', got {line!r}")
-                continue
-            top[key] = value
-        else:
-            sections[section].append((lineno, line))
+        sections[section].append((lineno, line))
+    return sections
 
-    def top_get(key, conv, default=None, required=False):
-        raw = top.get(key)
-        if raw is None:
-            if required:
-                errors.append(f"missing required key {key!r}")
-            return default
-        try:
-            if conv is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            return conv(raw)
-        except ValueError:
-            errors.append(f"bad value {raw!r} for key {key!r}")
-            return default
 
-    name = top_get("name", str, default=Path(source).stem)
-    n = top_get("n", int, required=True)
-    f = top_get("f", int, required=True)
-    frames = top_get("frames", int, required=True)
-    seed = top_get("seed", int, default=0)
-    consensus_mode = top_get("consensus_mode", str, default="pbft")
-    timeout_rounds = top_get("timeout_rounds", int, default=10)
-    execution_threshold = top_get("execution_threshold", int)
-    expects_violation = top_get("expects_violation", bool, default=False)
-    n_override = top_get("n_override", bool, default=False)
-    checkpoint_interval = top_get("checkpoint_interval", int, default=5)
-    evidence_fast_path = top_get("evidence_fast_path", bool, default=True)
-    supervise = top_get("supervise", bool, default=True)
+def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
+    errors: list[str] = []
+    sections = _split_sections(text, errors)
+    keys = {**_HEAD_KEYS, **TOP_KEYS}
+    found = _read_keys(sections[""], keys, errors, "the top level")
+    found = {"name": Path(source).stem, **_DEFAULTS, **found}
+    given = {_parse_kv(line)[0] for _, line in sections[""]}
+    missing = [key for key, (attr, _) in keys.items() if attr not in found and key not in given]
+    errors += [f"missing required key {key!r}" for key in missing]
+    top = SimpleNamespace(**{attr: found.get(attr) for attr, _ in keys.values()})
+    n, f = top.n, top.f
 
-    strategy = None
-    try:
-        strategy = VoteStrategy.parse(top.get("strategy", "majority"))
-    except ValueError as exc:
-        errors.append(str(exc))
-
-    if consensus_mode not in CONSENSUS_MODES:
-        errors.append(f"consensus_mode must be one of {CONSENSUS_MODES}, got {consensus_mode!r}")
-
-    # decision space
     space = None
-    ds = dict(_parse_kv(line) for _, line in sections.get("decision_space", []))
-    labels = tuple(ds.get("labels", "").split())
-    safe_default = ds.get("safe_default", labels[0] if labels else "")
+    ds = _read_keys(sections["decision_space"], _SPACE_KEYS, errors, "[decision_space]")
+    labels = tuple(ds.get("labels", ()))
     try:
-        space = DecisionSpace(labels=labels, safe_default=safe_default)
+        space = DecisionSpace(labels, ds.get("safe_default", labels[0] if labels else ""))
     except ValueError as exc:
         errors.append(f"[decision_space]: {exc}")
 
-    # modules
     profiles: dict[int, FaultProfile] = {}
-    for lineno, line in sections.get("modules", []):
+    for lineno, line in sections["modules"]:
         key, value = _parse_kv(line)
         try:
             module_id = int(key)
         except ValueError:
             errors.append(f"line {lineno}: module id must be an integer, got {key!r}")
             continue
-        profile = _parse_profile(value, errors, f"line {lineno}")
+        profile = _parse_profile(value, lineno, errors)
         if profile is not None:
             if module_id in profiles:
                 errors.append(f"line {lineno}: duplicate module id {module_id}")
             profiles[module_id] = profile
 
-    # network
-    net = {"base_delay": 1, "jitter": 0, "drop_rate": 0.0}
     partitions: list[Partition] = []
-    for lineno, line in sections.get("network", []):
+    net_lines = []
+    for lineno, line in sections["network"]:
         key, value = _parse_kv(line)
         if key == "partition":
-            p = _parse_partition(value, errors, f"line {lineno}")
-            if p is not None:
-                partitions.append(p)
-        elif key in ("base_delay", "jitter"):
-            try:
-                net[key] = int(value)
-            except ValueError:
-                errors.append(f"line {lineno}: bad integer {value!r}")
-        elif key == "drop_rate":
-            try:
-                net[key] = float(value)
-            except ValueError:
-                errors.append(f"line {lineno}: bad float {value!r}")
+            partitions.append(_parse_partition(value, f"line {lineno}", n, errors))
         else:
-            errors.append(f"line {lineno}: unknown network key {key!r}")
+            net_lines.append((lineno, line))
+    net = _read_keys(net_lines, NETWORK_KEYS, errors, "[network]")
     network = None
     try:
-        network = NetworkPolicy(
-            base_delay_rounds=net["base_delay"],
-            jitter_rounds=net["jitter"],
-            drop_rate=net["drop_rate"],
-            partitions=tuple(partitions),
-            seed=seed,
-        )
+        network = NetworkPolicy(**net, partitions=tuple(p for p in partitions if p), seed=top.seed)
     except ValueError as exc:
         errors.append(f"[network]: {exc}")
 
-    # supervisor
-    sup_kwargs = {}
-    for lineno, line in sections.get("supervisor", []):
-        key, value = _parse_kv(line)
-        try:
-            if key == "window":
-                sup_kwargs["window"] = int(value)
-            elif key == "flag_threshold":
-                sup_kwargs["flag_threshold"] = float(value)
-            elif key == "restart_delay":
-                sup_kwargs["restart_delay"] = int(value)
-            else:
-                errors.append(f"line {lineno}: unknown supervisor key {key!r}")
-        except ValueError:
-            errors.append(f"line {lineno}: bad value {value!r} for {key}")
+    supervisor_cfg = None
+    sup = _read_keys(sections["supervisor"], SUPERVISOR_KEYS, errors, "[supervisor]")
     try:
-        supervisor_cfg = SupervisorConfig(**sup_kwargs)
+        supervisor_cfg = SupervisorConfig(**sup)
     except ValueError as exc:
         errors.append(f"[supervisor]: {exc}")
-        supervisor_cfg = SupervisorConfig()
 
-    # observations
     ground_truth: dict[int, str] = {}
     overrides: dict[tuple[int, int], str] = {}
     critical: set[int] = set()
-    for lineno, line in sections.get("observations", []):
+    for lineno, line in sections["observations"]:
         parts = [p.strip() for p in line.split("|")]
         if len(parts) < 2:
             errors.append(f"line {lineno}: want 'frame | ground_truth[!] | overrides'")
@@ -283,36 +276,35 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         except ValueError:
             errors.append(f"line {lineno}: bad frame index {parts[0]!r}")
             continue
-        truth = parts[1]
-        if truth.endswith("!"):
-            truth = truth[:-1].strip()
+        if frame in ground_truth:
+            errors.append(f"line {lineno}: second observation row for frame {frame}")
+            continue
+        ground_truth[frame] = parts[1].removesuffix("!").strip()
+        if parts[1].endswith("!"):
             critical.add(frame)
-        ground_truth[frame] = truth
-        if len(parts) > 2 and parts[2]:
-            for item in parts[2].split():
-                mid_raw, _, label = item.partition(":")
-                try:
-                    overrides[(frame, int(mid_raw))] = label
-                except ValueError:
-                    errors.append(f"line {lineno}: bad observation override {item!r}")
+        for item in parts[2].split() if len(parts) > 2 else ():
+            mid_raw, _, label = item.partition(":")
+            try:
+                overrides[(frame, int(mid_raw))] = label
+            except ValueError:
+                errors.append(f"line {lineno}: bad observation override {item!r}")
 
-    observations = ObservationTable(
-        ground_truth=ground_truth, overrides=overrides, critical_frames=frozenset(critical)
-    )
+    observations = ObservationTable(ground_truth, overrides, frozenset(critical))
 
     # cross-field validation
+    if top.consensus_mode not in CONSENSUS_MODES:
+        errors.append(f"consensus_mode {top.consensus_mode!r} is not one of {CONSENSUS_MODES}")
+    pbft = top.consensus_mode == "pbft"
     if n is not None and f is not None:
-        if consensus_mode == "pbft" and not n_override and n != min_replicas(f):
+        if pbft and not top.n_override and n != min_replicas(f):
             errors.append(
                 f"n={n} with f={f}: pbft mode requires n = 3f+1 = {min_replicas(f)} "
                 "(resilience criterion; set n_override = true to run n > 3f+1)"
             )
-        if consensus_mode == "pbft" and n < min_replicas(f):
+        if pbft and n < min_replicas(f):
             errors.append(f"n={n} cannot tolerate f={f} Byzantine faults under pbft")
         if profiles and (set(profiles) != set(range(n))):
-            errors.append(
-                f"[modules] must define exactly ids 0..{n - 1}, got {sorted(profiles)}"
-            )
+            errors.append(f"[modules] must define exactly ids 0..{n - 1}, got {sorted(profiles)}")
         elif not profiles:
             errors.append("missing [modules] section")
 
@@ -320,18 +312,18 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         for module_id, profile in sorted(profiles.items()):
             for err in profile.check_labels(space):
                 errors.append(f"module {module_id}: {err}")
-        if frames is not None and n is not None:
-            errors.extend(observations.validate(space, frames, n))
+        if top.frames is not None and n is not None:
+            errors.extend(observations.validate(space, top.frames, n))
 
-    if execution_threshold is not None and f is not None and execution_threshold < 2 * f + 1:
-        errors.append(f"execution_threshold {execution_threshold} below quorum {2 * f + 1}")
+    threshold = top.execution_threshold
+    if threshold is not None and f is not None and threshold < 2 * f + 1:
+        errors.append(f"execution_threshold {threshold} below quorum {2 * f + 1}")
+    if threshold is not None and n is not None and threshold > n:
+        errors.append(f"execution_threshold {threshold} above n={n}: no frame could execute")
 
-    faulty = sum(
-        1
-        for p in profiles.values()
-        if p.kind in FaultProfile.BYZANTINE_KINDS + ("crash", "silent")
-    )
-    if f is not None and faulty > f and not expects_violation:
+    faulty_kinds = FaultProfile.BYZANTINE_KINDS + ("crash", "silent")
+    faulty = sum(1 for p in profiles.values() if p.kind in faulty_kinds)
+    if f is not None and faulty > f and not top.expects_violation:
         errors.append(
             f"{faulty} Byzantine-class profiles exceed f={f}; "
             "declare expects_violation = true to run outside the fault model"
@@ -340,26 +332,15 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if errors:
         raise ScenarioError(errors)
 
-    quorum = QuorumConfig(n=n, f=f, enforce_resilience=(consensus_mode == "pbft"))
     return Scenario(
-        name=name,
-        quorum=quorum,
+        **{attr: getattr(top, attr) for attr, _ in TOP_KEYS.values()},
+        name=top.name,
+        quorum=QuorumConfig(n=n, f=f, enforce_resilience=pbft),
         decision_space=space,
         modules=tuple(profiles[m] for m in range(n)),
         observations=observations,
-        strategy=strategy,
-        consensus_mode=consensus_mode,
         network=network,
-        timeout_rounds=timeout_rounds,
-        frames=frames,
-        seed=seed,
-        execution_threshold=execution_threshold,
-        expects_violation=expects_violation,
-        n_override=n_override,
-        checkpoint_interval=checkpoint_interval,
-        evidence_fast_path=evidence_fast_path,
         supervisor=supervisor_cfg,
-        supervise=supervise,
     )
 
 
@@ -381,25 +362,8 @@ def load_bundled(name: str) -> Scenario:
 
 def scenario_to_text(s: Scenario) -> str:
     """Serialize a scenario back to the file grammar (round-trip tested)."""
-    lines = [
-        f"name = {s.name}",
-        f"n = {s.quorum.n}",
-        f"f = {s.quorum.f}",
-        f"frames = {s.frames}",
-        f"seed = {s.seed}",
-        f"consensus_mode = {s.consensus_mode}",
-        f"strategy = {s.strategy.describe()}",
-        f"timeout_rounds = {s.timeout_rounds}",
-        f"checkpoint_interval = {s.checkpoint_interval}",
-        f"evidence_fast_path = {str(s.evidence_fast_path).lower()}",
-        f"supervise = {str(s.supervise).lower()}",
-    ]
-    if s.execution_threshold is not None:
-        lines.append(f"execution_threshold = {s.execution_threshold}")
-    if s.expects_violation:
-        lines.append("expects_violation = true")
-    if s.n_override:
-        lines.append("n_override = true")
+    lines = [f"name = {s.name}", f"n = {s.quorum.n}", f"f = {s.quorum.f}"]
+    lines += _write_keys(s, TOP_KEYS)
     lines += [
         "",
         "[decision_space]",
@@ -408,45 +372,14 @@ def scenario_to_text(s: Scenario) -> str:
         "",
         "[modules]",
     ]
-    for module_id, p in enumerate(s.modules):
-        opts = []
-        if p.kind == "diverse_honest":
-            opts += [f"error_rate={p.error_rate}", f"perturb_seed={p.perturb_seed}"]
-        if p.kind == "crash":
-            opts.append(f"at_frame={p.at_frame}")
-        if p.kind == "slow":
-            opts.append(f"delay={p.delay_rounds}")
-        if p.kind == "byzantine_fixed":
-            opts.append(f"label={p.bad_label}")
-        if p.kind == "byzantine_random":
-            opts.append(f"seed={p.seed}")
-        if p.kind == "byzantine_equivocate":
-            opts += [f"a={p.label_a}", f"b={p.label_b}"]
-        if p.base_confidence is not None:
-            opts.append(f"confidence={p.base_confidence}")
-        if p.on_restart != "same":
-            opts.append(f"on_restart={p.on_restart}")
-        lines.append(f"{module_id} = {' '.join([p.kind] + opts)}")
-    lines += [
-        "",
-        "[network]",
-        f"base_delay = {s.network.base_delay_rounds}",
-        f"jitter = {s.network.jitter_rounds}",
-        f"drop_rate = {s.network.drop_rate}",
-    ]
+    lines += [f"{module_id} = {_profile_text(p)}" for module_id, p in enumerate(s.modules)]
+    lines += ["", "[network]"] + _write_keys(s.network, NETWORK_KEYS)
     for p in s.network.partitions:
         side_a = ",".join(str(x) for x in sorted(p.side_a))
         side_b = ",".join(str(x) for x in sorted(p.side_b))
         lines.append(f"partition = {p.start}:{p.end} {side_a}|{side_b}")
-    lines += [
-        "",
-        "[supervisor]",
-        f"window = {s.supervisor.window}",
-        f"flag_threshold = {s.supervisor.flag_threshold}",
-        f"restart_delay = {s.supervisor.restart_delay}",
-        "",
-        "[observations]",
-    ]
+    lines += ["", "[supervisor]"] + _write_keys(s.supervisor, SUPERVISOR_KEYS)
+    lines += ["", "[observations]"]
     for frame in range(s.frames):
         truth = s.observations.ground_truth[frame]
         if frame in s.observations.critical_frames:

@@ -12,16 +12,12 @@ AGREED = "agreed"
 DISAGREED = "disagreed"
 ABSENT = "absent"
 
-DEFAULT_WINDOW = 10
-DEFAULT_FLAG_THRESHOLD = 0.3
-DEFAULT_RESTART_DELAY = 2
-
 
 @dataclass
 class SupervisorConfig:
-    window: int = DEFAULT_WINDOW
-    flag_threshold: float = DEFAULT_FLAG_THRESHOLD
-    restart_delay: int = DEFAULT_RESTART_DELAY
+    window: int = 10
+    flag_threshold: float = 0.3
+    restart_delay: int = 2
 
     def __post_init__(self) -> None:
         if self.window < 1:

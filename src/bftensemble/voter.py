@@ -19,7 +19,6 @@ class VoteStrategy:
     kind: str  # majority | k_of_n | unanimity | weighted | fastpath
     k: int = 0
     min_weight_fraction: float = 0.0
-    abstain_below: float = ABSTAIN_CONFIDENCE
 
     def __post_init__(self) -> None:
         if self.kind not in ("majority", "k_of_n", "unanimity", "weighted", "fastpath"):
@@ -53,6 +52,8 @@ class VoteStrategy:
         if self.kind == "weighted":
             return f"weighted:{self.min_weight_fraction}"
         return self.kind
+
+    __str__ = describe  # the scenario-file form, which the writer prints
 
 
 @dataclass(frozen=True)
@@ -114,19 +115,17 @@ def tally(outputs, strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
         return Verdict("no-quorum", tallies=_tallies(outputs), cause=cause)
 
     if strategy.kind == "weighted":
-        return weighted_tally(outputs, strategy.min_weight_fraction, strategy.abstain_below)
+        return weighted_tally(outputs, strategy.min_weight_fraction)
 
     raise ValueError(f"tally cannot evaluate strategy {strategy.kind!r} directly")
 
 
-def weighted_tally(
-    outputs, min_weight_fraction: float, abstain_below: float = ABSTAIN_CONFIDENCE
-) -> Verdict:
+def weighted_tally(outputs, min_weight_fraction: float) -> Verdict:
     """Confidence-weighted vote: decided when one value carries more than
     min_weight_fraction of the total self-reported weight."""
     outputs = list(outputs)
     _check_inputs(outputs)
-    effective = [o for o in outputs if o.confidence >= abstain_below]
+    effective = [o for o in outputs if o.confidence >= ABSTAIN_CONFIDENCE]
     total = sum(o.confidence for o in effective)
     if total <= 0.0:
         return Verdict("no-quorum", tallies=_tallies(outputs), cause="all-abstained")

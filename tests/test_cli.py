@@ -87,9 +87,35 @@ def test_fuzz_digest_is_stable(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_fuzz_requires_episodes_and_seed():
-    with pytest.raises(SystemExit):
+def test_fuzz_requires_episodes_and_seed(capsys):
+    # argparse's own errors exit 1, the usage code, not 2 (a violation)
+    with pytest.raises(SystemExit) as exc:
         main(["fuzz", FUZZ_N4])
+    assert exc.value.code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", FUZZ_N4, "--episodes", "5"],
+        ["fuzz", FUZZ_N4, "--episodes", "5", "--seed", "7", "--bogus"],
+        ["run", PLASTIC_BAG, "--seed", str(2**63)],
+    ],
+    ids=["missing-seed", "unknown-flag", "seed-above-int64"],
+)
+def test_command_line_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+def test_fuzz_rejects_fewer_than_one_episode(episodes, capsys):
+    assert main(["fuzz", FUZZ_N4, "--episodes", episodes, "--seed", "7"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "episodes=" not in captured.out
 
 
 def test_verify_clean_log(tmp_path, capsys):
@@ -145,7 +171,7 @@ def test_report_missing_dir(capsys):
 NON_UTF8 = b"name = broken\n\xff\xfe = 1\n"
 
 
-def _network_edit(old, new):
+def _base_edit(old, new):
     return bundled_scenario_path("fuzz_base_n4").read_text().replace(old, new).encode()
 
 
@@ -154,13 +180,20 @@ def _network_edit(old, new):
     [
         ("run", NON_UTF8),
         ("verify", NON_UTF8),
-        ("run", _network_edit("base_delay = 1", "base_delay = -1")),
-        ("run", _network_edit("drop_rate = 0.0", "drop_rate = 1.5")),
-        ("run", _network_edit("jitter = 0", "jitter = -1")),
-        ("run", _network_edit("jitter = 0", "jitter = -3")),
+        ("run", _base_edit("base_delay = 1", "base_delay = -1")),
+        ("run", _base_edit("drop_rate = 0.0", "drop_rate = 1.5")),
+        ("run", _base_edit("jitter = 0", "jitter = -1")),
+        ("run", _base_edit("jitter = 0", "jitter = -3")),
+        ("run", _base_edit("timeout_rounds = 10", "checkpoint_interval = 0")),
+        ("run", _base_edit("0 = honest", "0 = honest confidence=1.5")),
+        ("run", _base_edit("seed = 1", f"seed = {2**63}")),
+        ("run", _base_edit("seed = 1", f"seed = {-2**63 - 1}")),
+        ("run", _base_edit("0 = honest", f"0 = diverse_honest perturb_seed={2**64}")),
+        ("run", _base_edit("timeout_rounds = 10", "timeout_round = 3")),
     ],
     ids=["run-non-utf8", "verify-non-utf8", "negative-delay", "drop-rate-above-1",
-         "jitter-minus-1", "jitter-minus-3"],
+         "jitter-minus-1", "jitter-minus-3", "checkpoint-interval-0", "confidence-above-1",
+         "seed-above-int64", "seed-below-int64", "perturb-seed-above-int64", "misspelt-key"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, command, content):
     path = tmp_path / "input"

@@ -1,14 +1,23 @@
 """Scenario grammar: parsing, validation, round-trip, bundled files."""
 
+from dataclasses import fields
+
 import pytest
 
+from bftensemble.harness import PROFILE_OPTIONS, FaultProfile
 from bftensemble.scenario import (
+    NETWORK_KEYS,
+    SUPERVISOR_KEYS,
+    TOP_KEYS,
+    Scenario,
     ScenarioError,
     bundled_scenario_path,
     load_bundled,
     parse_scenario_text,
     scenario_to_text,
 )
+from bftensemble.simnet import NetworkPolicy
+from bftensemble.supervisor import SupervisorConfig
 
 BUNDLED = [
     "av_plastic_bag",
@@ -176,3 +185,117 @@ def test_defaults():
 def test_bad_consensus_mode():
     with pytest.raises(ScenarioError, match="consensus_mode"):
         parse_scenario_text("consensus_mode = paxos\n" + MINIMAL)
+
+
+# Every key of every section, and every profile option, set away from its
+# default.  No bundled file sets most of these.
+EVERY_KEY = """\
+name = every_key
+n = 8
+f = 1
+frames = 3
+seed = -7
+consensus_mode = vote-only
+strategy = weighted:0.75
+timeout_rounds = 4
+checkpoint_interval = 2
+supervise = false
+execution_threshold = 4
+expects_violation = true
+n_override = true
+
+[decision_space]
+labels = go hold swerve
+safe_default = swerve
+
+[modules]
+0 = honest confidence=0.5
+1 = diverse_honest error_rate=0.25 perturb_seed=-3
+2 = crash at_frame=2 on_restart=honest
+3 = silent
+4 = slow delay=3 confidence=0.0
+5 = byzantine_fixed label=hold on_restart=honest
+6 = byzantine_random perturb_seed=11
+7 = byzantine_equivocate a=go b=swerve
+
+[network]
+base_delay = 2
+jitter = 1
+drop_rate = 0.05
+partition = 1:4 0,1|2,3
+partition = 6:6 4|5,6,7
+
+[supervisor]
+window = 3
+flag_threshold = 0.5
+restart_delay = 1
+
+[observations]
+0 | go | 1:hold 3:swerve
+1 | hold! |
+2 | swerve | 0:go
+"""
+
+
+def test_every_key_round_trips_away_from_its_default():
+    s = parse_scenario_text(EVERY_KEY)
+    assert parse_scenario_text(scenario_to_text(s)) == s
+    assert scenario_to_text(parse_scenario_text(scenario_to_text(s))) == scenario_to_text(s)
+
+    top_defaults = {fld.name: fld.default for fld in fields(Scenario)}
+    for key, (attr, _) in TOP_KEYS.items():
+        assert getattr(s, attr) != top_defaults[attr], key
+    for table, obj, default in (
+        (NETWORK_KEYS, s.network, NetworkPolicy()),
+        (SUPERVISOR_KEYS, s.supervisor, SupervisorConfig()),
+    ):
+        for key, (attr, _) in table.items():
+            assert getattr(obj, attr) != getattr(default, attr), key
+    assert len(s.network.partitions) == 2
+    assert {p.kind for p in s.modules} == set(FaultProfile.KIND_OPTIONS)
+    for key, (attr, _) in PROFILE_OPTIONS.items():
+        assert any(getattr(p, attr) != getattr(FaultProfile, attr) for p in s.modules), key
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("timeout_round = 3\n" + MINIMAL, "unknown key 'timeout_round'"),
+        (MINIMAL + "[netwrok]\nbase_delay = 1\n", r"unknown section \[netwrok\]"),
+        ("seed = 4\n" + MINIMAL, "duplicate key 'seed'"),
+        ("supervise = ture\n" + MINIMAL, "bad value 'ture' for supervise"),
+        (MINIMAL.replace("0 = honest", "0 = honest delay=3"), "unknown key 'delay'"),
+        (MINIMAL + "[network]\nbase_dealy = 2\n", "unknown key 'base_dealy'"),
+        (MINIMAL + "[supervisor]\nwindow = 2\nwindow = 3\n", "duplicate key 'window'"),
+        (MINIMAL.replace("safe_default = hold", "safe_defualt = hold"), "unknown key 'safe_defualt'"),
+    ],
+    ids=["misspelt-top-key", "unknown-section", "duplicate-seed", "bool-typo",
+         "option-foreign-to-kind", "misspelt-network-key", "duplicate-supervisor-key",
+         "misspelt-decision-space-key"],
+)
+def test_unknown_duplicate_and_unreadable_keys_are_errors(text, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario_text(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MINIMAL.replace("frames = 2", "frames = 0"), "for frames: must be >= 1"),
+        ("timeout_rounds = 0\n" + MINIMAL, "for timeout_rounds: must be >= 1"),
+        ("timeout_rounds = -4\n" + MINIMAL, "for timeout_rounds: must be >= 1"),
+        ("checkpoint_interval = 0\n" + MINIMAL, "for checkpoint_interval: must be >= 1"),
+        ("execution_threshold = 9\n" + MINIMAL, "above n=4"),
+        (MINIMAL + "[network]\npartition = 5:2 0|1\n", "after its end"),
+        (MINIMAL + "[network]\npartition = 1:2 0|4\n", "outside 0..n-1"),
+        (MINIMAL + "1 | hold |\n", "second observation row for frame 1"),
+        (MINIMAL + "2 | go |\n", "frame 2: no such frame"),
+        (MINIMAL.replace("0 = honest", "0 = honest confidence=1.5"), r"outside \[0, 1\]"),
+    ],
+    ids=["frames-0", "timeout-0", "timeout-negative", "checkpoint-interval-0",
+         "threshold-above-n", "partition-start-after-end", "partition-unknown-module",
+         "second-row-for-frame", "row-past-last-frame", "confidence-above-1"],
+)
+def test_values_no_run_could_use_are_errors(text, message):
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario_text(text)
