@@ -62,14 +62,23 @@ CAMPAIGN_REPORTS = {
     "fuzz_base_n7": "340e643cbb1577a903dbe810b894776a232dc0e4b091d35cb43a514a339e47eb",
 }
 
-# SHA-256 over the decision and event logs of the first 40 episodes of the
-# campaign at seed 2026.  The bundled scenarios never change views or
-# transfer state, and a campaign report holds no log bytes; these episodes
-# send every message kind.
+# (SHA-256 over the decision logs, SHA-256 over the event logs) of the first
+# 40 episodes of the campaign at seed 2026.  The bundled scenarios never
+# change views or transfer state, and a campaign report holds no log bytes;
+# these episodes send every message kind.
 CAMPAIGN_LOGS = {
-    "fuzz_base_n4": "73b04827170e58bc75fb61c532bc180a9a354a95f88135b1cc22346b13cfa103",
-    "fuzz_base_n7": "f886f0b1619148e73a53ff5766ac209eb556541342ffe227d64ba8de4dd27c0f",
-    "vote_fastpath_n4": "b1e2f9fc7175ac1241987c3116a6c33ec49ae3162037db4d313bfb795f718658",
+    "fuzz_base_n4": (
+        "cbce4c512d2b6d4459c66cbafb76f8dbceff5714f5933f0ea4557fb3336c1baf",
+        "d244a6ca07cdc16017c5d7fafe99d58b926420d6532af2a5da2728edc29eabc1",
+    ),
+    "fuzz_base_n7": (
+        "27d9577735e225ca3bd118f813acd8679e3e46d33079ed9a67f544c2e839828e",
+        "caca03f9c747818b59023d3fa768eae2cd72f841e6d1c20000cb94cd3c85cc7c",
+    ),
+    "vote_fastpath_n4": (
+        "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
+        "c24dd202adca293f7e4f7d458034050b4eae067dba88d88fe5bdd76f2426f8cb",
+    ),
 }
 
 # SHA-256 of episode_report for each bundled scenario: module agreement
@@ -124,15 +133,22 @@ SUPERVISED_BASES = {
 }
 OBSERVED = ("continue", "brake", "continue", "swerve-left", "continue")
 
-# SHA-256 over the decision and event logs of the first 40 episodes of the
-# campaign at seed 2026.  An episode that raises contributes its exception
-# type name instead: this records the silent-restart defect (a restarting
-# silent module has no engine, and its first delivery raises AttributeError).
+# (SHA-256 over the decision logs, SHA-256 over the event logs) of the first
+# 40 episodes of the campaign at seed 2026.  An episode that raises
+# contributes its exception type name to both instead: this records the
+# silent-restart defect (a restarting silent module has no engine, and its
+# first delivery raises AttributeError).
 # The PBFT base gives 16 isolations, 15 restarts, 12 recoveries and 4
 # AttributeErrors; the vote-only base 20 isolations and 19 restarts.
 SUPERVISED_CAMPAIGN_LOGS = {
-    "fuzz_long_n4": "7dae2d0c118242961661679da91c8b3584725d003c8cfcb33c2c92b53674c47e",
-    "vote_fastpath": "23e7dfe7a4f47798d0cf635719503aaf3f62b149e44dd443bb2bc1b3eb1996ba",
+    "fuzz_long_n4": (
+        "a913462935b2ada8774d5aaa1d1dee4ad9620d7754f975c6257eaa438026dce9",
+        "5aee980bc6afc037c66fd2f50b78fb8ab8575ae189610234d168958cfc08c5a4",
+    ),
+    "vote_fastpath": (
+        "b8fb119a6edf50ad1f58363812cab0bee40f3e6c6de2ff9eff86cd85414a0ee4",
+        "bf590fb2df0f0a5b8126c3aa5b5a17c004d8bc2c756e3444ffca69c80c451868",
+    ),
 }
 
 
@@ -171,14 +187,26 @@ def test_campaign_report_is_pinned(name):
     assert fuzz_campaign(load_bundled(name), 100, 2026).digest_hex() == CAMPAIGN_REPORTS[name]
 
 
+def campaign_log_digests(base) -> tuple[str, str]:
+    """SHA-256 over the decision logs and over the event logs of the first 40
+    campaign episodes; an episode that raises adds its exception type name."""
+    decisions, events = hashlib.sha256(), hashlib.sha256()
+    for scenario in campaign_episodes(base, 40):
+        try:
+            result = run_episode(scenario)
+        except Exception as exc:
+            name = type(exc).__name__.encode("utf-8")
+            decisions.update(name)
+            events.update(name)
+            continue
+        decisions.update(result.decision_log_text.encode("utf-8"))
+        events.update(result.event_log_text.encode("utf-8"))
+    return decisions.hexdigest(), events.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(CAMPAIGN_LOGS))
 def test_campaign_episode_logs_are_pinned(name):
-    h = hashlib.sha256()
-    for scenario in campaign_episodes(fuzz_base(name), 40):
-        result = run_episode(scenario)
-        h.update(result.decision_log_text.encode("utf-8"))
-        h.update(result.event_log_text.encode("utf-8"))
-    assert h.hexdigest() == CAMPAIGN_LOGS[name]
+    assert campaign_log_digests(fuzz_base(name)) == CAMPAIGN_LOGS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EPISODE_REPORTS))
@@ -188,13 +216,4 @@ def test_bundled_episode_report_is_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(SUPERVISED_CAMPAIGN_LOGS))
 def test_supervised_campaign_logs_are_pinned(name):
-    h = hashlib.sha256()
-    for scenario in campaign_episodes(supervised_base(name), 40):
-        try:
-            result = run_episode(scenario)
-        except Exception as exc:
-            h.update(type(exc).__name__.encode("utf-8"))
-            continue
-        h.update(result.decision_log_text.encode("utf-8"))
-        h.update(result.event_log_text.encode("utf-8"))
-    assert h.hexdigest() == SUPERVISED_CAMPAIGN_LOGS[name]
+    assert campaign_log_digests(supervised_base(name)) == SUPERVISED_CAMPAIGN_LOGS[name]
