@@ -4,6 +4,7 @@ fault-injection simulator."""
 from .core import (
     BROADCAST,
     OBSERVER,
+    PEERS,
     AuthTag,
     DecisionSpace,
     DecisionValue,
@@ -23,6 +24,7 @@ from .voter import Verdict, VoteStrategy, tally, weighted_tally
 __all__ = [
     "BROADCAST",
     "OBSERVER",
+    "PEERS",
     "AuthTag",
     "CampaignReport",
     "DecisionSpace",

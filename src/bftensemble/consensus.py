@@ -12,8 +12,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import (
-    BROADCAST,
     OBSERVER,
+    PEERS,
     DecisionSpace,
     DecisionValue,
     KeyRegistry,
@@ -184,8 +184,8 @@ class Replica:
             return []
         pp = PrePrepare(inst.frame, inst.view, value_digest(inst.own_output), inst.own_output)
         signed_pp = self._sign(pp)
-        inst.outbox.append((BROADCAST, signed_pp))
-        return [(BROADCAST, signed_pp)] + self._accept_proposal(signed_pp)
+        inst.outbox.append((PEERS, signed_pp))
+        return [(PEERS, signed_pp)] + self._accept_proposal(signed_pp)
 
     # --- message handling ----------------------------------------------------
 
@@ -199,11 +199,14 @@ class Replica:
             inst = self.inst
             if inst is None or msg.frame != inst.frame or msg.view < inst.view:
                 return []  # another frame, or a stale view: views only move forward
+            if kind is PrePrepare:
+                return self._on_preprepare(signed, round_)
+            recorded = (inst.prepares if kind is Prepare else inst.commits).get(msg.view)
+            if recorded is not None and recorded.get(signed.sender) is signed:
+                return []  # a retransmission of a vote already counted and checked
             if kind is Prepare:
                 return self._on_prepare(signed)
-            if kind is Commit:
-                return self._on_commit(signed, round_)
-            return self._on_preprepare(signed, round_)
+            return self._on_commit(signed, round_)
         if isinstance(msg, (StateRequest, StateSnapshot, CheckpointAttest)):
             return self._handle_global(signed, round_)
         inst = self.inst
@@ -240,8 +243,8 @@ class Replica:
             inst.phase = PHASE_PRE_PREPARED
         prep = Prepare(inst.frame, signed_pp.msg.view, signed_pp.msg.value_digest, signed_pp.msg.value)
         signed_prep = self._sign(prep)
-        out = [(BROADCAST, signed_prep)]
-        inst.outbox.append((BROADCAST, signed_prep))
+        out = [(PEERS, signed_prep)]
+        inst.outbox.append((PEERS, signed_prep))
         self._record_prepare(signed_prep)
         return out + self._check_prepared()
 
@@ -304,9 +307,9 @@ class Replica:
             inst.prepared_cert = cert
         commit = Commit(inst.frame, inst.view, want, inst.proposal.msg.value)
         signed_commit = self._sign(commit)
-        inst.outbox.append((BROADCAST, signed_commit))
+        inst.outbox.append((PEERS, signed_commit))
         self._record_commit(signed_commit)
-        return [(BROADCAST, signed_commit)] + self._check_committed(signed_commit)
+        return [(PEERS, signed_commit)] + self._check_committed(signed_commit)
 
     def _record_commit(self, signed: Signed) -> None:
         self._record_vote(signed, self.inst.commits, self.inst.commit_counts, "conflicting-commit")
@@ -370,8 +373,8 @@ class Replica:
         inst.view_changes.setdefault(new_view, {})[self.module_id] = signed_vc
         if new_view > inst.view:
             self._enter_view(new_view)
-        inst.outbox.append((BROADCAST, signed_vc))
-        return [(BROADCAST, signed_vc)] + self._maybe_newview(new_view)
+        inst.outbox.append((PEERS, signed_vc))
+        return [(PEERS, signed_vc)] + self._maybe_newview(new_view)
 
     def _on_viewchange(self, signed: Signed, round_: int) -> list[Outbound]:
         inst = self.inst
@@ -426,8 +429,8 @@ class Replica:
         self._enter_view(new_view)
         pp = self._sign(PrePrepare(inst.frame, new_view, value_digest(value), value))
         nv = self._sign(NewView(inst.frame, new_view, ordered, pp))
-        inst.outbox.append((BROADCAST, nv))
-        return [(BROADCAST, nv)] + self._accept_proposal(pp)
+        inst.outbox.append((PEERS, nv))
+        return [(PEERS, nv)] + self._accept_proposal(pp)
 
     def _on_newview(self, signed: Signed, round_: int) -> list[Outbound]:
         inst = self.inst
@@ -494,7 +497,7 @@ class Replica:
             inst.view_start_round = round_
             out += self._initiate_viewchange(inst.view + 1)
             # also ask peers whether the frame already committed without us
-            out.append((BROADCAST, self._sign(StateRequest(inst.frame))))
+            out.append((PEERS, self._sign(StateRequest(inst.frame))))
         return out
 
     # --- checkpoints & state transfer ---------------------------------------
@@ -515,18 +518,20 @@ class Replica:
         signed = self._sign(attest)
         self._attested_up_to = max(self._attested_up_to, up_to_frame)
         self._record_attest(signed)
-        return [(BROADCAST, signed)]
+        return [(PEERS, signed)]
 
     def _record_attest(self, signed: Signed) -> None:
         msg = signed.msg
         slot = self._attest_votes.setdefault(msg.up_to_frame, {}).setdefault(msg.log_digest, {})
         slot.setdefault(signed.sender, signed)
-        if len(slot) >= self.cfg.quorum and self.last_contiguous_frame >= msg.up_to_frame:
+        stable = self.stable_checkpoint
+        if (
+            len(slot) >= self.cfg.quorum
+            and (stable is None or stable.up_to_frame < msg.up_to_frame)
+            and self.last_contiguous_frame >= msg.up_to_frame
+        ):
             values = tuple(self.committed[i] for i in range(msg.up_to_frame + 1))
-            if log_prefix_digest(values) == msg.log_digest and (
-                self.stable_checkpoint is None
-                or self.stable_checkpoint.up_to_frame < msg.up_to_frame
-            ):
+            if log_prefix_digest(values) == msg.log_digest:
                 self.stable_checkpoint = Checkpoint(
                     up_to_frame=msg.up_to_frame,
                     values=values,
@@ -627,7 +632,7 @@ class EquivocatingReplica(Replica):
                 out.append((dest, prep))
             if self.sloppy:
                 commit = self._sign(Commit(inst.frame, inst.view, d, value))
-                out.append((BROADCAST, commit))
+                out.append((PEERS, commit))
         inst.phase = PHASE_PRE_PREPARED
         return out
 
@@ -642,7 +647,7 @@ class EquivocatingReplica(Replica):
         if isinstance(msg, PrePrepare) and msg.frame == inst.frame and inst.proposal is None:
             prep = self._sign(Prepare(msg.frame, msg.view, msg.value_digest, msg.value))
             inst.proposal = signed
-            return [(BROADCAST, prep)]
+            return [(PEERS, prep)]
         return []
 
     def on_round(self, round_: int) -> list[Outbound]:

@@ -10,9 +10,12 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-# Reserved destination ids used by the simulated network.
-BROADCAST = -1
+# Reserved destination ids used by the simulated network.  The observer is
+# the client: it takes part in no protocol phase, so replicas send their
+# protocol traffic to PEERS and only their Replies to OBSERVER.
+BROADCAST = -1  # every module except the sender, and the observer
 OBSERVER = -2
+PEERS = -3  # every module except the sender
 
 DIGEST_SIZE = 32
 TAG_SIZE = 16

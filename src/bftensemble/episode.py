@@ -13,6 +13,7 @@ from typing import Optional
 from .core import (
     BROADCAST,
     OBSERVER,
+    PEERS,
     DecisionValue,
     KeyRegistry,
     ModuleOutput,
@@ -103,9 +104,6 @@ class EpisodeRunner:
         if scenario.consensus_mode == "pbft":
             for m in range(self.n):
                 self.engines[m] = self._make_engine(m, scenario.modules[m])
-            self._rounds = self._pbft_rounds
-        else:
-            self._rounds = self._vote_rounds
         # the supervisor owns module status; `supervise = false` only stops
         # it from judging frames, so no module is ever isolated
         self.supervisor = Supervisor(scenario.quorum, scenario.supervisor)
@@ -192,7 +190,7 @@ class EpisodeRunner:
         for m in sorted(self.supervisor.restarting):
             if self.engines.get(m) is not None:
                 req = sign_message(self.registry, m, StateRequest(max(frame - 1, 0)))
-                self.world.send(m, BROADCAST, req)
+                self.world.send(m, PEERS, req)
         self._flush_supervisor_events()
 
     def _check_recoveries(self, frame: int) -> None:
@@ -276,7 +274,10 @@ class EpisodeRunner:
             if p.kind == "byzantine_equivocate" and self.supervisor.active(m)
         }
         replies: dict[int, DecisionValue] = {}
-        finalized, rounds, view_changes, observed, split = self._rounds(frame, outputs, replies)
+        # picked per frame: a bound method stored on the runner would make it
+        # a reference cycle that only the cyclic collector can free
+        mode = self._pbft_rounds if s.consensus_mode == "pbft" else self._vote_rounds
+        finalized, rounds, view_changes, observed, split = mode(frame, outputs, replies)
 
         if finalized is not None:
             verdict, value = "decided", finalized
@@ -345,7 +346,7 @@ class EpisodeRunner:
             for m, engine in live:
                 if not engine.inst.decided:
                     req = sign_message(self.registry, m, StateRequest(frame))
-                    self.world.send(m, BROADCAST, req)
+                    self.world.send(m, PEERS, req)
             for _ in range(2 * (s.network.base_delay_rounds + s.network.jitter_rounds) + 2):
                 for env in self.world.advance_round():
                     if env.to in receivers:

@@ -100,7 +100,7 @@ NETWORK_KEYS = {
     "drop_rate": ("drop_rate", float),
 }
 SUPERVISOR_KEYS = {
-    "window": ("window", int),
+    "window": ("window", int64),
     "flag_threshold": ("flag_threshold", float),
     "restart_delay": ("restart_delay", int),
 }

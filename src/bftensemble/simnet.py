@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BROADCAST, DIGEST_SIZE, OBSERVER, Encoded, canonical, short_digest
+from .core import BROADCAST, DIGEST_SIZE, OBSERVER, PEERS, Encoded, canonical, short_digest
 from .messages import KIND_NAMES, Signed
 
 
@@ -112,6 +112,9 @@ class World:
         self.module_ids = sorted(module_ids)
         self.slow_extra = dict(slow_extra or {})  # sender -> extra rounds
         self.round = 0
+        # sender -> its peers; a BROADCAST adds the observer's slot last
+        self._peers = {m: tuple(x for x in self.module_ids if x != m) for m in self.module_ids}
+        self._broadcast = {m: (*peers, OBSERVER) for m, peers in self._peers.items()}
         self._queue: list[Envelope] = []
         self._seq = 0
         self._muted: set[int] = set()  # isolated senders/receivers
@@ -124,16 +127,23 @@ class World:
         self._muted.discard(module_id)
 
     def send(self, frm: int, to: int, payload, extra_delay: int = 0) -> None:
-        """Queue one envelope; broadcasts expand to one per recipient, each
-        with an independent delivery fate.  Drops are silent."""
+        """Queue one envelope; BROADCAST and PEERS expand to one per
+        recipient, each with an independent delivery fate.  Drops are silent.
+
+        A PEERS send numbers its slots as a BROADCAST does; the observer's
+        slot takes its sequence number and nothing else, so every
+        module-to-module envelope keeps its fate either way."""
         muted = self._muted
         if frm in muted:
             return
-        recipients = (
-            [m for m in self.module_ids if m != frm] + [OBSERVER]
-            if to == BROADCAST
-            else [to]
-        )
+        skipped = 0
+        if to == BROADCAST:
+            recipients = self._broadcast[frm]
+        elif to == PEERS:
+            recipients = self._peers[frm]
+            skipped = 1  # the observer's slot
+        else:
+            recipients = (to,)
         kind = payload_kind(payload)
         log_tag = f"{kind}|{payload_digest_hex(payload)}"
         policy = self.policy
@@ -154,7 +164,7 @@ class World:
             queue.append(
                 Envelope(frm, recipient, payload, kind, now, earliest + (fate or 0), seq, log_tag)
             )
-        self._seq = seq
+        self._seq = seq + skipped
 
     def advance_round(self) -> list[Envelope]:
         """Advance the clock one round; return due envelopes in deterministic

@@ -175,6 +175,9 @@ def _base_edit(old, new):
     return bundled_scenario_path("fuzz_base_n4").read_text().replace(old, new).encode()
 
 
+HUGE_WINDOW = "[supervisor]\nwindow = 99999999999999999999\n[observations]"
+
+
 @pytest.mark.parametrize(
     "command, content",
     [
@@ -190,10 +193,12 @@ def _base_edit(old, new):
         ("run", _base_edit("seed = 1", f"seed = {-2**63 - 1}")),
         ("run", _base_edit("0 = honest", f"0 = diverse_honest perturb_seed={2**64}")),
         ("run", _base_edit("timeout_rounds = 10", "timeout_round = 3")),
+        ("run", _base_edit("[observations]", HUGE_WINDOW)),
     ],
     ids=["run-non-utf8", "verify-non-utf8", "negative-delay", "drop-rate-above-1",
          "jitter-minus-1", "jitter-minus-3", "checkpoint-interval-0", "confidence-above-1",
-         "seed-above-int64", "seed-below-int64", "perturb-seed-above-int64", "misspelt-key"],
+         "seed-above-int64", "seed-below-int64", "perturb-seed-above-int64", "misspelt-key",
+         "window-above-int64"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, command, content):
     path = tmp_path / "input"

@@ -10,8 +10,8 @@ import random
 import pytest
 
 from bftensemble.core import (
-    BROADCAST,
     OBSERVER,
+    PEERS,
     DecisionSpace,
     DecisionValue,
     KeyRegistry,
@@ -52,7 +52,7 @@ class Pump:
 
     def post(self, outbound) -> None:
         for dest, signed in outbound:
-            if dest == BROADCAST:
+            if dest == PEERS:
                 for m in self.replicas:
                     if m != signed.sender and m not in self.blocked:
                         self.pending.append((m, signed))
@@ -486,7 +486,22 @@ class TestCommitQuorum:
 
 class RescanReplica(Replica):
     """Reference for the running tallies: both quorum checks rebuild the
-    list of matching votes from the per-view maps on every vote."""
+    list of matching votes from the per-view maps on every vote, and every
+    vote takes the full path, retransmissions of a recorded vote included."""
+
+    def handle(self, signed, round_):
+        msg, inst = signed.msg, self.inst
+        if (
+            isinstance(msg, (Prepare, Commit))
+            and signed.verify(self.registry)
+            and inst is not None
+            and msg.frame == inst.frame
+            and msg.view >= inst.view
+        ):
+            if isinstance(msg, Prepare):
+                return self._on_prepare(signed)
+            return self._on_commit(signed, round_)
+        return super().handle(signed, round_)
 
     def _check_prepared(self):
         inst = self.inst
@@ -509,9 +524,9 @@ class RescanReplica(Replica):
         if inst.prepared_cert is None or cert.view > inst.prepared_cert.view:
             inst.prepared_cert = cert
         signed_commit = self._sign(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
-        inst.outbox.append((BROADCAST, signed_commit))
+        inst.outbox.append((PEERS, signed_commit))
         self._record_commit(signed_commit)
-        return [(BROADCAST, signed_commit)] + self._check_committed(signed_commit)
+        return [(PEERS, signed_commit)] + self._check_committed(signed_commit)
 
     def _check_committed(self, signed):
         inst = self.inst

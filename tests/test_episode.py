@@ -1,8 +1,13 @@
 """The observer's side of `EpisodeRunner._run_frame`: which Replies it keeps,
 and when f+1 matching Replies finalize a frame.  Both consensus modes end a
-frame through these two helpers.  Also what `supervise = false` turns off."""
+frame through these two helpers.  Also what `supervise = false` turns off,
+what the observer receives, and that an episode leaves no reference cycle."""
+import gc
+import random
+
 import pytest
 
+from bftensemble.campaign import randomize_episode
 from bftensemble.core import OBSERVER
 from bftensemble.episode import EpisodeRunner, run_episode
 from bftensemble.messages import Reply, Signed, sign_message
@@ -100,3 +105,34 @@ def test_supervise_false_never_judges_a_module(mode):
     assert not any("|SUPERVISOR|" in line for line in result.decision_log)
     assert result.supervisor_events == []
     assert result.module_agreement == {m: 1.0 for m in range(4)}
+
+
+def test_pbft_traffic_stops_at_the_replicas():
+    """The observer is the client: of the PBFT kinds it receives only Replies."""
+    rng = random.Random(2026)
+    base = load_bundled("fuzz_base_n4")
+    scenarios = [deviant_scenario("pbft", supervise=True)]
+    scenarios += [randomize_episode(base, rng, seed) for seed in range(30)]
+    between_modules = set()
+    for scenario in scenarios:
+        for line in run_episode(scenario).event_log:
+            _, _, to, kind, _ = line.split("|")
+            if int(to) == OBSERVER:
+                assert kind == "reply", line
+            else:
+                between_modules.add(kind)
+    assert between_modules >= {
+        "preprepare", "prepare", "commit", "viewchange", "newview", "staterequest",
+    }
+
+
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "av_plastic_bag"])
+def test_an_episode_leaves_no_reference_cycle(name):
+    scenario = load_bundled(name)
+    gc.collect()
+    gc.disable()
+    try:
+        run_episode(scenario)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -40,15 +40,15 @@ EPISODE_LOGS = {
     ),
     "fuzz_base_n4": (
         "8f7f74e700942589b02c1a3b308e5064556a42e7db95815d659cc50e680f0e41",
-        "7b147fe9bd5efcd62af6e3fb29e1b928b7f05e944e2f96fc34d73a09ffe70d36",
+        "aefb5c96cb75daa6114faab0bcabf16188c8498568d6a892413bb1d2e0633830",
     ),
     "fuzz_base_n7": (
         "bc42b47d839c84241083cd822068dec910121ccbdf527ef20e6ed0409985848c",
-        "4791a8d4c3b3b8b91baffd30da056f8ff80dc34543ad4a7a6eb84d82bef0d66a",
+        "bcbe67d505f64e4285141a95f825c7683a5ac2ac5b8ff4b81c72db01a7dd0aa1",
     ),
     "swarm_formation": (
         "a1b91c0899cd90eaba6cf33325d5d77855db0bca7018e634de4a5ca8d36a7589",
-        "023939932c1ad0a226ebaa11dfb26d2cddd4131868f913fa3cb26899741938a9",
+        "1664b9cd91ee3a54e8b19707298c9af94496fae0f1d4eee44922584e672d11fa",
     ),
     "voter_thresholds_2oo3": (
         "3c8020aebd7fbe81505cd66d7dc97132926da98cd2b3acf4424d977deafc603e",
@@ -69,11 +69,11 @@ CAMPAIGN_REPORTS = {
 CAMPAIGN_LOGS = {
     "fuzz_base_n4": (
         "cbce4c512d2b6d4459c66cbafb76f8dbceff5714f5933f0ea4557fb3336c1baf",
-        "d244a6ca07cdc16017c5d7fafe99d58b926420d6532af2a5da2728edc29eabc1",
+        "00c5aaf907103229e2b8da92950549203ba0a236c66e17e5f7f7e81ac4a9433f",
     ),
     "fuzz_base_n7": (
         "27d9577735e225ca3bd118f813acd8679e3e46d33079ed9a67f544c2e839828e",
-        "caca03f9c747818b59023d3fa768eae2cd72f841e6d1c20000cb94cd3c85cc7c",
+        "777eb13ce6a9dddaf173c25c359b1554eb89b8797eaa90871125b359da3703f8",
     ),
     "vote_fastpath_n4": (
         "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
@@ -143,11 +143,11 @@ OBSERVED = ("continue", "brake", "continue", "swerve-left", "continue")
 SUPERVISED_CAMPAIGN_LOGS = {
     "fuzz_long_n4": (
         "a913462935b2ada8774d5aaa1d1dee4ad9620d7754f975c6257eaa438026dce9",
-        "5aee980bc6afc037c66fd2f50b78fb8ab8575ae189610234d168958cfc08c5a4",
+        "2db2ae084ac1d5b35eaaa29c6f0a2a4de016920dd5149fdfa2fc97f0c951d3ad",
     ),
     "vote_fastpath": (
         "b8fb119a6edf50ad1f58363812cab0bee40f3e6c6de2ff9eff86cd85414a0ee4",
-        "bf590fb2df0f0a5b8126c3aa5b5a17c004d8bc2c756e3444ffca69c80c451868",
+        "782c83ccf7bf4fbb11ce73bbacddb19ffa339c388cff03de7f0b76125abf0826",
     ),
 }
 

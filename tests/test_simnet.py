@@ -8,6 +8,7 @@ from bftensemble.consensus import timeout_check
 from bftensemble.core import (
     BROADCAST,
     OBSERVER,
+    PEERS,
     DecisionSpace,
     KeyRegistry,
     ModuleOutput,
@@ -52,6 +53,27 @@ class TestDelivery:
         got = drain(world, 2)
         destinations = sorted(env.to for env in got)
         assert destinations == [OBSERVER, 1, 2, 3]
+
+    def test_peers_skip_the_observer(self):
+        world = World(quiet_policy(), MODULES)
+        world.send(0, PEERS, "hello")
+        assert sorted(env.to for env in drain(world, 2)) == [1, 2, 3]
+        assert world.event_log == [f"1|0|{m}|opaque|{hex_of('hello')}" for m in (1, 2, 3)]
+
+    def test_peers_number_slots_as_a_broadcast_does(self):
+        def later_envelopes(first):
+            world = World(quiet_policy(drop_rate=0.3, jitter_rounds=2, seed=3), MODULES)
+            world.send(1, first, "first")
+            for m in MODULES:
+                world.send(m, BROADCAST, f"after-{m}")
+            return [
+                (e.frm, e.to, e.seq, e.deliver_round)
+                for e in drain(world, 6)
+                if e.payload != "first"
+            ]
+
+        after_peers = later_envelopes(PEERS)
+        assert after_peers == later_envelopes(BROADCAST) and len(after_peers) > 4
 
     def test_drop_rate_one_delivers_nothing(self):
         world = World(quiet_policy(drop_rate=0.999999), MODULES)
@@ -232,12 +254,14 @@ class ListScanWorld:
     def send(self, frm, to, payload, extra_delay=0):
         if frm in self.muted:
             return
-        if to == BROADCAST:
+        if to in (BROADCAST, PEERS):
             recipients = [m for m in self.module_ids if m != frm] + [OBSERVER]
         else:
             recipients = [to]
         for recipient in recipients:
             self.seq += 1
+            if to == PEERS and recipient == OBSERVER:
+                continue
             if recipient in self.muted:
                 continue
             if any(p.blocks(self.round, frm, recipient) for p in self.policy.partitions):
@@ -321,7 +345,7 @@ class TestAgainstListScan:
         for _ in range(80):
             for _ in range(rng.randrange(6)):
                 frm = rng.choice(modules)
-                to = rng.choice([BROADCAST, OBSERVER, *modules])
+                to = rng.choice([BROADCAST, PEERS, OBSERVER, *modules])
                 payload, extra = rng.choice(payloads), rng.choice([0, 0, 0, 2])
                 world.send(frm, to, payload, extra)
                 model.send(frm, to, payload, extra)
