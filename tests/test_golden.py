@@ -217,3 +217,47 @@ def test_bundled_episode_report_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(SUPERVISED_CAMPAIGN_LOGS))
 def test_supervised_campaign_logs_are_pinned(name):
     assert campaign_log_digests(supervised_base(name)) == SUPERVISED_CAMPAIGN_LOGS[name]
+
+
+def vote_log_text(result) -> str:
+    """One line per frame of an episode's vote logs: frame, decided view, and
+    the sorted Prepare and Commit signers."""
+    return "".join(
+        f"{log.frame}|{log.view}|{sorted(log.prepare_signers)}|{sorted(log.commit_signers)}\n"
+        for log in sorted(result.vote_logs.values(), key=lambda log: log.frame)
+    )
+
+
+# SHA-256 of vote_log_text for each bundled scenario, and over the first 40
+# seed-2026 campaign episodes of each supervised base (an episode that raises
+# adds its exception type name).  Only the PBFT runner writes vote logs, so
+# the vote-only entries are the digest of no bytes.
+VOTE_LOGS = {
+    "assistant_vetting": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "av_missed_obstacle": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "av_plastic_bag": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "common_mode_breach": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "fuzz_base_n4": "e8c455340978d9663931f6d4a809b077b4ee2edd662119657c506aaa66fd72e7",
+    "fuzz_base_n7": "1b89a3710675627bb20aa83d8c96b243dad19b2065970b1ee5665f3d03f5f709",
+    "fuzz_long_n4": "bd546ae923d6f26fdde738b95d94caaca11e37640bdd73224e89bbb55db49efb",
+    "swarm_formation": "09bb9fe6780ed66d41d2d6ff755089796ef1126da9efd2618eac69194b6ac931",
+    "vote_fastpath": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "voter_thresholds_2oo3": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+def vote_log_digest(name: str) -> str:
+    if name not in SUPERVISED_BASES:
+        return sha256(vote_log_text(run_episode(load_bundled(name))))
+    h = hashlib.sha256()
+    for scenario in campaign_episodes(supervised_base(name), 40):
+        try:
+            h.update(vote_log_text(run_episode(scenario)).encode("utf-8"))
+        except Exception as exc:
+            h.update(type(exc).__name__.encode("utf-8"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(VOTE_LOGS))
+def test_vote_logs_are_pinned(name):
+    assert vote_log_digest(name) == VOTE_LOGS[name]
