@@ -59,7 +59,7 @@ class CampaignReport:
         return digest(canonical(*self.to_lines())).hex()
 
 
-def _random_fault(rng: random.Random, scenario: Scenario, slot: int) -> FaultProfile:
+def _random_fault(rng: random.Random, scenario: Scenario) -> FaultProfile:
     space = scenario.decision_space
     labels = list(space.labels)
     kind = rng.choice(
@@ -99,7 +99,7 @@ def randomize_episode(base: Scenario, rng: random.Random, episode_seed: int) -> 
     modules = [FaultProfile(kind="honest")] * n
     count = rng.randint(0, f)
     for slot in rng.sample(range(n), count):
-        modules[slot] = _random_fault(rng, base, slot)
+        modules[slot] = _random_fault(rng, base)
     network = NetworkPolicy(
         base_delay_rounds=base.network.base_delay_rounds,
         jitter_rounds=rng.choice(FUZZ_JITTERS),

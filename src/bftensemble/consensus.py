@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import Optional
 
 from .core import (
@@ -59,14 +60,6 @@ def _label_digest(label: str) -> bytes:
     return digest(canonical("decision", label))
 
 
-def timeout_check(start_round: int, round_: int, timeout_rounds: int, decided: bool) -> bool:
-    """A consensus instance times out once it has been open for at least
-    timeout_rounds without deciding."""
-    if decided:
-        return False
-    return (round_ - start_round) >= timeout_rounds
-
-
 def validate_proposal(own: Optional[DecisionValue], proposed: DecisionValue) -> bool:
     """Exact-match endorsement: a replica backs the leader's value only if it
     matches its own output.  Dissent is expressed by withholding the Prepare."""
@@ -79,7 +72,6 @@ class FrameInstance:
 
     frame: int
     own_output: Optional[DecisionValue]
-    start_round: int
     view: int = 0
     view_start_round: int = 0
     phase: str = PHASE_IDLE
@@ -87,12 +79,10 @@ class FrameInstance:
     decided: bool = False
     decided_value: Optional[DecisionValue] = None
     decided_view: int = -1
-    # view -> signer -> first signed Prepare/Commit seen
-    prepares: dict = field(default_factory=dict)
-    commits: dict = field(default_factory=dict)
-    # (view, digest) -> signers in prepares/commits whose vote has that digest
-    prepare_counts: dict = field(default_factory=dict)
-    commit_counts: dict = field(default_factory=dict)
+    # Prepare or Commit -> view -> signer -> first signed vote of that class
+    votes: dict = field(default_factory=lambda: {Prepare: {}, Commit: {}})
+    # (class, view, digest) -> signers in votes whose vote has that digest
+    tallies: dict = field(default_factory=dict)
     # new_view -> signer -> signed ViewChange
     view_changes: dict = field(default_factory=dict)
     # view -> digest -> first signed leader endorsement (equivocation detection)
@@ -105,6 +95,11 @@ class FrameInstance:
     # protocol messages sent in the current view, re-broadcast while undecided
     # so that an unlucky drop does not cost a whole timeout
     outbox: list = field(default_factory=list)
+
+    def matching(self, kind: type, view: int, digest: bytes) -> tuple[Signed, ...]:
+        """The recorded ``kind`` votes of ``view`` that name ``digest``, by signer."""
+        by_signer = sorted(self.votes[kind].get(view, {}).items())
+        return tuple(s for _, s in by_signer if s.msg.value_digest == digest)
 
 
 class Replica:
@@ -147,6 +142,12 @@ class Replica:
     def _sign(self, msg) -> Signed:
         return sign_message(self.registry, self.module_id, msg)
 
+    def _to_peers(self, msg) -> Signed:
+        """Sign ``msg`` and keep it for re-broadcast while the view lasts."""
+        signed = self._sign(msg)
+        self.inst.outbox.append((PEERS, signed))
+        return signed
+
     def is_leader(self, frame: int, view: int = 0) -> bool:
         return self.leader_of(frame, view) == self.module_id
 
@@ -162,13 +163,10 @@ class Replica:
     def start_frame(self, frame: int, own_output: Optional[ModuleOutput], round_: int) -> list[Outbound]:
         value = own_output.value if own_output is not None else None
         self.inst = FrameInstance(
-            frame=frame, own_output=value, start_round=round_, view_start_round=round_
+            frame=frame, own_output=value, view_start_round=round_
         )
         if frame in self.committed:
-            # already learned via state transfer
-            self.inst.decided = True
-            self.inst.decided_value = self.committed[frame]
-            self.inst.phase = PHASE_COMMITTED
+            self._decide(self.committed[frame])  # already learned via state transfer
             return []
         if self.is_leader(frame, 0):
             return self.propose()
@@ -182,9 +180,9 @@ class Replica:
             return []
         if inst.phase != PHASE_IDLE or inst.own_output is None:
             return []
-        pp = PrePrepare(inst.frame, inst.view, value_digest(inst.own_output), inst.own_output)
-        signed_pp = self._sign(pp)
-        inst.outbox.append((PEERS, signed_pp))
+        signed_pp = self._to_peers(
+            PrePrepare(inst.frame, inst.view, value_digest(inst.own_output), inst.own_output)
+        )
         return [(PEERS, signed_pp)] + self._accept_proposal(signed_pp)
 
     # --- message handling ----------------------------------------------------
@@ -200,21 +198,27 @@ class Replica:
             if inst is None or msg.frame != inst.frame or msg.view < inst.view:
                 return []  # another frame, or a stale view: views only move forward
             if kind is PrePrepare:
-                return self._on_preprepare(signed, round_)
-            recorded = (inst.prepares if kind is Prepare else inst.commits).get(msg.view)
+                return self._on_preprepare(signed)
+            recorded = inst.votes[kind].get(msg.view)
             if recorded is not None and recorded.get(signed.sender) is signed:
                 return []  # a retransmission of a vote already counted and checked
-            if kind is Prepare:
-                return self._on_prepare(signed)
-            return self._on_commit(signed, round_)
-        if isinstance(msg, (StateRequest, StateSnapshot, CheckpointAttest)):
-            return self._handle_global(signed, round_)
+            return self._on_vote(signed)
+        if kind is CheckpointAttest:
+            self._record_attest(signed)
+            return []
+        if kind is StateRequest:
+            snap = self.build_snapshot()
+            if snap is not None and snap.up_to_frame() >= msg.up_to_frame:
+                return [(signed.sender, self._sign(snap))]
+            return []
+        if kind is StateSnapshot:
+            return self.apply_snapshot(msg)
         inst = self.inst
         if inst is None or msg.frame != inst.frame:
             return []
-        if isinstance(msg, ViewChange):
+        if kind is ViewChange:
             return self._on_viewchange(signed, round_)
-        if isinstance(msg, NewView):
+        if kind is NewView:
             return self._on_newview(signed, round_)
         return []
 
@@ -241,14 +245,12 @@ class Replica:
         inst.proposal = signed_pp
         if inst.phase == PHASE_IDLE:
             inst.phase = PHASE_PRE_PREPARED
-        prep = Prepare(inst.frame, signed_pp.msg.view, signed_pp.msg.value_digest, signed_pp.msg.value)
-        signed_prep = self._sign(prep)
-        out = [(PEERS, signed_prep)]
-        inst.outbox.append((PEERS, signed_prep))
-        self._record_prepare(signed_prep)
-        return out + self._check_prepared()
+        pp = signed_pp.msg
+        signed_prep = self._to_peers(Prepare(inst.frame, pp.view, pp.value_digest, pp.value))
+        self._record_vote(signed_prep)
+        return [(PEERS, signed_prep)] + self._check_prepared()
 
-    def _on_preprepare(self, signed: Signed, round_: int) -> list[Outbound]:
+    def _on_preprepare(self, signed: Signed) -> list[Outbound]:
         inst = self.inst
         msg = signed.msg
         out = self._note_leader_endorsement(signed)
@@ -266,64 +268,55 @@ class Replica:
             return out  # withhold the Prepare; dissent surfaces as timeout
         return out + self._accept_proposal(signed)
 
-    def _record_prepare(self, signed: Signed) -> None:
-        self._record_vote(signed, self.inst.prepares, self.inst.prepare_counts, "conflicting-prepare")
-
-    def _record_vote(self, signed: Signed, votes_by_view: dict, counts: dict, conflict: str) -> None:
-        """Keep each signer's first vote per view, and count it under its
-        (view, digest); a later vote with another digest is misbehaviour."""
+    def _record_vote(self, signed: Signed) -> None:
+        """Keep each signer's first Prepare or Commit per view, and count it
+        under its (class, view, digest); a later vote of the same class with
+        another digest is misbehaviour."""
         msg = signed.msg
-        votes = votes_by_view.setdefault(msg.view, {})
+        kind = type(msg)
+        votes = self.inst.votes[kind].setdefault(msg.view, {})
         prev = votes.get(signed.sender)
         if prev is None:
             votes[signed.sender] = signed
-            key = (msg.view, msg.value_digest)
-            counts[key] = counts.get(key, 0) + 1
+            key = (kind, msg.view, msg.value_digest)
+            self.inst.tallies[key] = self.inst.tallies.get(key, 0) + 1
         elif prev.msg.value_digest != msg.value_digest:
+            conflict = f"conflicting-{kind.__name__.lower()}"
             self.misbehavior.append((self.inst.frame, signed.sender, conflict))
 
-    def _on_prepare(self, signed: Signed) -> list[Outbound]:
+    def _on_vote(self, signed: Signed) -> list[Outbound]:
+        msg = signed.msg
+        if type(msg) is Commit and msg.value_digest != value_digest(msg.value):
+            # the value is decided from the Commits, so each must carry the
+            # value its digest names
+            self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
+            return []
         out = self._note_leader_endorsement(signed)
-        self._record_prepare(signed)
-        return out + self._check_prepared()
+        self._record_vote(signed)
+        if type(msg) is Prepare:
+            return out + self._check_prepared()
+        return out + self._check_committed(signed)
 
     def _check_prepared(self) -> list[Outbound]:
         inst = self.inst
         if inst.phase != PHASE_PRE_PREPARED or inst.proposal is None:
             return []
         want = inst.proposal.msg.value_digest
-        if inst.prepare_counts.get((inst.view, want), 0) < self.cfg.quorum:
+        if inst.tallies.get((Prepare, inst.view, want), 0) < self.cfg.quorum:
             return []
-        votes = [s for s in inst.prepares[inst.view].values() if s.msg.value_digest == want]
         inst.phase = PHASE_PREPARED
         cert = PrepareCertificate(
             frame=inst.frame,
             view=inst.view,
             value_digest=want,
             value=inst.proposal.msg.value,
-            votes=tuple(sorted(votes, key=lambda s: s.sender)),
+            votes=inst.matching(Prepare, inst.view, want),
         )
         if inst.prepared_cert is None or cert.view > inst.prepared_cert.view:
             inst.prepared_cert = cert
-        commit = Commit(inst.frame, inst.view, want, inst.proposal.msg.value)
-        signed_commit = self._sign(commit)
-        inst.outbox.append((PEERS, signed_commit))
-        self._record_commit(signed_commit)
+        signed_commit = self._to_peers(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
+        self._record_vote(signed_commit)
         return [(PEERS, signed_commit)] + self._check_committed(signed_commit)
-
-    def _record_commit(self, signed: Signed) -> None:
-        self._record_vote(signed, self.inst.commits, self.inst.commit_counts, "conflicting-commit")
-
-    def _on_commit(self, signed: Signed, round_: int) -> list[Outbound]:
-        msg = signed.msg
-        if msg.value_digest != value_digest(msg.value):
-            # the value is decided from the Commits, so each must carry the
-            # value its digest names
-            self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
-            return []
-        out = self._note_leader_endorsement(signed)
-        self._record_commit(signed)
-        return out + self._check_committed(signed)
 
     def _check_committed(self, signed: Signed) -> list[Outbound]:
         """Commit once the (view, digest) bucket of the Commit just recorded
@@ -333,23 +326,26 @@ class Replica:
         if inst.decided:
             return []
         view, want = signed.msg.view, signed.msg.value_digest
-        if inst.commit_counts.get((view, want), 0) < self.execution_threshold:
+        if inst.tallies.get((Commit, view, want), 0) < self.execution_threshold:
             return []
-        return self._commit([s for s in inst.commits[view].values() if s.msg.value_digest == want])
+        return self._commit(inst.matching(Commit, view, want))
 
-    def _commit(self, votes: list[Signed]) -> list[Outbound]:
+    def _commit(self, votes: tuple[Signed, ...]) -> list[Outbound]:
+        """Decide on a threshold of matching Commits, sorted by signer."""
+        frame, value = self.inst.frame, votes[0].msg.value
+        self._decide(value, votes[0].msg.view)
+        self.frame_certs[frame] = FrameCert(frame=frame, value=value, votes=votes)
+        return [(OBSERVER, self._sign(Reply(frame, value)))] + self._maybe_checkpoint()
+
+    def _decide(self, value: DecisionValue, view: int = -1) -> None:
+        """Decide the current frame: on a Commit quorum of ``view``, or, with
+        view -1, on a value already committed through state transfer."""
         inst = self.inst
-        value = votes[0].msg.value
         inst.decided = True
         inst.decided_value = value
-        inst.decided_view = votes[0].msg.view
+        inst.decided_view = view
         inst.phase = PHASE_COMMITTED
         self.committed[inst.frame] = value
-        self.frame_certs[inst.frame] = FrameCert(
-            frame=inst.frame, value=value, votes=tuple(sorted(votes, key=lambda s: s.sender))
-        )
-        out: list[Outbound] = [(OBSERVER, self._sign(Reply(inst.frame, value)))]
-        return out + self._maybe_checkpoint()
 
     # --- view changes --------------------------------------------------------
 
@@ -368,12 +364,10 @@ class Replica:
         if new_view in inst.viewchange_sent:
             return []
         inst.viewchange_sent.add(new_view)
-        vc = ViewChange(inst.frame, new_view, inst.prepared_cert, inst.evidence)
-        signed_vc = self._sign(vc)
-        inst.view_changes.setdefault(new_view, {})[self.module_id] = signed_vc
         if new_view > inst.view:
-            self._enter_view(new_view)
-        inst.outbox.append((PEERS, signed_vc))
+            self._enter_view(new_view)  # before the ViewChange joins the new view's outbox
+        signed_vc = self._to_peers(ViewChange(inst.frame, new_view, inst.prepared_cert, inst.evidence))
+        inst.view_changes.setdefault(new_view, {})[self.module_id] = signed_vc
         return [(PEERS, signed_vc)] + self._maybe_newview(new_view)
 
     def _on_viewchange(self, signed: Signed, round_: int) -> list[Outbound]:
@@ -397,14 +391,12 @@ class Replica:
             inst.view_start_round = round_
         return out + self._maybe_newview(msg.new_view)
 
-    def _select_newview_value(self, vcs: list[Signed]):
-        """Classic carry-over rule: re-propose the highest-view certified value."""
-        best: Optional[PrepareCertificate] = None
-        for signed_vc in vcs:
-            cert = signed_vc.msg.cert
-            if cert is not None and (best is None or cert.view > best.view):
-                best = cert
-        return best
+    @staticmethod
+    def _select_newview_value(vcs) -> Optional[PrepareCertificate]:
+        """Classic carry-over rule: re-propose the highest-view certified
+        value; of equal-view certificates, the first."""
+        certs = (signed_vc.msg.cert for signed_vc in vcs if signed_vc.msg.cert is not None)
+        return max(certs, key=attrgetter("view"), default=None)
 
     def _maybe_newview(self, new_view: int) -> list[Outbound]:
         inst = self.inst
@@ -416,7 +408,7 @@ class Replica:
         if len(vcs) < self.cfg.quorum:
             return []
         ordered = tuple(sorted(vcs.values(), key=lambda s: s.sender))[: self.cfg.n]
-        best = self._select_newview_value(list(ordered))
+        best = self._select_newview_value(ordered)
         if best is not None:
             value = best.value
         elif inst.decided:
@@ -428,8 +420,7 @@ class Replica:
         inst.newview_sent.add(new_view)
         self._enter_view(new_view)
         pp = self._sign(PrePrepare(inst.frame, new_view, value_digest(value), value))
-        nv = self._sign(NewView(inst.frame, new_view, ordered, pp))
-        inst.outbox.append((PEERS, nv))
+        nv = self._to_peers(NewView(inst.frame, new_view, ordered, pp))
         return [(PEERS, nv)] + self._accept_proposal(pp)
 
     def _on_newview(self, signed: Signed, round_: int) -> list[Outbound]:
@@ -465,7 +456,7 @@ class Replica:
             return []
         if pp.msg.value_digest != value_digest(pp.msg.value):
             return []
-        best = self._select_newview_value(list(msg.view_changes))
+        best = self._select_newview_value(msg.view_changes)
         certified = best is not None
         if certified and best.value_digest != pp.msg.value_digest:
             self.misbehavior.append((inst.frame, signed.sender, "newview-ignored-certificate"))
@@ -493,7 +484,7 @@ class Replica:
         elapsed = round_ - inst.view_start_round
         if elapsed > 0 and elapsed % self.RETRANSMIT_INTERVAL == 0:
             out += list(inst.outbox)
-        if timeout_check(inst.view_start_round, round_, self.timeout_rounds, inst.decided):
+        if elapsed >= self.timeout_rounds:
             inst.view_start_round = round_
             out += self._initiate_viewchange(inst.view + 1)
             # also ask peers whether the frame already committed without us
@@ -543,20 +534,6 @@ class Replica:
                     if frame <= msg.up_to_frame:
                         del self.frame_certs[frame]
 
-    def _handle_global(self, signed: Signed, round_: int) -> list[Outbound]:
-        msg = signed.msg
-        if isinstance(msg, CheckpointAttest):
-            self._record_attest(signed)
-            return []
-        if isinstance(msg, StateRequest):
-            snap = self.build_snapshot()
-            if snap is not None and snap.up_to_frame() >= msg.up_to_frame:
-                return [(signed.sender, self._sign(snap))]
-            return []
-        if isinstance(msg, StateSnapshot):
-            return self.apply_snapshot(msg)
-        return []
-
     def build_snapshot(self) -> Optional[StateSnapshot]:
         base = self.stable_checkpoint
         start = base.up_to_frame + 1 if base else 0
@@ -581,15 +558,11 @@ class Replica:
             if not cert.valid(self.registry, self.cfg.quorum):
                 return []
             self._adopt(cert.frame, cert.value, cert)
-        out: list[Outbound] = []
         inst = self.inst
-        if inst is not None and not inst.decided and inst.frame in self.committed:
-            value = self.committed[inst.frame]
-            inst.decided = True
-            inst.decided_value = value
-            inst.phase = PHASE_COMMITTED
-            out.append((OBSERVER, self._sign(Reply(inst.frame, value))))
-        return out
+        if inst is None or inst.decided or inst.frame not in self.committed:
+            return []
+        self._decide(self.committed[inst.frame])
+        return [(OBSERVER, self._sign(Reply(inst.frame, inst.decided_value)))]
 
     def _adopt(self, frame: int, value: DecisionValue, cert: Optional[FrameCert] = None) -> None:
         prev = self.committed.get(frame)

@@ -21,7 +21,7 @@ from .core import (
 )
 from .consensus import EquivocatingReplica, Replica, value_digest
 from .harness import NO_OUTPUT, FaultProfile, module_rng, produce_output
-from .messages import OutputDigest, Reply, Signed, StateRequest, sign_message
+from .messages import Commit, OutputDigest, Prepare, Reply, Signed, StateRequest, sign_message
 from .scenario import Scenario
 from .simnet import World
 from .supervisor import Supervisor
@@ -354,39 +354,29 @@ class EpisodeRunner:
         else:
             self.liveness_failures.append(frame)
 
-        decided_views = [
-            self.engines[m].inst.decided_view
-            for m in self._honest_committed(frame)
-            if self.engines[m].inst is not None
-            and self.engines[m].inst.frame == frame
-            and self.engines[m].inst.decided_view >= 0
-        ]
-        view_changes = min(decided_views, default=0)
-
+        # views in which honest replicas committed this frame; the first such
+        # replica's votes for its decided value become the frame's vote log
+        decided_views = []
         for m, engine in self.engines.items():
-            if engine is None or engine.inst is None or engine.inst.frame != frame:
-                continue
-            inst = engine.inst
+            inst = engine.inst if engine is not None else None
             if (
-                self.profiles[m].kind in HONEST_KINDS
-                and inst.decided
-                and inst.decided_view >= 0
-                and frame not in self.vote_logs
+                inst is None
+                or inst.frame != frame
+                or inst.decided_view < 0
+                or self.profiles[m].kind not in HONEST_KINDS
             ):
+                continue
+            view = inst.decided_view
+            if not decided_views:
                 want = value_digest(inst.decided_value)
-                prepare_signers = frozenset(
-                    s_.sender
-                    for s_ in inst.prepares.get(inst.decided_view, {}).values()
-                    if inst.decided_value is not None and s_.msg.value_digest == want
-                )
-                commit_signers = frozenset(
-                    s_.sender
-                    for s_ in inst.commits.get(inst.decided_view, {}).values()
-                    if s_.msg.value_digest == want
-                )
                 self.vote_logs[frame] = FrameVoteLog(
-                    frame, inst.decided_view, prepare_signers, commit_signers
+                    frame,
+                    view,
+                    frozenset(s_.sender for s_ in inst.matching(Prepare, view, want)),
+                    frozenset(s_.sender for s_ in inst.matching(Commit, view, want)),
                 )
+            decided_views.append(view)
+        view_changes = min(decided_views, default=0)
 
         rounds = finality_round - start_round if finalized is not None else bound
         return finalized, rounds, view_changes, None, False

@@ -33,6 +33,7 @@ from bftensemble.messages import (
     PrePrepare,
     Reply,
     Signed,
+    StateRequest,
     ViewChange,
     sign_message,
 )
@@ -152,7 +153,7 @@ class TestProposalValidation:
         for m in (1, 2, 3):
             assert not replicas[m].inst.decided
             # the only Prepare for EAST is the leader's own
-            prepares = replicas[m].inst.prepares.get(0, {})
+            prepares = replicas[m].inst.votes[Prepare].get(0, {})
             assert set(prepares) <= {0, m} and m not in prepares
 
     def test_validate_proposal_is_exact_match(self):
@@ -179,7 +180,7 @@ class TestProposalValidation:
         rep.inst.view = 3  # pretend we advanced
         stale = sign_message(registry, 2, Prepare(0, 1, value_digest(NORTH), NORTH))
         assert rep.handle(stale, 0) == []
-        assert 1 not in rep.inst.prepares or 2 not in rep.inst.prepares[1]
+        assert 1 not in rep.inst.votes[Prepare] or 2 not in rep.inst.votes[Prepare][1]
 
     def test_bad_tag_is_recorded_and_ignored(self):
         replicas, _ = make_ensemble()
@@ -239,6 +240,43 @@ class TestViewChange:
         vc = sign_message(registry, 2, ViewChange(0, 1, None, None))
         rep1.handle(vc, 0)
         assert rep1.inst.view == 0  # one voice moves nobody
+
+
+class TestTimeout:
+    """An undecided replica's round timer fires once the view has been open
+    timeout_rounds rounds: a ViewChange to the next view and a StateRequest
+    for the frame, both to its peers.  A decided replica's timer is silent."""
+
+    @staticmethod
+    def follower(opened_at=2):
+        replicas, _ = make_ensemble(timeout_rounds=10)
+        rep = replicas[1]  # frame 0's view-0 leader is replica 0
+        rep.start_frame(0, None, opened_at)
+        return rep
+
+    def test_fires_at_timeout_rounds(self):
+        rep = self.follower()
+        out = rep.on_round(12)
+        assert [(dest, type(signed.msg)) for dest, signed in out] == [
+            (PEERS, ViewChange),
+            (PEERS, StateRequest),
+        ]
+        assert out[0][1].msg.new_view == 1 and out[1][1].msg.up_to_frame == 0
+        assert rep.inst.view == 1 and rep.inst.view_start_round == 12
+
+    def test_quiet_one_round_earlier(self):
+        rep = self.follower()
+        assert rep.on_round(11) == []
+        assert rep.inst.view == 0 and rep.inst.view_start_round == 2
+
+    def test_decided_replica_stays_silent(self):
+        replicas, _ = make_ensemble(timeout_rounds=10)
+        pump = Pump(replicas)
+        start(replicas, pump, {m: NORTH for m in replicas})
+        pump.drain()
+        for rep in replicas.values():
+            assert rep.inst.decided and rep.inst.view_start_round == 0
+            assert [rep.on_round(r) for r in (9, 10, 100)] == [[], [], []]
 
 
 def equivocation_ensemble(timeout_rounds=4, sloppy=True):
@@ -447,7 +485,7 @@ class TestCommitQuorum:
         rep.handle(self.commit(registry, 2, value=NORTH), 0)
         assert not rep.inst.decided
         assert rep.misbehavior == [(self.FRAME, 0, "digest-mismatch")]
-        assert 0 not in rep.inst.commits[0]
+        assert 0 not in rep.inst.votes[Commit][0]
         # the signer's well-formed Commit still counts
         rep.handle(self.commit(registry, 0, value=NORTH), 0)
         assert rep.inst.decided and rep.inst.decided_value == NORTH
@@ -484,6 +522,13 @@ class TestCommitQuorum:
         assert cert.valid(registry, 3)
 
 
+def rescan(inst, kind, view, want):
+    """The recorded ``kind`` votes of ``view`` naming ``want``, by signer,
+    read from the per-view map without the tallies or FrameInstance.matching."""
+    votes = inst.votes[kind].get(view, {}).values()
+    return tuple(sorted((s for s in votes if s.msg.value_digest == want), key=lambda s: s.sender))
+
+
 class RescanReplica(Replica):
     """Reference for the running tallies: both quorum checks rebuild the
     list of matching votes from the per-view maps on every vote, and every
@@ -498,9 +543,7 @@ class RescanReplica(Replica):
             and msg.frame == inst.frame
             and msg.view >= inst.view
         ):
-            if isinstance(msg, Prepare):
-                return self._on_prepare(signed)
-            return self._on_commit(signed, round_)
+            return self._on_vote(signed)
         return super().handle(signed, round_)
 
     def _check_prepared(self):
@@ -508,9 +551,7 @@ class RescanReplica(Replica):
         if inst.phase != PHASE_PRE_PREPARED or inst.proposal is None:
             return []
         want = inst.proposal.msg.value_digest
-        votes = [
-            s for s in inst.prepares.get(inst.view, {}).values() if s.msg.value_digest == want
-        ]
+        votes = rescan(inst, Prepare, inst.view, want)
         if len(votes) < self.cfg.quorum:
             return []
         inst.phase = PHASE_PREPARED
@@ -519,13 +560,12 @@ class RescanReplica(Replica):
             view=inst.view,
             value_digest=want,
             value=inst.proposal.msg.value,
-            votes=tuple(sorted(votes, key=lambda s: s.sender)),
+            votes=votes,
         )
         if inst.prepared_cert is None or cert.view > inst.prepared_cert.view:
             inst.prepared_cert = cert
-        signed_commit = self._sign(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
-        inst.outbox.append((PEERS, signed_commit))
-        self._record_commit(signed_commit)
+        signed_commit = self._to_peers(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
+        self._record_vote(signed_commit)
         return [(PEERS, signed_commit)] + self._check_committed(signed_commit)
 
     def _check_committed(self, signed):
@@ -533,7 +573,7 @@ class RescanReplica(Replica):
         if inst.decided:
             return []
         want = signed.msg.value_digest
-        matching = [s for s in inst.commits[signed.msg.view].values() if s.msg.value_digest == want]
+        matching = rescan(inst, Commit, signed.msg.view, want)
         if len(matching) >= self.execution_threshold:
             return self._commit(matching)
         return []

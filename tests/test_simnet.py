@@ -4,7 +4,6 @@ from dataclasses import replace
 
 import pytest
 
-from bftensemble.consensus import timeout_check
 from bftensemble.core import (
     BROADCAST,
     OBSERVER,
@@ -186,16 +185,6 @@ class TestEventLog:
 
         assert run() == run()
 
-
-class TestTimeoutCheck:
-    def test_threshold_inclusive(self):
-        assert timeout_check(2, 12, 10, decided=False)
-
-    def test_below_threshold_quiet(self):
-        assert not timeout_check(2, 11, 10, decided=False)
-
-    def test_decided_instance_never_fires(self):
-        assert not timeout_check(2, 100, 10, decided=True)
 
 
 class TestFatePrefix:
