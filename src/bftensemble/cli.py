@@ -105,7 +105,9 @@ def cmd_verify(args) -> int:
                 violations.append(frame)
             if verdict == "decided" and value == "-":
                 raise ValueError(f"frame {frame}: decided without a value")
-            if verdict != "decided" and view_changes < 0:
+            if rounds < 0:
+                raise ValueError(f"frame {frame}: negative rounds to commit")
+            if view_changes < 0:
                 raise ValueError(f"frame {frame}: negative view changes")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

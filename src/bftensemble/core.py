@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Reserved destination ids used by the simulated network.  The observer is
 # the client: it takes part in no protocol phase, so replicas send their
@@ -217,12 +218,73 @@ class KeyRegistry:
         return mac.digest() == tag.tag
 
 
+# --- the encoding memo -------------------------------------------------------
+#
+# A message does not name its sender, so up to n replicas build equal
+# Prepares, Commits and Replies each frame, and a campaign's episodes build
+# the same contents again: each distinct content is encoded once per process.
+# Like ``consensus._label_digest``, the memo is a bounded ``lru_cache``; it
+# holds field values and bytes, never an episode's objects.
+
+# types whose equal values encode alike (a DecisionValue's label is a str)
+_PLAIN = frozenset((bool, int, str, bytes, type(None), DecisionValue))
+
+
+def _shape(fields: tuple):
+    """The types of ``fields`` at every depth, with the sign of a zero float
+    (``0.0 == -0.0``), or None when a field cannot be keyed exactly: a list,
+    a subclass or any other type."""
+    shape = []
+    for field in fields:
+        kind = type(field)
+        if kind is tuple:
+            kind = _shape(field)
+            if kind is None:
+                return None
+        elif kind is float:
+            if not field:
+                kind = str(field)
+        elif kind not in _PLAIN:
+            return None
+        shape.append(kind)
+    return tuple(shape)
+
+
+def _encode(fields: tuple) -> tuple[bytes, bytes, str]:
+    payload = canonical(*fields)
+    payload_digest = digest(payload)
+    return payload, payload_digest, payload_digest.hex()[:12]
+
+
+@lru_cache(maxsize=4096, typed=True)
+def _memo(shape, *fields) -> tuple[bytes, bytes, str]:
+    return _encode(fields)
+
+
+def encoding(*fields) -> tuple[bytes, bytes, str]:
+    """``canonical(*fields)``, its :func:`digest` and its :func:`short_digest`.
+
+    Equal fields need not encode alike (``1 == 1.0 == True``), so the memo
+    keys on each field's type, and on the :func:`_shape` when a field is a
+    tuple or a float; fields with no exact key skip it."""
+    if _PLAIN.issuperset(map(type, fields)):
+        shape = None
+    else:
+        shape = _shape(fields)
+        if shape is None:
+            return _encode(fields)
+    try:
+        return _memo(shape, *fields)
+    except TypeError:  # an unhashable label inside a DecisionValue
+        return _encode(fields)
+
+
 class Encoded:
     """Base of the objects that have a canonical byte layout.
 
-    ``_fields()`` lists what is encoded, in order.  The subclasses are
-    frozen, so their bytes and digest are computed on first use and kept in
-    the instance ``__dict__``, outside the dataclass fields: equality,
+    ``_fields()`` lists what is encoded, in order.  On first use an object
+    takes its bytes, digest and short hex from :func:`encoding` and keeps
+    them in its ``__dict__``, outside the dataclass fields: equality,
     hashing and repr ignore them, and ``dataclasses.replace`` builds a fresh
     object.
     """
@@ -230,29 +292,19 @@ class Encoded:
     def _fields(self) -> tuple:
         raise NotImplementedError
 
+    def _encoding(self) -> tuple[bytes, bytes, str]:
+        enc = self.__dict__["_encoding"] = encoding(*self._fields())
+        return enc
+
     def payload(self) -> bytes:
-        memo = self.__dict__
-        if "_payload" not in memo:
-            memo["_payload"] = canonical(*self._fields())
-        return memo["_payload"]
+        return (self.__dict__.get("_encoding") or self._encoding())[0]
 
     def payload_digest(self) -> bytes:
-        memo = self.__dict__
-        if "_digest" not in memo:
-            memo["_digest"] = digest(self.payload())
-        return memo["_digest"]
-
-    def memoise(self, payload: bytes, payload_digest: bytes) -> None:
-        """Keep bytes and a digest computed elsewhere (by the signer), which
-        must be those of ``_fields()``."""
-        self.__dict__.update(_payload=payload, _digest=payload_digest)
+        return (self.__dict__.get("_encoding") or self._encoding())[1]
 
     def short_hex(self) -> str:
         """:func:`short_digest` of the payload, as used in log lines."""
-        memo = self.__dict__
-        if "_short_hex" not in memo:
-            memo["_short_hex"] = self.payload_digest().hex()[:12]
-        return memo["_short_hex"]
+        return (self.__dict__.get("_encoding") or self._encoding())[2]
 
 
 @dataclass(frozen=True)
@@ -269,20 +321,13 @@ class ModuleOutput(Encoded):
         return ("output", self.module_id, self.frame, self.value, self.confidence)
 
 
-def output_payload(module_id: int, frame: int, value: DecisionValue, confidence: float) -> bytes:
-    return canonical("output", module_id, frame, value, confidence)
-
-
 def make_output(
     registry: KeyRegistry, module_id: int, frame: int, value: DecisionValue, confidence: float
 ) -> ModuleOutput:
     if not 0.0 <= confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside [0, 1]")
-    payload = output_payload(module_id, frame, value, confidence)
-    payload_digest = digest(payload)
-    out = ModuleOutput(module_id, frame, value, confidence, registry.sign(module_id, payload_digest))
-    out.memoise(payload, payload_digest)
-    return out
+    payload_digest = encoding("output", module_id, frame, value, confidence)[1]
+    return ModuleOutput(module_id, frame, value, confidence, registry.sign(module_id, payload_digest))
 
 
 def verify_output(registry: KeyRegistry, out: ModuleOutput) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import AuthTag, DecisionValue, Encoded, KeyRegistry, canonical, digest
+from .core import AuthTag, DecisionValue, Encoded, KeyRegistry, canonical, encoding
 
 
 @dataclass(frozen=True)
@@ -288,4 +288,4 @@ KIND_NAMES = {
 
 def log_prefix_digest(values) -> bytes:
     """Digest of a committed decision-log prefix (frames 0..k in order)."""
-    return digest(canonical("log-prefix", tuple(values)))
+    return encoding("log-prefix", tuple(values))[1]

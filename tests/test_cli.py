@@ -140,6 +140,27 @@ def test_verify_rejects_malformed(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        "0|decided|NORTH|0,1|-5|-2|-",
+        "0|decided|stop|0,1,2|-1|0|-",
+        "0|decided|stop|0,1,2|4|-1|-",
+        "0|no-quorum|-|0,1|-3|0|-",
+        "0|safe-mode|stop|0|2|-1|-",
+    ],
+    ids=["both-negative", "negative-rounds", "negative-view-changes",
+         "no-quorum-negative-rounds", "safe-mode-negative-view-changes"],
+)
+def test_verify_rejects_negative_counts(tmp_path, capsys, record):
+    log = tmp_path / "decision.log"
+    log.write_text(record + "\n")
+    assert main(["verify", str(log)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "negative" in captured.err
+    assert "ok:" not in captured.out
+
+
 def test_verify_rejects_gap_in_frames(tmp_path, capsys):
     log = tmp_path / "decision.log"
     log.write_text(

@@ -1,5 +1,6 @@
 """Quorum arithmetic, canonical serialization, and simulated authentication."""
 import itertools
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,12 +10,13 @@ from bftensemble.core import (
     DecisionValue,
     KeyRegistry,
     QuorumConfig,
+    _memo,
     canonical,
     client_match,
     digest,
+    encoding,
     make_output,
     min_replicas,
-    output_payload,
     quorum_size,
     short_digest,
     verify_output,
@@ -120,6 +122,98 @@ class TestCanonicalSerialization:
         assert len(short_digest(b"payload")) == 12
 
 
+# Field values that compare equal but encode apart, mixed with arbitrary ones.
+LEAVES = st.one_of(
+    st.sampled_from([0, 1, True, False, 1.0, 0.0, -0.0, None, "", b"", "1", b"1"]),
+    st.integers(min_value=-(2**64), max_value=2**64),  # past int64 raises struct.error
+    st.floats(),
+    st.text(max_size=4),
+    st.binary(max_size=4),
+    st.builds(DecisionValue, st.sampled_from(["north", "south", "", "1"])),
+)
+FIELD = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple), st.lists(inner, max_size=3)),
+    max_leaves=8,
+)
+FIELDS = st.lists(FIELD, max_size=5).map(tuple)
+
+
+def twin(value, k: int):
+    """``value`` with each 0 or 1 at any depth swapped for the k-th of its equal
+    look-alikes: the same bytes only if the memo keys them apart."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(twin(v, k) for v in value)
+    if type(value) in (int, bool, float) and value in (0, 1):
+        alikes = (0, False, 0.0, -0.0) if value == 0 else (1, True, 1.0)
+        return alikes[k % len(alikes)]
+    return value
+
+
+def outcome(encode, fields):
+    try:
+        return encode(*fields)
+    except (TypeError, AttributeError, struct.error) as exc:
+        return type(exc), str(exc)
+
+
+def fresh(*fields):
+    payload = canonical(*fields)
+    return payload, digest(payload), short_digest(payload)
+
+
+class TestEncodingMemo:
+    """``encoding`` returns exactly ``canonical`` and its digests, whatever the
+    memo holds: equal fields of other types, or of other signs of zero, never
+    share an entry."""
+
+    def assert_exact(self, batch):
+        for fields in batch:
+            assert outcome(encoding, fields) == outcome(fresh, fields), fields
+
+    @given(st.lists(FIELDS, min_size=1, max_size=4))
+    def test_cold_warm_and_past_the_bound(self, batch):
+        batch = [twin(fields, k) for fields in batch for k in range(5)]
+        _memo.cache_clear()
+        self.assert_exact(batch)  # cold
+        self.assert_exact(batch)  # warm
+        for i in range(_memo.cache_info().maxsize + 1):
+            encoding("flood", i)
+        self.assert_exact(batch)  # every entry of the batch evicted
+
+    def test_look_alikes_keep_their_own_bytes(self):
+        numbers = [(1,), (1.0,), (True,), (0,), (0.0,), (-0.0,), (False,)]
+        numbers += [(fields,) for fields in numbers] + [((fields,),) for fields in numbers]
+        outputs = [("output", 1, 0, DecisionValue("x"), c) for c in (0.0, -0.0, 1.0, 1, True)]
+        labels = [("x",), (DecisionValue("x"),), (("x",),), ((DecisionValue("x"),),)]
+        for _ in range(2):
+            self.assert_exact(numbers + outputs + labels)
+        # equal as values, yet each encodes apart
+        for group in (numbers, outputs):
+            assert len({encoding(*fields)[0] for fields in group}) == len(group)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (object(), TypeError),
+            ({1}, TypeError),
+            (1j, TypeError),
+            (bytearray(b"x"), TypeError),
+            ([object()], TypeError),
+            ((1, {2}), TypeError),
+            (DecisionValue(["x"]), AttributeError),
+            (DecisionValue(1), AttributeError),
+        ],
+        ids=["object", "set", "complex", "bytearray", "list-of-object", "tuple-of-set",
+             "unhashable-label", "int-label"],
+    )
+    def test_unencodable_fields_raise_as_canonical(self, bad, error):
+        for _ in range(2):
+            raised = outcome(encoding, ("x", bad))
+            assert raised == outcome(canonical, ("x", bad))
+            assert raised[0] is error
+
+
 class TestAuthentication:
     def fresh_registry(self, n=4, seed=99):
         return KeyRegistry(seed, range(n))
@@ -175,8 +269,10 @@ class TestAuthentication:
         assert not verify_output(reg, forged)
 
     def test_payload_binds_all_fields(self):
-        a = output_payload(1, 0, DecisionValue("go"), 0.9)
-        assert a != output_payload(2, 0, DecisionValue("go"), 0.9)
-        assert a != output_payload(1, 1, DecisionValue("go"), 0.9)
-        assert a != output_payload(1, 0, DecisionValue("stop"), 0.9)
-        assert a != output_payload(1, 0, DecisionValue("go"), 0.8)
+        reg = self.fresh_registry()
+        go, stop = DecisionValue("go"), DecisionValue("stop")
+        a = make_output(reg, 1, 0, go, 0.9).payload()
+        assert a != make_output(reg, 2, 0, go, 0.9).payload()
+        assert a != make_output(reg, 1, 1, go, 0.9).payload()
+        assert a != make_output(reg, 1, 0, stop, 0.9).payload()
+        assert a != make_output(reg, 1, 0, go, 0.8).payload()

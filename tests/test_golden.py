@@ -11,7 +11,7 @@ import random
 import pytest
 
 from bftensemble.campaign import episode_report, fuzz_campaign, randomize_episode
-from bftensemble.core import canonical, digest
+from bftensemble.core import _memo, canonical, digest
 from bftensemble.episode import run_episode
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
 
@@ -187,26 +187,49 @@ def test_campaign_report_is_pinned(name):
     assert fuzz_campaign(load_bundled(name), 100, 2026).digest_hex() == CAMPAIGN_REPORTS[name]
 
 
-def campaign_log_digests(base) -> tuple[str, str]:
-    """SHA-256 over the decision logs and over the event logs of the first 40
-    campaign episodes; an episode that raises adds its exception type name."""
+def episode_logs(scenario) -> tuple[bytes, bytes]:
+    """An episode's decision log and event log, or twice the type name of
+    the exception it raises."""
+    try:
+        result = run_episode(scenario)
+    except Exception as exc:
+        name = type(exc).__name__.encode("utf-8")
+        return name, name
+    return result.decision_log_text.encode("utf-8"), result.event_log_text.encode("utf-8")
+
+
+def log_digests(logs) -> tuple[str, str]:
+    """SHA-256 over the decision logs and over the event logs, in order."""
     decisions, events = hashlib.sha256(), hashlib.sha256()
-    for scenario in campaign_episodes(base, 40):
-        try:
-            result = run_episode(scenario)
-        except Exception as exc:
-            name = type(exc).__name__.encode("utf-8")
-            decisions.update(name)
-            events.update(name)
-            continue
-        decisions.update(result.decision_log_text.encode("utf-8"))
-        events.update(result.event_log_text.encode("utf-8"))
+    for decision, event in logs:
+        decisions.update(decision)
+        events.update(event)
     return decisions.hexdigest(), events.hexdigest()
+
+
+def campaign_log_digests(base) -> tuple[str, str]:
+    """log_digests of the first 40 campaign episodes."""
+    return log_digests(map(episode_logs, campaign_episodes(base, 40)))
 
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGN_LOGS))
 def test_campaign_episode_logs_are_pinned(name):
     assert campaign_log_digests(fuzz_base(name)) == CAMPAIGN_LOGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_LOGS))
+def test_campaign_episode_logs_do_not_depend_on_the_encoding_memo(name):
+    """The process-wide encoding memo carries entries from one episode to the
+    next; the bytes are the same in reverse order, and from a cold memo."""
+    scenarios = list(campaign_episodes(fuzz_base(name), 40))
+    backwards = [episode_logs(scenario) for scenario in reversed(scenarios)]
+    assert log_digests(reversed(backwards)) == CAMPAIGN_LOGS[name]
+
+    def cold(scenario):
+        _memo.cache_clear()
+        return episode_logs(scenario)
+
+    assert log_digests(map(cold, scenarios)) == CAMPAIGN_LOGS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EPISODE_REPORTS))

@@ -1,8 +1,9 @@
-"""Message encodings and the per-object caches of bytes, digest and tag check.
+"""Message encodings and the caches of bytes, digest and tag check.
 
-A message or module output keeps its canonical bytes and digest (seeded by
-its signer), and a Signed or module output keeps its verification result for
-the registry it was checked against; a KeyRegistry reuses one MAC state per
+A message or module output takes its canonical bytes and digest from the
+process-wide encoding memo, so a second signer of an equal message encodes
+nothing; a Signed or module output keeps its verification result for the
+registry it was checked against; a KeyRegistry reuses one MAC state per
 signer.  These tests pin what that must not change: tags are those of a
 fresh keyed hash, forged or swapped messages still fail, another registry
 still gets its own answer, and equality, hashing and repr still see only the
@@ -14,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from bftensemble import core
 from bftensemble.core import (
     TAG_SIZE,
     DecisionSpace,
@@ -22,7 +24,6 @@ from bftensemble.core import (
     canonical,
     digest,
     make_output,
-    output_payload,
     verify_output,
 )
 from bftensemble.messages import (
@@ -158,7 +159,7 @@ class TestOutputCache:
 
     def test_payload_and_digest(self, registry):
         out = make_output(registry, 1, 2, NORTH, 0.75)
-        assert out.payload() == output_payload(1, 2, NORTH, 0.75)
+        assert out.payload() == canonical("output", 1, 2, NORTH, 0.75)
         assert out.payload_digest() == digest(out.payload())
         assert out.short_hex() == digest(out.payload()).hex()[:12]
 
@@ -204,7 +205,7 @@ class TestOutputCache:
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert {used: 1}[fresh] == 1
         moved = replace(used, frame=4)
-        assert moved.payload() == output_payload(2, 4, NORTH, 0.9)
+        assert moved.payload() == canonical("output", 2, 4, NORTH, 0.9)
         assert not verify_output(registry, moved)
 
 
@@ -213,8 +214,8 @@ def module_secret(master_seed, module_id):
 
 
 class TestSigningState:
-    """KeyRegistry reuses one keyed MAC state per signer, and the signer
-    seeds each object's memo with the bytes and digest it computed."""
+    """KeyRegistry reuses one keyed MAC state per signer, and each object's
+    bytes and digest are those of a fresh encoding."""
 
     def test_tags_equal_a_fresh_keyed_hash(self, registry):
         rng = random.Random(3)
@@ -243,16 +244,18 @@ class TestSigningState:
     def test_sign_message_seeds_the_memo(self, registry, msg):
         signed = sign_message(registry, 2, msg)
         fresh = canonical(*msg._fields())
-        assert msg.__dict__["_payload"] == fresh
-        assert msg.__dict__["_digest"] == digest(fresh) == signed.tag.payload_digest
+        assert msg.payload() == fresh
+        assert msg.payload_digest() == digest(fresh) == signed.tag.payload_digest
+        assert msg.short_hex() == digest(fresh).hex()[:12]
         assert signed.verify(registry)
         assert not Signed(msg, 1, signed.tag).verify(registry)
 
     def test_make_output_seeds_the_memo(self, registry):
         out = make_output(registry, 1, 2, NORTH, 0.75)
         fresh = canonical(*out._fields())
-        assert out.__dict__["_payload"] == fresh
-        assert out.__dict__["_digest"] == digest(fresh) == out.sig.payload_digest
+        assert out.payload() == fresh
+        assert out.payload_digest() == digest(fresh) == out.sig.payload_digest
+        assert out.short_hex() == digest(fresh).hex()[:12]
 
     def test_forgeries_fail_after_a_seeded_success(self, registry):
         signed = sign_message(registry, 1, Commit(0, 0, D_NORTH, NORTH))
@@ -265,3 +268,23 @@ class TestSigningState:
         assert not verify_output(registry, replace(out, value=SOUTH))
         assert not verify_output(registry, replace(out, sig=registry.sign(2, out.payload_digest())))
         assert signed.verify(registry) and verify_output(registry, out)
+
+
+class TestSharedEncoding:
+    def test_a_second_signer_of_an_equal_commit_encodes_nothing(self, registry, monkeypatch):
+        core._memo.cache_clear()
+        first = sign_message(registry, 0, Commit(5, 2, D_SOUTH, SOUTH))
+        calls = []
+        for name in ("canonical", "digest"):
+            real = getattr(core, name)
+            monkeypatch.setattr(core, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        second = sign_message(registry, 1, Commit(5, 2, D_SOUTH, SOUTH))
+        assert calls == []
+        assert second.msg is not first.msg
+        assert second.tag.payload_digest == first.tag.payload_digest
+        assert second.tag.tag != first.tag.tag
+        assert first.verify(registry) and second.verify(registry)
+        for change in ({"view": 3}, {"frame": 4}, {"value": NORTH}, {"value_digest": D_NORTH}):
+            tampered = Signed(replace(second.msg, **change), 1, second.tag)
+            assert not tampered.verify(registry)
+        assert "canonical" in calls  # the tampered messages were encoded afresh

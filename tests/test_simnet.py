@@ -14,7 +14,6 @@ from bftensemble.core import (
     canonical,
     digest,
     make_output,
-    output_payload,
 )
 from bftensemble.messages import KIND_NAMES, Commit, Prepare, Reply, Signed, sign_message
 from bftensemble.simnet import NetworkPolicy, Partition, World
@@ -282,7 +281,7 @@ def hex_of(payload):
     if isinstance(payload, Signed):
         raw = canonical(*payload.msg._fields())
     elif isinstance(payload, ModuleOutput):
-        raw = output_payload(payload.module_id, payload.frame, payload.value, payload.confidence)
+        raw = canonical("output", payload.module_id, payload.frame, payload.value, payload.confidence)
     else:
         raw = repr(payload).encode("utf-8")
     return digest(raw).hex()[:12]
