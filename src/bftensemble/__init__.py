@@ -7,7 +7,6 @@ from .core import (
     PEERS,
     AuthTag,
     DecisionSpace,
-    DecisionValue,
     KeyRegistry,
     ModuleOutput,
     QuorumConfig,
@@ -28,7 +27,6 @@ __all__ = [
     "AuthTag",
     "CampaignReport",
     "DecisionSpace",
-    "DecisionValue",
     "EpisodeResult",
     "KeyRegistry",
     "ModuleOutput",

@@ -16,7 +16,6 @@ from .core import (
     OBSERVER,
     PEERS,
     DecisionSpace,
-    DecisionValue,
     KeyRegistry,
     ModuleOutput,
     QuorumConfig,
@@ -50,17 +49,13 @@ PHASE_COMMITTED = "committed"
 Outbound = tuple[int, Signed]  # (destination, signed message)
 
 
-def value_digest(value: DecisionValue) -> bytes:
-    return _label_digest(value.label)
-
-
 @lru_cache(maxsize=256)
-def _label_digest(label: str) -> bytes:
-    # a decision space has a few labels, and a label encodes as a DecisionValue does
-    return digest(canonical("decision", label))
+def value_digest(value: str) -> bytes:
+    # a decision space has a few labels
+    return digest(canonical("decision", value))
 
 
-def validate_proposal(own: Optional[DecisionValue], proposed: DecisionValue) -> bool:
+def validate_proposal(own: Optional[str], proposed: str) -> bool:
     """Exact-match endorsement: a replica backs the leader's value only if it
     matches its own output.  Dissent is expressed by withholding the Prepare."""
     return own is not None and own == proposed
@@ -71,13 +66,13 @@ class FrameInstance:
     """Per-frame consensus bookkeeping for one replica."""
 
     frame: int
-    own_output: Optional[DecisionValue]
+    own_output: Optional[str]
     view: int = 0
     view_start_round: int = 0
     phase: str = PHASE_IDLE
     proposal: Optional[Signed] = None  # accepted PrePrepare for the current view
     decided: bool = False
-    decided_value: Optional[DecisionValue] = None
+    decided_value: Optional[str] = None
     decided_view: int = -1
     # Prepare or Commit -> view -> signer -> first signed vote of that class
     votes: dict = field(default_factory=lambda: {Prepare: {}, Commit: {}})
@@ -125,7 +120,7 @@ class Replica:
         self.checkpoint_interval = checkpoint_interval
 
         self.inst: Optional[FrameInstance] = None
-        self.committed: dict[int, DecisionValue] = {}
+        self.committed: dict[int, str] = {}
         self.frame_certs: dict[int, FrameCert] = {}
         self.stable_checkpoint: Optional[Checkpoint] = None
         # up_to -> digest -> signer -> signed attest
@@ -337,7 +332,7 @@ class Replica:
         self.frame_certs[frame] = FrameCert(frame=frame, value=value, votes=votes)
         return [(OBSERVER, self._sign(Reply(frame, value)))] + self._maybe_checkpoint()
 
-    def _decide(self, value: DecisionValue, view: int = -1) -> None:
+    def _decide(self, value: str, view: int = -1) -> None:
         """Decide the current frame: on a Commit quorum of ``view``, or, with
         view -1, on a value already committed through state transfer."""
         inst = self.inst
@@ -564,10 +559,10 @@ class Replica:
         self._decide(self.committed[inst.frame])
         return [(OBSERVER, self._sign(Reply(inst.frame, inst.decided_value)))]
 
-    def _adopt(self, frame: int, value: DecisionValue, cert: Optional[FrameCert] = None) -> None:
+    def _adopt(self, frame: int, value: str, cert: Optional[FrameCert] = None) -> None:
         prev = self.committed.get(frame)
         if prev is not None and prev != value:
-            self.violations.append(f"frame {frame}: snapshot value {value.label} conflicts with {prev.label}")
+            self.violations.append(f"frame {frame}: snapshot value {value} conflicts with {prev}")
             return
         self.committed[frame] = value
         if cert is not None and frame not in self.frame_certs:
@@ -579,7 +574,7 @@ class EquivocatingReplica(Replica):
     values, and (by default, sloppily) broadcasts conflicting commits that give
     honest replicas a proof of its equivocation."""
 
-    def __init__(self, *args, label_a: DecisionValue, label_b: DecisionValue, sloppy: bool = True, **kwargs):
+    def __init__(self, *args, label_a: str, label_b: str, sloppy: bool = True, **kwargs):
         super().__init__(*args, **kwargs)
         self.label_a = label_a
         self.label_b = label_b

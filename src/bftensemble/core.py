@@ -92,20 +92,12 @@ class DecisionSpace:
     def __contains__(self, label: str) -> bool:
         return label in self.labels
 
-    def value(self, label: str) -> "DecisionValue":
+    def value(self, label: str) -> str:
+        """``label``, checked to be one of this space's labels: a decision
+        value is its label."""
         if label not in self.labels:
             raise ValueError(f"label {label!r} not in decision space {self.labels}")
-        return DecisionValue(label)
-
-
-@dataclass(frozen=True)
-class DecisionValue:
-    """One label out of a DecisionSpace.
-
-    Construct through :meth:`DecisionSpace.value` so membership is checked.
-    """
-
-    label: str
+        return label
 
 
 # --- canonical serialization -------------------------------------------------
@@ -129,9 +121,6 @@ def canonical(*fields) -> bytes:
             out += b"s" + struct.pack(">I", len(raw)) + raw
         elif isinstance(field, bytes):
             out += b"y" + struct.pack(">I", len(field)) + field
-        elif isinstance(field, DecisionValue):
-            raw = field.label.encode("utf-8")
-            out += b"s" + struct.pack(">I", len(raw)) + raw
         elif isinstance(field, (tuple, list)):
             out += b"l" + struct.pack(">I", len(field)) + canonical(*field)
         elif field is None:
@@ -223,11 +212,11 @@ class KeyRegistry:
 # A message does not name its sender, so up to n replicas build equal
 # Prepares, Commits and Replies each frame, and a campaign's episodes build
 # the same contents again: each distinct content is encoded once per process.
-# Like ``consensus._label_digest``, the memo is a bounded ``lru_cache``; it
+# Like ``consensus.value_digest``, the memo is a bounded ``lru_cache``; it
 # holds field values and bytes, never an episode's objects.
 
-# types whose equal values encode alike (a DecisionValue's label is a str)
-_PLAIN = frozenset((bool, int, str, bytes, type(None), DecisionValue))
+# types whose equal values encode alike
+_PLAIN = frozenset((bool, int, str, bytes, type(None)))
 
 
 def _shape(fields: tuple):
@@ -273,10 +262,7 @@ def encoding(*fields) -> tuple[bytes, bytes, str]:
         shape = _shape(fields)
         if shape is None:
             return _encode(fields)
-    try:
-        return _memo(shape, *fields)
-    except TypeError:  # an unhashable label inside a DecisionValue
-        return _encode(fields)
+    return _memo(shape, *fields)
 
 
 class Encoded:
@@ -313,7 +299,7 @@ class ModuleOutput(Encoded):
 
     module_id: int
     frame: int
-    value: DecisionValue
+    value: str
     confidence: float
     sig: AuthTag
 
@@ -322,7 +308,7 @@ class ModuleOutput(Encoded):
 
 
 def make_output(
-    registry: KeyRegistry, module_id: int, frame: int, value: DecisionValue, confidence: float
+    registry: KeyRegistry, module_id: int, frame: int, value: str, confidence: float
 ) -> ModuleOutput:
     if not 0.0 <= confidence <= 1.0:
         raise ValueError(f"confidence {confidence} outside [0, 1]")

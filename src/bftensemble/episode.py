@@ -14,7 +14,6 @@ from .core import (
     BROADCAST,
     OBSERVER,
     PEERS,
-    DecisionValue,
     KeyRegistry,
     ModuleOutput,
     verify_output,
@@ -113,7 +112,7 @@ class EpisodeRunner:
         self.vote_logs: dict[int, FrameVoteLog] = {}
         self.agreement_violations: list[int] = []
         self.liveness_failures: list[int] = []
-        self._finalized: dict[int, DecisionValue] = {}
+        self._finalized: dict[int, str] = {}
 
     # --- construction --------------------------------------------------------
 
@@ -169,7 +168,7 @@ class EpisodeRunner:
             self.decision_log.append(f"{frame}|SUPERVISOR|{module}|{event}")
         self._emitted_events = len(self.supervisor.events)
 
-    def _supervise(self, frame: int, committed: Optional[DecisionValue], outputs, equivocators) -> None:
+    def _supervise(self, frame: int, committed: Optional[str], outputs, equivocators) -> None:
         if not self.s.supervise or committed is None:
             return  # only committed frames are judged
         values = {
@@ -203,7 +202,7 @@ class EpisodeRunner:
                 self.supervisor.recovered(m, frame)
         self._flush_supervisor_events()
 
-    def _honest_committed(self, frame: int) -> dict[int, DecisionValue]:
+    def _honest_committed(self, frame: int) -> dict[int, str]:
         committed = {}
         for m in range(self.n):
             if self.profiles[m].kind not in HONEST_KINDS:
@@ -214,12 +213,12 @@ class EpisodeRunner:
         return committed
 
     def _frame_flags(
-        self, frame: int, verdict: str, value: Optional[DecisionValue], split: bool
+        self, frame: int, verdict: str, value: Optional[str], split: bool
     ) -> tuple[str, ...]:
         flags = []
-        distinct = {v.label for v in self._honest_committed(frame).values()}
+        distinct = set(self._honest_committed(frame).values())
         if value is not None:
-            distinct.add(value.label)
+            distinct.add(value)
         if len(distinct) > 1:
             flags.append("agreement-violation")
         if verdict == "safe-mode":
@@ -234,7 +233,7 @@ class EpisodeRunner:
             self.agreement_violations.append(frame)
         return tuple(flags)
 
-    def _observe_reply(self, replies: dict[int, DecisionValue], env, frame: int) -> None:
+    def _observe_reply(self, replies: dict[int, str], env, frame: int) -> None:
         """Keep the first verified Reply for ``frame`` from each sender that
         reaches the observer."""
         payload = env.payload
@@ -247,14 +246,14 @@ class EpisodeRunner:
         ):
             replies.setdefault(payload.sender, payload.msg.value)
 
-    def _reply_quorum(self, replies: dict[int, DecisionValue]) -> Optional[DecisionValue]:
+    def _reply_quorum(self, replies: dict[int, str]) -> Optional[str]:
         """The value at least f+1 senders replied with (the lowest label if
         several did), or None."""
-        counts: dict[DecisionValue, int] = {}
+        counts: dict[str, int] = {}
         for value in replies.values():
             counts[value] = counts.get(value, 0) + 1
         matched = [v for v, c in counts.items() if c >= self.s.quorum.reply_matches]
-        return min(matched, key=attrgetter("label")) if matched else None
+        return min(matched) if matched else None
 
     # --- one frame -----------------------------------------------------------
 
@@ -273,7 +272,7 @@ class EpisodeRunner:
             m for m, p in enumerate(s.modules)
             if p.kind == "byzantine_equivocate" and self.supervisor.active(m)
         }
-        replies: dict[int, DecisionValue] = {}
+        replies: dict[int, str] = {}
         # picked per frame: a bound method stored on the runner would make it
         # a reference cycle that only the cyclic collector can free
         mode = self._pbft_rounds if s.consensus_mode == "pbft" else self._vote_rounds
@@ -293,7 +292,7 @@ class EpisodeRunner:
         record = DecisionRecord(
             frame=frame,
             verdict=verdict,
-            value=value.label if value is not None else None,
+            value=value,
             supporters=supporters,
             rounds_to_commit=rounds,
             view_changes=view_changes,
@@ -305,7 +304,7 @@ class EpisodeRunner:
 
     # --- PBFT mode -----------------------------------------------------------
 
-    def _pbft_rounds(self, frame: int, outputs, replies: dict[int, DecisionValue]):
+    def _pbft_rounds(self, frame: int, outputs, replies: dict[int, str]):
         s = self.s
         start_round = self.world.round
         # statuses and engines change only between frames: `live` run the
@@ -319,7 +318,7 @@ class EpisodeRunner:
             own = out[0] if isinstance(out, tuple) else (out if isinstance(out, ModuleOutput) else None)
             self._send_all(m, engine.start_frame(frame, own, start_round))
 
-        finalized: Optional[DecisionValue] = None
+        finalized: Optional[str] = None
         finality_round = start_round
         bound = liveness_bound(self.f, s.timeout_rounds)
         drain = s.network.base_delay_rounds + s.network.jitter_rounds + 2
@@ -430,7 +429,7 @@ class EpisodeRunner:
                             payload.sender, payload.msg.value_digest
                         )
 
-    def _vote_rounds(self, frame: int, outputs, replies: dict[int, DecisionValue]):
+    def _vote_rounds(self, frame: int, outputs, replies: dict[int, str]):
         s = self.s
         fastpath = s.strategy.kind == "fastpath"
         inboxes: dict[int, dict[int, ModuleOutput]] = {}
@@ -477,7 +476,7 @@ class EpisodeRunner:
                 self._observe_reply(replies, env, frame)
 
         decided_labels = {
-            v.value.label
+            v.value
             for m, v in verdicts.items()
             if v.decided and s.modules[m].kind in HONEST_KINDS
         }

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DecisionSpace, DecisionValue, KeyRegistry, canonical, digest, int64, make_output
+from .core import DecisionSpace, KeyRegistry, canonical, digest, int64, make_output
 
 HONEST_CONFIDENCE = 0.9
 BYZANTINE_CONFIDENCE = 1.0  # a liar claims certainty
@@ -128,11 +128,11 @@ class ObservationTable:
                 errors.append(f"frame {frame}: observation for unknown module {module_id}")
         return errors
 
-    def observed(self, space: DecisionSpace, frame: int, module_id: int) -> DecisionValue:
+    def observed(self, space: DecisionSpace, frame: int, module_id: int) -> str:
         label = self.overrides.get((frame, module_id), self.ground_truth[frame])
         return space.value(label)
 
-    def truth(self, space: DecisionSpace, frame: int) -> DecisionValue:
+    def truth(self, space: DecisionSpace, frame: int) -> str:
         return space.value(self.ground_truth[frame])
 
 
@@ -172,7 +172,7 @@ def produce_output(
     profile: FaultProfile,
     module_id: int,
     frame: int,
-    observation: DecisionValue,
+    observation: str,
     space: DecisionSpace,
     registry: KeyRegistry,
     rng: random.Random,
@@ -183,8 +183,8 @@ def produce_output(
     conflicting ModuleOutputs (partition assignment is the caller's job).
     Slow modules produce normally; their delay is applied by the network.
     """
-    if observation.label not in space:
-        raise ValueError(f"observation {observation.label!r} not in decision space")
+    if observation not in space:
+        raise ValueError(f"observation {observation!r} not in decision space")
     conf = confidence_of(profile)
 
     if profile.kind == "silent":
@@ -198,7 +198,7 @@ def produce_output(
     if profile.kind == "diverse_honest":
         value = observation
         if rng.random() < profile.error_rate:
-            wrong = [l for l in space.labels if l != observation.label]
+            wrong = [l for l in space.labels if l != observation]
             if wrong:
                 value = space.value(rng.choice(wrong))
         return make_output(registry, module_id, frame, value, conf)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import AuthTag, DecisionValue, Encoded, KeyRegistry, canonical, encoding
+from .core import AuthTag, Encoded, KeyRegistry, encoding
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,7 @@ class Endorsement(Encoded):
     frame: int
     view: int
     value_digest: bytes
-    value: DecisionValue
+    value: str
 
     def _fields(self) -> tuple:
         return (self.KIND, self.frame, self.view, self.value_digest, self.value)
@@ -93,7 +93,7 @@ class PrepareCertificate(Encoded):
     frame: int
     view: int
     value_digest: bytes
-    value: DecisionValue
+    value: str
     votes: tuple[Signed, ...]
 
     def _fields(self) -> tuple:
@@ -144,7 +144,7 @@ class NewView(Encoded):
 class Reply(Encoded):
     KIND = 6
     frame: int
-    value: DecisionValue
+    value: str
 
     def _fields(self) -> tuple:
         return (self.KIND, self.frame, self.value)
@@ -174,7 +174,7 @@ class Checkpoint:
     """A committed-log prefix plus 2f+1 matching attestations over its digest."""
 
     up_to_frame: int
-    values: tuple[DecisionValue, ...]  # committed values for frames 0..up_to_frame
+    values: tuple[str, ...]  # committed values for frames 0..up_to_frame
     log_digest: bytes
     attestations: tuple[Signed, ...]
 
@@ -201,7 +201,7 @@ class FrameCert:
     """A commit certificate for one frame: 2f+1 matching signed Commits."""
 
     frame: int
-    value: DecisionValue
+    value: str
     votes: tuple[Signed, ...]
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
@@ -228,13 +228,13 @@ class StateSnapshot(Encoded):
     def _fields(self) -> tuple:
         cp = b""
         if self.checkpoint:
-            cp = canonical(
+            cp = encoding(
                 self.checkpoint.up_to_frame,
                 self.checkpoint.log_digest,
                 tuple(a.msg.payload() for a in self.checkpoint.attestations),
-            )
+            )[0]
         certs = tuple(
-            canonical(c.frame, c.value, tuple(v.msg.payload() for v in c.votes))
+            encoding(c.frame, c.value, tuple(v.msg.payload() for v in c.votes))[0]
             for c in self.frame_certs
         )
         return (self.KIND, cp, certs)

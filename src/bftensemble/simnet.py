@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .core import BROADCAST, DIGEST_SIZE, OBSERVER, PEERS, Encoded, canonical, short_digest
@@ -31,6 +32,14 @@ class Partition:
         )
 
 
+@lru_cache(maxsize=64, typed=True)
+def _fate_hash(seed: int):
+    """The hash state of ``canonical("net-fate", seed)`` and the index's
+    type byte: ``canonical`` concatenates per-field encodings, so feeding a
+    copy the index's 8 bytes digests ``canonical("net-fate", seed, i)``."""
+    return hashlib.blake2b(canonical("net-fate", seed) + b"i", digest_size=DIGEST_SIZE)
+
+
 @dataclass(frozen=True)
 class NetworkPolicy:
     base_delay_rounds: int = 1
@@ -46,21 +55,13 @@ class NetworkPolicy:
             raise ValueError("jitter must be >= 0")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
-        # canonical() concatenates per-field encodings, so hashing this prefix
-        # and then the index's 8 bytes digests canonical("net-fate", seed, i).
-        # A hash state, not a field; fate() copies it for each envelope.
-        object.__setattr__(
-            self,
-            "_fate_hash",
-            hashlib.blake2b(canonical("net-fate", self.seed) + b"i", digest_size=DIGEST_SIZE),
-        )
 
     def fate(self, envelope_index: int) -> Optional[int]:
         """Extra delay for this envelope, or None if dropped."""
         drop_rate, jitter = self.drop_rate, self.jitter_rounds
         if not drop_rate and not jitter:
             return 0  # a quiet network: no draw can drop or delay
-        state = self._fate_hash.copy()
+        state = _fate_hash(self.seed).copy()
         state.update(struct.pack(">q", envelope_index))
         h = state.digest()
         if drop_rate and int.from_bytes(h[:8], "big") / 2**64 < drop_rate:

@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import DecisionValue, QuorumConfig
+from .core import QuorumConfig
 
 AGREED = "agreed"
 DISAGREED = "disagreed"
@@ -45,11 +45,11 @@ class DeviationLedger:
         for m in range(self.n):
             self.buffers.setdefault(m, deque(maxlen=self.cfg.window))
 
-    def record_round(self, frame: int, committed: Optional[DecisionValue], outputs, equivocators=()) -> list[str]:
+    def record_round(self, frame: int, committed: Optional[str], outputs, equivocators=()) -> list[str]:
         """Mark each module agreed/disagreed/absent against the committed value,
         and return the flags in module order.
 
-        ``outputs`` maps module id to its DecisionValue (or None for no
+        ``outputs`` maps module id to its value (or None for no
         output).  Proven equivocators count as disagreed regardless of value.
         """
         flags = []

@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DecisionValue, QuorumConfig
+from .core import QuorumConfig
 
 ABSTAIN_CONFIDENCE = 0.05  # below this a module effectively abstains (weighted voting)
 
@@ -59,9 +59,8 @@ class VoteStrategy:
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # decided | no-quorum | safe-mode
-    value: Optional[DecisionValue] = None
+    value: Optional[str] = None
     supporters: frozenset[int] = frozenset()
-    tallies: tuple = ()
     cause: str = ""
 
     @property
@@ -77,14 +76,9 @@ def _check_inputs(outputs) -> None:
         seen.add(out.module_id)
 
 
-def _tallies(outputs) -> tuple:
-    counts = Counter(out.value.label for out in outputs)
-    return tuple(sorted(counts.items()))
-
-
-def _decided(value: DecisionValue, outputs) -> Verdict:
+def _decided(value: str, outputs) -> Verdict:
     supporters = frozenset(o.module_id for o in outputs if o.value == value)
-    return Verdict("decided", value=value, supporters=supporters, tallies=_tallies(outputs))
+    return Verdict("decided", value=value, supporters=supporters)
 
 
 def tally(outputs, strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
@@ -99,20 +93,20 @@ def tally(outputs, strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
         for value, count in counts.items():
             if count > n / 2:
                 return _decided(value, outputs)
-        return Verdict("no-quorum", tallies=_tallies(outputs), cause="no-majority")
+        return Verdict("no-quorum", cause="no-majority")
 
     if strategy.kind == "k_of_n":
         reaching = [value for value, count in counts.items() if count >= strategy.k]
         if len(reaching) == 1:
             return _decided(reaching[0], outputs)
         cause = "tie" if len(reaching) > 1 else "below-threshold"
-        return Verdict("no-quorum", tallies=_tallies(outputs), cause=cause)
+        return Verdict("no-quorum", cause=cause)
 
     if strategy.kind == "unanimity":
         if len(outputs) == n and len(counts) == 1:
             return _decided(outputs[0].value, outputs)
         cause = "absentees" if len(counts) <= 1 else "dissent"
-        return Verdict("no-quorum", tallies=_tallies(outputs), cause=cause)
+        return Verdict("no-quorum", cause=cause)
 
     if strategy.kind == "weighted":
         return weighted_tally(outputs, strategy.min_weight_fraction)
@@ -128,15 +122,15 @@ def weighted_tally(outputs, min_weight_fraction: float) -> Verdict:
     effective = [o for o in outputs if o.confidence >= ABSTAIN_CONFIDENCE]
     total = sum(o.confidence for o in effective)
     if total <= 0.0:
-        return Verdict("no-quorum", tallies=_tallies(outputs), cause="all-abstained")
-    weights: dict[DecisionValue, float] = {}
+        return Verdict("no-quorum", cause="all-abstained")
+    weights: dict[str, float] = {}
     for out in effective:
         weights[out.value] = weights.get(out.value, 0.0) + out.confidence
-    for value, weight in sorted(weights.items(), key=lambda kv: kv[0].label):
+    for value, weight in sorted(weights.items()):
         if weight / total > min_weight_fraction:
             supporters = frozenset(o.module_id for o in effective if o.value == value)
-            return Verdict("decided", value=value, supporters=supporters, tallies=_tallies(outputs))
-    return Verdict("no-quorum", tallies=_tallies(outputs), cause="below-weight-fraction")
+            return Verdict("decided", value=value, supporters=supporters)
+    return Verdict("no-quorum", cause="below-weight-fraction")
 
 
 @dataclass(frozen=True)
@@ -163,12 +157,7 @@ def fast_path_agree(digests: dict[int, bytes], full_outputs, cfg: QuorumConfig) 
     outputs = list(full_outputs)
     if missing == 0 and len(unique) == 1 and outputs:
         # every announcement matched, so any locally known output is the value
-        verdict = Verdict(
-            "decided",
-            value=outputs[0].value,
-            supporters=frozenset(digests),
-            tallies=_tallies(outputs),
-        )
+        verdict = Verdict("decided", value=outputs[0].value, supporters=frozenset(digests))
         return FastPathResult(verdict, rounds_used=1)
     verdict = tally(outputs, VoteStrategy("majority"), cfg)
     return FastPathResult(verdict, rounds_used=2)

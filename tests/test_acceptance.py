@@ -12,7 +12,6 @@ import pytest
 
 from bftensemble.campaign import fuzz_campaign
 from bftensemble.core import (
-    DecisionValue,
     KeyRegistry,
     QuorumConfig,
     client_match,
@@ -88,7 +87,7 @@ def test_criterion_04_voter_oracle_equivalence():
         strategies += [VoteStrategy("k_of_n", k=k) for k in range(2, n + 1)]
         for assignment in itertools.product(space + (None,), repeat=n):
             outputs = [
-                make_output(registry, m, 0, DecisionValue(label), 0.9)
+                make_output(registry, m, 0, label, 0.9)
                 for m, label in enumerate(assignment)
                 if label is not None
             ]
@@ -98,7 +97,7 @@ def test_criterion_04_voter_oracle_equivalence():
                 if want is None:
                     assert not verdict.decided, (n, strategy.describe(), assignment)
                 else:
-                    assert verdict.value == DecisionValue(want)
+                    assert verdict.value == want
                 cases += 1
     assert cases > 3**5
 

@@ -13,7 +13,6 @@ from bftensemble.core import (
     OBSERVER,
     PEERS,
     DecisionSpace,
-    DecisionValue,
     KeyRegistry,
     QuorumConfig,
 )

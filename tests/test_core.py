@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from bftensemble.core import (
     DecisionSpace,
-    DecisionValue,
     KeyRegistry,
     QuorumConfig,
     _memo,
@@ -68,7 +67,7 @@ class TestDecisionSpace:
         space = DecisionSpace(labels=("stop", "go"), safe_default="stop")
         assert "stop" in space
         assert "reverse" not in space
-        assert space.value("go") == DecisionValue("go")
+        assert space.value("go") == "go"
 
     def test_unknown_label_rejected(self):
         space = DecisionSpace(labels=("stop", "go"), safe_default="stop")
@@ -86,8 +85,8 @@ class TestDecisionSpace:
 
 class TestCanonicalSerialization:
     def test_deterministic(self):
-        a = canonical("prepare", 3, 0, DecisionValue("stop"))
-        b = canonical("prepare", 3, 0, DecisionValue("stop"))
+        a = canonical("prepare", 3, 0, "stop")
+        b = canonical("prepare", 3, 0, "stop")
         assert a == b
 
     def test_type_tags_distinguish_look_alikes(self):
@@ -129,7 +128,6 @@ LEAVES = st.one_of(
     st.floats(),
     st.text(max_size=4),
     st.binary(max_size=4),
-    st.builds(DecisionValue, st.sampled_from(["north", "south", "", "1"])),
 )
 FIELD = st.recursive(
     LEAVES,
@@ -153,7 +151,7 @@ def twin(value, k: int):
 def outcome(encode, fields):
     try:
         return encode(*fields)
-    except (TypeError, AttributeError, struct.error) as exc:
+    except (TypeError, struct.error) as exc:
         return type(exc), str(exc)
 
 
@@ -184,8 +182,8 @@ class TestEncodingMemo:
     def test_look_alikes_keep_their_own_bytes(self):
         numbers = [(1,), (1.0,), (True,), (0,), (0.0,), (-0.0,), (False,)]
         numbers += [(fields,) for fields in numbers] + [((fields,),) for fields in numbers]
-        outputs = [("output", 1, 0, DecisionValue("x"), c) for c in (0.0, -0.0, 1.0, 1, True)]
-        labels = [("x",), (DecisionValue("x"),), (("x",),), ((DecisionValue("x"),),)]
+        outputs = [("output", 1, 0, "x", c) for c in (0.0, -0.0, 1.0, 1, True)]
+        labels = [("x",), (("x",),)]
         for _ in range(2):
             self.assert_exact(numbers + outputs + labels)
         # equal as values, yet each encodes apart
@@ -201,11 +199,8 @@ class TestEncodingMemo:
             (bytearray(b"x"), TypeError),
             ([object()], TypeError),
             ((1, {2}), TypeError),
-            (DecisionValue(["x"]), AttributeError),
-            (DecisionValue(1), AttributeError),
         ],
-        ids=["object", "set", "complex", "bytearray", "list-of-object", "tuple-of-set",
-             "unhashable-label", "int-label"],
+        ids=["object", "set", "complex", "bytearray", "list-of-object", "tuple-of-set"],
     )
     def test_unencodable_fields_raise_as_canonical(self, bad, error):
         for _ in range(2):
@@ -253,16 +248,16 @@ class TestAuthentication:
 
     def test_output_verification(self):
         reg = self.fresh_registry()
-        out = make_output(reg, 1, frame=0, value=DecisionValue("go"), confidence=0.9)
+        out = make_output(reg, 1, frame=0, value="go", confidence=0.9)
         assert verify_output(reg, out)
 
     def test_forged_output_rejected(self):
         reg = self.fresh_registry()
-        out = make_output(reg, 1, frame=0, value=DecisionValue("go"), confidence=0.9)
+        out = make_output(reg, 1, frame=0, value="go", confidence=0.9)
         forged = type(out)(
             module_id=out.module_id,
             frame=out.frame,
-            value=DecisionValue("stop"),
+            value="stop",
             confidence=out.confidence,
             sig=out.sig,
         )
@@ -270,7 +265,7 @@ class TestAuthentication:
 
     def test_payload_binds_all_fields(self):
         reg = self.fresh_registry()
-        go, stop = DecisionValue("go"), DecisionValue("stop")
+        go, stop = "go", "stop"
         a = make_output(reg, 1, 0, go, 0.9).payload()
         assert a != make_output(reg, 2, 0, go, 0.9).payload()
         assert a != make_output(reg, 1, 1, go, 0.9).payload()

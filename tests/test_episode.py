@@ -34,12 +34,11 @@ def reply(runner, sender, label, frame=0):
 
 def observe(runner, votes, frame=0):
     """Feed (sender, label) Replies to the observer in order; return the
-    quorum value's label, or None."""
+    quorum value, or None."""
     replies = {}
     for sender, label in votes:
         runner._observe_reply(replies, envelope(reply(runner, sender, label)), frame)
-    quorum = runner._reply_quorum(replies)
-    return quorum.label if quorum is not None else None
+    return runner._reply_quorum(replies)
 
 
 @pytest.mark.parametrize("first, second", [("continue", "brake"), ("brake", "continue")])
@@ -82,7 +81,7 @@ def test_only_verified_replies_for_this_frame_reach_the_count(runner):
         runner._observe_reply(replies, env, 0)
     assert runner._reply_quorum(replies) is None and len(replies) == f
     runner._observe_reply(replies, envelope(honest), 0)
-    assert runner._reply_quorum(replies).label == "brake"
+    assert runner._reply_quorum(replies) == "brake"
 
 
 def deviant_scenario(mode: str, supervise: bool):

@@ -6,6 +6,7 @@ Re-pin only for a deliberate behaviour change, and give the reason in
 CHANGES.md.
 """
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -230,6 +231,19 @@ def test_campaign_episode_logs_do_not_depend_on_the_encoding_memo(name):
         return episode_logs(scenario)
 
     assert log_digests(map(cold, scenarios)) == CAMPAIGN_LOGS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EPISODE_LOGS) + ["fuzz_base_n4 draws", "fuzz_base_n7 draws"])
+def test_scenarios_pickle_and_replay(name):
+    """A scenario is plain data: a pickle round trip gives an equal scenario
+    that replays the same logs.  ``<base> draws`` are the base's first 20
+    campaign episodes."""
+    base, _, draws = name.partition(" ")
+    scenarios = list(campaign_episodes(load_bundled(base), 20)) if draws else [load_bundled(base)]
+    for scenario in scenarios:
+        copy = pickle.loads(pickle.dumps(scenario))
+        assert copy == scenario
+        assert episode_logs(copy) == episode_logs(scenario)
 
 
 @pytest.mark.parametrize("name", sorted(EPISODE_REPORTS))

@@ -1,7 +1,7 @@
 """Fault profile behaviors, restart profiles, and per-module randomness."""
 import pytest
 
-from bftensemble.core import DecisionSpace, DecisionValue, KeyRegistry, verify_output
+from bftensemble.core import DecisionSpace, KeyRegistry, verify_output
 from bftensemble.harness import (
     NO_OUTPUT,
     FaultProfile,
@@ -63,14 +63,14 @@ class TestProfiles:
         rng = module_rng(1, 0)
         for frame in range(20):
             out = produce_output(profile, 0, frame, GO, SPACE, REGISTRY, rng)
-            assert out.value.label in SPACE
+            assert out.value in SPACE
             assert out.value != GO  # error rate 1: always perturbed
 
     def test_byzantine_random_draws_from_the_space(self):
         profile = FaultProfile(kind="byzantine_random")
         rng = module_rng(1, 0)
         seen = {
-            produce_output(profile, 0, fr, GO, SPACE, REGISTRY, rng).value.label
+            produce_output(profile, 0, fr, GO, SPACE, REGISTRY, rng).value
             for fr in range(30)
         }
         assert seen <= set(SPACE.labels)
@@ -96,7 +96,7 @@ class TestDeterminism:
         def stream():
             rng = module_rng(77, 2)
             return [
-                produce_output(profile, 2, fr, GO, SPACE, REGISTRY, rng).value.label
+                produce_output(profile, 2, fr, GO, SPACE, REGISTRY, rng).value
                 for fr in range(10)
             ]
 

@@ -1,7 +1,7 @@
 """Deviation tracking, isolation budget, and the recovery cycle."""
 import pytest
 
-from bftensemble.core import DecisionValue, QuorumConfig
+from bftensemble.core import QuorumConfig
 from bftensemble.supervisor import (
     DeviationLedger,
     IsolationBudgetError,
@@ -9,8 +9,8 @@ from bftensemble.supervisor import (
     SupervisorConfig,
 )
 
-GOOD = DecisionValue("good")
-BAD = DecisionValue("bad")
+GOOD = "good"
+BAD = "bad"
 
 
 def feed(target, frames, n=4, deviant=None, deviant_value=BAD, absent=None):

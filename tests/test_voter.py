@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from bftensemble.core import DecisionValue, KeyRegistry, QuorumConfig, make_output
+from bftensemble.core import KeyRegistry, QuorumConfig, make_output
 from bftensemble.voter import (
     FastPathResult,
     VoteStrategy,
@@ -24,7 +24,7 @@ def outputs_for(labels, registry, confidences=None, frame=0):
         if label is None:
             continue
         conf = confidences[m] if confidences else 0.9
-        outs.append(make_output(registry, m, frame, DecisionValue(label), conf))
+        outs.append(make_output(registry, m, frame, label, conf))
     return outs
 
 
@@ -73,7 +73,7 @@ class TestOracleEquivalence:
                         assert not verdict.decided, (assignment, strategy)
                     else:
                         assert verdict.decided, (assignment, strategy)
-                        assert verdict.value == DecisionValue(expected)
+                        assert verdict.value == expected
 
     def test_supporters_are_exactly_the_agreeing_modules(self):
         registry = KeyRegistry(3, range(5))
@@ -89,7 +89,7 @@ class TestTallyEdges:
 
     def test_duplicate_module_rejected(self):
         cfg = QuorumConfig(n=4, f=1)
-        out = make_output(self.REGISTRY, 0, 0, DecisionValue("alpha"), 0.9)
+        out = make_output(self.REGISTRY, 0, 0, "alpha", 0.9)
         with pytest.raises(ValueError):
             tally([out, out], VoteStrategy("majority"), cfg)
 
@@ -149,7 +149,7 @@ class TestWeighted:
         )
         verdict = weighted_tally(outs, min_weight_fraction=0.6)
         assert verdict.decided
-        assert verdict.value == DecisionValue("alpha")
+        assert verdict.value == "alpha"
         assert verdict.supporters == frozenset({0, 1})
 
     def test_all_abstained(self):
@@ -173,7 +173,7 @@ class TestFastPath:
     def digests(self, labels):
         from bftensemble.consensus import value_digest
 
-        return {m: value_digest(DecisionValue(l)) for m, l in enumerate(labels) if l is not None}
+        return {m: value_digest(l) for m, l in enumerate(labels) if l is not None}
 
     def test_unanimous_digests_decide_in_one_round(self):
         labels = ("alpha",) * 4
@@ -181,7 +181,7 @@ class TestFastPath:
         res = fast_path_agree(self.digests(labels), outs[:1], self.CFG)
         assert res.rounds_used == 1
         assert res.verdict.decided
-        assert res.verdict.value == DecisionValue("alpha")
+        assert res.verdict.value == "alpha"
         assert res.verdict.supporters == frozenset({0, 1, 2, 3})
 
     def test_single_dissent_falls_back_to_majority(self):
@@ -190,7 +190,7 @@ class TestFastPath:
         res = fast_path_agree(self.digests(labels), outs, self.CFG)
         assert res.rounds_used == 2
         assert res.verdict.decided
-        assert res.verdict.value == DecisionValue("alpha")
+        assert res.verdict.value == "alpha"
 
     def test_one_missing_announcement_falls_back(self):
         labels = ("alpha", "alpha", "alpha", None)
