@@ -137,11 +137,12 @@ class EpisodeRunner:
             )
         return Replica(m, self.s.quorum, self.s.decision_space, self.registry, **kwargs)
 
-    def _engine_alive(self, m: int, frame: int) -> bool:
-        # engines[m] is None exactly when the module's profile is silent
-        if self.engines[m] is None or not self.supervisor.active(m):
-            return False
+    def _takes_part(self, m: int, frame: int) -> bool:
+        """Module ``m`` is active, not silent and not crashed by ``frame``.
+        In PBFT mode exactly such a module has an engine to run the frame."""
         profile = self.profiles[m]
+        if profile.kind == "silent" or not self.supervisor.active(m):
+            return False
         return not (profile.kind == "crash" and frame >= profile.at_frame)
 
     # --- shared plumbing -----------------------------------------------------
@@ -309,7 +310,7 @@ class EpisodeRunner:
         start_round = self.world.round
         # statuses and engines change only between frames: `live` run the
         # frame, and restarting modules also take deliveries to catch up
-        live = [(m, self.engines[m]) for m in range(self.n) if self._engine_alive(m, frame)]
+        live = [(m, self.engines[m]) for m in range(self.n) if self._takes_part(m, frame)]
         receivers = dict(live)
         for m in self.supervisor.restarting:
             receivers[m] = self.engines[m]
@@ -464,7 +465,7 @@ class EpisodeRunner:
         # every module tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}
         for m in range(self.n):
-            if not self.supervisor.active(m) or self.profiles[m].kind == "silent":
+            if not self._takes_part(m, frame):
                 continue
             verdicts[m] = verdict_of(m)
             if verdicts[m].decided:

@@ -125,6 +125,26 @@ def test_pbft_traffic_stops_at_the_replicas():
     }
 
 
+@pytest.mark.parametrize("at_frame", [0, 2])
+@pytest.mark.parametrize(
+    "mode, strategy", [("pbft", "majority"), ("vote-only", "majority"), ("vote-only", "fastpath")]
+)
+def test_a_crashed_module_takes_part_in_no_later_frame(mode, strategy, at_frame):
+    """In either mode a module crashed at frame k replies for frames before k
+    only, and one crashed from the start sends nothing at all."""
+    text = scenario_to_text(load_bundled("fuzz_base_n4"))
+    text = text.replace("3 = honest", f"3 = crash at_frame={at_frame}")
+    text = text.replace("consensus_mode = pbft", f"consensus_mode = {mode}")
+    scenario = parse_scenario_text(text.replace("strategy = majority", f"strategy = {strategy}"))
+    sent = [line.split("|") for line in run_episode(scenario).event_log]
+    sent = [tag for _, frm, _, *tag in sent if frm == "3"]
+    replies = {tuple(tag) for tag in sent if tag[0] == "reply"}
+    truth = scenario.observations.ground_truth
+    assert replies == {("reply", Reply(k, truth[k]).short_hex()) for k in range(at_frame)}
+    if at_frame == 0:
+        assert sent == []
+
+
 @pytest.mark.parametrize("name", ["fuzz_base_n7", "av_plastic_bag"])
 def test_an_episode_leaves_no_reference_cycle(name):
     scenario = load_bundled(name)

@@ -78,7 +78,7 @@ CAMPAIGN_LOGS = {
     ),
     "vote_fastpath_n4": (
         "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
-        "c24dd202adca293f7e4f7d458034050b4eae067dba88d88fe5bdd76f2426f8cb",
+        "2fd365606680d4c9d0dc733c6f673f3c44aa397a0ec6d3a0097c1ddde22dd81d",
     ),
 }
 
@@ -148,7 +148,7 @@ SUPERVISED_CAMPAIGN_LOGS = {
     ),
     "vote_fastpath": (
         "b8fb119a6edf50ad1f58363812cab0bee40f3e6c6de2ff9eff86cd85414a0ee4",
-        "782c83ccf7bf4fbb11ce73bbacddb19ffa339c388cff03de7f0b76125abf0826",
+        "b7bd141eb5a3857c9d19356a0e7456ec5ed8cc09b3f1e1a1b2f78efd48b7ed3e",
     ),
 }
 
