@@ -84,6 +84,10 @@ class DecisionSpace:
     def __post_init__(self) -> None:
         if not self.labels:
             raise ValueError("decision space needs at least one label")
+        for label in self.labels:
+            # a decision.log record is '|'-separated and writes no value as '-'
+            if label in ("", "-") or "|" in label:
+                raise ValueError(f"label {label!r} cannot be logged: a label is not empty or '-' and has no '|'")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in decision space: {self.labels}")
         if self.safe_default not in self.labels:

@@ -215,11 +215,12 @@ HUGE_WINDOW = "[supervisor]\nwindow = 99999999999999999999\n[observations]"
         ("run", _base_edit("0 = honest", f"0 = diverse_honest perturb_seed={2**64}")),
         ("run", _base_edit("timeout_rounds = 10", "timeout_round = 3")),
         ("run", _base_edit("[observations]", HUGE_WINDOW)),
+        ("run", _base_edit("labels = continue brake swerve-left", "labels = continue brake swerve-left -")),
     ],
     ids=["run-non-utf8", "verify-non-utf8", "negative-delay", "drop-rate-above-1",
          "jitter-minus-1", "jitter-minus-3", "checkpoint-interval-0", "confidence-above-1",
          "seed-above-int64", "seed-below-int64", "perturb-seed-above-int64", "misspelt-key",
-         "window-above-int64"],
+         "window-above-int64", "label-dash"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, command, content):
     path = tmp_path / "input"

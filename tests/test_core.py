@@ -82,6 +82,12 @@ class TestDecisionSpace:
         with pytest.raises(ValueError):
             DecisionSpace(labels=("stop", "stop"), safe_default="stop")
 
+    @pytest.mark.parametrize("label", ["", "-", "|", "go|stop", "go|"])
+    def test_labels_a_decision_log_cannot_hold_rejected(self, label):
+        # decision.log writes no value as '-' and separates fields with '|'
+        with pytest.raises(ValueError, match="cannot be logged"):
+            DecisionSpace(labels=("stop", label), safe_default="stop")
+
 
 class TestCanonicalSerialization:
     def test_deterministic(self):

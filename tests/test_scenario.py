@@ -292,11 +292,13 @@ def test_unknown_duplicate_and_unreadable_keys_are_errors(text, message):
         (MINIMAL + "2 | go |\n", "frame 2: no such frame"),
         (MINIMAL.replace("0 = honest", "0 = honest confidence=1.5"), r"outside \[0, 1\]"),
         (MINIMAL + "[supervisor]\nwindow = 99999999999999999999\n", "outside the signed 64-bit range"),
+        (MINIMAL.replace("labels = go hold", "labels = go hold -"), "label '-' cannot be logged"),
+        (MINIMAL.replace("labels = go hold", "labels = go hold|on"), "label 'hold|on' cannot be logged"),
     ],
     ids=["frames-0", "timeout-0", "timeout-negative", "checkpoint-interval-0",
          "threshold-above-n", "partition-start-after-end", "partition-unknown-module",
          "second-row-for-frame", "row-past-last-frame", "confidence-above-1",
-         "window-above-int64"],
+         "window-above-int64", "label-dash", "label-with-bar"],
 )
 def test_values_no_run_could_use_are_errors(text, message):
     with pytest.raises(ScenarioError, match=message):
