@@ -87,7 +87,7 @@ class DecisionSpace:
         for label in self.labels:
             # a decision.log record is '|'-separated and writes no value as '-'
             if label in ("", "-") or "|" in label:
-                raise ValueError(f"label {label!r} cannot be logged: a label is not empty or '-' and has no '|'")
+                raise ValueError(f"label {label!r} cannot be logged: it is '' or '-', or has a '|'")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in decision space: {self.labels}")
         if self.safe_default not in self.labels:

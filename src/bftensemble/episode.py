@@ -139,7 +139,7 @@ class EpisodeRunner:
 
     def _takes_part(self, m: int, frame: int) -> bool:
         """Module ``m`` is active, not silent and not crashed by ``frame``.
-        In PBFT mode exactly such a module has an engine to run the frame."""
+        In PBFT mode such a module always has an engine."""
         profile = self.profiles[m]
         if profile.kind == "silent" or not self.supervisor.active(m):
             return False
@@ -462,7 +462,7 @@ class EpisodeRunner:
                 return fast_path_agree(digest_boxes.get(m, {}), full, s.quorum).verdict
             return tally(sorted(box.values(), key=attrgetter("module_id")), s.strategy, s.quorum)
 
-        # every module tallies what it saw and replies with its verdict
+        # every module taking part tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}
         for m in range(self.n):
             if not self._takes_part(m, frame):

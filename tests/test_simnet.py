@@ -187,7 +187,7 @@ class TestEventLog:
 
 
 class TestFatePrefix:
-    """fate() hashes a per-policy prefix plus the envelope index; the draws
+    """fate() hashes a per-seed prefix plus the envelope index; the draws
     must equal those over canonical("net-fate", seed, index)."""
 
     @staticmethod
