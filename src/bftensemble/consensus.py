@@ -193,11 +193,11 @@ class Replica:
             if inst is None or msg.frame != inst.frame or msg.view < inst.view:
                 return []  # another frame, or a stale view: views only move forward
             if kind is PrePrepare:
-                return self._on_preprepare(signed)
+                return self._on_preprepare(signed, round_)
             recorded = inst.votes[kind].get(msg.view)
             if recorded is not None and recorded.get(signed.sender) is signed:
                 return []  # a retransmission of a vote already counted and checked
-            return self._on_vote(signed)
+            return self._on_vote(signed, round_)
         if kind is CheckpointAttest:
             self._record_attest(signed)
             return []
@@ -217,7 +217,7 @@ class Replica:
             return self._on_newview(signed, round_)
         return []
 
-    def _note_leader_endorsement(self, signed: Signed) -> list[Outbound]:
+    def _note_leader_endorsement(self, signed: Signed, round_: int) -> list[Outbound]:
         """Track digests the leader has signed for (frame, view); two distinct
         digests are proof of equivocation."""
         inst = self.inst
@@ -232,7 +232,7 @@ class Replica:
             if proof.valid(self.registry):
                 inst.evidence = proof
                 self.misbehavior.append((inst.frame, signed.sender, "equivocation"))
-                return self._initiate_viewchange(inst.view + 1)
+                return self._initiate_viewchange(inst.view + 1, round_)
         return []
 
     def _accept_proposal(self, signed_pp: Signed) -> list[Outbound]:
@@ -245,10 +245,10 @@ class Replica:
         self._record_vote(signed_prep)
         return [(PEERS, signed_prep)] + self._check_prepared()
 
-    def _on_preprepare(self, signed: Signed) -> list[Outbound]:
+    def _on_preprepare(self, signed: Signed, round_: int) -> list[Outbound]:
         inst = self.inst
         msg = signed.msg
-        out = self._note_leader_endorsement(signed)
+        out = self._note_leader_endorsement(signed, round_)
         if msg.view != inst.view or inst.decided:
             return out
         if signed.sender != self.leader_of(inst.frame, msg.view):
@@ -279,14 +279,14 @@ class Replica:
             conflict = f"conflicting-{kind.__name__.lower()}"
             self.misbehavior.append((self.inst.frame, signed.sender, conflict))
 
-    def _on_vote(self, signed: Signed) -> list[Outbound]:
+    def _on_vote(self, signed: Signed, round_: int) -> list[Outbound]:
         msg = signed.msg
         if type(msg) is Commit and msg.value_digest != value_digest(msg.value):
             # the value is decided from the Commits, so each must carry the
             # value its digest names
             self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
             return []
-        out = self._note_leader_endorsement(signed)
+        out = self._note_leader_endorsement(signed, round_)
         self._record_vote(signed)
         if type(msg) is Prepare:
             return out + self._check_prepared()
@@ -344,26 +344,28 @@ class Replica:
 
     # --- view changes --------------------------------------------------------
 
-    def _enter_view(self, view: int) -> None:
+    def _enter_view(self, view: int, round_: int) -> None:
         """Move to ``view``: the old view's proposal and outbox are dropped,
-        and an undecided replica waits for the new view's proposal."""
+        and an undecided replica waits for the new view's proposal.  A view's
+        timeout runs from the round the replica first enters it."""
         inst = self.inst
+        if view > inst.view:
+            inst.view_start_round = round_
         inst.view = view
         inst.proposal = None
         inst.outbox = []
         if not inst.decided:
             inst.phase = PHASE_IDLE
 
-    def _initiate_viewchange(self, new_view: int) -> list[Outbound]:
+    def _initiate_viewchange(self, new_view: int, round_: int) -> list[Outbound]:
         inst = self.inst
         if new_view in inst.viewchange_sent:
             return []
         inst.viewchange_sent.add(new_view)
-        if new_view > inst.view:
-            self._enter_view(new_view)  # before the ViewChange joins the new view's outbox
+        self._enter_view(new_view, round_)  # before the ViewChange joins the new view's outbox
         signed_vc = self._to_peers(ViewChange(inst.frame, new_view, inst.prepared_cert, inst.evidence))
         inst.view_changes.setdefault(new_view, {})[self.module_id] = signed_vc
-        return [(PEERS, signed_vc)] + self._maybe_newview(new_view)
+        return [(PEERS, signed_vc)] + self._maybe_newview(new_view, round_)
 
     def _on_viewchange(self, signed: Signed, round_: int) -> list[Outbound]:
         inst = self.inst
@@ -382,9 +384,8 @@ class Replica:
             if len(inst.view_changes[msg.new_view]) >= self.cfg.f + 1:
                 join = True
         if join and msg.new_view not in inst.viewchange_sent:
-            out += self._initiate_viewchange(msg.new_view)
-            inst.view_start_round = round_
-        return out + self._maybe_newview(msg.new_view)
+            out += self._initiate_viewchange(msg.new_view, round_)
+        return out + self._maybe_newview(msg.new_view, round_)
 
     @staticmethod
     def _select_newview_value(vcs) -> Optional[PrepareCertificate]:
@@ -393,7 +394,7 @@ class Replica:
         certs = (signed_vc.msg.cert for signed_vc in vcs if signed_vc.msg.cert is not None)
         return max(certs, key=attrgetter("view"), default=None)
 
-    def _maybe_newview(self, new_view: int) -> list[Outbound]:
+    def _maybe_newview(self, new_view: int, round_: int) -> list[Outbound]:
         inst = self.inst
         if new_view < inst.view or new_view in inst.newview_sent:
             return []
@@ -413,7 +414,7 @@ class Replica:
         else:
             return []  # nothing proposable; let the next timeout rotate further
         inst.newview_sent.add(new_view)
-        self._enter_view(new_view)
+        self._enter_view(new_view, round_)
         pp = self._sign(PrePrepare(inst.frame, new_view, value_digest(value), value))
         nv = self._to_peers(NewView(inst.frame, new_view, ordered, pp))
         return [(PEERS, nv)] + self._accept_proposal(pp)
@@ -428,8 +429,8 @@ class Replica:
             return []
         if msg.view in inst.newview_processed:
             # duplicate (retransmission): still watch for a conflicting
-            # proposal, but do not re-enter the view or reset the timer
-            return self._note_leader_endorsement(msg.proposal)
+            # proposal, but do not re-enter the view
+            return self._note_leader_endorsement(msg.proposal, round_)
         signers = set()
         for signed_vc in msg.view_changes:
             if not isinstance(signed_vc.msg, ViewChange) or signed_vc.msg.new_view != msg.view:
@@ -458,9 +459,8 @@ class Replica:
             return []
         # enter the new view
         inst.newview_processed.add(msg.view)
-        self._enter_view(msg.view)
-        inst.view_start_round = round_
-        out = self._note_leader_endorsement(pp)
+        self._enter_view(msg.view, round_)
+        out = self._note_leader_endorsement(pp, round_)
         if inst.decided:
             return out
         if certified or validate_proposal(inst.own_output, pp.msg.value):
@@ -480,8 +480,7 @@ class Replica:
         if elapsed > 0 and elapsed % self.RETRANSMIT_INTERVAL == 0:
             out += list(inst.outbox)
         if elapsed >= self.timeout_rounds:
-            inst.view_start_round = round_
-            out += self._initiate_viewchange(inst.view + 1)
+            out += self._initiate_viewchange(inst.view + 1, round_)
             # also ask peers whether the frame already committed without us
             out.append((PEERS, self._sign(StateRequest(inst.frame))))
         return out

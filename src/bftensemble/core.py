@@ -85,9 +85,10 @@ class DecisionSpace:
         if not self.labels:
             raise ValueError("decision space needs at least one label")
         for label in self.labels:
-            # a decision.log record is '|'-separated and writes no value as '-'
-            if label in ("", "-") or "|" in label:
-                raise ValueError(f"label {label!r} cannot be logged: it is '' or '-', or has a '|'")
+            # a decision.log record is '|'-separated and writes no value as '-';
+            # a scenario file separates labels by whitespace
+            if label == "-" or "|" in label or label.split() != [label]:
+                raise ValueError(f"label {label!r} cannot be logged: it is '' or '-', or has '|' or whitespace")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"duplicate labels in decision space: {self.labels}")
         if self.safe_default not in self.labels:

@@ -99,10 +99,7 @@ class EpisodeRunner:
             m: p.delay_rounds for m, p in enumerate(scenario.modules) if p.kind == "slow"
         }
         self.world = World(scenario.network, range(self.n), slow_extra)
-        self.engines: dict[int, Optional[Replica]] = {}
-        if scenario.consensus_mode == "pbft":
-            for m in range(self.n):
-                self.engines[m] = self._make_engine(m, scenario.modules[m])
+        self.engines = {m: self._make_engine(m, p) for m, p in enumerate(scenario.modules)}
         # the supervisor owns module status; `supervise = false` only stops
         # it from judging frames, so no module is ever isolated
         self.supervisor = Supervisor(scenario.quorum, scenario.supervisor)
@@ -117,13 +114,14 @@ class EpisodeRunner:
     # --- construction --------------------------------------------------------
 
     def _make_engine(self, m: int, profile: FaultProfile) -> Optional[Replica]:
+        """Module ``m``'s PBFT engine: None if it is silent or in vote-only mode."""
+        if profile.kind == "silent" or self.s.consensus_mode != "pbft":
+            return None
         kwargs = dict(
             timeout_rounds=self.s.timeout_rounds,
             execution_threshold=self.s.execution_threshold,
             checkpoint_interval=self.s.checkpoint_interval,
         )
-        if profile.kind == "silent":
-            return None
         if profile.kind == "byzantine_equivocate":
             space = self.s.decision_space
             return EquivocatingReplica(
@@ -188,18 +186,20 @@ class EpisodeRunner:
             self.rngs[m] = module_rng(self.s.seed, m, profile.perturb_seed)
         # restarting modules keep asking for state until a snapshot lands
         for m in sorted(self.supervisor.restarting):
-            if self.engines.get(m) is not None:
+            if self.engines[m] is not None:
                 req = sign_message(self.registry, m, StateRequest(max(frame - 1, 0)))
                 self.world.send(m, PEERS, req)
         self._flush_supervisor_events()
 
     def _check_recoveries(self, frame: int) -> None:
         # a snapshot requested while frame `frame` was still running can only
-        # cover the frames decided before it
+        # cover the frames decided before it; a vote-only module holds no
+        # replicated state, so it recovers at the end of its restart frame
         target = max((f for f in self._finalized if f < frame), default=-1)
+        vote_only = self.s.consensus_mode != "pbft"
         for m in sorted(self.supervisor.restarting):
-            engine = self.engines.get(m)
-            if engine is not None and engine.last_contiguous_frame >= target:
+            engine = self.engines[m]
+            if vote_only or (engine is not None and engine.last_contiguous_frame >= target):
                 self.supervisor.recovered(m, frame)
         self._flush_supervisor_events()
 
@@ -208,7 +208,7 @@ class EpisodeRunner:
         for m in range(self.n):
             if self.profiles[m].kind not in HONEST_KINDS:
                 continue
-            engine = self.engines.get(m)
+            engine = self.engines[m]
             if engine is not None and frame in engine.committed:
                 committed[m] = engine.committed[frame]
         return committed

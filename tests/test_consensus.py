@@ -277,6 +277,45 @@ class TestTimeout:
             assert rep.inst.decided and rep.inst.view_start_round == 0
             assert [rep.on_round(r) for r in (9, 10, 100)] == [[], [], []]
 
+    def test_newview_for_the_entered_view_keeps_its_clock(self):
+        """A replica that timed out into view 1 at round 12 and then gets a
+        NewView(1) it does not endorse still times out of view 1 at 22."""
+        replicas, _ = make_ensemble(timeout_rounds=10)
+        for m, rep in replicas.items():
+            rep.start_frame(0, None, 2)
+            rep.inst.own_output = SOUTH if m == 1 else NORTH
+        # view 0's leader (replica 0) is silent; view 1's is replica 1
+        vcs = {m: replicas[m].on_round(12)[0][1] for m in (1, 2, 3)}
+        leader, rep = replicas[1], replicas[2]
+        assert leader.handle(vcs[2], 12) == []
+        newviews = [s for _, s in leader.handle(vcs[3], 12) if isinstance(s.msg, NewView)]
+        assert newviews and newviews[0].msg.proposal.msg.value == SOUTH
+        assert rep.handle(newviews[0], 15) == []  # NORTH's replica withholds its Prepare
+        assert rep.inst.view == 1 and rep.inst.view_start_round == 12
+        assert rep.on_round(21) == []
+        out = rep.on_round(22)
+        assert [type(signed.msg) for _, signed in out] == [ViewChange, StateRequest]
+        assert out[0][1].msg.new_view == 2 and rep.inst.view_start_round == 22
+
+    def test_view_entered_on_equivocation_proof_starts_its_clock(self):
+        """Proof of the leader's equivocation at round 5 moves a replica to
+        view 1, whose timeout runs from round 5, not from view 0's start."""
+        replicas, registry = make_ensemble(timeout_rounds=10)
+        rep = replicas[1]
+        rep.start_frame(0, None, 0)
+        rep.inst.own_output = NORTH
+        for value in (NORTH, SOUTH):
+            rep.handle(sign_message(registry, 0, PrePrepare(0, 0, value_digest(value), value)), 5)
+        assert rep.inst.evidence is not None
+        assert rep.inst.view == 1 and rep.inst.view_start_round == 5
+        for round_ in range(6, 15):
+            # at most a retransmission of its ViewChange for view 1
+            for _, signed in rep.on_round(round_):
+                assert isinstance(signed.msg, ViewChange) and signed.msg.new_view == 1
+        out = rep.on_round(15)
+        assert [type(signed.msg) for _, signed in out] == [ViewChange, StateRequest]
+        assert out[0][1].msg.new_view == 2 and rep.inst.view == 2
+
 
 def equivocation_ensemble(timeout_rounds=4, sloppy=True):
     return make_ensemble(
@@ -542,7 +581,7 @@ class RescanReplica(Replica):
             and msg.frame == inst.frame
             and msg.view >= inst.view
         ):
-            return self._on_vote(signed)
+            return self._on_vote(signed, round_)
         return super().handle(signed, round_)
 
     def _check_prepared(self):

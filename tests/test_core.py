@@ -88,6 +88,13 @@ class TestDecisionSpace:
         with pytest.raises(ValueError, match="cannot be logged"):
             DecisionSpace(labels=("stop", label), safe_default="stop")
 
+    @pytest.mark.parametrize("label", ["go left", " go", "go\n", "\t"])
+    def test_labels_a_scenario_file_cannot_hold_rejected(self, label):
+        # scenario_to_text writes labels separated by spaces, so such a label
+        # would not read back
+        with pytest.raises(ValueError, match="cannot be logged"):
+            DecisionSpace(labels=("stop", label), safe_default="stop")
+
 
 class TestCanonicalSerialization:
     def test_deterministic(self):

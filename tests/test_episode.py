@@ -1,15 +1,17 @@
 """The observer's side of `EpisodeRunner._run_frame`: which Replies it keeps,
 and when f+1 matching Replies finalize a frame.  Both consensus modes end a
 frame through these two helpers.  Also what `supervise = false` turns off,
-what the observer receives, and that an episode leaves no reference cycle."""
+what the observer receives, that a restarted vote-only module recovers, that
+an episode leaves no reference cycle, and one campaign episode that once
+broke the liveness bound."""
 import gc
 import random
 
 import pytest
 
 from bftensemble.campaign import randomize_episode
-from bftensemble.core import OBSERVER
-from bftensemble.episode import EpisodeRunner, run_episode
+from bftensemble.core import OBSERVER, canonical, digest
+from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
 from bftensemble.messages import Reply, Signed, sign_message
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
 from bftensemble.simnet import Envelope
@@ -106,6 +108,16 @@ def test_supervise_false_never_judges_a_module(mode):
     assert result.module_agreement == {m: 1.0 for m in range(4)}
 
 
+def test_a_restarted_vote_only_module_recovers_at_the_end_of_its_restart_frame():
+    """A vote-only module holds no replicated state: once restarted it is
+    back at the end of that frame, and it never asks for state."""
+    result = run_episode(deviant_scenario("vote-only", supervise=True))
+    assert result.supervisor_events == [
+        (1, 3, "flagged"), (1, 3, "isolated"), (3, 3, "restarting"), (3, 3, "recovered"),
+    ]
+    assert not any("|staterequest|" in line for line in result.event_log)
+
+
 def test_pbft_traffic_stops_at_the_replicas():
     """The observer is the client: of the PBFT kinds it receives only Replies."""
     rng = random.Random(2026)
@@ -155,3 +167,22 @@ def test_an_episode_leaves_no_reference_cycle(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_two_faulty_leaders_in_a_row_fit_the_liveness_bound():
+    """Episode 157 of the fuzz_base_n7 campaign at seed 205: frame 3's view-0
+    leader (module 3) is silent and its view-1 leader (module 4) is
+    byzantine_fixed, under a jitter of 1 and a 1% drop rate.  Each view lasts
+    one timeout from the round a replica enters it, so view 2 still commits
+    within (f+1)*timeout+3 rounds."""
+    base = load_bundled("fuzz_base_n7")
+    rng = random.Random(205)
+    for index in range(158):  # drawn as fuzz_campaign draws them
+        episode_seed = int.from_bytes(digest(canonical("fuzz", 205, index))[:8], "big") % 2**31
+        scenario = randomize_episode(base, rng, episode_seed)
+    assert [p.kind for p in scenario.modules[3:5]] == ["silent", "byzantine_fixed"]
+    result = run_episode(scenario)
+    bound = liveness_bound(base.quorum.f, base.timeout_rounds)
+    assert result.liveness_failures == []
+    assert all(r.verdict == "decided" and r.rounds_to_commit <= bound for r in result.records)
+    assert result.records[3].view_changes == 2

@@ -59,8 +59,8 @@ EPISODE_LOGS = {
 
 # fuzz_campaign(load_bundled(base), 100, 2026).digest_hex()
 CAMPAIGN_REPORTS = {
-    "fuzz_base_n4": "76e564451135740526d4b48b43dee623bd7f32d6fe438497e7eda0eac13ed153",
-    "fuzz_base_n7": "340e643cbb1577a903dbe810b894776a232dc0e4b091d35cb43a514a339e47eb",
+    "fuzz_base_n4": "9a8d9b2ef2bc7fd66ec106334f946724d2ee5ecc65763594b4437967308fc83b",
+    "fuzz_base_n7": "d025c46b7c9b6314bce0b264c84e7c9f521ebeb751c659198add308ebf69d683",
 }
 
 # (SHA-256 over the decision logs, SHA-256 over the event logs) of the first
@@ -69,12 +69,12 @@ CAMPAIGN_REPORTS = {
 # these episodes send every message kind.
 CAMPAIGN_LOGS = {
     "fuzz_base_n4": (
-        "cbce4c512d2b6d4459c66cbafb76f8dbceff5714f5933f0ea4557fb3336c1baf",
-        "00c5aaf907103229e2b8da92950549203ba0a236c66e17e5f7f7e81ac4a9433f",
+        "078efe347cefe5100cb7bf9e29d2bca74de6f8721cb1a4a4efa861ae7af1dc9d",
+        "cea3e4ca7323ff4315f67f806c2bb36981ef542cdbadb403647122881dfc77b3",
     ),
     "fuzz_base_n7": (
-        "27d9577735e225ca3bd118f813acd8679e3e46d33079ed9a67f544c2e839828e",
-        "777eb13ce6a9dddaf173c25c359b1554eb89b8797eaa90871125b359da3703f8",
+        "9618b4e69343884b67fa2726f4a3f00c50cf31e23b5d719716d4899535eee9e9",
+        "c596329ed6c531bda3f9d09c47bdea43b973f6c0a27dff501356d786351f0729",
     ),
     "vote_fastpath_n4": (
         "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
@@ -140,15 +140,16 @@ OBSERVED = ("continue", "brake", "continue", "swerve-left", "continue")
 # silent-restart defect (a restarting silent module has no engine, and its
 # first delivery raises AttributeError).
 # The PBFT base gives 16 isolations, 15 restarts, 12 recoveries and 4
-# AttributeErrors; the vote-only base 20 isolations and 19 restarts.
+# AttributeErrors; the vote-only base 20 isolations, 19 restarts and 19
+# recoveries.
 SUPERVISED_CAMPAIGN_LOGS = {
     "fuzz_long_n4": (
-        "a913462935b2ada8774d5aaa1d1dee4ad9620d7754f975c6257eaa438026dce9",
-        "2db2ae084ac1d5b35eaaa29c6f0a2a4de016920dd5149fdfa2fc97f0c951d3ad",
+        "261622b8bb5eebe173f74947394e6ff1406a39e4d1442610e9f5761a31d21268",
+        "e0455757fc91f7465898fb67dda9f89a6a56363d556d1828d118c0226e1b564c",
     ),
     "vote_fastpath": (
-        "b8fb119a6edf50ad1f58363812cab0bee40f3e6c6de2ff9eff86cd85414a0ee4",
-        "b7bd141eb5a3857c9d19356a0e7456ec5ed8cc09b3f1e1a1b2f78efd48b7ed3e",
+        "c25c1d9cb4d8c8735764c9c249f97ec033ebcc83619d62678195add1df01da4f",
+        "0ed1b4f8509c3e3a69c763a58d2c0fa77a3c97652ffbeaf849fd6c5d8063e07a",
     ),
 }
 
@@ -276,7 +277,7 @@ VOTE_LOGS = {
     "common_mode_breach": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "fuzz_base_n4": "e8c455340978d9663931f6d4a809b077b4ee2edd662119657c506aaa66fd72e7",
     "fuzz_base_n7": "1b89a3710675627bb20aa83d8c96b243dad19b2065970b1ee5665f3d03f5f709",
-    "fuzz_long_n4": "bd546ae923d6f26fdde738b95d94caaca11e37640bdd73224e89bbb55db49efb",
+    "fuzz_long_n4": "9ce01d8294b19d3a3ff4c6cff098ec099ad92547b8e288a7ffb4b34ab14991b4",
     "swarm_formation": "09bb9fe6780ed66d41d2d6ff755089796ef1126da9efd2618eac69194b6ac931",
     "vote_fastpath": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "voter_thresholds_2oo3": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
