@@ -39,6 +39,7 @@ from .messages import (
     ViewChange,
     log_prefix_digest,
     sign_message,
+    signers,
 )
 
 PHASE_IDLE = "idle"
@@ -84,9 +85,8 @@ class FrameInstance:
     leader_endorsements: dict = field(default_factory=dict)
     prepared_cert: Optional[PrepareCertificate] = None
     evidence: Optional[EquivocationProof] = None
-    newview_sent: set = field(default_factory=set)
-    newview_processed: set = field(default_factory=set)
-    viewchange_sent: set = field(default_factory=set)
+    # views whose NewView this replica has sent (as leader) or entered
+    newviews: set = field(default_factory=set)
     # protocol messages sent in the current view, re-broadcast while undecided
     # so that an unlucky drop does not cost a whole timeout
     outbox: list = field(default_factory=list)
@@ -359,9 +359,6 @@ class Replica:
 
     def _initiate_viewchange(self, new_view: int, round_: int) -> list[Outbound]:
         inst = self.inst
-        if new_view in inst.viewchange_sent:
-            return []
-        inst.viewchange_sent.add(new_view)
         self._enter_view(new_view, round_)  # before the ViewChange joins the new view's outbox
         signed_vc = self._to_peers(ViewChange(inst.frame, new_view, inst.prepared_cert, inst.evidence))
         inst.view_changes.setdefault(new_view, {})[self.module_id] = signed_vc
@@ -375,16 +372,12 @@ class Replica:
             return []
         inst.view_changes.setdefault(msg.new_view, {}).setdefault(signed.sender, signed)
         out: list[Outbound] = []
-        join = False
         if msg.new_view > inst.view:
-            if msg.evidence is not None and msg.evidence.valid(self.registry):
-                if inst.evidence is None:
-                    inst.evidence = msg.evidence
-                join = True
-            if len(inst.view_changes[msg.new_view]) >= self.cfg.f + 1:
-                join = True
-        if join and msg.new_view not in inst.viewchange_sent:
-            out += self._initiate_viewchange(msg.new_view, round_)
+            proven = msg.evidence is not None and msg.evidence.valid(self.registry)
+            if proven and inst.evidence is None:
+                inst.evidence = msg.evidence
+            if proven or len(inst.view_changes[msg.new_view]) >= self.cfg.f + 1:
+                out = self._initiate_viewchange(msg.new_view, round_)
         return out + self._maybe_newview(msg.new_view, round_)
 
     @staticmethod
@@ -396,7 +389,7 @@ class Replica:
 
     def _maybe_newview(self, new_view: int, round_: int) -> list[Outbound]:
         inst = self.inst
-        if new_view < inst.view or new_view in inst.newview_sent:
+        if new_view < inst.view or new_view in inst.newviews:
             return []
         if self.leader_of(inst.frame, new_view) != self.module_id:
             return []
@@ -413,7 +406,7 @@ class Replica:
             value = inst.own_output
         else:
             return []  # nothing proposable; let the next timeout rotate further
-        inst.newview_sent.add(new_view)
+        inst.newviews.add(new_view)
         self._enter_view(new_view, round_)
         pp = self._sign(PrePrepare(inst.frame, new_view, value_digest(value), value))
         nv = self._to_peers(NewView(inst.frame, new_view, ordered, pp))
@@ -427,22 +420,20 @@ class Replica:
         if signed.sender != self.leader_of(inst.frame, msg.view):
             self.misbehavior.append((inst.frame, signed.sender, "newview-from-non-leader"))
             return []
-        if msg.view in inst.newview_processed:
+        if msg.view in inst.newviews:
             # duplicate (retransmission): still watch for a conflicting
             # proposal, but do not re-enter the view
             return self._note_leader_endorsement(msg.proposal, round_)
-        signers = set()
-        for signed_vc in msg.view_changes:
-            if not isinstance(signed_vc.msg, ViewChange) or signed_vc.msg.new_view != msg.view:
-                return []
-            if not signed_vc.verify(self.registry):
-                return []
-            if signed_vc.msg.cert is not None and not signed_vc.msg.cert.valid(
-                self.registry, self.cfg.quorum
-            ):
-                return []
-            signers.add(signed_vc.sender)
-        if len(signers) < self.cfg.quorum:
+
+        def fits(vc) -> bool:
+            if not isinstance(vc, ViewChange) or vc.new_view != msg.view:
+                return False
+            return vc.cert is None or vc.cert.valid(self.registry, self.cfg.quorum)
+
+        voters = signers(msg.view_changes, self.registry, fits)
+        if voters is None:
+            return []  # a malformed ViewChange
+        if len(voters) < self.cfg.quorum:
             self.misbehavior.append((inst.frame, signed.sender, "underfull-newview"))
             return []
         pp = msg.proposal
@@ -458,12 +449,10 @@ class Replica:
             self.misbehavior.append((inst.frame, signed.sender, "newview-ignored-certificate"))
             return []
         # enter the new view
-        inst.newview_processed.add(msg.view)
+        inst.newviews.add(msg.view)
         self._enter_view(msg.view, round_)
         out = self._note_leader_endorsement(pp, round_)
-        if inst.decided:
-            return out
-        if certified or validate_proposal(inst.own_output, pp.msg.value):
+        if not inst.decided and (certified or validate_proposal(inst.own_output, pp.msg.value)):
             out += self._accept_proposal(pp)
         return out
 
@@ -498,12 +487,15 @@ class Replica:
         """Broadcast an attestation over the committed log prefix."""
         if self.last_contiguous_frame < up_to_frame:
             raise ValueError(f"cannot checkpoint frame {up_to_frame}: log incomplete")
-        values = tuple(self.committed[i] for i in range(up_to_frame + 1))
-        attest = CheckpointAttest(up_to_frame, log_prefix_digest(values))
-        signed = self._sign(attest)
+        signed = self._sign(CheckpointAttest(up_to_frame, self._committed_prefix(up_to_frame)[1]))
         self._attested_up_to = max(self._attested_up_to, up_to_frame)
         self._record_attest(signed)
         return [(PEERS, signed)]
+
+    def _committed_prefix(self, up_to_frame: int) -> tuple[tuple[str, ...], bytes]:
+        """The committed values of frames 0..up_to_frame, and their digest."""
+        values = tuple(self.committed[i] for i in range(up_to_frame + 1))
+        return values, log_prefix_digest(values)
 
     def _record_attest(self, signed: Signed) -> None:
         msg = signed.msg
@@ -515,8 +507,8 @@ class Replica:
             and (stable is None or stable.up_to_frame < msg.up_to_frame)
             and self.last_contiguous_frame >= msg.up_to_frame
         ):
-            values = tuple(self.committed[i] for i in range(msg.up_to_frame + 1))
-            if log_prefix_digest(values) == msg.log_digest:
+            values, log_digest = self._committed_prefix(msg.up_to_frame)
+            if log_digest == msg.log_digest:
                 self.stable_checkpoint = Checkpoint(
                     up_to_frame=msg.up_to_frame,
                     values=values,
@@ -542,15 +534,15 @@ class Replica:
 
     def apply_snapshot(self, snap: StateSnapshot) -> list[Outbound]:
         """Adopt a proven committed prefix.  Rejects snapshots whose checkpoint
-        or per-frame certificates lack a 2f+1 quorum."""
-        if snap.checkpoint is not None:
-            if not snap.checkpoint.valid(self.registry, self.cfg.quorum):
-                return []
-            for frame, value in enumerate(snap.checkpoint.values):
-                self._adopt(frame, value)
+        or any per-frame certificate lacks a 2f+1 quorum, adopting none of it."""
+        cp, quorum = snap.checkpoint, self.cfg.quorum
+        if (cp is not None and not cp.valid(self.registry, quorum)) or not all(
+            cert.valid(self.registry, quorum) for cert in snap.frame_certs
+        ):
+            return []
+        for frame, value in enumerate(cp.values if cp is not None else ()):
+            self._adopt(frame, value)
         for cert in snap.frame_certs:
-            if not cert.valid(self.registry, self.cfg.quorum):
-                return []
             self._adopt(cert.frame, cert.value, cert)
         inst = self.inst
         if inst is None or inst.decided or inst.frame not in self.committed:

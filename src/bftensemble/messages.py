@@ -6,7 +6,7 @@ Kind tags: 1=PrePrepare 2=Prepare 3=Commit 4=ViewChange 5=NewView 6=Reply
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .core import AuthTag, Encoded, KeyRegistry, encoding
 
@@ -64,6 +64,18 @@ def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
     return Signed(msg, sender, registry.sign(sender, msg.payload_digest()))
 
 
+def signers(votes: Iterable[Signed], registry: KeyRegistry, fits: Callable) -> Optional[set[int]]:
+    """The distinct senders of a signed bundle, or None unless every message
+    ``fits`` and every tag verifies.  This is the one quorum rule: a
+    certificate holds once its signers reach 2f+1."""
+    senders = set()
+    for vote in votes:
+        if not fits(vote.msg) or not vote.verify(registry):
+            return None
+        senders.add(vote.sender)
+    return senders
+
+
 @dataclass(frozen=True)
 class EquivocationProof:
     """Two verified proposal endorsements from one signer, same frame and view,
@@ -101,17 +113,12 @@ class PrepareCertificate(Encoded):
         return ("prepare-cert", self.frame, self.view, self.value_digest, self.value, votes)
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
-        signers = set()
-        for vote in self.votes:
-            m = vote.msg
-            if not isinstance(m, Prepare):
-                return False
-            if (m.frame, m.view, m.value_digest) != (self.frame, self.view, self.value_digest):
-                return False
-            if not vote.verify(registry):
-                return False
-            signers.add(vote.sender)
-        return len(signers) >= quorum
+        def fits(m) -> bool:
+            return isinstance(m, Prepare) and (m.frame, m.view, m.value_digest) == (
+                self.frame, self.view, self.value_digest
+            )
+
+        return len(signers(self.votes, registry, fits) or ()) >= quorum
 
 
 @dataclass(frozen=True)
@@ -179,21 +186,15 @@ class Checkpoint:
     attestations: tuple[Signed, ...]
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
-        if len(self.values) != self.up_to_frame + 1:
+        if len(self.values) != self.up_to_frame + 1 or log_prefix_digest(self.values) != self.log_digest:
             return False
-        if log_prefix_digest(self.values) != self.log_digest:
-            return False
-        signers = set()
-        for att in self.attestations:
-            m = att.msg
-            if not isinstance(m, CheckpointAttest):
-                return False
-            if m.up_to_frame != self.up_to_frame or m.log_digest != self.log_digest:
-                return False
-            if not att.verify(registry):
-                return False
-            signers.add(att.sender)
-        return len(signers) >= quorum
+
+        def fits(m) -> bool:
+            return isinstance(m, CheckpointAttest) and (m.up_to_frame, m.log_digest) == (
+                self.up_to_frame, self.log_digest
+            )
+
+        return len(signers(self.attestations, registry, fits) or ()) >= quorum
 
 
 @dataclass(frozen=True)
@@ -205,18 +206,16 @@ class FrameCert:
     votes: tuple[Signed, ...]
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
-        signers = set()
-        views = {}
+        def fits(m) -> bool:
+            return isinstance(m, Commit) and m.frame == self.frame and m.value == self.value
+
+        if signers(self.votes, registry, fits) is None:
+            return False
+        # one view's Commits alone must reach the quorum
+        by_view: dict[int, list[Signed]] = {}
         for vote in self.votes:
-            m = vote.msg
-            if not isinstance(m, Commit) or m.frame != self.frame or m.value != self.value:
-                return False
-            if not vote.verify(registry):
-                return False
-            views.setdefault(m.view, set()).add(vote.sender)
-            signers.add(vote.sender)
-        # All counted commits must come from a single view's quorum.
-        return any(len(s) >= quorum for s in views.values())
+            by_view.setdefault(vote.msg.view, []).append(vote)
+        return any(len(signers(votes, registry, fits)) >= quorum for votes in by_view.values())
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ for the equivocation property, enumerated) exactly.
 """
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -442,13 +443,26 @@ class TestStateTransfer:
         self.run_frames(replicas, pump, frames=3, deaf=(3,))
         snap = replicas[0].build_snapshot()
         # graft a different value onto a stolen certificate
-        from dataclasses import replace
-
         bad_cert = replace(snap.frame_certs[0], value=SOUTH)
         bad = type(snap)(checkpoint=snap.checkpoint, frame_certs=(bad_cert,))
         straggler = replicas[3]
         straggler.apply_snapshot(bad)
         assert 0 not in straggler.committed
+
+    def test_a_rejected_snapshot_adopts_nothing(self):
+        """A snapshot with one bad certificate is rejected whole: the valid
+        certificates before it are not adopted either."""
+        replicas, _ = make_ensemble()
+        pump = Pump(replicas)
+        self.run_frames(replicas, pump, frames=3, deaf=(3,))
+        snap = replicas[0].build_snapshot()
+        assert snap.checkpoint is None and len(snap.frame_certs) == 3
+        certs = list(snap.frame_certs)
+        certs[1] = replace(certs[1], value=SOUTH)
+        straggler = replicas[3]
+        assert straggler.apply_snapshot(replace(snap, frame_certs=tuple(certs))) == []
+        assert straggler.committed == {}
+        assert straggler.frame_certs == {}
 
     def test_commit_quorum_alone_suffices_to_learn(self):
         """A replica that missed the PrePrepare entirely still commits once
