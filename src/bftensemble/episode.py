@@ -19,7 +19,7 @@ from .core import (
     verify_output,
 )
 from .consensus import EquivocatingReplica, Replica, value_digest
-from .harness import NO_OUTPUT, FaultProfile, module_rng, produce_output
+from .harness import FaultProfile, module_rng, produce_output
 from .messages import Commit, OutputDigest, Prepare, Reply, Signed, StateRequest, sign_message
 from .scenario import Scenario
 from .simnet import World
@@ -103,7 +103,6 @@ class EpisodeRunner:
         # the supervisor owns module status; `supervise = false` only stops
         # it from judging frames, so no module is ever isolated
         self.supervisor = Supervisor(scenario.quorum, scenario.supervisor)
-        self._emitted_events = 0
         self.records: list[DecisionRecord] = []
         self.decision_log: list[str] = []
         self.vote_logs: dict[int, FrameVoteLog] = {}
@@ -154,18 +153,13 @@ class EpisodeRunner:
         outputs = {}
         for m in range(self.n):
             if not self.supervisor.active(m):
-                outputs[m] = NO_OUTPUT
+                outputs[m] = None
                 continue
             obs = self.s.observations.observed(self.s.decision_space, frame, m)
             outputs[m] = produce_output(
                 self.profiles[m], m, frame, obs, self.s.decision_space, self.registry, self.rngs[m]
             )
         return outputs
-
-    def _flush_supervisor_events(self) -> None:
-        for frame, module, event in self.supervisor.events[self._emitted_events:]:
-            self.decision_log.append(f"{frame}|SUPERVISOR|{module}|{event}")
-        self._emitted_events = len(self.supervisor.events)
 
     def _supervise(self, frame: int, committed: Optional[str], outputs, equivocators) -> None:
         if not self.s.supervise or committed is None:
@@ -176,7 +170,6 @@ class EpisodeRunner:
         self.supervisor.record_round(frame, committed, values, equivocators)
         for m in self.supervisor.review(frame):
             self.world.mute(m)
-        self._flush_supervisor_events()
 
     def _handle_restarts(self, frame: int) -> None:
         for m in self.supervisor.due_for_restart(frame):
@@ -189,7 +182,6 @@ class EpisodeRunner:
             if self.engines[m] is not None:
                 req = sign_message(self.registry, m, StateRequest(max(frame - 1, 0)))
                 self.world.send(m, PEERS, req)
-        self._flush_supervisor_events()
 
     def _check_recoveries(self, frame: int) -> None:
         # a snapshot requested while frame `frame` was still running can only
@@ -201,7 +193,6 @@ class EpisodeRunner:
             engine = self.engines[m]
             if vote_only or (engine is not None and engine.last_contiguous_frame >= target):
                 self.supervisor.recovered(m, frame)
-        self._flush_supervisor_events()
 
     def _honest_committed(self, frame: int) -> dict[int, str]:
         committed = {}
@@ -316,7 +307,7 @@ class EpisodeRunner:
             receivers[m] = self.engines[m]
         for m, engine in live:
             out = outputs[m]
-            own = out[0] if isinstance(out, tuple) else (out if isinstance(out, ModuleOutput) else None)
+            own = out[0] if isinstance(out, tuple) else out
             self._send_all(m, engine.start_frame(frame, own, start_round))
 
         finalized: Optional[str] = None
@@ -386,7 +377,7 @@ class EpisodeRunner:
     def _broadcast_outputs(self, frame: int, outputs, digests_only: bool) -> None:
         for m in range(self.n):
             out = outputs[m]
-            if out is NO_OUTPUT:  # also every module not active
+            if out is None:  # also every module not active
                 continue
             if isinstance(out, tuple):
                 out_a, out_b = out
@@ -486,8 +477,13 @@ class EpisodeRunner:
     # --- top level -----------------------------------------------------------
 
     def run(self) -> EpisodeResult:
+        events = self.supervisor.events
         for frame in range(self.s.frames):
+            emitted = len(events)
             record = self._run_frame(frame)
+            # the supervisor events of this frame, before its record
+            for at, module, event in events[emitted:]:
+                self.decision_log.append(f"{at}|SUPERVISOR|{module}|{event}")
             self.records.append(record)
             self.decision_log.append(record.line())
         return EpisodeResult(

@@ -136,23 +136,6 @@ class ObservationTable:
         return space.value(self.ground_truth[frame])
 
 
-class NoOutput:
-    """Sentinel: the module produced nothing this frame."""
-
-    _instance: "NoOutput" = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NoOutput"
-
-
-NO_OUTPUT = NoOutput()
-
-
 def module_rng(scenario_seed: int, module_id: int, perturb_seed: int = 0) -> random.Random:
     """Private per-module stream; adding a module never perturbs the others."""
     seed_bytes = digest(canonical("module-rng", scenario_seed, module_id, perturb_seed))
@@ -179,7 +162,7 @@ def produce_output(
 ):
     """One module's proposal for one frame, per its fault profile.
 
-    Returns a ModuleOutput, NO_OUTPUT, or for an equivocator a pair of
+    Returns a ModuleOutput, None, or for an equivocator a pair of
     conflicting ModuleOutputs (partition assignment is the caller's job).
     Slow modules produce normally; their delay is applied by the network.
     """
@@ -188,10 +171,10 @@ def produce_output(
     conf = confidence_of(profile)
 
     if profile.kind == "silent":
-        return NO_OUTPUT
+        return None
     if profile.kind == "crash":
         if frame >= profile.at_frame:
-            return NO_OUTPUT
+            return None
         return make_output(registry, module_id, frame, observation, conf)
     if profile.kind in ("honest", "slow"):
         return make_output(registry, module_id, frame, observation, conf)

@@ -3,7 +3,6 @@ import pytest
 
 from bftensemble.core import DecisionSpace, KeyRegistry, verify_output
 from bftensemble.harness import (
-    NO_OUTPUT,
     FaultProfile,
     ObservationTable,
     confidence_of,
@@ -26,14 +25,14 @@ class TestProfiles:
     def test_silent_produces_nothing(self):
         rng = module_rng(1, 0)
         out = produce_output(FaultProfile(kind="silent"), 0, 0, GO, SPACE, REGISTRY, rng)
-        assert out is NO_OUTPUT
+        assert out is None
 
     def test_crash_stops_at_configured_frame(self):
         profile = FaultProfile(kind="crash", at_frame=2)
         rng = module_rng(1, 0)
-        assert produce_output(profile, 0, 1, GO, SPACE, REGISTRY, rng) is not NO_OUTPUT
-        assert produce_output(profile, 0, 2, GO, SPACE, REGISTRY, rng) is NO_OUTPUT
-        assert produce_output(profile, 0, 3, GO, SPACE, REGISTRY, rng) is NO_OUTPUT
+        assert produce_output(profile, 0, 1, GO, SPACE, REGISTRY, rng) is not None
+        assert produce_output(profile, 0, 2, GO, SPACE, REGISTRY, rng) is None
+        assert produce_output(profile, 0, 3, GO, SPACE, REGISTRY, rng) is None
 
     def test_byzantine_fixed_ignores_observation(self):
         profile = FaultProfile(kind="byzantine_fixed", bad_label="stop")
