@@ -127,7 +127,7 @@ class World:
     def unmute(self, module_id: int) -> None:
         self._muted.discard(module_id)
 
-    def send(self, frm: int, to: int, payload, extra_delay: int = 0) -> None:
+    def send(self, frm: int, to: int, payload) -> None:
         """Queue one envelope; BROADCAST and PEERS expand to one per
         recipient, each with an independent delivery fate.  Drops are silent.
 
@@ -150,7 +150,7 @@ class World:
         policy = self.policy
         partitioned = policy.partitioned if policy.partitions else None
         now = self.round
-        earliest = now + policy.base_delay_rounds + self.slow_extra.get(frm, 0) + extra_delay
+        earliest = now + policy.base_delay_rounds + self.slow_extra.get(frm, 0)
         queue = self._queue
         seq = self._seq
         for recipient in recipients:

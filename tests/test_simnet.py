@@ -239,7 +239,7 @@ class ListScanWorld:
         self.muted = set()
         self.event_log = []
 
-    def send(self, frm, to, payload, extra_delay=0):
+    def send(self, frm, to, payload):
         if frm in self.muted:
             return
         if to in (BROADCAST, PEERS):
@@ -258,7 +258,7 @@ class ListScanWorld:
             if fate is None and recipient != OBSERVER:
                 continue
             delay = self.policy.base_delay_rounds + (fate or 0)
-            delay += self.slow_extra.get(frm, 0) + extra_delay
+            delay += self.slow_extra.get(frm, 0)
             self.queue.append((self.round + delay, self.round, frm, recipient, self.seq, payload))
 
     def advance_round(self):
@@ -334,9 +334,9 @@ class TestAgainstListScan:
             for _ in range(rng.randrange(6)):
                 frm = rng.choice(modules)
                 to = rng.choice([BROADCAST, PEERS, OBSERVER, *modules])
-                payload, extra = rng.choice(payloads), rng.choice([0, 0, 0, 2])
-                world.send(frm, to, payload, extra)
-                model.send(frm, to, payload, extra)
+                payload = rng.choice(payloads)
+                world.send(frm, to, payload)
+                model.send(frm, to, payload)
             if rng.random() < 0.1:
                 m = rng.choice(modules)
                 world.mute(m)
