@@ -186,15 +186,12 @@ class Checkpoint:
     attestations: tuple[Signed, ...]
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
-        if len(self.values) != self.up_to_frame + 1 or log_prefix_digest(self.values) != self.log_digest:
+        if len(self.values) != self.up_to_frame + 1:
             return False
-
-        def fits(m) -> bool:
-            return isinstance(m, CheckpointAttest) and (m.up_to_frame, m.log_digest) == (
-                self.up_to_frame, self.log_digest
-            )
-
-        return len(signers(self.attestations, registry, fits) or ()) >= quorum
+        if log_prefix_digest(self.values) != self.log_digest:
+            return False
+        want = CheckpointAttest(self.up_to_frame, self.log_digest)
+        return len(signers(self.attestations, registry, lambda m: m == want) or ()) >= quorum
 
 
 @dataclass(frozen=True)
