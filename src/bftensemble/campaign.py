@@ -117,9 +117,9 @@ def fuzz_campaign(base: Scenario, episodes: int, seed: int, strict: bool = True)
         raise ValueError(f"a campaign needs at least one episode, got {episodes}")
     if base.expects_violation:
         raise ValueError("fuzz base scenario must stay within the fault model")
-    faulty = sum(1 for p in base.modules if p.kind in FaultProfile.BYZANTINE_KINDS)
+    faulty = sum(1 for p in base.modules if p.faulty)
     if faulty > base.quorum.f:
-        raise ValueError(f"base scenario has {faulty} Byzantine modules > f={base.quorum.f}")
+        raise ValueError(f"base scenario has {faulty} faulty modules > f={base.quorum.f}")
 
     rng = random.Random(seed)
     bound = liveness_bound(base.quorum.f, base.timeout_rounds)

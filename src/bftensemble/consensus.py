@@ -8,7 +8,6 @@ through the simulated network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import attrgetter
 from typing import Optional
 
@@ -19,8 +18,6 @@ from .core import (
     KeyRegistry,
     ModuleOutput,
     QuorumConfig,
-    canonical,
-    digest,
 )
 from .messages import (
     Checkpoint,
@@ -40,6 +37,7 @@ from .messages import (
     log_prefix_digest,
     sign_message,
     signers,
+    value_digest,
 )
 
 PHASE_IDLE = "idle"
@@ -48,12 +46,6 @@ PHASE_PREPARED = "prepared"
 PHASE_COMMITTED = "committed"
 
 Outbound = tuple[int, Signed]  # (destination, signed message)
-
-
-@lru_cache(maxsize=256)
-def value_digest(value: str) -> bytes:
-    # a decision space has a few labels
-    return digest(canonical("decision", value))
 
 
 def validate_proposal(own: Optional[str], proposed: str) -> bool:

@@ -217,7 +217,7 @@ class KeyRegistry:
 # A message does not name its sender, so up to n replicas build equal
 # Prepares, Commits and Replies each frame, and a campaign's episodes build
 # the same contents again: each distinct content is encoded once per process.
-# Like ``consensus.value_digest``, the memo is a bounded ``lru_cache``; it
+# Like ``messages.value_digest``, the memo is a bounded ``lru_cache``; it
 # holds field values and bytes, never an episode's objects.
 
 # types whose equal values encode alike

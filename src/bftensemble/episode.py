@@ -18,15 +18,22 @@ from .core import (
     ModuleOutput,
     verify_output,
 )
-from .consensus import EquivocatingReplica, Replica, value_digest
+from .consensus import EquivocatingReplica, Replica
 from .harness import FaultProfile, module_rng, produce_output
-from .messages import Commit, OutputDigest, Prepare, Reply, Signed, StateRequest, sign_message
+from .messages import (
+    Commit,
+    OutputDigest,
+    Prepare,
+    Reply,
+    Signed,
+    StateRequest,
+    sign_message,
+    value_digest,
+)
 from .scenario import Scenario
 from .simnet import World
 from .supervisor import Supervisor
 from .voter import Verdict, fast_path_agree, tally
-
-HONEST_KINDS = ("honest", "diverse_honest", "slow", "crash")
 
 
 def liveness_bound(f: int, timeout_rounds: int) -> int:
@@ -89,20 +96,17 @@ class EpisodeRunner:
         self.n = scenario.quorum.n
         self.f = scenario.quorum.f
         self.registry = KeyRegistry(scenario.seed, range(self.n))
-        # each module's current profile; a restart may replace it
+        # each module's current profile, the only record of what it does; a
+        # restart may replace it
         self.profiles = list(scenario.modules)
-        self.rngs = [
-            module_rng(scenario.seed, m, scenario.modules[m].perturb_seed)
-            for m in range(self.n)
-        ]
-        slow_extra = {
-            m: p.delay_rounds for m, p in enumerate(scenario.modules) if p.kind == "slow"
-        }
-        self.world = World(scenario.network, range(self.n), slow_extra)
-        self.engines = {m: self._make_engine(m, p) for m, p in enumerate(scenario.modules)}
+        self.rngs = [module_rng(scenario.seed, m, p.perturb_seed) for m, p in enumerate(self.profiles)]
         # the supervisor owns module status; `supervise = false` only stops
-        # it from judging frames, so no module is ever isolated
+        # it from judging frames, so no module is ever isolated.  The network
+        # reads its isolation map at every send and delivery.
         self.supervisor = Supervisor(scenario.quorum, scenario.supervisor)
+        slow_extra = {m: p.delay_rounds for m, p in enumerate(self.profiles) if p.kind == "slow"}
+        self.world = World(scenario.network, range(self.n), slow_extra, self.supervisor.isolated)
+        self.engines = {m: self._make_engine(m, p) for m, p in enumerate(self.profiles)}
         self.records: list[DecisionRecord] = []
         self.decision_log: list[str] = []
         self.vote_logs: dict[int, FrameVoteLog] = {}
@@ -135,12 +139,9 @@ class EpisodeRunner:
         return Replica(m, self.s.quorum, self.s.decision_space, self.registry, **kwargs)
 
     def _takes_part(self, m: int, frame: int) -> bool:
-        """Module ``m`` is active, not silent and not crashed by ``frame``.
-        In PBFT mode such a module always has an engine."""
-        profile = self.profiles[m]
-        if profile.kind == "silent" or not self.supervisor.active(m):
-            return False
-        return not (profile.kind == "crash" and frame >= profile.at_frame)
+        """Module ``m`` is active and emits at ``frame``.  In PBFT mode such
+        a module always has an engine."""
+        return self.supervisor.active(m) and self.profiles[m].emits(frame)
 
     # --- shared plumbing -----------------------------------------------------
 
@@ -168,13 +169,11 @@ class EpisodeRunner:
             m: out.value if isinstance(out, ModuleOutput) else None for m, out in outputs.items()
         }
         self.supervisor.record_round(frame, committed, values, equivocators)
-        for m in self.supervisor.review(frame):
-            self.world.mute(m)
+        self.supervisor.review(frame)
 
     def _handle_restarts(self, frame: int) -> None:
         for m in self.supervisor.due_for_restart(frame):
             profile = self.profiles[m] = self.profiles[m].restarted()
-            self.world.unmute(m)
             self.engines[m] = self._make_engine(m, profile)
             self.rngs[m] = module_rng(self.s.seed, m, profile.perturb_seed)
         # restarting modules keep asking for state until a snapshot lands
@@ -197,7 +196,7 @@ class EpisodeRunner:
     def _honest_committed(self, frame: int) -> dict[int, str]:
         committed = {}
         for m in range(self.n):
-            if self.profiles[m].kind not in HONEST_KINDS:
+            if self.profiles[m].byzantine:
                 continue
             engine = self.engines[m]
             if engine is not None and frame in engine.committed:
@@ -261,7 +260,7 @@ class EpisodeRunner:
         self._handle_restarts(frame)
         outputs = self._produce(frame)
         equivocators = {
-            m for m, p in enumerate(s.modules)
+            m for m, p in enumerate(self.profiles)
             if p.kind == "byzantine_equivocate" and self.supervisor.active(m)
         }
         replies: dict[int, str] = {}
@@ -354,7 +353,7 @@ class EpisodeRunner:
                 inst is None
                 or inst.frame != frame
                 or inst.decided_view < 0
-                or self.profiles[m].kind not in HONEST_KINDS
+                or self.profiles[m].byzantine
             ):
                 continue
             view = inst.decided_view
@@ -400,9 +399,7 @@ class EpisodeRunner:
     def _deliver_window(self, frame: int, collect_outputs=None, collect_digests=None) -> None:
         s = self.s
         window = s.network.base_delay_rounds + s.network.jitter_rounds
-        window += max(
-            [p.delay_rounds for p in s.modules if p.kind == "slow"], default=0
-        )
+        window += max(self.world.slow_extra.values(), default=0)
         for _ in range(window + 1):
             for env in self.world.advance_round():
                 payload = env.payload
@@ -470,7 +467,7 @@ class EpisodeRunner:
         decided_labels = {
             v.value
             for m, v in verdicts.items()
-            if v.decided and s.modules[m].kind in HONEST_KINDS
+            if v.decided and not self.profiles[m].byzantine
         }
         return self._reply_quorum(replies), rounds_used, 0, verdict_of(OBSERVER), len(decided_labels) > 1
 

@@ -86,6 +86,18 @@ class FaultProfile:
     def byzantine(self) -> bool:
         return self.kind in self.BYZANTINE_KINDS
 
+    @property
+    def faulty(self) -> bool:
+        """Counts against f: Byzantine, crash or silent."""
+        return self.byzantine or self.kind in ("crash", "silent")
+
+    def emits(self, frame: int) -> bool:
+        """The module outputs at ``frame``: it is not silent, and not
+        crashed by then."""
+        if self.kind == "crash":
+            return frame < self.at_frame
+        return self.kind != "silent"
+
     def restarted(self) -> "FaultProfile":
         """The profile a module runs after a restart: ``on_restart = honest``
         wipes the fault, ``same`` keeps it."""
@@ -170,13 +182,9 @@ def produce_output(
         raise ValueError(f"observation {observation!r} not in decision space")
     conf = confidence_of(profile)
 
-    if profile.kind == "silent":
+    if not profile.emits(frame):
         return None
-    if profile.kind == "crash":
-        if frame >= profile.at_frame:
-            return None
-        return make_output(registry, module_id, frame, observation, conf)
-    if profile.kind in ("honest", "slow"):
+    if profile.kind in ("honest", "slow", "crash"):
         return make_output(registry, module_id, frame, observation, conf)
     if profile.kind == "diverse_honest":
         value = observation

@@ -6,9 +6,16 @@ Kind tags: 1=PrePrepare 2=Prepare 3=Commit 4=ViewChange 5=NewView 6=Reply
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
-from .core import AuthTag, Encoded, KeyRegistry, encoding
+from .core import AuthTag, Encoded, KeyRegistry, canonical, digest, encoding
+
+
+@lru_cache(maxsize=256)
+def value_digest(value: str) -> bytes:
+    # a decision space has a few labels
+    return digest(canonical("decision", value))
 
 
 @dataclass(frozen=True)
@@ -113,6 +120,11 @@ class PrepareCertificate(Encoded):
         return ("prepare-cert", self.frame, self.view, self.value_digest, self.value, votes)
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
+        """2f+1 distinct verified Prepares for this frame, view and digest,
+        and a value that hashes to the digest."""
+        if value_digest(self.value) != self.value_digest:
+            return False
+
         def fits(m) -> bool:
             return isinstance(m, Prepare) and (m.frame, m.view, m.value_digest) == (
                 self.frame, self.view, self.value_digest

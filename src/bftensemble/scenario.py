@@ -321,8 +321,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if threshold is not None and n is not None and threshold > n:
         errors.append(f"execution_threshold {threshold} above n={n}: no frame could execute")
 
-    faulty_kinds = FaultProfile.BYZANTINE_KINDS + ("crash", "silent")
-    faulty = sum(1 for p in profiles.values() if p.kind in faulty_kinds)
+    faulty = sum(1 for p in profiles.values() if p.faulty)
     if f is not None and faulty > f and not top.expects_violation:
         errors.append(
             f"{faulty} Byzantine-class profiles exceed f={f}; "

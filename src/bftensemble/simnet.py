@@ -106,9 +106,13 @@ def payload_digest_hex(payload) -> str:
 
 
 class World:
-    """Single-owner message queue plus round counter for one episode."""
+    """Single-owner message queue plus round counter for one episode.
 
-    def __init__(self, policy: NetworkPolicy, module_ids, slow_extra=None):
+    ``isolated`` is the caller's container of isolated modules (the
+    supervisor's isolation map), read at every send and delivery: an
+    isolated module neither sends nor receives."""
+
+    def __init__(self, policy: NetworkPolicy, module_ids, slow_extra=None, isolated=frozenset()):
         self.policy = policy
         self.module_ids = sorted(module_ids)
         self.slow_extra = dict(slow_extra or {})  # sender -> extra rounds
@@ -118,14 +122,8 @@ class World:
         self._broadcast = {m: (*peers, OBSERVER) for m, peers in self._peers.items()}
         self._queue: list[Envelope] = []
         self._seq = 0
-        self._muted: set[int] = set()  # isolated senders/receivers
+        self.isolated = isolated
         self.event_log: list[str] = []
-
-    def mute(self, module_id: int) -> None:
-        self._muted.add(module_id)
-
-    def unmute(self, module_id: int) -> None:
-        self._muted.discard(module_id)
 
     def send(self, frm: int, to: int, payload) -> None:
         """Queue one envelope; BROADCAST and PEERS expand to one per
@@ -134,8 +132,8 @@ class World:
         A PEERS send numbers its slots as a BROADCAST does; the observer's
         slot takes its sequence number and nothing else, so every
         module-to-module envelope keeps its fate either way."""
-        muted = self._muted
-        if frm in muted:
+        isolated = self.isolated
+        if frm in isolated:
             return
         skipped = 0
         if to == BROADCAST:
@@ -155,7 +153,7 @@ class World:
         seq = self._seq
         for recipient in recipients:
             seq += 1
-            if recipient in muted:
+            if recipient in isolated:
                 continue
             if partitioned is not None and partitioned(now, frm, recipient):
                 continue
@@ -177,9 +175,9 @@ class World:
             (due if env.deliver_round <= now else later).append(env)
         self._queue = later
         due.sort(key=Envelope.sort_key)
-        muted = self._muted
-        if muted:
-            due = [e for e in due if e.to not in muted and e.frm not in muted]
+        isolated = self.isolated
+        if isolated:
+            due = [e for e in due if e.to not in isolated and e.frm not in isolated]
         log = self.event_log
         for env in due:
             log.append(f"{now}|{env.frm}|{env.to}|{env.log_tag}")

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core import QuorumConfig
-
-AGREED = "agreed"
-DISAGREED = "disagreed"
-ABSENT = "absent"
 
 
 @dataclass
@@ -34,81 +29,30 @@ class IsolationBudgetError(RuntimeError):
 
 
 @dataclass
-class DeviationLedger:
-    """Per-module ring buffer of agreement flags over the last W frames."""
-
-    cfg: SupervisorConfig
-    n: int
-    buffers: dict[int, deque] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for m in range(self.n):
-            self.buffers.setdefault(m, deque(maxlen=self.cfg.window))
-
-    def record_round(self, frame: int, committed: Optional[str], outputs, equivocators=()) -> list[str]:
-        """Mark each module agreed/disagreed/absent against the committed value,
-        and return the flags in module order.
-
-        ``outputs`` maps module id to its value (or None for no
-        output).  Proven equivocators count as disagreed regardless of value.
-        """
-        flags = []
-        for m in range(self.n):
-            value = outputs.get(m)
-            if m in equivocators:
-                flag = DISAGREED
-            elif value is None:
-                flag = ABSENT
-            elif committed is not None and value == committed:
-                flag = AGREED
-            else:
-                flag = DISAGREED
-            self.buffers[m].append(flag)
-            flags.append(flag)
-        return flags
-
-    def deviation_rate(self, module_id: int) -> Optional[float]:
-        buf = self.buffers[module_id]
-        if len(buf) < self.cfg.window:
-            return None  # incomplete window: not judged yet
-        bad = sum(1 for flag in buf if flag != AGREED)
-        return bad / self.cfg.window
-
-    def detect_deviants(self) -> set[int]:
-        flagged = set()
-        for m in range(self.n):
-            rate = self.deviation_rate(m)
-            if rate is not None and rate >= self.cfg.flag_threshold:
-                flagged.add(m)
-        return flagged
-
-    def reset(self, module_id: int) -> None:
-        self.buffers[module_id].clear()
-
-
-@dataclass
 class Supervisor:
     """Drives the flag -> isolate -> restart -> recover cycle, and is the only
     record of each module's status: a module is active unless it is in
     ``isolated`` or ``restarting``.
 
-    Quorum thresholds stay pinned to the configured f while modules are
-    isolated; isolation is an availability action, not a threat-model change.
+    Each active module's last ``window`` judged frames are kept as agreed
+    flags; a module is judged only once its window is full.  Quorum
+    thresholds stay pinned to the configured f while modules are isolated;
+    isolation is an availability action, not a threat-model change.
     """
 
     quorum_cfg: QuorumConfig
     cfg: SupervisorConfig = field(default_factory=SupervisorConfig)
-    ledger: DeviationLedger = None
     isolated: dict[int, int] = field(default_factory=dict)  # module -> frame isolated at
     restarting: set[int] = field(default_factory=set)
     flagged: set[int] = field(default_factory=set)
     events: list[tuple[int, int, str]] = field(default_factory=list)  # (frame, module, event)
     agreement: dict[int, list[int]] = field(init=False)  # module -> [agreed, judged]
+    windows: dict[int, deque] = field(init=False)  # module -> agreed flags, oldest first
 
     def __post_init__(self) -> None:
-        if self.ledger is None:
-            self.ledger = DeviationLedger(self.cfg, self.quorum_cfg.n)
-        self.agreement = {m: [0, 0] for m in range(self.quorum_cfg.n)}
+        n = self.quorum_cfg.n
+        self.agreement = {m: [0, 0] for m in range(n)}
+        self.windows = {m: deque(maxlen=self.cfg.window) for m in range(n)}
 
     @property
     def live_count(self) -> int:
@@ -118,26 +62,34 @@ class Supervisor:
         return module_id not in self.isolated and module_id not in self.restarting
 
     def record_round(self, frame: int, committed, outputs, equivocators=()) -> None:
-        """Judge one committed frame: active modules count towards their
-        agreement rate; a module we took offline ourselves is not deviating
-        by being absent."""
-        flags = self.ledger.record_round(frame, committed, outputs, equivocators)
-        for m, flag in enumerate(flags):
-            if self.active(m):
-                self.agreement[m][0] += flag == AGREED
-                self.agreement[m][1] += 1
-            else:
-                self.ledger.reset(m)
+        """Judge one committed frame.  ``outputs`` maps module id to its value
+        (or None for no output); an active module agreed if it output the
+        committed value and is not a proven equivocator.  A module we took
+        offline ourselves is not deviating by being absent: its window
+        starts over instead."""
+        for m, window in self.windows.items():
+            if not self.active(m):
+                window.clear()
+                continue
+            value = outputs.get(m)
+            agreed = m not in equivocators and value is not None and value == committed
+            window.append(agreed)
+            self.agreement[m][0] += agreed
+            self.agreement[m][1] += 1
 
     def agreement_rates(self) -> dict[int, float]:
         """Share of judged frames each module agreed on (1.0 if none was judged)."""
         return {m: agreed / judged if judged else 1.0 for m, (agreed, judged) in self.agreement.items()}
 
     def review(self, frame: int) -> list[int]:
-        """Flag deviants and isolate those the availability budget allows."""
+        """Flag each active module whose full window deviates at least
+        ``flag_threshold`` of the time, and isolate those the availability
+        budget allows."""
+        window, threshold = self.cfg.window, self.cfg.flag_threshold
         newly_isolated = []
-        for m in sorted(self.ledger.detect_deviants()):
-            if m in self.isolated or m in self.restarting:
+        # a module that is not active has an empty window, so is never judged
+        for m, flags in self.windows.items():
+            if len(flags) < window or flags.count(False) / window < threshold:
                 continue
             if m not in self.flagged:
                 self.flagged.add(m)
@@ -156,7 +108,7 @@ class Supervisor:
                 f"(< quorum {self.quorum_cfg.quorum})"
             )
         self.isolated[module_id] = frame
-        self.ledger.reset(module_id)
+        self.windows[module_id].clear()
         self.events.append((frame, module_id, "isolated"))
 
     def due_for_restart(self, frame: int) -> list[int]:

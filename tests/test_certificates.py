@@ -9,7 +9,7 @@ receiving replica records.
 """
 import pytest
 
-from bftensemble.consensus import Replica, value_digest
+from bftensemble.consensus import Replica
 from bftensemble.core import DecisionSpace, KeyRegistry, QuorumConfig
 from bftensemble.messages import (
     Checkpoint,
@@ -24,6 +24,7 @@ from bftensemble.messages import (
     ViewChange,
     log_prefix_digest,
     sign_message,
+    value_digest,
 )
 
 SPACE = DecisionSpace(labels=("north", "south"), safe_default="north")
@@ -79,24 +80,37 @@ def bundle(kind, case):
         "forged-tag": votes[:2] + (forge(votes[2]),),
         "repeated-signer": votes[:2] + (votes[1],),
         "one-short": votes[:2],
+        "value-off-digest": votes,
     }[case]
 
 
-def certificate(kind, votes):
+def certificate(kind, votes, off_digest=False):
+    """The certificate of ``kind`` over ``votes``; ``off_digest`` makes the
+    value it carries differ from the one its votes sign."""
     if kind == "prepare-cert":
-        return PrepareCertificate(0, 1, D_NORTH, NORTH, votes)
+        return PrepareCertificate(0, 1, D_NORTH, SOUTH if off_digest else NORTH, votes)
     if kind == "checkpoint":
-        return Checkpoint(up_to_frame=1, values=LOG, log_digest=LOG_DIGEST, attestations=votes)
-    return FrameCert(0, NORTH, votes)
+        values = LOG[::-1] if off_digest else LOG
+        return Checkpoint(up_to_frame=1, values=values, log_digest=LOG_DIGEST, attestations=votes)
+    return FrameCert(0, SOUTH if off_digest else NORTH, votes)
 
 
-CASES = ["valid", "wrong-kind", "mismatched-field", "forged-tag", "repeated-signer", "one-short"]
+CASES = [
+    "valid",
+    "wrong-kind",
+    "mismatched-field",
+    "forged-tag",
+    "repeated-signer",
+    "one-short",
+    "value-off-digest",
+]
 
 
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_certificate_verdict(kind, case):
-    assert certificate(kind, bundle(kind, case)).valid(REGISTRY, QUORUM) is (case == "valid")
+    cert = certificate(kind, bundle(kind, case), off_digest=case == "value-off-digest")
+    assert cert.valid(REGISTRY, QUORUM) is (case == "valid")
 
 
 def test_a_fourth_fitting_vote_keeps_a_certificate_valid():
@@ -192,3 +206,26 @@ def test_newview_verdict(case, entered, misbehavior):
     assert bool(out) is entered  # the receiver prepares the proposal
     expected = [] if misbehavior is None else [(0, LEADER, misbehavior)]
     assert rep.misbehavior == expected
+
+
+def test_a_certificate_off_its_digest_is_blamed_on_its_sender():
+    """Faulty replica 3 carries three honest Prepares for NORTH's digest, but
+    with the value SOUTH, into its ViewChange for view 1.  View 1's leader
+    records that ViewChange as ``bad-cert`` and builds its NewView from the
+    honest ViewChanges, so it re-proposes its own NORTH and no receiver
+    blames it for ignoring a certificate."""
+    leader = Replica(LEADER, CFG, SPACE, REGISTRY)
+    receiver = Replica(RECEIVER, CFG, SPACE, REGISTRY)
+    for rep in (leader, receiver):
+        rep.start_frame(0, None, 0)
+        rep.inst.own_output = NORTH
+    off_digest = PrepareCertificate(0, 0, D_NORTH, SOUTH, prepare_cert(NORTH).votes)
+    out = []
+    for vc in (view_change(3, cert=off_digest), view_change(0), view_change(RECEIVER)):
+        out += leader.handle(vc, 5)
+    assert leader.misbehavior == [(0, 3, "bad-cert")]
+    (newview,) = [signed for _, signed in out if isinstance(signed.msg, NewView)]
+    assert newview.msg.proposal.msg.value == NORTH
+    assert receiver.handle(newview, 6)  # the receiver prepares the proposal
+    assert receiver.inst.view == NEW_VIEW
+    assert receiver.misbehavior == []

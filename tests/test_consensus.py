@@ -22,7 +22,6 @@ from bftensemble.consensus import (
     PHASE_PREPARED,
     EquivocatingReplica,
     Replica,
-    value_digest,
     validate_proposal,
 )
 from bftensemble.messages import (
@@ -36,6 +35,7 @@ from bftensemble.messages import (
     StateRequest,
     ViewChange,
     sign_message,
+    value_digest,
 )
 
 SPACE = DecisionSpace(labels=("north", "south", "east"), safe_default="north")

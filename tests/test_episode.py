@@ -2,8 +2,9 @@
 and when f+1 matching Replies finalize a frame.  Both consensus modes end a
 frame through these two helpers.  Also what `supervise = false` turns off,
 what the observer receives, that a restarted vote-only module recovers, that
-an episode leaves no reference cycle, and one campaign episode that once
-broke the liveness bound."""
+a module restarted as honest is judged by its new profile, that an episode
+leaves no reference cycle, and one campaign episode that once broke the
+liveness bound."""
 import gc
 import random
 
@@ -135,6 +136,32 @@ def test_pbft_traffic_stops_at_the_replicas():
     assert between_modules >= {
         "preprepare", "prepare", "commit", "viewchange", "newview", "staterequest",
     }
+
+
+def restarted_honest_scenario(mode: str, profile: str):
+    """fuzz_base_n4 over twelve ``continue`` frames, with module 3 running
+    ``profile`` until its first restart and honest after it."""
+    text = scenario_to_text(load_bundled("fuzz_base_n4"))
+    text = text.split("[observations]")[0] + "[observations]\n"
+    text += "".join(f"{k} | continue |\n" for k in range(12))
+    text = text.replace("frames = 5", "frames = 12")
+    text = text.replace("3 = honest", f"3 = {profile} on_restart=honest")
+    text = text.replace("window = 10", "window = 2").replace("flag_threshold = 0.3", "flag_threshold = 0.5")
+    return parse_scenario_text(text.replace("consensus_mode = pbft", f"consensus_mode = {mode}"))
+
+
+@pytest.mark.parametrize("mode", ["pbft", "vote-only"])
+@pytest.mark.parametrize(
+    "profile", ["byzantine_fixed label=brake", "byzantine_equivocate a=continue b=brake"]
+)
+def test_a_module_restarted_honest_is_judged_by_its_new_profile(mode, profile):
+    """Once restarted as honest, a former equivocator is no longer counted as
+    one: like any other faulty kind it goes through one cycle and then
+    agrees on every judged frame."""
+    result = run_episode(restarted_honest_scenario(mode, profile))
+    isolations = [frame for frame, m, event in result.supervisor_events if event == "isolated"]
+    assert isolations == [1]
+    assert result.module_agreement[3] == pytest.approx(0.8)
 
 
 @pytest.mark.parametrize("at_frame", [0, 2])

@@ -148,8 +148,7 @@ class TestFateFunction:
 
 class TestMute:
     def test_muted_module_neither_sends_nor_receives(self):
-        world = World(quiet_policy(), MODULES)
-        world.mute(2)
+        world = World(quiet_policy(), MODULES, isolated={2})
         world.send(2, 1, "from-muted")
         world.send(0, 2, "to-muted")
         world.send(0, 1, "clean")
@@ -157,9 +156,9 @@ class TestMute:
         assert [(e.frm, e.to) for e in got] == [(0, 1)]
 
     def test_unmute_restores_delivery(self):
-        world = World(quiet_policy(), MODULES)
-        world.mute(2)
-        world.unmute(2)
+        muted = {2}
+        world = World(quiet_policy(), MODULES, isolated=muted)
+        muted.discard(2)
         world.send(0, 2, "hello")
         assert len(drain(world, 2)) == 1
 
@@ -326,8 +325,8 @@ class TestAgainstListScan:
             seed=seed,
         )
         slow = {m: rng.randrange(1, 4) for m in rng.sample(modules, rng.randrange(3))}
-        world = World(policy, modules, slow)
         model = ListScanWorld(policy, modules, slow)
+        world = World(policy, modules, slow, model.muted)
         payloads = self.payloads(KeyRegistry(seed, range(8)))
         delivered = 0
         for _ in range(80):
@@ -338,13 +337,9 @@ class TestAgainstListScan:
                 world.send(frm, to, payload)
                 model.send(frm, to, payload)
             if rng.random() < 0.1:
-                m = rng.choice(modules)
-                world.mute(m)
-                model.muted.add(m)
+                model.muted.add(rng.choice(modules))
             if rng.random() < 0.1 and model.muted:
-                m = rng.choice(sorted(model.muted))
-                world.unmute(m)
-                model.muted.discard(m)
+                model.muted.discard(rng.choice(sorted(model.muted)))
             got = [
                 (e.deliver_round, e.send_round, e.frm, e.to, e.seq, e.payload)
                 for e in world.advance_round()

@@ -3,7 +3,6 @@ import pytest
 
 from bftensemble.core import QuorumConfig
 from bftensemble.supervisor import (
-    DeviationLedger,
     IsolationBudgetError,
     Supervisor,
     SupervisorConfig,
@@ -25,55 +24,60 @@ def feed(target, frames, n=4, deviant=None, deviant_value=BAD, absent=None):
 
 
 class TestDeviationLedger:
-    def ledger(self, window=10, threshold=0.3, n=4):
-        return DeviationLedger(SupervisorConfig(window=window, flag_threshold=threshold), n)
+    """The supervisor's record of deviations: what ``review`` flags and
+    isolates after ``record_round`` has fed each module's window."""
+
+    def supervisor(self, window=10, threshold=0.3, n=4, f=1):
+        return Supervisor(
+            quorum_cfg=QuorumConfig(n=n, f=f),
+            cfg=SupervisorConfig(window=window, flag_threshold=threshold),
+        )
 
     def test_incomplete_window_is_not_judged(self):
-        led = self.ledger()
-        feed(led, 9, deviant=1)
-        assert led.deviation_rate(1) is None
-        assert led.detect_deviants() == set()
+        sup = self.supervisor()
+        feed(sup, 9, deviant=1)
+        assert sup.review(8) == []
+        assert sup.flagged == set()
 
     def test_three_of_ten_reaches_the_default_threshold(self):
-        led = self.ledger()
-        feed(led, 7)
-        feed(led, 3, deviant=1)
-        assert led.deviation_rate(1) == pytest.approx(0.3)
-        assert led.detect_deviants() == {1}
+        sup = self.supervisor()
+        feed(sup, 7)
+        feed(sup, 3, deviant=1)
+        assert sup.review(9) == [1]
+        assert sup.flagged == {1}
 
     def test_two_of_ten_stays_below(self):
-        led = self.ledger()
-        feed(led, 8)
-        feed(led, 2, deviant=1)
-        assert led.deviation_rate(1) == pytest.approx(0.2)
-        assert led.detect_deviants() == set()
+        sup = self.supervisor()
+        feed(sup, 8)
+        feed(sup, 2, deviant=1)
+        assert sup.review(9) == []
+        assert sup.flagged == set()
 
     def test_absence_counts_as_deviation(self):
-        led = self.ledger(window=4, threshold=0.5)
-        feed(led, 4, absent=2)
-        assert led.deviation_rate(2) == pytest.approx(1.0)
-        assert 2 in led.detect_deviants()
+        sup = self.supervisor(window=4, threshold=0.5)
+        feed(sup, 4, absent=2)
+        assert sup.review(3) == [2]
 
     def test_agreeing_modules_are_never_flagged(self):
-        led = self.ledger()
-        feed(led, 50, deviant=3)
-        assert led.detect_deviants() == {3}
-        for m in (0, 1, 2):
-            assert led.deviation_rate(m) == pytest.approx(0.0)
+        sup = self.supervisor()
+        feed(sup, 50, deviant=3)
+        assert sup.review(49) == [3]
+        assert sup.flagged == {3}
 
     def test_window_slides(self):
-        led = self.ledger(window=4, threshold=0.5)
-        feed(led, 4, deviant=1)
-        assert led.detect_deviants() == {1}
-        feed(led, 4)  # four clean frames push the bad ones out
-        assert led.detect_deviants() == set()
+        sup = self.supervisor(window=4, threshold=0.5)
+        feed(sup, 4, deviant=1)
+        feed(sup, 4)  # four clean frames push the bad ones out
+        assert sup.review(7) == []
+        feed(sup, 2, deviant=1)  # two of the last four frames are bad
+        assert sup.review(9) == [1]
 
     def test_equivocators_deviate_regardless_of_value(self):
-        led = self.ledger(window=2, threshold=0.5)
+        sup = self.supervisor(window=2, threshold=0.5)
         outputs = {m: GOOD for m in range(4)}
-        led.record_round(0, GOOD, outputs, equivocators={2})
-        led.record_round(1, GOOD, outputs, equivocators={2})
-        assert led.detect_deviants() == {2}
+        sup.record_round(0, GOOD, outputs, equivocators={2})
+        sup.record_round(1, GOOD, outputs, equivocators={2})
+        assert sup.review(1) == [2]
 
 
 class TestSupervisor:
