@@ -105,14 +105,16 @@ class Replica:
     ):
         self.module_id = module_id
         self.cfg = cfg
+        self.quorum = cfg.quorum  # 2f+1; cfg is frozen
         self.space = space
         self.registry = registry
         self.timeout_rounds = timeout_rounds
-        self.execution_threshold = max(cfg.quorum, execution_threshold or cfg.quorum)
+        self.execution_threshold = max(self.quorum, execution_threshold or self.quorum)
         self.checkpoint_interval = checkpoint_interval
 
         self.inst: Optional[FrameInstance] = None
         self.committed: dict[int, str] = {}
+        self._contiguous = -1  # last_contiguous_frame's last answer
         self.frame_certs: dict[int, FrameCert] = {}
         self.stable_checkpoint: Optional[Checkpoint] = None
         # up_to -> digest -> signer -> signed attest
@@ -140,9 +142,12 @@ class Replica:
 
     @property
     def last_contiguous_frame(self) -> int:
-        frame = -1
-        while frame + 1 in self.committed:
+        """The highest frame k with frames 0..k all committed, or -1.  The
+        walk resumes from the last answer: ``committed`` never loses a frame."""
+        frame, committed = self._contiguous, self.committed
+        while frame + 1 in committed:
             frame += 1
+        self._contiguous = frame
         return frame
 
     # --- frame lifecycle -----------------------------------------------------
@@ -278,7 +283,10 @@ class Replica:
             # value its digest names
             self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
             return []
-        out = self._note_leader_endorsement(signed, round_)
+        if signed.sender == self.leader_of(self.inst.frame, msg.view):
+            out = self._note_leader_endorsement(signed, round_)
+        else:
+            out = []
         self._record_vote(signed)
         if type(msg) is Prepare:
             return out + self._check_prepared()
@@ -289,7 +297,7 @@ class Replica:
         if inst.phase != PHASE_PRE_PREPARED or inst.proposal is None:
             return []
         want = inst.proposal.msg.value_digest
-        if inst.tallies.get((Prepare, inst.view, want), 0) < self.cfg.quorum:
+        if inst.tallies.get((Prepare, inst.view, want), 0) < self.quorum:
             return []
         inst.phase = PHASE_PREPARED
         cert = PrepareCertificate(
@@ -359,7 +367,7 @@ class Replica:
     def _on_viewchange(self, signed: Signed, round_: int) -> list[Outbound]:
         inst = self.inst
         msg = signed.msg
-        if msg.cert is not None and not msg.cert.valid(self.registry, self.cfg.quorum):
+        if msg.cert is not None and not msg.cert.valid(self.registry, self.quorum):
             self.misbehavior.append((inst.frame, signed.sender, "bad-cert"))
             return []
         inst.view_changes.setdefault(msg.new_view, {}).setdefault(signed.sender, signed)
@@ -386,7 +394,7 @@ class Replica:
         if self.leader_of(inst.frame, new_view) != self.module_id:
             return []
         vcs = inst.view_changes.get(new_view, {})
-        if len(vcs) < self.cfg.quorum:
+        if len(vcs) < self.quorum:
             return []
         ordered = tuple(sorted(vcs.values(), key=lambda s: s.sender))[: self.cfg.n]
         best = self._select_newview_value(ordered)
@@ -420,12 +428,12 @@ class Replica:
         def fits(vc) -> bool:
             if not isinstance(vc, ViewChange) or vc.new_view != msg.view:
                 return False
-            return vc.cert is None or vc.cert.valid(self.registry, self.cfg.quorum)
+            return vc.cert is None or vc.cert.valid(self.registry, self.quorum)
 
         voters = signers(msg.view_changes, self.registry, fits)
         if voters is None:
             return []  # a malformed ViewChange
-        if len(voters) < self.cfg.quorum:
+        if len(voters) < self.quorum:
             self.misbehavior.append((inst.frame, signed.sender, "underfull-newview"))
             return []
         pp = msg.proposal
@@ -495,7 +503,7 @@ class Replica:
         slot.setdefault(signed.sender, signed)
         stable = self.stable_checkpoint
         if (
-            len(slot) >= self.cfg.quorum
+            len(slot) >= self.quorum
             and (stable is None or stable.up_to_frame < msg.up_to_frame)
             and self.last_contiguous_frame >= msg.up_to_frame
         ):
@@ -527,7 +535,7 @@ class Replica:
     def apply_snapshot(self, snap: StateSnapshot) -> list[Outbound]:
         """Adopt a proven committed prefix.  Rejects snapshots whose checkpoint
         or any per-frame certificate lacks a 2f+1 quorum, adopting none of it."""
-        cp, quorum = snap.checkpoint, self.cfg.quorum
+        cp, quorum = snap.checkpoint, self.quorum
         if (cp is not None and not cp.valid(self.registry, quorum)) or not all(
             cert.valid(self.registry, quorum) for cert in snap.frame_certs
         ):

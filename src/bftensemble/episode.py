@@ -36,6 +36,10 @@ from .supervisor import Supervisor
 from .voter import Verdict, fast_path_agree, tally
 
 
+# the default of a receiver lookup for a module that takes no deliveries
+_NOT_RECEIVING = object()
+
+
 def liveness_bound(f: int, timeout_rounds: int) -> int:
     return (f + 1) * timeout_rounds + 3
 
@@ -144,10 +148,6 @@ class EpisodeRunner:
         return self.supervisor.active(m) and self.profiles[m].emits(frame)
 
     # --- shared plumbing -----------------------------------------------------
-
-    def _send_all(self, sender: int, outbound) -> None:
-        for dest, payload in outbound:
-            self.world.send(sender, dest, payload)
 
     def _produce(self, frame: int):
         """Per-module outputs for this frame.  Equivocators yield a pair."""
@@ -297,17 +297,21 @@ class EpisodeRunner:
 
     def _pbft_rounds(self, frame: int, outputs, replies: dict[int, str]):
         s = self.s
-        start_round = self.world.round
+        world = self.world
+        send = world.send
+        start_round = world.round
         # statuses and engines change only between frames: `live` run the
         # frame, and restarting modules also take deliveries to catch up
         live = [(m, self.engines[m]) for m in range(self.n) if self._takes_part(m, frame)]
         receivers = dict(live)
         for m in self.supervisor.restarting:
             receivers[m] = self.engines[m]
+        receiver = receivers.get
         for m, engine in live:
             out = outputs[m]
             own = out[0] if isinstance(out, tuple) else out
-            self._send_all(m, engine.start_frame(frame, own, start_round))
+            for dest, payload in engine.start_frame(frame, own, start_round):
+                send(m, dest, payload)
 
         finalized: Optional[str] = None
         finality_round = start_round
@@ -315,20 +319,28 @@ class EpisodeRunner:
         drain = s.network.base_delay_rounds + s.network.jitter_rounds + 2
 
         while True:
-            if finalized is not None and self.world.round >= finality_round + drain:
+            now = world.round
+            if finalized is not None and now >= finality_round + drain:
                 break
-            if finalized is None and self.world.round - start_round >= bound:
+            if finalized is None and now - start_round >= bound:
                 break
-            for env in self.world.advance_round():
-                if env.to in receivers:
-                    self._send_all(env.to, receivers[env.to].handle(env.payload, self.world.round))
-                else:
+            due = world.advance_round()
+            now = world.round
+            for env in due:
+                to = env.to
+                # a restarting silent module's engine is None, and raises here
+                engine = receiver(to, _NOT_RECEIVING)
+                if engine is _NOT_RECEIVING:
                     self._observe_reply(replies, env, frame)
+                    continue
+                for dest, payload in engine.handle(env.payload, now):
+                    send(to, dest, payload)
             for m, engine in live:
-                self._send_all(m, engine.on_round(self.world.round))
+                for dest, payload in engine.on_round(now):
+                    send(m, dest, payload)
             if finalized is None:
                 finalized = self._reply_quorum(replies)
-                finality_round = self.world.round
+                finality_round = now
 
         # post-frame straggler sync: undecided honest replicas ask for the
         # committed prefix; committed peers answer with certificates.
@@ -336,11 +348,16 @@ class EpisodeRunner:
             for m, engine in live:
                 if not engine.inst.decided:
                     req = sign_message(self.registry, m, StateRequest(frame))
-                    self.world.send(m, PEERS, req)
-            for _ in range(2 * (s.network.base_delay_rounds + s.network.jitter_rounds) + 2):
-                for env in self.world.advance_round():
-                    if env.to in receivers:
-                        self._send_all(env.to, receivers[env.to].handle(env.payload, self.world.round))
+                    send(m, PEERS, req)
+            sync = 2 * (s.network.base_delay_rounds + s.network.jitter_rounds) + 2
+            for due in world.delivery_rounds(sync):
+                now = world.round
+                for env in due:
+                    to = env.to
+                    engine = receiver(to, _NOT_RECEIVING)
+                    if engine is not _NOT_RECEIVING:
+                        for dest, payload in engine.handle(env.payload, now):
+                            send(to, dest, payload)
         else:
             self.liveness_failures.append(frame)
 
@@ -400,8 +417,8 @@ class EpisodeRunner:
         s = self.s
         window = s.network.base_delay_rounds + s.network.jitter_rounds
         window += max(self.world.slow_extra.values(), default=0)
-        for _ in range(window + 1):
-            for env in self.world.advance_round():
+        for due in self.world.delivery_rounds(window + 1):
+            for env in due:
                 payload = env.payload
                 if isinstance(payload, ModuleOutput):
                     if payload.frame != frame or not verify_output(self.registry, payload):
@@ -460,8 +477,9 @@ class EpisodeRunner:
                 reply = sign_message(self.registry, m, Reply(frame, verdicts[m].value))
                 self.world.send(m, OBSERVER, reply)
 
-        for _ in range(s.network.base_delay_rounds + s.network.jitter_rounds + 1):
-            for env in self.world.advance_round():
+        window = s.network.base_delay_rounds + s.network.jitter_rounds
+        for due in self.world.delivery_rounds(window + 1):
+            for env in due:
                 self._observe_reply(replies, env, frame)
 
         decided_labels = {

@@ -9,7 +9,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import BROADCAST, DIGEST_SIZE, OBSERVER, PEERS, Encoded, canonical, short_digest
 from .messages import KIND_NAMES, Signed
@@ -30,6 +30,10 @@ class Partition:
         return (frm in self.side_a and to in self.side_b) or (
             frm in self.side_b and to in self.side_a
         )
+
+
+_INDEX = struct.Struct(">q")
+_DRAWS = struct.Struct(">QQ")  # a digest's drop draw and delay draw
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -56,37 +60,39 @@ class NetworkPolicy:
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
 
-    def fate(self, envelope_index: int) -> Optional[int]:
-        """Extra delay for this envelope, or None if dropped."""
+    def fate(self, first_index: int, count: int) -> list[Optional[int]]:
+        """Extra delays of the ``count`` envelopes numbered from
+        ``first_index``, each None if that envelope is dropped."""
         drop_rate, jitter = self.drop_rate, self.jitter_rounds
         if not drop_rate and not jitter:
-            return 0  # a quiet network: no draw can drop or delay
-        state = _fate_hash(self.seed).copy()
-        state.update(struct.pack(">q", envelope_index))
-        h = state.digest()
-        if drop_rate and int.from_bytes(h[:8], "big") / 2**64 < drop_rate:
-            return None
-        if not jitter:
-            return 0
-        return int.from_bytes(h[8:16], "big") % (jitter + 1)
+            return [0] * count  # a quiet network: no draw can drop or delay
+        base, pack, draws = _fate_hash(self.seed), _INDEX.pack, _DRAWS.unpack_from
+        modulus = jitter + 1
+        fates = []
+        for index in range(first_index, first_index + count):
+            state = base.copy()
+            state.update(pack(index))
+            drop, delay = draws(state.digest())
+            fates.append(None if drop / 2**64 < drop_rate else delay % modulus)
+        return fates
 
     def partitioned(self, round_: int, frm: int, to: int) -> bool:
         return any(p.blocks(round_, frm, to) for p in self.partitions)
 
 
-@dataclass(slots=True)
-class Envelope:
+class Envelope(NamedTuple):
+    """One queued message.  The fields are in delivery order, so envelopes
+    sort as tuples; ``seq`` is unique, so a comparison never reaches
+    ``payload``."""
+
+    deliver_round: int
+    send_round: int
     frm: int
     to: int
+    seq: int
     payload: object  # Signed protocol message or ModuleOutput
     kind: str
-    send_round: int
-    deliver_round: int
-    seq: int
     log_tag: str  # "kind|short digest", the payload's part of its event-log line
-
-    def sort_key(self):
-        return (self.deliver_round, self.send_round, self.frm, self.to, self.seq)
 
 
 def payload_kind(payload) -> str:
@@ -149,20 +155,23 @@ class World:
         partitioned = policy.partitioned if policy.partitions else None
         now = self.round
         earliest = now + policy.base_delay_rounds + self.slow_extra.get(frm, 0)
-        queue = self._queue
+        append = self._queue.append
+        # tuple.__new__ builds an Envelope without the Python-level __new__
+        # a NamedTuple adds: one call less per queued envelope
+        new = tuple.__new__
         seq = self._seq
-        for recipient in recipients:
+        # one draw per slot; a slot skipped below leaves its draw unused
+        for recipient, fate in zip(recipients, policy.fate(seq + 1, len(recipients))):
             seq += 1
             if recipient in isolated:
                 continue
             if partitioned is not None and partitioned(now, frm, recipient):
                 continue
-            fate = policy.fate(seq)
-            if fate is None and recipient != OBSERVER:
-                continue
-            queue.append(
-                Envelope(frm, recipient, payload, kind, now, earliest + (fate or 0), seq, log_tag)
-            )
+            if fate is None:
+                if recipient != OBSERVER:
+                    continue
+                fate = 0
+            append(new(Envelope, (earliest + fate, now, frm, recipient, seq, payload, kind, log_tag)))
         self._seq = seq + skipped
 
     def advance_round(self) -> list[Envelope]:
@@ -174,14 +183,28 @@ class World:
         for env in self._queue:
             (due if env.deliver_round <= now else later).append(env)
         self._queue = later
-        due.sort(key=Envelope.sort_key)
+        due.sort()
         isolated = self.isolated
         if isolated:
             due = [e for e in due if e.to not in isolated and e.frm not in isolated]
-        log = self.event_log
-        for env in due:
-            log.append(f"{now}|{env.frm}|{env.to}|{env.log_tag}")
+        self.event_log.extend([f"{now}|{e.frm}|{e.to}|{e.log_tag}" for e in due])
         return due
+
+    def delivery_rounds(self, rounds: int):
+        """Advance the clock ``rounds`` rounds, yielding each round's due
+        envelopes that ``advance_round`` returns, if there are any.  Only for
+        a caller that fires no timers: after a round that delivered nothing,
+        the clock moves to the round before the earliest pending delivery,
+        capped at the last round, so a long delay costs no empty rounds."""
+        end = self.round + rounds
+        while self.round < end:
+            due = self.advance_round()
+            if due:
+                yield due
+            else:
+                queue = self._queue
+                nearest = min(queue).deliver_round if queue else end + 1
+                self.round = min(nearest - 1, end)
 
     def pending(self) -> int:
         return len(self._queue)

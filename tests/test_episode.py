@@ -3,10 +3,12 @@ and when f+1 matching Replies finalize a frame.  Both consensus modes end a
 frame through these two helpers.  Also what `supervise = false` turns off,
 what the observer receives, that a restarted vote-only module recovers, that
 a module restarted as honest is judged by its new profile, that an episode
-leaves no reference cycle, and one campaign episode that once broke the
-liveness bound."""
+leaves no reference cycle, one campaign episode that once broke the
+liveness bound, and that long network delays cost no empty rounds."""
 import gc
+import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +17,8 @@ from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
 from bftensemble.messages import Reply, Signed, sign_message
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
-from bftensemble.simnet import Envelope
+from bftensemble.simnet import Envelope, World
+from bftensemble.voter import VoteStrategy
 
 
 @pytest.fixture(params=["fuzz_base_n4", "fuzz_base_n7"])
@@ -213,3 +216,66 @@ def test_two_faulty_leaders_in_a_row_fit_the_liveness_bound():
     assert result.liveness_failures == []
     assert all(r.verdict == "decided" and r.rounds_to_commit <= bound for r in result.records)
     assert result.records[3].view_changes == 2
+
+
+def delayed(name: str, strategy: str, **network):
+    scenario = load_bundled(name)
+    return replace(
+        scenario, strategy=VoteStrategy(strategy), network=replace(scenario.network, **network)
+    )
+
+
+def counting_advance_round(monkeypatch) -> list[int]:
+    calls = [0]
+    advance = World.advance_round
+
+    def counted(world):
+        calls[0] += 1
+        return advance(world)
+
+    monkeypatch.setattr(World, "advance_round", counted)
+    return calls
+
+
+# (scenario, SHA-256 of decision.log, SHA-256 of event.log, most advance_round
+# calls).  The logs are those of a loop that stepped through every round:
+# the vote-only cases then made 9,018 and 6,012 calls, the PBFT case 102.
+LONG_DELAYS = [
+    (
+        delayed("av_plastic_bag", "fastpath", jitter_rounds=1000, drop_rate=0.1),
+        "177b50bba0fbd3e4340cd1b769f80eed183b7b1b3116fc80db0e1bbbc3cfa4ab",
+        "3542c4dbdbe4e99864eecc816c429cd8dc412448572210f283501433c5202004",
+        400,
+    ),
+    (
+        delayed("av_plastic_bag", "majority", jitter_rounds=1000),
+        "eeccfc624cab8754ff15c33bb8a4dc1d476107f3de299787500664cff5c073a5",
+        "bd3ad53393e19a10e022d84241c060dcb6aca73264353dd7ee9acc13de049dc0",
+        250,
+    ),
+    (
+        delayed("fuzz_base_n7", "majority", jitter_rounds=3, drop_rate=0.02),
+        "7fb6b915290e7a24656d88500a59391a24019b482cc2bccab3ebedcbaedecd56",
+        "99e4b6cd31ef4b207f0a23060a39ca370e5a90b12ef3c3627838f98465cf5270",
+        80,
+    ),
+]
+
+
+@pytest.mark.parametrize("scenario, decisions, events, most_calls", LONG_DELAYS)
+def test_delivery_windows_skip_empty_rounds(monkeypatch, scenario, decisions, events, most_calls):
+    """The loops that fire no timers (the vote-only windows and the PBFT
+    post-frame sync) jump over rounds in which nothing is due, and write
+    the same logs as a loop through every round."""
+    calls = counting_advance_round(monkeypatch)
+    result = run_episode(scenario)
+    sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert (sha(result.decision_log_text), sha(result.event_log_text)) == (decisions, events)
+    assert calls[0] <= most_calls
+
+
+def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
+    calls = counting_advance_round(monkeypatch)
+    result = run_episode(delayed("av_plastic_bag", "fastpath", jitter_rounds=10**12))
+    assert [r.verdict for r in result.records] == ["decided"] * 3
+    assert calls[0] <= 400

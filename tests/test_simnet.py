@@ -132,18 +132,74 @@ class TestPartitions:
 class TestFateFunction:
     def test_pure_in_envelope_index(self):
         policy = quiet_policy(jitter_rounds=2, drop_rate=0.3, seed=123)
-        first = [policy.fate(i) for i in range(200)]
-        second = [policy.fate(i) for i in range(200)]
+        first = policy.fate(0, 200)
+        second = [policy.fate(i, 1)[0] for i in range(200)]
         assert first == second
 
     def test_seed_changes_the_schedule(self):
         a = quiet_policy(jitter_rounds=2, drop_rate=0.3, seed=1)
         b = quiet_policy(jitter_rounds=2, drop_rate=0.3, seed=2)
-        assert [a.fate(i) for i in range(200)] != [b.fate(i) for i in range(200)]
+        assert a.fate(0, 200) != b.fate(0, 200)
 
     def test_zero_drop_never_drops(self):
         policy = quiet_policy(jitter_rounds=1, seed=3)
-        assert all(policy.fate(i) is not None for i in range(500))
+        assert None not in policy.fate(0, 500)
+
+
+class TestEnvelopeOrder:
+    def test_payloads_that_refuse_comparison_still_sort(self):
+        class Opaque:
+            def __eq__(self, other):
+                raise TypeError("not comparable")
+
+            __lt__ = __gt__ = __le__ = __ge__ = __eq__
+
+        world = World(quiet_policy(jitter_rounds=3, seed=8), MODULES)
+        for m in MODULES:
+            world.send(m, BROADCAST, Opaque())
+            world.send(m, (m + 1) % 4, Opaque())
+        got = drain(world, 6)
+        assert len(got) == 4 * 5
+        assert [e[:5] for e in got] == sorted(e[:5] for e in got)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_delivery_rounds_skips_only_empty_rounds(self, seed):
+        """delivery_rounds yields what as many advance_round calls would, ends
+        on the same round, and makes fewer calls under a long jitter."""
+        rng = random.Random(seed)
+        policy = quiet_policy(
+            base_delay_rounds=rng.randrange(3),
+            jitter_rounds=rng.choice([0, 5, 400]),
+            drop_rate=rng.choice([0.0, 0.2]),
+            seed=seed,
+        )
+        slow = {3: rng.randrange(3)}
+        worlds = [World(policy, MODULES, slow) for _ in range(2)]
+        sends = [
+            (rng.choice(MODULES), rng.choice([BROADCAST, PEERS, *MODULES]), ("msg", i))
+            for i in range(rng.randrange(1, 12))
+        ]
+        rounds = rng.randrange(1, 500)
+        for world in worlds:
+            world.advance_round()  # a clock that does not start at 0
+            for frm, to, payload in sends:
+                world.send(frm, to, payload)
+        stepped, skipping = worlds
+        expected = drain(stepped, rounds)
+        calls = [0]
+        advance = skipping.advance_round
+
+        def counted():
+            calls[0] += 1
+            return advance()
+
+        skipping.advance_round = counted
+        got = [env for due in skipping.delivery_rounds(rounds) for env in due]
+        assert got == expected
+        assert skipping.event_log == stepped.event_log
+        assert skipping.round == stepped.round == rounds + 1
+        assert skipping.pending() == stepped.pending()
+        assert calls[0] <= min(rounds, 2 * len(expected) + 1)
 
 
 class TestMute:
@@ -204,21 +260,37 @@ class TestFatePrefix:
     )
     def test_matches_the_full_encoding(self, seed, drop_rate, jitter):
         policy = quiet_policy(jitter_rounds=jitter, drop_rate=drop_rate, seed=seed)
-        for i in [*range(300), 2**31 + 5, 2**62]:
-            assert policy.fate(i) == self.reference_fate(policy, i)
+        for first, count in [(0, 300), (2**31 + 5, 1), (2**62, 1)]:
+            assert policy.fate(first, count) == [
+                self.reference_fate(policy, i) for i in range(first, first + count)
+            ]
 
     def test_policy_from_replace_uses_its_own_seed(self):
         policy = quiet_policy(jitter_rounds=2, drop_rate=0.1, seed=5)
-        policy.fate(0)
+        policy.fate(0, 1)
         for changes in ({"seed": 6}, {"drop_rate": 0.4}, {"jitter_rounds": 1}, {}):
             derived = replace(policy, **changes)
-            assert [derived.fate(i) for i in range(300)] == [
+            assert derived.fate(0, 300) == [
                 self.reference_fate(derived, i) for i in range(300)
             ]
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_batches_concatenate(self, seed):
+        """Draws do not depend on how the indices are split into batches."""
+        rng = random.Random(seed)
+        policy = quiet_policy(
+            jitter_rounds=rng.choice([0, 1, 3, 10]),
+            drop_rate=rng.choice([0.0, 0.05, 0.5]),
+            seed=rng.randrange(-(2**40), 2**40),
+        )
+        first, k1, k2 = rng.randrange(2**32), rng.randrange(8), rng.randrange(8)
+        whole = policy.fate(first, k1 + k2)
+        assert policy.fate(first, k1) + policy.fate(first + k1, k2) == whole
+        assert whole == [self.reference_fate(policy, i) for i in range(first, first + k1 + k2)]
+
     def test_prefix_is_not_a_field(self):
         a, b = quiet_policy(seed=4), quiet_policy(seed=4)
-        a.fate(1)
+        a.fate(1, 1)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "net-fate" not in repr(a)
 
