@@ -114,7 +114,6 @@ class Replica:
 
         self.inst: Optional[FrameInstance] = None
         self.committed: dict[int, str] = {}
-        self._contiguous = -1  # last_contiguous_frame's last answer
         self.frame_certs: dict[int, FrameCert] = {}
         self.stable_checkpoint: Optional[Checkpoint] = None
         # up_to -> digest -> signer -> signed attest
@@ -142,12 +141,9 @@ class Replica:
 
     @property
     def last_contiguous_frame(self) -> int:
-        """The highest frame k with frames 0..k all committed, or -1.  The
-        walk resumes from the last answer: ``committed`` never loses a frame."""
-        frame, committed = self._contiguous, self.committed
-        while frame + 1 in committed:
+        frame = -1
+        while frame + 1 in self.committed:
             frame += 1
-        self._contiguous = frame
         return frame
 
     # --- frame lifecycle -----------------------------------------------------
@@ -283,10 +279,7 @@ class Replica:
             # value its digest names
             self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
             return []
-        if signed.sender == self.leader_of(self.inst.frame, msg.view):
-            out = self._note_leader_endorsement(signed, round_)
-        else:
-            out = []
+        out = self._note_leader_endorsement(signed, round_)
         self._record_vote(signed)
         if type(msg) is Prepare:
             return out + self._check_prepared()

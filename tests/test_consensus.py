@@ -696,30 +696,3 @@ class TestRunningTallies:
             reached["no-decision"] += not tallied.inst.decided
             reached["conflict"] += any("conflicting" in what for _, _, what in tallied.misbehavior)
         assert all(reached.values()), reached
-
-
-def walk_from_start(committed) -> int:
-    """The highest frame k with frames 0..k all in ``committed``, or -1."""
-    frame = -1
-    while frame + 1 in committed:
-        frame += 1
-    return frame
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_last_contiguous_frame_matches_a_walk_from_the_start(seed):
-    """Commits and snapshot adoptions in random order, gaps included: the
-    resumed walk always equals one from frame -1."""
-    rng = random.Random(seed)
-    replica = Replica(1, QuorumConfig(n=4, f=1), SPACE, KeyRegistry(17, range(4)))
-    frames = list(range(rng.randrange(5, 40)))
-    rng.shuffle(frames)
-    for frame in frames:
-        if rng.random() < 0.5:
-            replica.start_frame(frame, None, 0)
-            replica._decide(NORTH, 0)
-        else:
-            replica._adopt(frame, NORTH)
-        if rng.random() < 0.7:
-            assert replica.last_contiguous_frame == walk_from_start(replica.committed)
-    assert replica.last_contiguous_frame == len(frames) - 1
