@@ -18,7 +18,7 @@ from .core import (
 from .campaign import CampaignReport, fuzz_campaign
 from .episode import EpisodeResult, run_episode
 from .scenario import Scenario, ScenarioError, parse_scenario, parse_scenario_text
-from .voter import Verdict, VoteStrategy, tally, weighted_tally
+from .voter import Verdict, VoteStrategy, tally
 
 __all__ = [
     "BROADCAST",
@@ -44,5 +44,4 @@ __all__ = [
     "quorum_size",
     "run_episode",
     "tally",
-    "weighted_tally",
 ]

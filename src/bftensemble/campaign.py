@@ -137,19 +137,17 @@ def fuzz_campaign(base: Scenario, episodes: int, seed: int, strict: bool = True)
         scenario = randomize_episode(base, rng, episode_seed)
         result = run_episode(scenario)
         frames_total += len(result.records)
-        if result.agreement_violations:
-            agreement_violations += len(result.agreement_violations)
-            failures.append((episode_seed, index))
-        if result.liveness_failures:
-            liveness_failures += len(result.liveness_failures)
-            failures.append((episode_seed, index))
+        agreement_violations += len(result.agreement_violations)
+        liveness_failures += len(result.liveness_failures)
+        failed = bool(result.agreement_violations or result.liveness_failures)
         for record in result.records:
             rounds_hist[record.rounds_to_commit] = rounds_hist.get(record.rounds_to_commit, 0) + 1
             vc_hist[record.view_changes] = vc_hist.get(record.view_changes, 0) + 1
             max_rounds = max(max_rounds, record.rounds_to_commit)
             max_vc = max(max_vc, record.view_changes)
-            if record.verdict == "decided" and record.rounds_to_commit > bound:
-                failures.append((episode_seed, index))
+            failed = failed or (record.verdict == "decided" and record.rounds_to_commit > bound)
+        if failed:
+            failures.append((episode_seed, index))
         if strict and failures:
             failed_seed, failed_index = failures[0]
             kind = "agreement" if result.agreement_violations else "liveness"

@@ -225,9 +225,9 @@ _PLAIN = frozenset((bool, int, str, bytes, type(None)))
 
 
 def _shape(fields: tuple):
-    """The types of ``fields`` at every depth, with the sign of a zero float
-    (``0.0 == -0.0``), or None when a field cannot be keyed exactly: a list,
-    a subclass or any other type."""
+    """The types of ``fields`` at every depth, or None when a field cannot be
+    keyed exactly: a float (``0.0 == -0.0``), a list, a subclass or any
+    other type."""
     shape = []
     for field in fields:
         kind = type(field)
@@ -235,9 +235,6 @@ def _shape(fields: tuple):
             kind = _shape(field)
             if kind is None:
                 return None
-        elif kind is float:
-            if not field:
-                kind = str(field)
         elif kind not in _PLAIN:
             return None
         shape.append(kind)
@@ -258,9 +255,9 @@ def _memo(shape, *fields) -> tuple[bytes, bytes, str]:
 def encoding(*fields) -> tuple[bytes, bytes, str]:
     """``canonical(*fields)``, its :func:`digest` and its :func:`short_digest`.
 
-    Equal fields need not encode alike (``1 == 1.0 == True``), so the memo
-    keys on each field's type, and on the :func:`_shape` when a field is a
-    tuple or a float; fields with no exact key skip it."""
+    Equal fields need not encode alike (``1 == True``), so the memo keys on
+    each field's type, and on the :func:`_shape` when a field is a tuple;
+    fields with no exact key skip it."""
     if _PLAIN.issuperset(map(type, fields)):
         shape = None
     else:
@@ -305,20 +302,15 @@ class ModuleOutput(Encoded):
     module_id: int
     frame: int
     value: str
-    confidence: float
     sig: AuthTag
 
     def _fields(self) -> tuple:
-        return ("output", self.module_id, self.frame, self.value, self.confidence)
+        return ("output", self.module_id, self.frame, self.value)
 
 
-def make_output(
-    registry: KeyRegistry, module_id: int, frame: int, value: str, confidence: float
-) -> ModuleOutput:
-    if not 0.0 <= confidence <= 1.0:
-        raise ValueError(f"confidence {confidence} outside [0, 1]")
-    payload_digest = encoding("output", module_id, frame, value, confidence)[1]
-    return ModuleOutput(module_id, frame, value, confidence, registry.sign(module_id, payload_digest))
+def make_output(registry: KeyRegistry, module_id: int, frame: int, value: str) -> ModuleOutput:
+    payload_digest = encoding("output", module_id, frame, value)[1]
+    return ModuleOutput(module_id, frame, value, registry.sign(module_id, payload_digest))
 
 
 def verify_output(registry: KeyRegistry, out: ModuleOutput) -> bool:
@@ -327,6 +319,6 @@ def verify_output(registry: KeyRegistry, out: ModuleOutput) -> bool:
     memo = out.__dict__.get("_verified")
     if memo is not None and memo[0] is registry:
         return memo[1]
-    ok = 0.0 <= out.confidence <= 1.0 and registry.verify(out.sig, out.module_id, out.payload_digest())
+    ok = registry.verify(out.sig, out.module_id, out.payload_digest())
     out.__dict__["_verified"] = (registry, ok)
     return ok

@@ -174,6 +174,8 @@ class EpisodeRunner:
     def _handle_restarts(self, frame: int) -> None:
         for m in self.supervisor.due_for_restart(frame):
             profile = self.profiles[m] = self.profiles[m].restarted()
+            if profile.kind != "slow":
+                self.world.slow_extra.pop(m, None)
             self.engines[m] = self._make_engine(m, profile)
             self.rngs[m] = module_rng(self.s.seed, m, profile.perturb_seed)
         # restarting modules keep asking for state until a snapshot lands

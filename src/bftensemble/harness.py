@@ -11,9 +11,6 @@ from typing import Optional
 
 from .core import DecisionSpace, KeyRegistry, canonical, digest, int64, make_output
 
-HONEST_CONFIDENCE = 0.9
-BYZANTINE_CONFIDENCE = 1.0  # a liar claims certainty
-
 
 # scenario-file profile option -> (FaultProfile field, reader)
 PROFILE_OPTIONS = {
@@ -24,7 +21,6 @@ PROFILE_OPTIONS = {
     "label": ("bad_label", str),
     "a": ("label_a", str),
     "b": ("label_b", str),
-    "confidence": ("base_confidence", float),
     "on_restart": ("on_restart", str),
 }
 
@@ -42,10 +38,9 @@ class FaultProfile:
     bad_label: Optional[str] = None  # byzantine_fixed
     label_a: Optional[str] = None    # byzantine_equivocate
     label_b: Optional[str] = None    # byzantine_equivocate
-    base_confidence: Optional[float] = None
     on_restart: str = "same"         # same | honest
 
-    # each kind and the options it takes besides confidence and on_restart
+    # each kind and the options it takes besides on_restart
     KIND_OPTIONS = {
         "honest": (),
         "diverse_honest": ("error_rate", "perturb_seed"),
@@ -72,15 +67,13 @@ class FaultProfile:
         if self.kind == "byzantine_equivocate":
             if self.label_a is None or self.label_b is None or self.label_a == self.label_b:
                 raise ValueError("byzantine_equivocate needs two distinct labels")
-        if self.base_confidence is not None and not 0.0 <= self.base_confidence <= 1.0:
-            raise ValueError(f"confidence {self.base_confidence} outside [0, 1]")
         if self.on_restart not in ("same", "honest"):
             raise ValueError(f"on_restart must be 'same' or 'honest', got {self.on_restart!r}")
 
     @classmethod
     def options(cls, kind: str) -> dict:
         """The options ``kind`` takes, in PROFILE_OPTIONS form."""
-        return {k: PROFILE_OPTIONS[k] for k in cls.KIND_OPTIONS[kind] + ("confidence", "on_restart")}
+        return {k: PROFILE_OPTIONS[k] for k in cls.KIND_OPTIONS[kind] + ("on_restart",)}
 
     @property
     def byzantine(self) -> bool:
@@ -102,7 +95,7 @@ class FaultProfile:
         """The profile a module runs after a restart: ``on_restart = honest``
         wipes the fault, ``same`` keeps it."""
         if self.on_restart == "honest":
-            return FaultProfile(kind="honest", base_confidence=self.base_confidence)
+            return FaultProfile(kind="honest")
         return self
 
     def check_labels(self, space: DecisionSpace) -> list[str]:
@@ -154,15 +147,6 @@ def module_rng(scenario_seed: int, module_id: int, perturb_seed: int = 0) -> ran
     return random.Random(int.from_bytes(seed_bytes[:8], "big"))
 
 
-def confidence_of(profile: FaultProfile) -> float:
-    """Self-reported confidence attached to an output."""
-    if profile.base_confidence is not None:
-        return profile.base_confidence
-    if profile.byzantine:
-        return BYZANTINE_CONFIDENCE
-    return HONEST_CONFIDENCE
-
-
 def produce_output(
     profile: FaultProfile,
     module_id: int,
@@ -180,25 +164,23 @@ def produce_output(
     """
     if observation not in space:
         raise ValueError(f"observation {observation!r} not in decision space")
-    conf = confidence_of(profile)
-
     if not profile.emits(frame):
         return None
     if profile.kind in ("honest", "slow", "crash"):
-        return make_output(registry, module_id, frame, observation, conf)
+        return make_output(registry, module_id, frame, observation)
     if profile.kind == "diverse_honest":
         value = observation
         if rng.random() < profile.error_rate:
             wrong = [l for l in space.labels if l != observation]
             if wrong:
                 value = space.value(rng.choice(wrong))
-        return make_output(registry, module_id, frame, value, conf)
+        return make_output(registry, module_id, frame, value)
     if profile.kind == "byzantine_fixed":
-        return make_output(registry, module_id, frame, space.value(profile.bad_label), conf)
+        return make_output(registry, module_id, frame, space.value(profile.bad_label))
     if profile.kind == "byzantine_random":
-        return make_output(registry, module_id, frame, space.value(rng.choice(space.labels)), conf)
+        return make_output(registry, module_id, frame, space.value(rng.choice(space.labels)))
     if profile.kind == "byzantine_equivocate":
-        out_a = make_output(registry, module_id, frame, space.value(profile.label_a), conf)
-        out_b = make_output(registry, module_id, frame, space.value(profile.label_b), conf)
+        out_a = make_output(registry, module_id, frame, space.value(profile.label_a))
+        out_b = make_output(registry, module_id, frame, space.value(profile.label_b))
         return (out_a, out_b)
     raise AssertionError(profile.kind)

@@ -8,7 +8,7 @@ Grammar (line-oriented, ``#`` comments):
     labels = continue brake
     safe_default = brake
     [modules]
-    0 = honest confidence=0.9     # id = profile [key=value ...]
+    0 = slow delay=2              # id = profile [key=value ...]
     [network]
     base_delay = 1
     partition = 5:10 0,1|2,3      # repeatable

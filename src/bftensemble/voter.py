@@ -11,27 +11,22 @@ from typing import Optional
 
 from .core import QuorumConfig
 
-ABSTAIN_CONFIDENCE = 0.05  # below this a module effectively abstains (weighted voting)
-
 
 @dataclass(frozen=True)
 class VoteStrategy:
-    kind: str  # majority | k_of_n | unanimity | weighted | fastpath
+    kind: str  # majority | k_of_n | unanimity | fastpath
     k: int = 0
-    min_weight_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("majority", "k_of_n", "unanimity", "weighted", "fastpath"):
+        if self.kind not in ("majority", "k_of_n", "unanimity", "fastpath"):
             raise ValueError(f"unknown strategy {self.kind!r}")
         if self.kind == "k_of_n" and self.k < 1:
             raise ValueError("k_of_n needs k >= 1")
-        if self.kind == "weighted" and not 0.5 < self.min_weight_fraction <= 1.0:
-            raise ValueError("weighted fraction must lie in (0.5, 1]")
 
     @classmethod
     def parse(cls, text: str) -> "VoteStrategy":
         """Parse the scenario-file form: majority | k_of_n:<k> | unanimity |
-        weighted:<fraction> | fastpath."""
+        fastpath."""
         name, _, arg = text.partition(":")
         name = name.strip()
         if name == "majority":
@@ -42,15 +37,11 @@ class VoteStrategy:
             return cls("fastpath")
         if name == "k_of_n":
             return cls("k_of_n", k=int(arg))
-        if name == "weighted":
-            return cls("weighted", min_weight_fraction=float(arg))
         raise ValueError(f"unknown strategy {text!r}")
 
     def describe(self) -> str:
         if self.kind == "k_of_n":
             return f"k_of_n:{self.k}"
-        if self.kind == "weighted":
-            return f"weighted:{self.min_weight_fraction}"
         return self.kind
 
     __str__ = describe  # the scenario-file form, which the writer prints
@@ -108,29 +99,7 @@ def tally(outputs, strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
         cause = "absentees" if len(counts) <= 1 else "dissent"
         return Verdict("no-quorum", cause=cause)
 
-    if strategy.kind == "weighted":
-        return weighted_tally(outputs, strategy.min_weight_fraction)
-
     raise ValueError(f"tally cannot evaluate strategy {strategy.kind!r} directly")
-
-
-def weighted_tally(outputs, min_weight_fraction: float) -> Verdict:
-    """Confidence-weighted vote: decided when one value carries more than
-    min_weight_fraction of the total self-reported weight."""
-    outputs = list(outputs)
-    _check_inputs(outputs)
-    effective = [o for o in outputs if o.confidence >= ABSTAIN_CONFIDENCE]
-    total = sum(o.confidence for o in effective)
-    if total <= 0.0:
-        return Verdict("no-quorum", cause="all-abstained")
-    weights: dict[str, float] = {}
-    for out in effective:
-        weights[out.value] = weights.get(out.value, 0.0) + out.confidence
-    for value, weight in sorted(weights.items()):
-        if weight / total > min_weight_fraction:
-            supporters = frozenset(o.module_id for o in effective if o.value == value)
-            return Verdict("decided", value=value, supporters=supporters)
-    return Verdict("no-quorum", cause="below-weight-fraction")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_criterion_04_voter_oracle_equivalence():
         strategies += [VoteStrategy("k_of_n", k=k) for k in range(2, n + 1)]
         for assignment in itertools.product(space + (None,), repeat=n):
             outputs = [
-                make_output(registry, m, 0, label, 0.9)
+                make_output(registry, m, 0, label)
                 for m, label in enumerate(assignment)
                 if label is not None
             ]

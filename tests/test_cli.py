@@ -209,7 +209,9 @@ HUGE_WINDOW = "[supervisor]\nwindow = 99999999999999999999\n[observations]"
         ("run", _base_edit("jitter = 0", "jitter = -1")),
         ("run", _base_edit("jitter = 0", "jitter = -3")),
         ("run", _base_edit("timeout_rounds = 10", "checkpoint_interval = 0")),
-        ("run", _base_edit("0 = honest", "0 = honest confidence=1.5")),
+        ("run", _base_edit("0 = honest", "0 = diverse_honest error_rate=1.5")),
+        ("run", _base_edit("0 = honest", "0 = honest confidence=0.9")),
+        ("run", _base_edit("strategy = majority", "strategy = weighted:0.6")),
         ("run", _base_edit("seed = 1", f"seed = {2**63}")),
         ("run", _base_edit("seed = 1", f"seed = {-2**63 - 1}")),
         ("run", _base_edit("0 = honest", f"0 = diverse_honest perturb_seed={2**64}")),
@@ -218,7 +220,8 @@ HUGE_WINDOW = "[supervisor]\nwindow = 99999999999999999999\n[observations]"
         ("run", _base_edit("labels = continue brake swerve-left", "labels = continue brake swerve-left -")),
     ],
     ids=["run-non-utf8", "verify-non-utf8", "negative-delay", "drop-rate-above-1",
-         "jitter-minus-1", "jitter-minus-3", "checkpoint-interval-0", "confidence-above-1",
+         "jitter-minus-1", "jitter-minus-3", "checkpoint-interval-0", "error-rate-above-1",
+         "confidence-option", "weighted-strategy",
          "seed-above-int64", "seed-below-int64", "perturb-seed-above-int64", "misspelt-key",
          "window-above-int64", "label-dash"],
 )

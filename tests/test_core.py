@@ -261,26 +261,19 @@ class TestAuthentication:
 
     def test_output_verification(self):
         reg = self.fresh_registry()
-        out = make_output(reg, 1, frame=0, value="go", confidence=0.9)
+        out = make_output(reg, 1, frame=0, value="go")
         assert verify_output(reg, out)
 
     def test_forged_output_rejected(self):
         reg = self.fresh_registry()
-        out = make_output(reg, 1, frame=0, value="go", confidence=0.9)
-        forged = type(out)(
-            module_id=out.module_id,
-            frame=out.frame,
-            value="stop",
-            confidence=out.confidence,
-            sig=out.sig,
-        )
+        out = make_output(reg, 1, frame=0, value="go")
+        forged = type(out)(module_id=out.module_id, frame=out.frame, value="stop", sig=out.sig)
         assert not verify_output(reg, forged)
 
     def test_payload_binds_all_fields(self):
         reg = self.fresh_registry()
         go, stop = "go", "stop"
-        a = make_output(reg, 1, 0, go, 0.9).payload()
-        assert a != make_output(reg, 2, 0, go, 0.9).payload()
-        assert a != make_output(reg, 1, 1, go, 0.9).payload()
-        assert a != make_output(reg, 1, 0, stop, 0.9).payload()
-        assert a != make_output(reg, 1, 0, go, 0.8).payload()
+        a = make_output(reg, 1, 0, go).payload()
+        assert a != make_output(reg, 2, 0, go).payload()
+        assert a != make_output(reg, 1, 1, go).payload()
+        assert a != make_output(reg, 1, 0, stop).payload()

@@ -2,9 +2,10 @@
 and when f+1 matching Replies finalize a frame.  Both consensus modes end a
 frame through these two helpers.  Also what `supervise = false` turns off,
 what the observer receives, that a restarted vote-only module recovers, that
-a module restarted as honest is judged by its new profile, that an episode
-leaves no reference cycle, one campaign episode that once broke the
-liveness bound, and that long network delays cost no empty rounds."""
+a module restarted as honest is judged by its new profile and a slow one
+loses its delay, that an episode leaves no reference cycle, one campaign
+episode that once broke the liveness bound, and that long network delays
+cost no empty rounds."""
 import gc
 import hashlib
 import random
@@ -167,6 +168,51 @@ def test_a_module_restarted_honest_is_judged_by_its_new_profile(mode, profile):
     assert result.module_agreement[3] == pytest.approx(0.8)
 
 
+SLOW_THEN_HONEST = """\
+name = slow_then_honest
+n = 4
+f = 1
+frames = 5
+consensus_mode = {mode}
+
+[decision_space]
+labels = go hold
+safe_default = hold
+
+[modules]
+0 = honest
+1 = honest
+2 = honest
+3 = slow delay=2 on_restart=honest
+
+[supervisor]
+window = 2
+flag_threshold = 0.5
+restart_delay = 1
+
+[observations]
+0 | go | 3:hold
+1 | go | 3:hold
+2 | go |
+3 | go |
+4 | go |
+"""
+
+
+@pytest.mark.parametrize("mode", ["pbft", "vote-only"])
+def test_a_slow_module_restarted_honest_loses_its_delay(mode):
+    """The network delays a slow module's sends only while it runs the slow
+    profile: once restarted as honest, its sends take the base delay."""
+    runner = EpisodeRunner(parse_scenario_text(SLOW_THEN_HONEST.format(mode=mode)))
+    assert runner.world.slow_extra == {3: 2}
+    result = runner.run()
+    assert result.supervisor_events == [
+        (1, 3, "flagged"), (1, 3, "isolated"), (2, 3, "restarting"), (2, 3, "recovered"),
+    ]
+    assert runner.profiles[3].kind == "honest"
+    assert runner.world.slow_extra == {}
+
+
 @pytest.mark.parametrize("at_frame", [0, 2])
 @pytest.mark.parametrize(
     "mode, strategy", [("pbft", "majority"), ("vote-only", "majority"), ("vote-only", "fastpath")]
@@ -244,13 +290,13 @@ LONG_DELAYS = [
     (
         delayed("av_plastic_bag", "fastpath", jitter_rounds=1000, drop_rate=0.1),
         "177b50bba0fbd3e4340cd1b769f80eed183b7b1b3116fc80db0e1bbbc3cfa4ab",
-        "3542c4dbdbe4e99864eecc816c429cd8dc412448572210f283501433c5202004",
+        "de519b0cd74d132445515f36ab90d74331a58c4f83d7d1cf536312047f256619",
         400,
     ),
     (
         delayed("av_plastic_bag", "majority", jitter_rounds=1000),
         "eeccfc624cab8754ff15c33bb8a4dc1d476107f3de299787500664cff5c073a5",
-        "bd3ad53393e19a10e022d84241c060dcb6aca73264353dd7ee9acc13de049dc0",
+        "a4a5200277665383882dc0faa1ab41065c51163c3e0c4add9a358a7806fbb9df",
         250,
     ),
     (

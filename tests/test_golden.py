@@ -25,19 +25,19 @@ def sha256(text: str) -> str:
 EPISODE_LOGS = {
     "assistant_vetting": (
         "ca9234f382c16a3c44c99a3bf85463def78c9e2393a7df2a7f6e67d96a0fd024",
-        "3bf0218351cdcc1bcea9fa21b565f10da5b688ffd2cc36bbc0569248f8a9fb5f",
+        "292227289c0055e612e9d36d5113fa9b81f43cba9fb1ae683e0f3d86c62bf5ad",
     ),
     "av_missed_obstacle": (
         "14a69e79bcc3f230dcdc1b1b325b48dfb2d1b8a467cd1b46f0cb21feea9a98ae",
-        "c33074e06d69d35ef8c23237787510fb454a5107b8f28e8c4ce5ef46f620181d",
+        "2af94968178e5f319cc2fb8fdc86759de656440366065d8fd0b9848a43161667",
     ),
     "av_plastic_bag": (
         "eeccfc624cab8754ff15c33bb8a4dc1d476107f3de299787500664cff5c073a5",
-        "4371d205b52bfc62c3a72802691869093154fa75d216e2d123f14615f4a9864b",
+        "165651d4e9d4666afbaeb6cf612bb648fa566866cc0521359b755d5d5b12ca9f",
     ),
     "common_mode_breach": (
         "81a62f5418548277994811851467c31f67497c517ffe2693ca1f6fd79f775e0d",
-        "95a7556975ee3b85d4c47824e6fdef7ddfeaa8109769741e0a77c4468a9b2f64",
+        "4f9bacc94640406cd4551e27209eb3d6b745829755b9ef88fc860574b07532e8",
     ),
     "fuzz_base_n4": (
         "8f7f74e700942589b02c1a3b308e5064556a42e7db95815d659cc50e680f0e41",
@@ -53,7 +53,7 @@ EPISODE_LOGS = {
     ),
     "voter_thresholds_2oo3": (
         "3c8020aebd7fbe81505cd66d7dc97132926da98cd2b3acf4424d977deafc603e",
-        "7525b027a760971e0cec97c12da535f5c4e8d0b20a807f1f3d72bf8e12ef5cea",
+        "5112ac3f2e9778b35791784cd2d5e55f64cd17aad7940d40accbbcdf7d1e6c3f",
     ),
 }
 
@@ -78,7 +78,7 @@ CAMPAIGN_LOGS = {
     ),
     "vote_fastpath_n4": (
         "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
-        "2fd365606680d4c9d0dc733c6f673f3c44aa397a0ec6d3a0097c1ddde22dd81d",
+        "a90fc9050c3a4317a4f5fa41b0067fdce632bac56a85224aeb154e78fc160e89",
     ),
 }
 
@@ -149,7 +149,7 @@ SUPERVISED_CAMPAIGN_LOGS = {
     ),
     "vote_fastpath": (
         "c25c1d9cb4d8c8735764c9c249f97ec033ebcc83619d62678195add1df01da4f",
-        "0ed1b4f8509c3e3a69c763a58d2c0fa77a3c97652ffbeaf849fd6c5d8063e07a",
+        "90fc2ef8b2c7ed15815f5500b0d3fe19f63cccbdc6687f15764cbed3d9fc4130",
     ),
 }
 

@@ -5,7 +5,6 @@ from bftensemble.core import DecisionSpace, KeyRegistry, verify_output
 from bftensemble.harness import (
     FaultProfile,
     ObservationTable,
-    confidence_of,
     module_rng,
     produce_output,
 )
@@ -20,7 +19,6 @@ class TestProfiles:
         rng = module_rng(1, 0)
         out = produce_output(FaultProfile(kind="honest"), 0, 0, GO, SPACE, REGISTRY, rng)
         assert out.value == GO
-        assert out.confidence == pytest.approx(0.9)
 
     def test_silent_produces_nothing(self):
         rng = module_rng(1, 0)
@@ -39,7 +37,6 @@ class TestProfiles:
         rng = module_rng(1, 0)
         out = produce_output(profile, 0, 0, GO, SPACE, REGISTRY, rng)
         assert out.value == SPACE.value("stop")
-        assert out.confidence == pytest.approx(1.0)
 
     def test_equivocator_returns_a_conflicting_pair(self):
         profile = FaultProfile(kind="byzantine_equivocate", label_a="go", label_b="stop")
@@ -74,10 +71,6 @@ class TestProfiles:
         }
         assert seen <= set(SPACE.labels)
         assert len(seen) > 1
-
-    def test_confidence_override(self):
-        profile = FaultProfile(kind="honest", base_confidence=0.42)
-        assert confidence_of(profile) == pytest.approx(0.42)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -114,11 +107,9 @@ class TestDeterminism:
 
 
 class TestRestart:
-    def test_honest_restart_wipes_the_fault_and_keeps_confidence(self):
-        profile = FaultProfile(
-            kind="byzantine_fixed", bad_label="stop", base_confidence=0.42, on_restart="honest"
-        )
-        assert profile.restarted() == FaultProfile(kind="honest", base_confidence=0.42)
+    def test_honest_restart_wipes_the_fault(self):
+        profile = FaultProfile(kind="byzantine_fixed", bad_label="stop", on_restart="honest")
+        assert profile.restarted() == FaultProfile(kind="honest")
 
     def test_restart_keeps_fault_by_default(self):
         profile = FaultProfile(kind="byzantine_fixed", bad_label="stop")

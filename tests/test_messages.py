@@ -158,13 +158,13 @@ class TestOutputCache:
     result per registry as Signed.verify does."""
 
     def test_payload_and_digest(self, registry):
-        out = make_output(registry, 1, 2, NORTH, 0.75)
-        assert out.payload() == canonical("output", 1, 2, NORTH, 0.75)
+        out = make_output(registry, 1, 2, NORTH)
+        assert out.payload() == canonical("output", 1, 2, NORTH)
         assert out.payload_digest() == digest(out.payload())
         assert out.short_hex() == digest(out.payload()).hex()[:12]
 
     def test_forged_tag_fails_after_a_cached_success(self, registry):
-        out = make_output(registry, 1, 0, NORTH, 0.9)
+        out = make_output(registry, 1, 0, NORTH)
         assert verify_output(registry, out)
         stolen = replace(out, sig=registry.sign(2, out.payload_digest()))
         minted = replace(out, sig=KeyRegistry(99, range(4)).sign(1, out.payload_digest()))
@@ -174,38 +174,31 @@ class TestOutputCache:
 
     def test_result_is_per_registry(self, registry):
         other = KeyRegistry(18, range(4))
-        out = make_output(registry, 1, 0, NORTH, 0.9)
+        out = make_output(registry, 1, 0, NORTH)
         assert verify_output(registry, out)
         assert not verify_output(other, out)
         assert verify_output(registry, out)
         assert not verify_output(other, out)
 
     @pytest.mark.parametrize(
-        "change", [{"module_id": 2}, {"frame": 1}, {"value": SOUTH}, {"confidence": 0.5}]
+        "change", [{"module_id": 2}, {"frame": 1}, {"value": SOUTH}]
     )
     def test_swapped_field_fails_after_a_cached_success(self, registry, change):
-        out = make_output(registry, 1, 0, NORTH, 0.9)
+        out = make_output(registry, 1, 0, NORTH)
         assert verify_output(registry, out)
         swapped = replace(out, **change)
         assert not verify_output(registry, swapped)
         assert verify_output(registry, out)
 
-    def test_out_of_range_confidence_fails(self, registry):
-        out = make_output(registry, 1, 0, NORTH, 1.0)
-        tagged = replace(out, confidence=1.5)
-        tagged = replace(tagged, sig=registry.sign(1, tagged.payload_digest()))
-        assert not verify_output(registry, tagged)
-        assert not verify_output(registry, tagged)
-
     def test_caches_leave_equality_hash_repr_and_replace_alone(self, registry):
-        used = make_output(registry, 2, 1, NORTH, 0.9)
+        used = make_output(registry, 2, 1, NORTH)
         used.payload(), used.payload_digest(), used.short_hex()
         assert verify_output(registry, used)
-        fresh = ModuleOutput(2, 1, NORTH, 0.9, used.sig)
+        fresh = ModuleOutput(2, 1, NORTH, used.sig)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert {used: 1}[fresh] == 1
         moved = replace(used, frame=4)
-        assert moved.payload() == canonical("output", 2, 4, NORTH, 0.9)
+        assert moved.payload() == canonical("output", 2, 4, NORTH)
         assert not verify_output(registry, moved)
 
 
@@ -251,7 +244,7 @@ class TestSigningState:
         assert not Signed(msg, 1, signed.tag).verify(registry)
 
     def test_make_output_seeds_the_memo(self, registry):
-        out = make_output(registry, 1, 2, NORTH, 0.75)
+        out = make_output(registry, 1, 2, NORTH)
         fresh = canonical(*out._fields())
         assert out.payload() == fresh
         assert out.payload_digest() == digest(fresh) == out.sig.payload_digest
@@ -263,7 +256,7 @@ class TestSigningState:
         for msg in (replace(signed.msg, value=SOUTH), replace(signed.msg, view=1)):
             assert not Signed(msg, 1, signed.tag).verify(registry)
         assert not Signed(signed.msg, 2, signed.tag).verify(registry)
-        out = make_output(registry, 1, 0, NORTH, 0.9)
+        out = make_output(registry, 1, 0, NORTH)
         assert verify_output(registry, out)
         assert not verify_output(registry, replace(out, value=SOUTH))
         assert not verify_output(registry, replace(out, sig=registry.sign(2, out.payload_digest())))

@@ -196,7 +196,7 @@ f = 1
 frames = 3
 seed = -7
 consensus_mode = vote-only
-strategy = weighted:0.75
+strategy = k_of_n:3
 timeout_rounds = 4
 checkpoint_interval = 2
 supervise = false
@@ -209,11 +209,11 @@ labels = go hold swerve
 safe_default = swerve
 
 [modules]
-0 = honest confidence=0.5
+0 = honest
 1 = diverse_honest error_rate=0.25 perturb_seed=-3
 2 = crash at_frame=2 on_restart=honest
 3 = silent
-4 = slow delay=3 confidence=0.0
+4 = slow delay=3
 5 = byzantine_fixed label=hold on_restart=honest
 6 = byzantine_random perturb_seed=11
 7 = byzantine_equivocate a=go b=swerve
@@ -290,14 +290,14 @@ def test_unknown_duplicate_and_unreadable_keys_are_errors(text, message):
         (MINIMAL + "[network]\npartition = 1:2 0|4\n", "outside 0..n-1"),
         (MINIMAL + "1 | hold |\n", "second observation row for frame 1"),
         (MINIMAL + "2 | go |\n", "frame 2: no such frame"),
-        (MINIMAL.replace("0 = honest", "0 = honest confidence=1.5"), r"outside \[0, 1\]"),
+        (MINIMAL.replace("0 = honest", "0 = diverse_honest error_rate=1.5"), r"outside \[0, 1\]"),
         (MINIMAL + "[supervisor]\nwindow = 99999999999999999999\n", "outside the signed 64-bit range"),
         (MINIMAL.replace("labels = go hold", "labels = go hold -"), "label '-' cannot be logged"),
         (MINIMAL.replace("labels = go hold", "labels = go hold|on"), "label 'hold|on' cannot be logged"),
     ],
     ids=["frames-0", "timeout-0", "timeout-negative", "checkpoint-interval-0",
          "threshold-above-n", "partition-start-after-end", "partition-unknown-module",
-         "second-row-for-frame", "row-past-last-frame", "confidence-above-1",
+         "second-row-for-frame", "row-past-last-frame", "error-rate-above-1",
          "window-above-int64", "label-dash", "label-with-bar"],
 )
 def test_values_no_run_could_use_are_errors(text, message):

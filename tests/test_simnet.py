@@ -352,7 +352,7 @@ def hex_of(payload):
     if isinstance(payload, Signed):
         raw = canonical(*payload.msg._fields())
     elif isinstance(payload, ModuleOutput):
-        raw = canonical("output", payload.module_id, payload.frame, payload.value, payload.confidence)
+        raw = canonical("output", payload.module_id, payload.frame, payload.value)
     else:
         raw = repr(payload).encode("utf-8")
     return digest(raw).hex()[:12]
@@ -373,7 +373,7 @@ class TestAgainstListScan:
             sign_message(registry, 1, Prepare(0, 0, d, go)),
             sign_message(registry, 2, Commit(0, 1, d, go)),
             sign_message(registry, 0, Reply(2, go)),
-            make_output(registry, 3, 1, go, 0.9),
+            make_output(registry, 3, 1, go),
         ]
 
     @pytest.mark.parametrize("seed", range(24))

@@ -11,21 +11,16 @@ from bftensemble.voter import (
     VoteStrategy,
     fast_path_agree,
     tally,
-    weighted_tally,
 )
 
 LABELS3 = ("alpha", "beta", "gamma")
 
 
-def outputs_for(labels, registry, confidences=None, frame=0):
+def outputs_for(labels, registry, frame=0):
     """labels: per-module label or None for an absent module."""
-    outs = []
-    for m, label in enumerate(labels):
-        if label is None:
-            continue
-        conf = confidences[m] if confidences else 0.9
-        outs.append(make_output(registry, m, frame, label, conf))
-    return outs
+    return [
+        make_output(registry, m, frame, label) for m, label in enumerate(labels) if label is not None
+    ]
 
 
 # --- independent oracle ------------------------------------------------------
@@ -89,7 +84,7 @@ class TestTallyEdges:
 
     def test_duplicate_module_rejected(self):
         cfg = QuorumConfig(n=4, f=1)
-        out = make_output(self.REGISTRY, 0, 0, "alpha", 0.9)
+        out = make_output(self.REGISTRY, 0, 0, "alpha")
         with pytest.raises(ValueError):
             tally([out, out], VoteStrategy("majority"), cfg)
 
@@ -123,47 +118,9 @@ class TestTallyEdges:
         if not verdict.decided:
             return
         cfg_big = QuorumConfig(n=n, f=0)
-        extra = make_output(registry, n - 1, 0, verdict.value, 0.9)
+        extra = make_output(registry, n - 1, 0, verdict.value)
         again = tally(outs + [extra], VoteStrategy("majority"), cfg_big)
         assert again.decided and again.value == verdict.value
-
-
-class TestWeighted:
-    REGISTRY = KeyRegistry(3, range(4))
-
-    def test_reduces_to_majority_under_equal_confidence(self):
-        cfg = QuorumConfig(n=4, f=1)
-        for assignment in itertools.product(LABELS3, repeat=4):
-            outs = outputs_for(assignment, self.REGISTRY)
-            weighted = weighted_tally(outs, min_weight_fraction=0.5 + 1e-9)
-            plain = tally(outs, VoteStrategy("majority"), cfg)
-            assert weighted.decided == plain.decided
-            if plain.decided:
-                assert weighted.value == plain.value
-
-    def test_low_confidence_modules_abstain(self):
-        outs = outputs_for(
-            ("alpha", "alpha", "beta", "beta"),
-            self.REGISTRY,
-            confidences=[0.9, 0.9, 0.01, 0.01],
-        )
-        verdict = weighted_tally(outs, min_weight_fraction=0.6)
-        assert verdict.decided
-        assert verdict.value == "alpha"
-        assert verdict.supporters == frozenset({0, 1})
-
-    def test_all_abstained(self):
-        outs = outputs_for(("alpha", "beta"), KeyRegistry(3, range(2)), confidences=[0.0, 0.0])
-        verdict = weighted_tally(outs, min_weight_fraction=0.6)
-        assert verdict.kind == "no-quorum"
-        assert verdict.cause == "all-abstained"
-
-    def test_fraction_validation(self):
-        with pytest.raises(ValueError):
-            VoteStrategy("weighted", min_weight_fraction=0.5)
-        with pytest.raises(ValueError):
-            VoteStrategy("weighted", min_weight_fraction=1.1)
-        VoteStrategy("weighted", min_weight_fraction=1.0)
 
 
 class TestFastPath:
@@ -210,11 +167,12 @@ class TestFastPath:
 class TestStrategyParsing:
     @pytest.mark.parametrize(
         "text",
-        ["majority", "unanimity", "fastpath", "k_of_n:2", "weighted:0.75"],
+        ["majority", "unanimity", "fastpath", "k_of_n:2"],
     )
     def test_roundtrip(self, text):
         assert VoteStrategy.parse(text).describe() == text
 
     def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            VoteStrategy.parse("plurality")
+        for text in ("plurality", "weighted:0.6"):
+            with pytest.raises(ValueError):
+                VoteStrategy.parse(text)
