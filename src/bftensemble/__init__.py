@@ -5,7 +5,6 @@ from .core import (
     BROADCAST,
     OBSERVER,
     PEERS,
-    AuthTag,
     DecisionSpace,
     KeyRegistry,
     ModuleOutput,
@@ -24,7 +23,6 @@ __all__ = [
     "BROADCAST",
     "OBSERVER",
     "PEERS",
-    "AuthTag",
     "CampaignReport",
     "DecisionSpace",
     "EpisodeResult",

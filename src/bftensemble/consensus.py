@@ -190,7 +190,26 @@ class Replica:
             recorded = inst.votes[kind].get(msg.view)
             if recorded is not None and recorded.get(signed.sender) is signed:
                 return []  # a retransmission of a vote already counted and checked
-            return self._on_vote(signed, round_)
+            if kind is Commit and msg.value_digest != value_digest(msg.value):
+                # the value is decided from the Commits, so each must carry
+                # the value its digest names
+                self.misbehavior.append((inst.frame, signed.sender, "digest-mismatch"))
+                return []
+            out = []
+            if signed.sender == self.leader_of(inst.frame, msg.view):
+                out = self._note_leader_endorsement(signed, round_)
+            count = self._record_vote(signed)
+            # counts rise one vote at a time and every new count is checked,
+            # so a vote not newly counted passes no check, and an undecided
+            # frame's Commit bucket cannot pass the threshold without reaching it
+            if count is None:
+                return out
+            if kind is Prepare:
+                if count >= self.quorum and inst.phase == PHASE_PRE_PREPARED:
+                    return out + self._check_prepared()
+            elif count == self.execution_threshold and not inst.decided:
+                return out + self._commit(inst.matching(Commit, msg.view, msg.value_digest))
+            return out
         if kind is CheckpointAttest:
             self._record_attest(signed)
             return []
@@ -211,12 +230,10 @@ class Replica:
         return []
 
     def _note_leader_endorsement(self, signed: Signed, round_: int) -> list[Outbound]:
-        """Track digests the leader has signed for (frame, view); two distinct
-        digests are proof of equivocation."""
+        """Track digests the leader of (frame, view) has signed, given one of
+        its endorsements; two distinct digests are proof of equivocation."""
         inst = self.inst
         msg = signed.msg
-        if signed.sender != self.leader_of(inst.frame, msg.view):
-            return []
         seen = inst.leader_endorsements.setdefault(msg.view, {})
         seen.setdefault(msg.value_digest, signed)
         if len(seen) > 1 and inst.evidence is None:
@@ -241,11 +258,12 @@ class Replica:
     def _on_preprepare(self, signed: Signed, round_: int) -> list[Outbound]:
         inst = self.inst
         msg = signed.msg
+        if signed.sender != self.leader_of(inst.frame, msg.view):
+            if msg.view == inst.view and not inst.decided:
+                self.misbehavior.append((inst.frame, signed.sender, "preprepare-from-non-leader"))
+            return []
         out = self._note_leader_endorsement(signed, round_)
         if msg.view != inst.view or inst.decided:
-            return out
-        if signed.sender != self.leader_of(inst.frame, msg.view):
-            self.misbehavior.append((inst.frame, signed.sender, "preprepare-from-non-leader"))
             return out
         if msg.value_digest != value_digest(msg.value):
             self.misbehavior.append((inst.frame, signed.sender, "digest-mismatch"))
@@ -256,34 +274,25 @@ class Replica:
             return out  # withhold the Prepare; dissent surfaces as timeout
         return out + self._accept_proposal(signed)
 
-    def _record_vote(self, signed: Signed) -> None:
-        """Keep each signer's first Prepare or Commit per view, and count it
-        under its (class, view, digest); a later vote of the same class with
-        another digest is misbehaviour."""
+    def _record_vote(self, signed: Signed) -> Optional[int]:
+        """Keep each signer's first Prepare or Commit per view, count it
+        under its (class, view, digest) and return that bucket's new count;
+        None when the vote was not newly counted.  A later vote of the same
+        class with another digest is misbehaviour."""
         msg = signed.msg
         kind = type(msg)
-        votes = self.inst.votes[kind].setdefault(msg.view, {})
+        inst = self.inst
+        votes = inst.votes[kind].setdefault(msg.view, {})
         prev = votes.get(signed.sender)
         if prev is None:
             votes[signed.sender] = signed
             key = (kind, msg.view, msg.value_digest)
-            self.inst.tallies[key] = self.inst.tallies.get(key, 0) + 1
-        elif prev.msg.value_digest != msg.value_digest:
+            inst.tallies[key] = count = inst.tallies.get(key, 0) + 1
+            return count
+        if prev.msg.value_digest != msg.value_digest:
             conflict = f"conflicting-{kind.__name__.lower()}"
-            self.misbehavior.append((self.inst.frame, signed.sender, conflict))
-
-    def _on_vote(self, signed: Signed, round_: int) -> list[Outbound]:
-        msg = signed.msg
-        if type(msg) is Commit and msg.value_digest != value_digest(msg.value):
-            # the value is decided from the Commits, so each must carry the
-            # value its digest names
-            self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
-            return []
-        out = self._note_leader_endorsement(signed, round_)
-        self._record_vote(signed)
-        if type(msg) is Prepare:
-            return out + self._check_prepared()
-        return out + self._check_committed(signed)
+            self.misbehavior.append((inst.frame, signed.sender, conflict))
+        return None
 
     def _check_prepared(self) -> list[Outbound]:
         inst = self.inst
@@ -303,20 +312,10 @@ class Replica:
         if inst.prepared_cert is None or cert.view > inst.prepared_cert.view:
             inst.prepared_cert = cert
         signed_commit = self._to_peers(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
-        self._record_vote(signed_commit)
-        return [(PEERS, signed_commit)] + self._check_committed(signed_commit)
-
-    def _check_committed(self, signed: Signed) -> list[Outbound]:
-        """Commit once the (view, digest) bucket of the Commit just recorded
-        reaches the threshold.  Every recorded Commit is checked while the
-        frame is undecided, so no other bucket can newly reach it."""
-        inst = self.inst
-        if inst.decided:
-            return []
-        view, want = signed.msg.view, signed.msg.value_digest
-        if inst.tallies.get((Commit, view, want), 0) < self.execution_threshold:
-            return []
-        return self._commit(inst.matching(Commit, view, want))
+        out = [(PEERS, signed_commit)]
+        if self._record_vote(signed_commit) == self.execution_threshold and not inst.decided:
+            out += self._commit(inst.matching(Commit, inst.view, want))
+        return out
 
     def _commit(self, votes: tuple[Signed, ...]) -> list[Outbound]:
         """Decide on a threshold of matching Commits, sorted by signer."""
@@ -416,7 +415,10 @@ class Replica:
         if msg.view in inst.newviews:
             # duplicate (retransmission): still watch for a conflicting
             # proposal, but do not re-enter the view
-            return self._note_leader_endorsement(msg.proposal, round_)
+            pp = msg.proposal
+            if pp.sender != self.leader_of(inst.frame, pp.msg.view):
+                return []
+            return self._note_leader_endorsement(pp, round_)
 
         def fits(vc) -> bool:
             if not isinstance(vc, ViewChange) or vc.new_view != msg.view:

@@ -156,26 +156,18 @@ def short_digest(payload: bytes) -> str:
 # --- simulated message authentication ---------------------------------------
 
 
-@dataclass(frozen=True)
-class AuthTag:
-    """Keyed tag binding a signer to a payload digest.
-
-    Unforgeable within the simulation: per-module secrets live only inside the
-    harness's KeyRegistry, so a faulty module can replay its own tags but can
-    never mint one for another signer.
-    """
-
-    signer: int
-    payload_digest: bytes
-    tag: bytes
-
-
 class UnknownSignerError(KeyError):
     pass
 
 
 class KeyRegistry:
-    """Immutable map of module ids to keyed MAC states, private to the harness."""
+    """Immutable map of module ids to keyed MAC states, private to the harness.
+
+    A tag is the TAG_SIZE bytes of a keyed MAC over a payload digest.  It is
+    unforgeable within the simulation: per-module secrets live only inside
+    the harness's registry, so a faulty module can replay its own tags but
+    can never mint one for another signer.
+    """
 
     def __init__(self, master_seed: int, module_ids) -> None:
         # One keyed MAC state per signer, built once: a tag is
@@ -192,24 +184,25 @@ class KeyRegistry:
     def known(self, module_id: int) -> bool:
         return module_id in self._macs
 
-    def sign(self, module_id: int, payload_digest: bytes) -> AuthTag:
+    def sign(self, module_id: int, payload_digest: bytes) -> bytes:
         """Tag ``payload_digest``, the :func:`digest` of a canonical payload."""
         mac = self._macs.get(module_id)
         if mac is None:
             raise UnknownSignerError(module_id)
         mac = mac.copy()
         mac.update(payload_digest)
-        return AuthTag(signer=module_id, payload_digest=payload_digest, tag=mac.digest())
+        return mac.digest()
 
-    def verify(self, tag: AuthTag, module_id: int, payload_digest: bytes) -> bool:
+    def verify(self, tag: bytes, module_id: int, payload_digest: bytes) -> bool:
         """Check that ``tag`` is ``module_id``'s tag over ``payload_digest``,
-        the digest of the payload the caller holds."""
+        the digest of the payload the caller holds: the key binds the signer
+        and the MAC input binds the digest."""
         mac = self._macs.get(module_id)
-        if mac is None or tag.signer != module_id or tag.payload_digest != payload_digest:
+        if mac is None:
             return False
         mac = mac.copy()
         mac.update(payload_digest)
-        return mac.digest() == tag.tag
+        return mac.digest() == tag
 
 
 # --- the encoding memo -------------------------------------------------------
@@ -302,7 +295,7 @@ class ModuleOutput(Encoded):
     module_id: int
     frame: int
     value: str
-    sig: AuthTag
+    sig: bytes
 
     def _fields(self) -> tuple:
         return ("output", self.module_id, self.frame, self.value)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
-from .core import AuthTag, Encoded, KeyRegistry, canonical, digest, encoding
+from .core import Encoded, KeyRegistry, canonical, digest, encoding
 
 
 @lru_cache(maxsize=256)
@@ -52,7 +52,7 @@ class Signed:
 
     msg: "Message"
     sender: int
-    tag: AuthTag
+    tag: bytes
 
     def verify(self, registry: KeyRegistry) -> bool:
         """Check the tag against ``registry``.  The result is kept on this

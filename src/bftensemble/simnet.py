@@ -195,12 +195,16 @@ class World:
         envelopes that ``advance_round`` returns, if there are any.  Only for
         a caller that fires no timers: after a round that delivered nothing,
         the clock moves to the round before the earliest pending delivery,
-        capped at the last round, so a long delay costs no empty rounds."""
+        capped at the last round, so a long delay costs no empty rounds; once
+        the caller has handled a round's envelopes and nothing is pending, it
+        moves to the last round."""
         end = self.round + rounds
         while self.round < end:
             due = self.advance_round()
             if due:
                 yield due
+                if not self._queue:
+                    self.round = end
             else:
                 queue = self._queue
                 nearest = min(queue).deliver_round if queue else end + 1

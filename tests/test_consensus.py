@@ -587,9 +587,12 @@ def rescan(inst, kind, view, want):
 
 
 class RescanReplica(Replica):
-    """Reference for the running tallies: both quorum checks rebuild the
-    list of matching votes from the per-view maps on every vote, and every
-    vote takes the full path, retransmissions of a recorded vote included."""
+    """Reference for the vote path: every vote takes the full path,
+    retransmissions of a recorded vote included, and checks the leader's
+    endorsements, records the vote and runs the quorum check of its class.
+    Both quorum checks rebuild the list of matching votes from the per-view
+    maps, with no running tallies.  The path, the recording and the checks
+    are this class's own, so the reference does not run the code it judges."""
 
     def handle(self, signed, round_):
         msg, inst = signed.msg, self.inst
@@ -600,8 +603,35 @@ class RescanReplica(Replica):
             and msg.frame == inst.frame
             and msg.view >= inst.view
         ):
-            return self._on_vote(signed, round_)
+            return self._rescan_vote(signed, round_)
         return super().handle(signed, round_)
+
+    def _rescan_vote(self, signed, round_):
+        msg = signed.msg
+        if type(msg) is Commit and msg.value_digest != value_digest(msg.value):
+            self.misbehavior.append((self.inst.frame, signed.sender, "digest-mismatch"))
+            return []
+        out = self._note_leader_endorsement(signed, round_)
+        self._record_vote(signed)
+        if type(msg) is Prepare:
+            return out + self._check_prepared()
+        return out + self._check_committed(signed)
+
+    def _note_leader_endorsement(self, signed, round_):
+        # takes any endorsement, and notes only the leader's
+        if signed.sender != self.leader_of(self.inst.frame, signed.msg.view):
+            return []
+        return super()._note_leader_endorsement(signed, round_)
+
+    def _record_vote(self, signed):
+        msg = signed.msg
+        votes = self.inst.votes[type(msg)].setdefault(msg.view, {})
+        prev = votes.get(signed.sender)
+        if prev is None:
+            votes[signed.sender] = signed
+        elif prev.msg.value_digest != msg.value_digest:
+            conflict = f"conflicting-{type(msg).__name__.lower()}"
+            self.misbehavior.append((self.inst.frame, signed.sender, conflict))
 
     def _check_prepared(self):
         inst = self.inst
@@ -636,8 +666,16 @@ class RescanReplica(Replica):
         return []
 
 
+def by_identity(rep, signed):
+    """A recorded vote or endorsement as it should match across the pair:
+    a delivered one is the very object both replicas were handed, and the
+    replica's own is equal by value, since each replica signs its own."""
+    return signed if signed.sender == rep.module_id else id(signed)
+
+
 def replica_state(rep):
     inst = rep.inst
+    evidence = inst.evidence
     return (
         inst.phase,
         inst.view,
@@ -647,6 +685,18 @@ def replica_state(rep):
         inst.prepared_cert,
         dict(rep.frame_certs),
         list(rep.misbehavior),
+        {
+            (kind.__name__, view, signer): by_identity(rep, s)
+            for kind, by_view in inst.votes.items()
+            for view, by_signer in by_view.items()
+            for signer, s in by_signer.items()
+        },
+        evidence and (by_identity(rep, evidence.first), by_identity(rep, evidence.second)),
+        {
+            (view, d): by_identity(rep, s)
+            for view, by_digest in inst.leader_endorsements.items()
+            for d, s in by_digest.items()
+        },
     )
 
 

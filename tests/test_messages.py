@@ -14,6 +14,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bftensemble import core
 from bftensemble.core import (
@@ -206,6 +207,13 @@ def module_secret(master_seed, module_id):
     return hashlib.blake2b(canonical(master_seed, module_id, "module-secret"), digest_size=32).digest()
 
 
+def fresh_tag(master_seed, module_id, payload_digest):
+    """A signer's tag over ``payload_digest``, from a fresh keyed hash."""
+    return hashlib.blake2b(
+        payload_digest, key=module_secret(master_seed, module_id), digest_size=TAG_SIZE
+    ).digest()
+
+
 class TestSigningState:
     """KeyRegistry reuses one keyed MAC state per signer, and each object's
     bytes and digest are those of a fresh encoding."""
@@ -216,12 +224,32 @@ class TestSigningState:
             signer = rng.randrange(4)
             payload = rng.randbytes(rng.randrange(80))
             tag = registry.sign(signer, digest(payload))
-            assert tag.tag == hashlib.blake2b(
-                digest(payload), key=module_secret(17, signer), digest_size=TAG_SIZE
-            ).digest()
+            assert tag == fresh_tag(17, signer, digest(payload))
             assert registry.verify(tag, signer, digest(payload))
             assert not registry.verify(tag, (signer + 1) % 4, digest(payload))
             assert not registry.verify(tag, signer, digest(payload + b"x"))
+
+    @given(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.binary(max_size=64),
+        st.binary(max_size=64),
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    )
+    def test_a_tag_verifies_only_for_its_signer_digest_and_registry(
+        self, signer, other, payload, other_payload, other_seed
+    ):
+        """A tag is its MAC bytes alone, so nothing but the key and the MAC
+        input binds the signer, the digest and the registry."""
+        registry = KeyRegistry(17, range(7))
+        signed_digest = digest(payload)
+        tag = registry.sign(signer, signed_digest)
+        assert len(tag) == TAG_SIZE
+        assert registry.verify(tag, signer, signed_digest)
+        assert registry.verify(tag, other, signed_digest) == (other == signer)
+        assert registry.verify(tag, signer, digest(other_payload)) == (other_payload == payload)
+        assert not registry.verify(tag, 7, signed_digest)  # an unknown signer
+        assert KeyRegistry(other_seed, range(7)).verify(tag, signer, signed_digest) == (other_seed == 17)
 
     @pytest.mark.parametrize(
         "msg",
@@ -238,7 +266,8 @@ class TestSigningState:
         signed = sign_message(registry, 2, msg)
         fresh = canonical(*msg._fields())
         assert msg.payload() == fresh
-        assert msg.payload_digest() == digest(fresh) == signed.tag.payload_digest
+        assert msg.payload_digest() == digest(fresh)
+        assert signed.tag == fresh_tag(17, 2, digest(fresh))
         assert msg.short_hex() == digest(fresh).hex()[:12]
         assert signed.verify(registry)
         assert not Signed(msg, 1, signed.tag).verify(registry)
@@ -247,7 +276,8 @@ class TestSigningState:
         out = make_output(registry, 1, 2, NORTH)
         fresh = canonical(*out._fields())
         assert out.payload() == fresh
-        assert out.payload_digest() == digest(fresh) == out.sig.payload_digest
+        assert out.payload_digest() == digest(fresh)
+        assert out.sig == fresh_tag(17, 1, digest(fresh))
         assert out.short_hex() == digest(fresh).hex()[:12]
 
     def test_forgeries_fail_after_a_seeded_success(self, registry):
@@ -274,8 +304,8 @@ class TestSharedEncoding:
         second = sign_message(registry, 1, Commit(5, 2, D_SOUTH, SOUTH))
         assert calls == []
         assert second.msg is not first.msg
-        assert second.tag.payload_digest == first.tag.payload_digest
-        assert second.tag.tag != first.tag.tag
+        assert second.msg.payload_digest() == first.msg.payload_digest()
+        assert second.tag != first.tag
         assert first.verify(registry) and second.verify(registry)
         for change in ({"view": 3}, {"frame": 4}, {"value": NORTH}, {"value_digest": D_NORTH}):
             tampered = Signed(replace(second.msg, **change), 1, second.tag)

@@ -165,7 +165,8 @@ class TestEnvelopeOrder:
     @pytest.mark.parametrize("seed", range(8))
     def test_delivery_rounds_skips_only_empty_rounds(self, seed):
         """delivery_rounds yields what as many advance_round calls would, ends
-        on the same round, and makes fewer calls under a long jitter."""
+        on the same round, and makes fewer calls under a long jitter; once
+        the queue drains it makes no call after the last delivering round."""
         rng = random.Random(seed)
         policy = quiet_policy(
             base_delay_rounds=rng.randrange(3),
@@ -200,6 +201,12 @@ class TestEnvelopeOrder:
         assert skipping.round == stepped.round == rounds + 1
         assert skipping.pending() == stepped.pending()
         assert calls[0] <= min(rounds, 2 * len(expected) + 1)
+        if expected and not skipping.pending():
+            # one call per delivering round, plus one empty round before
+            # each that does not directly follow the previous one
+            delivering = sorted({int(line.split("|")[0]) for line in stepped.event_log})
+            starts = [1] + delivering[:-1]
+            assert calls[0] == sum(1 if t == prev + 1 else 2 for prev, t in zip(starts, delivering))
 
 
 class TestMute:
