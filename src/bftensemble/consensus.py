@@ -100,7 +100,6 @@ class Replica:
         registry: KeyRegistry,
         *,
         timeout_rounds: int = 10,
-        execution_threshold: Optional[int] = None,
         checkpoint_interval: int = 5,
     ):
         self.module_id = module_id
@@ -109,7 +108,6 @@ class Replica:
         self.space = space
         self.registry = registry
         self.timeout_rounds = timeout_rounds
-        self.execution_threshold = max(self.quorum, execution_threshold or self.quorum)
         self.checkpoint_interval = checkpoint_interval
 
         self.inst: Optional[FrameInstance] = None
@@ -201,13 +199,13 @@ class Replica:
             count = self._record_vote(signed)
             # counts rise one vote at a time and every new count is checked,
             # so a vote not newly counted passes no check, and an undecided
-            # frame's Commit bucket cannot pass the threshold without reaching it
+            # frame's Commit bucket cannot pass the quorum without reaching it
             if count is None:
                 return out
             if kind is Prepare:
                 if count >= self.quorum and inst.phase == PHASE_PRE_PREPARED:
                     return out + self._check_prepared()
-            elif count == self.execution_threshold and not inst.decided:
+            elif count == self.quorum and not inst.decided:
                 return out + self._commit(inst.matching(Commit, msg.view, msg.value_digest))
             return out
         if kind is CheckpointAttest:
@@ -313,12 +311,12 @@ class Replica:
             inst.prepared_cert = cert
         signed_commit = self._to_peers(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
         out = [(PEERS, signed_commit)]
-        if self._record_vote(signed_commit) == self.execution_threshold and not inst.decided:
+        if self._record_vote(signed_commit) == self.quorum and not inst.decided:
             out += self._commit(inst.matching(Commit, inst.view, want))
         return out
 
     def _commit(self, votes: tuple[Signed, ...]) -> list[Outbound]:
-        """Decide on a threshold of matching Commits, sorted by signer."""
+        """Decide on a quorum of matching Commits, sorted by signer."""
         frame, value = self.inst.frame, votes[0].msg.value
         self._decide(value, votes[0].msg.view)
         self.frame_certs[frame] = FrameCert(frame=frame, value=value, votes=votes)
@@ -412,12 +410,16 @@ class Replica:
         if signed.sender != self.leader_of(inst.frame, msg.view):
             self.misbehavior.append((inst.frame, signed.sender, "newview-from-non-leader"))
             return []
+        pp = msg.proposal
+        if not pp.verify(self.registry) or not isinstance(pp.msg, PrePrepare):
+            return []
+        if pp.sender != signed.sender or pp.msg.view != msg.view or pp.msg.frame != inst.frame:
+            return []
+        if pp.msg.value_digest != value_digest(pp.msg.value):
+            return []
         if msg.view in inst.newviews:
             # duplicate (retransmission): still watch for a conflicting
             # proposal, but do not re-enter the view
-            pp = msg.proposal
-            if pp.sender != self.leader_of(inst.frame, pp.msg.view):
-                return []
             return self._note_leader_endorsement(pp, round_)
 
         def fits(vc) -> bool:
@@ -430,13 +432,6 @@ class Replica:
             return []  # a malformed ViewChange
         if len(voters) < self.quorum:
             self.misbehavior.append((inst.frame, signed.sender, "underfull-newview"))
-            return []
-        pp = msg.proposal
-        if not pp.verify(self.registry) or not isinstance(pp.msg, PrePrepare):
-            return []
-        if pp.sender != signed.sender or pp.msg.view != msg.view or pp.msg.frame != inst.frame:
-            return []
-        if pp.msg.value_digest != value_digest(pp.msg.value):
             return []
         best = self._select_newview_value(msg.view_changes)
         certified = best is not None

@@ -181,9 +181,6 @@ class KeyRegistry:
             for m in module_ids
         }
 
-    def known(self, module_id: int) -> bool:
-        return module_id in self._macs
-
     def sign(self, module_id: int, payload_digest: bytes) -> bytes:
         """Tag ``payload_digest``, the :func:`digest` of a canonical payload."""
         mac = self._macs.get(module_id)

@@ -126,7 +126,6 @@ class EpisodeRunner:
             return None
         kwargs = dict(
             timeout_rounds=self.s.timeout_rounds,
-            execution_threshold=self.s.execution_threshold,
             checkpoint_interval=self.s.checkpoint_interval,
         )
         if profile.kind == "byzantine_equivocate":
@@ -415,7 +414,7 @@ class EpisodeRunner:
             return sign_message(self.registry, m, ann)
         return out
 
-    def _deliver_window(self, frame: int, collect_outputs=None, collect_digests=None) -> None:
+    def _deliver_window(self, frame: int, collect_outputs: dict, collect_digests: dict) -> None:
         s = self.s
         window = s.network.base_delay_rounds + s.network.jitter_rounds
         window += max(self.world.slow_extra.values(), default=0)
@@ -425,17 +424,13 @@ class EpisodeRunner:
                 if isinstance(payload, ModuleOutput):
                     if payload.frame != frame or not verify_output(self.registry, payload):
                         continue
-                    if collect_outputs is not None:
-                        collect_outputs.setdefault(env.to, {}).setdefault(
-                            payload.module_id, payload
-                        )
+                    collect_outputs.setdefault(env.to, {}).setdefault(payload.module_id, payload)
                 elif isinstance(payload, Signed) and isinstance(payload.msg, OutputDigest):
                     if payload.msg.frame != frame or not payload.verify(self.registry):
                         continue
-                    if collect_digests is not None:
-                        collect_digests.setdefault(env.to, {}).setdefault(
-                            payload.sender, payload.msg.value_digest
-                        )
+                    collect_digests.setdefault(env.to, {}).setdefault(
+                        payload.sender, payload.msg.value_digest
+                    )
 
     def _vote_rounds(self, frame: int, outputs, replies: dict[int, str]):
         s = self.s
@@ -445,7 +440,7 @@ class EpisodeRunner:
 
         rounds_used = 1
         self._broadcast_outputs(frame, outputs, digests_only=fastpath)
-        self._deliver_window(frame, collect_outputs=inboxes, collect_digests=digest_boxes)
+        self._deliver_window(frame, inboxes, digest_boxes)
 
         if fastpath:
             # each participant decides locally whether the fast path closed
@@ -456,7 +451,7 @@ class EpisodeRunner:
             if any(len(seen) < self.n or len(set(seen.values())) > 1 for seen in seen_by):
                 rounds_used = 2
                 self._broadcast_outputs(frame, outputs, digests_only=False)
-                self._deliver_window(frame, collect_outputs=inboxes)
+                self._deliver_window(frame, inboxes, digest_boxes)
 
         def verdict_of(m: int) -> Verdict:
             """What module ``m``, or the observer, concludes from what it holds."""

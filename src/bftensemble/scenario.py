@@ -56,9 +56,7 @@ class Scenario:
     timeout_rounds: int = 10
     checkpoint_interval: int = 5
     supervise: bool = True
-    execution_threshold: Optional[int] = None
     expects_violation: bool = False
-    n_override: bool = False
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
 
     def with_seed(self, seed: int) -> "Scenario":
@@ -88,9 +86,7 @@ TOP_KEYS = {
     "timeout_rounds": ("timeout_rounds", _positive),
     "checkpoint_interval": ("checkpoint_interval", _positive),
     "supervise": ("supervise", _bool),
-    "execution_threshold": ("execution_threshold", int),
     "expects_violation": ("expects_violation", _bool),
-    "n_override": ("n_override", _bool),
 }
 _HEAD_KEYS = {"name": ("name", str), "n": ("n", int), "f": ("f", int)}
 _SPACE_KEYS = {"labels": ("labels", str.split), "safe_default": ("safe_default", str)}
@@ -135,10 +131,9 @@ def _read_keys(lines, table: dict, errors: list[str], where: str) -> dict:
 
 
 def _write_keys(obj, table: dict) -> list[str]:
-    """``key = value`` lines for each attribute in ``table`` that is not None."""
+    """``key = value`` lines for each attribute in ``table``."""
     values = [(key, getattr(obj, attr)) for key, (attr, _) in table.items()]
-    values = [(key, str(v).lower() if isinstance(v, bool) else v) for key, v in values]
-    return [f"{key} = {value}" for key, value in values if value is not None]
+    return [f"{key} = {str(v).lower() if isinstance(v, bool) else v}" for key, v in values]
 
 
 def _parse_profile(text: str, lineno: int, errors: list[str]) -> Optional[FaultProfile]:
@@ -296,13 +291,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         errors.append(f"consensus_mode {top.consensus_mode!r} is not one of {CONSENSUS_MODES}")
     pbft = top.consensus_mode == "pbft"
     if n is not None and f is not None:
-        if pbft and not top.n_override and n != min_replicas(f):
-            errors.append(
-                f"n={n} with f={f}: pbft mode requires n = 3f+1 = {min_replicas(f)} "
-                "(resilience criterion; set n_override = true to run n > 3f+1)"
-            )
-        if pbft and n < min_replicas(f):
-            errors.append(f"n={n} cannot tolerate f={f} Byzantine faults under pbft")
+        if pbft and n != min_replicas(f):
+            errors.append(f"n={n} with f={f}: pbft mode requires n = 3f+1 = {min_replicas(f)}")
         if profiles and (set(profiles) != set(range(n))):
             errors.append(f"[modules] must define exactly ids 0..{n - 1}, got {sorted(profiles)}")
         elif not profiles:
@@ -314,12 +304,6 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
                 errors.append(f"module {module_id}: {err}")
         if top.frames is not None and n is not None:
             errors.extend(observations.validate(space, top.frames, n))
-
-    threshold = top.execution_threshold
-    if threshold is not None and f is not None and threshold < 2 * f + 1:
-        errors.append(f"execution_threshold {threshold} below quorum {2 * f + 1}")
-    if threshold is not None and n is not None and threshold > n:
-        errors.append(f"execution_threshold {threshold} above n={n}: no frame could execute")
 
     faulty = sum(1 for p in profiles.values() if p.faulty)
     if f is not None and faulty > f and not top.expects_violation:

@@ -39,6 +39,17 @@ class VoteStrategy:
             return cls("k_of_n", k=int(arg))
         raise ValueError(f"unknown strategy {text!r}")
 
+    def threshold(self, n: int) -> int:
+        """The votes one value needs among ``n`` modules: a strict majority
+        (n//2 + 1), all n for unanimity, or the strategy's own k."""
+        if self.kind == "majority":
+            return n // 2 + 1
+        if self.kind == "unanimity":
+            return n
+        if self.kind == "k_of_n":
+            return self.k
+        raise ValueError(f"tally cannot evaluate strategy {self.kind!r} directly")
+
     def describe(self) -> str:
         if self.kind == "k_of_n":
             return f"k_of_n:{self.k}"
@@ -73,33 +84,17 @@ def _decided(value: str, outputs) -> Verdict:
 
 
 def tally(outputs, strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
-    """Combine one frame's verified outputs.  Absent modules count as votes
-    against every threshold; ties are NoQuorum."""
+    """Combine one frame's verified outputs: a value decides when it alone
+    has at least the strategy's k votes.  Absent modules count as votes
+    against it, and two values reaching k are a tie, which is NoQuorum."""
     outputs = list(outputs)
     _check_inputs(outputs)
-    n = cfg.n
+    k = strategy.threshold(cfg.n)
     counts = Counter(out.value for out in outputs)
-
-    if strategy.kind == "majority":
-        for value, count in counts.items():
-            if count > n / 2:
-                return _decided(value, outputs)
-        return Verdict("no-quorum", cause="no-majority")
-
-    if strategy.kind == "k_of_n":
-        reaching = [value for value, count in counts.items() if count >= strategy.k]
-        if len(reaching) == 1:
-            return _decided(reaching[0], outputs)
-        cause = "tie" if len(reaching) > 1 else "below-threshold"
-        return Verdict("no-quorum", cause=cause)
-
-    if strategy.kind == "unanimity":
-        if len(outputs) == n and len(counts) == 1:
-            return _decided(outputs[0].value, outputs)
-        cause = "absentees" if len(counts) <= 1 else "dissent"
-        return Verdict("no-quorum", cause=cause)
-
-    raise ValueError(f"tally cannot evaluate strategy {strategy.kind!r} directly")
+    reaching = [value for value, count in counts.items() if count >= k]
+    if len(reaching) == 1:
+        return _decided(reaching[0], outputs)
+    return Verdict("no-quorum", cause="tie" if reaching else "below-threshold")
 
 
 @dataclass(frozen=True)

@@ -232,6 +232,22 @@ class TestViewChange:
             assert rep.inst.decided_value == SOUTH
             assert rep.inst.decided_view == 1
 
+    def test_newview_for_an_entered_view_without_a_preprepare_is_ignored(self):
+        """A retransmitted NewView passes the same proposal checks as the
+        first: a signed NewView for a view already entered whose proposal is
+        not a PrePrepare changes nothing."""
+        replicas, registry = make_ensemble()
+        rep2 = replicas[2]
+        rep2.start_frame(0, None, 0)
+        rep2.inst.newviews.add(1)
+        rep2.inst.view = 1
+        bogus = NewView(0, 1, (), sign_message(registry, 1, Reply(0, NORTH)))
+        assert rep2.handle(sign_message(registry, 1, bogus), 5) == []
+        # nor does one whose PrePrepare carries a forged tag
+        forged = Signed(PrePrepare(0, 1, value_digest(SOUTH), SOUTH), 1, bytes(16))
+        assert rep2.handle(sign_message(registry, 1, NewView(0, 1, (), forged)), 5) == []
+        assert rep2.inst.leader_endorsements == {}
+
     def test_view_change_needs_a_quorum_of_voices(self):
         replicas, registry = make_ensemble()
         pump = Pump(replicas)
@@ -661,7 +677,7 @@ class RescanReplica(Replica):
             return []
         want = signed.msg.value_digest
         matching = rescan(inst, Commit, signed.msg.view, want)
-        if len(matching) >= self.execution_threshold:
+        if len(matching) >= self.cfg.quorum:
             return self._commit(matching)
         return []
 
@@ -702,9 +718,9 @@ def replica_state(rep):
 
 class TestRunningTallies:
     """Random Prepares and Commits (duplicates, conflicting second votes,
-    several views and digests, digests that do not match their value, and
-    execution thresholds above the quorum) drive a Replica and a
-    RescanReplica alike; after every step both must agree."""
+    several views and digests, and digests that do not match their value)
+    drive a Replica and a RescanReplica alike; after every step both must
+    agree."""
 
     FRAME = 0  # so replica v leads view v
 
@@ -714,11 +730,10 @@ class TestRunningTallies:
             rng = random.Random(seed)
             n, f = rng.choice([(4, 1), (7, 2)])
             cfg = QuorumConfig(n=n, f=f)
-            threshold = rng.choice([None, cfg.quorum + 1, n])
             registry = KeyRegistry(seed, range(n))
             me = n - 1
             pair = [
-                cls(me, cfg, SPACE, registry, timeout_rounds=1000, execution_threshold=threshold)
+                cls(me, cfg, SPACE, registry, timeout_rounds=1000)
                 for cls in (Replica, RescanReplica)
             ]
             for rep in pair:

@@ -107,16 +107,33 @@ def test_resilience_criterion_enforced():
     )
     with pytest.raises(ScenarioError, match=r"3f\+1"):
         parse_scenario_text(text)
-    # n_override permits n > 3f+1
-    s = parse_scenario_text("n_override = true\n" + text)
+    # vote-only mode does not replicate, so any n may vote
+    s = parse_scenario_text("consensus_mode = vote-only\n" + text)
     assert s.quorum.n == 5
 
 
 def test_too_few_replicas_never_allowed():
     text = MINIMAL.replace("n = 4", "n = 3").replace("3 = honest\n", "")
-    text = "n_override = true\n" + text
-    with pytest.raises(ScenarioError, match="cannot tolerate"):
+    with pytest.raises(ScenarioError, match=r"requires n = 3f\+1 = 4"):
         parse_scenario_text(text)
+
+
+def test_pbft_above_3f_plus_1_is_refused_with_no_override():
+    """With n=6 and f=1 a quorum is 2f+1 = 3, so two halves of a partition
+    commit apart: six honest modules that observe differently would commit
+    different values.  PBFT runs at n = 3f+1 only, and no key relaxes that."""
+    modules = "".join(f"{m} = honest\n" for m in range(6))
+    text = (
+        MINIMAL.replace("n = 4", "n = 6")
+        .replace("0 = honest\n1 = honest\n2 = honest\n3 = honest\n", modules)
+        .replace("[observations]", "[network]\npartition = 0:60 0,1,2|3,4,5\n\n[observations]")
+        .replace("1 | go |", "1 | go | 3:hold 4:hold 5:hold")
+    )
+    text = "timeout_rounds = 3\n" + text
+    with pytest.raises(ScenarioError, match=r"n=6 with f=1: pbft mode requires n = 3f\+1 = 4"):
+        parse_scenario_text(text)
+    with pytest.raises(ScenarioError, match="unknown key 'n_override'"):
+        parse_scenario_text("n_override = true\n" + text)
 
 
 def test_unknown_label_in_profile():
@@ -139,13 +156,6 @@ def test_byzantine_count_above_f_needs_declaration():
         parse_scenario_text(text)
     s = parse_scenario_text("expects_violation = true\n" + text)
     assert s.expects_violation
-
-
-def test_execution_threshold_below_quorum():
-    with pytest.raises(ScenarioError, match="below quorum"):
-        parse_scenario_text("execution_threshold = 2\n" + MINIMAL)
-    s = parse_scenario_text("execution_threshold = 4\n" + MINIMAL)
-    assert s.execution_threshold == 4
 
 
 def test_module_ids_must_cover_range():
@@ -200,9 +210,7 @@ strategy = k_of_n:3
 timeout_rounds = 4
 checkpoint_interval = 2
 supervise = false
-execution_threshold = 4
 expects_violation = true
-n_override = true
 
 [decision_space]
 labels = go hold swerve
@@ -285,7 +293,6 @@ def test_unknown_duplicate_and_unreadable_keys_are_errors(text, message):
         ("timeout_rounds = 0\n" + MINIMAL, "for timeout_rounds: must be >= 1"),
         ("timeout_rounds = -4\n" + MINIMAL, "for timeout_rounds: must be >= 1"),
         ("checkpoint_interval = 0\n" + MINIMAL, "for checkpoint_interval: must be >= 1"),
-        ("execution_threshold = 9\n" + MINIMAL, "above n=4"),
         (MINIMAL + "[network]\npartition = 5:2 0|1\n", "after its end"),
         (MINIMAL + "[network]\npartition = 1:2 0|4\n", "outside 0..n-1"),
         (MINIMAL + "1 | hold |\n", "second observation row for frame 1"),
@@ -296,7 +303,7 @@ def test_unknown_duplicate_and_unreadable_keys_are_errors(text, message):
         (MINIMAL.replace("labels = go hold", "labels = go hold|on"), "label 'hold|on' cannot be logged"),
     ],
     ids=["frames-0", "timeout-0", "timeout-negative", "checkpoint-interval-0",
-         "threshold-above-n", "partition-start-after-end", "partition-unknown-module",
+         "partition-start-after-end", "partition-unknown-module",
          "second-row-for-frame", "row-past-last-frame", "error-rate-above-1",
          "window-above-int64", "label-dash", "label-with-bar"],
 )
