@@ -7,7 +7,6 @@ from .core import (
     PEERS,
     DecisionSpace,
     KeyRegistry,
-    ModuleOutput,
     QuorumConfig,
     client_match,
     digest,
@@ -27,7 +26,6 @@ __all__ = [
     "DecisionSpace",
     "EpisodeResult",
     "KeyRegistry",
-    "ModuleOutput",
     "QuorumConfig",
     "Scenario",
     "ScenarioError",

@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
 
-from .core import (
-    OBSERVER,
-    PEERS,
-    DecisionSpace,
-    KeyRegistry,
-    ModuleOutput,
-    QuorumConfig,
-)
+from .core import OBSERVER, PEERS, DecisionSpace, KeyRegistry, QuorumConfig, min_replicas
 from .messages import (
     Checkpoint,
     CheckpointAttest,
@@ -52,6 +45,14 @@ def validate_proposal(own: Optional[str], proposed: str) -> bool:
     """Exact-match endorsement: a replica backs the leader's value only if it
     matches its own output.  Dissent is expressed by withholding the Prepare."""
     return own is not None and own == proposed
+
+
+def split_others(module_id: int, n: int) -> tuple[list[int], list[int]]:
+    """The modules other than ``module_id``, in two halves: the sides an
+    equivocator tells different values."""
+    others = [m for m in range(n) if m != module_id]
+    half = len(others) // 2
+    return others[:half], others[half:]
 
 
 @dataclass
@@ -102,6 +103,8 @@ class Replica:
         timeout_rounds: int = 10,
         checkpoint_interval: int = 5,
     ):
+        if cfg.n != min_replicas(cfg.f):
+            raise ValueError(f"PBFT needs n = 3f+1 = {min_replicas(cfg.f)}, got n={cfg.n} with f={cfg.f}")
         self.module_id = module_id
         self.cfg = cfg
         self.quorum = cfg.quorum  # 2f+1; cfg is frozen
@@ -146,11 +149,8 @@ class Replica:
 
     # --- frame lifecycle -----------------------------------------------------
 
-    def start_frame(self, frame: int, own_output: Optional[ModuleOutput], round_: int) -> list[Outbound]:
-        value = own_output.value if own_output is not None else None
-        self.inst = FrameInstance(
-            frame=frame, own_output=value, view_start_round=round_
-        )
+    def start_frame(self, frame: int, own_output: Optional[str], round_: int) -> list[Outbound]:
+        self.inst = FrameInstance(frame=frame, own_output=own_output, view_start_round=round_)
         if frame in self.committed:
             self._decide(self.committed[frame])  # already learned via state transfer
             return []
@@ -363,12 +363,27 @@ class Replica:
         inst.view_changes.setdefault(msg.new_view, {}).setdefault(signed.sender, signed)
         out: list[Outbound] = []
         if msg.new_view > inst.view:
-            proven = msg.evidence is not None and msg.evidence.valid(self.registry)
+            proven = self._convicts_a_leader(msg.evidence)
             if proven and inst.evidence is None:
                 inst.evidence = msg.evidence
             if proven or len(inst.view_changes[msg.new_view]) >= self.cfg.f + 1:
                 out = self._initiate_viewchange(msg.new_view, round_)
         return out + self._maybe_newview(msg.new_view, round_)
+
+    def _convicts_a_leader(self, proof: Optional[EquivocationProof]) -> bool:
+        """``proof`` is valid and its signer led the current frame in the
+        proof's view, which is no later than this replica's view: a
+        non-leader's conflicting votes, or a proof about a view not yet
+        reached, move no one."""
+        if proof is None or not proof.valid(self.registry):
+            return False
+        inst = self.inst
+        msg = proof.first.msg
+        return (
+            msg.frame == inst.frame
+            and msg.view <= inst.view
+            and proof.first.sender == self.leader_of(msg.frame, msg.view)
+        )
 
     @staticmethod
     def _select_newview_value(vcs) -> Optional[PrepareCertificate]:
@@ -561,16 +576,11 @@ class EquivocatingReplica(Replica):
         self.label_b = label_b
         self.sloppy = sloppy
 
-    def _partitions(self) -> tuple[list[int], list[int]]:
-        others = [m for m in range(self.cfg.n) if m != self.module_id]
-        half = len(others) // 2
-        return others[:half] or others[:1], others[half:]
-
     def propose(self) -> list[Outbound]:
         inst = self.inst
         if not self.is_leader(inst.frame, inst.view):
             return []
-        side_a, side_b = self._partitions()
+        side_a, side_b = split_others(self.module_id, self.cfg.n)
         out: list[Outbound] = []
         for value, side in ((self.label_a, side_a), (self.label_b, side_b)):
             d = value_digest(value)

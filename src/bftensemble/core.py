@@ -45,23 +45,16 @@ def client_match(f: int) -> int:
 
 @dataclass(frozen=True)
 class QuorumConfig:
-    """The (n, f) arithmetic of one ensemble.
-
-    ``enforce_resilience`` is relaxed only for vote-only ensembles, which do
-    not need the 3f+1 bound to stay safe against crash-style absence.
-    """
+    """The (n, f) arithmetic of one ensemble.  Only PBFT needs n = 3f+1,
+    and ``consensus.Replica`` checks it; a vote-only ensemble needs only
+    room for a quorum."""
 
     n: int
     f: int
-    enforce_resilience: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.f < 0:
             raise ValueError(f"bad quorum config n={self.n} f={self.f}")
-        if self.enforce_resilience and self.n < min_replicas(self.f):
-            raise ValueError(
-                f"n={self.n} cannot tolerate f={self.f} faults (need n >= {min_replicas(self.f)})"
-            )
         if quorum_size(self.f) > self.n:
             raise ValueError(f"quorum {quorum_size(self.f)} exceeds n={self.n}")
 
@@ -283,32 +276,3 @@ class Encoded:
     def short_hex(self) -> str:
         """:func:`short_digest` of the payload, as used in log lines."""
         return (self.__dict__.get("_encoding") or self._encoding())[2]
-
-
-@dataclass(frozen=True)
-class ModuleOutput(Encoded):
-    """One module's signed proposal for one frame."""
-
-    module_id: int
-    frame: int
-    value: str
-    sig: bytes
-
-    def _fields(self) -> tuple:
-        return ("output", self.module_id, self.frame, self.value)
-
-
-def make_output(registry: KeyRegistry, module_id: int, frame: int, value: str) -> ModuleOutput:
-    payload_digest = encoding("output", module_id, frame, value)[1]
-    return ModuleOutput(module_id, frame, value, registry.sign(module_id, payload_digest))
-
-
-def verify_output(registry: KeyRegistry, out: ModuleOutput) -> bool:
-    """Check ``out``'s tag against ``registry``.  As with ``Signed.verify``,
-    the result is kept on ``out`` for the registry it was checked against."""
-    memo = out.__dict__.get("_verified")
-    if memo is not None and memo[0] is registry:
-        return memo[1]
-    ok = registry.verify(out.sig, out.module_id, out.payload_digest())
-    out.__dict__["_verified"] = (registry, ok)
-    return ok

@@ -7,21 +7,14 @@ final only after f+1 matching Reply messages from distinct replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
-from .core import (
-    BROADCAST,
-    OBSERVER,
-    PEERS,
-    KeyRegistry,
-    ModuleOutput,
-    verify_output,
-)
-from .consensus import EquivocatingReplica, Replica
+from .core import BROADCAST, OBSERVER, PEERS, KeyRegistry
+from .consensus import EquivocatingReplica, Replica, split_others
 from .harness import FaultProfile, module_rng, produce_output
 from .messages import (
     Commit,
+    Output,
     OutputDigest,
     Prepare,
     Reply,
@@ -149,24 +142,21 @@ class EpisodeRunner:
     # --- shared plumbing -----------------------------------------------------
 
     def _produce(self, frame: int):
-        """Per-module outputs for this frame.  Equivocators yield a pair."""
+        """Per-module output labels for this frame, None for a module that
+        outputs nothing.  Equivocators yield a pair."""
         outputs = {}
         for m in range(self.n):
             if not self.supervisor.active(m):
                 outputs[m] = None
                 continue
             obs = self.s.observations.observed(self.s.decision_space, frame, m)
-            outputs[m] = produce_output(
-                self.profiles[m], m, frame, obs, self.s.decision_space, self.registry, self.rngs[m]
-            )
+            outputs[m] = produce_output(self.profiles[m], frame, obs, self.s.decision_space, self.rngs[m])
         return outputs
 
     def _supervise(self, frame: int, committed: Optional[str], outputs, equivocators) -> None:
         if not self.s.supervise or committed is None:
             return  # only committed frames are judged
-        values = {
-            m: out.value if isinstance(out, ModuleOutput) else None for m, out in outputs.items()
-        }
+        values = {m: out if isinstance(out, str) else None for m, out in outputs.items()}
         self.supervisor.record_round(frame, committed, values, equivocators)
         self.supervisor.review(frame)
 
@@ -392,50 +382,52 @@ class EpisodeRunner:
     # --- vote-only mode ------------------------------------------------------
 
     def _broadcast_outputs(self, frame: int, outputs, digests_only: bool) -> None:
+        send = self.world.send
         for m in range(self.n):
             out = outputs[m]
             if out is None:  # also every module not active
                 continue
             if isinstance(out, tuple):
-                out_a, out_b = out
-                others = [x for x in range(self.n) if x != m]
-                half = len(others) // 2
-                for dest in others[:half]:
-                    self.world.send(m, dest, self._vote_payload(m, out_a, frame, digests_only))
-                for dest in others[half:]:
-                    self.world.send(m, dest, self._vote_payload(m, out_b, frame, digests_only))
-                self.world.send(m, OBSERVER, self._vote_payload(m, out_b, frame, digests_only))
+                vote_a, vote_b = (self._vote_payload(m, label, frame, digests_only) for label in out)
+                side_a, side_b = split_others(m, self.n)
+                for dest in side_a:
+                    send(m, dest, vote_a)
+                for dest in side_b:
+                    send(m, dest, vote_b)
+                send(m, OBSERVER, vote_b)
             else:
-                self.world.send(m, BROADCAST, self._vote_payload(m, out, frame, digests_only))
+                send(m, BROADCAST, self._vote_payload(m, out, frame, digests_only))
 
-    def _vote_payload(self, m: int, out: ModuleOutput, frame: int, digests_only: bool):
-        if digests_only:
-            ann = OutputDigest(frame, value_digest(out.value))
-            return sign_message(self.registry, m, ann)
-        return out
+    def _vote_payload(self, m: int, label: str, frame: int, digests_only: bool) -> Signed:
+        """Module ``m``'s signed vote: the digest of ``label`` on the fast
+        path's first round, else the full output."""
+        msg = OutputDigest(frame, value_digest(label)) if digests_only else Output(m, frame, label)
+        return sign_message(self.registry, m, msg)
 
     def _deliver_window(self, frame: int, collect_outputs: dict, collect_digests: dict) -> None:
+        """Deliver one round of votes: each receiver keeps the first verified
+        Output value and OutputDigest of each signer for ``frame``."""
         s = self.s
         window = s.network.base_delay_rounds + s.network.jitter_rounds
         window += max(self.world.slow_extra.values(), default=0)
         for due in self.world.delivery_rounds(window + 1):
             for env in due:
-                payload = env.payload
-                if isinstance(payload, ModuleOutput):
-                    if payload.frame != frame or not verify_output(self.registry, payload):
-                        continue
-                    collect_outputs.setdefault(env.to, {}).setdefault(payload.module_id, payload)
-                elif isinstance(payload, Signed) and isinstance(payload.msg, OutputDigest):
-                    if payload.msg.frame != frame or not payload.verify(self.registry):
-                        continue
-                    collect_digests.setdefault(env.to, {}).setdefault(
-                        payload.sender, payload.msg.value_digest
-                    )
+                signed = env.payload
+                msg = signed.msg
+                kind = type(msg)
+                if kind is Output:
+                    box, vote = collect_outputs, msg.value
+                elif kind is OutputDigest:
+                    box, vote = collect_digests, msg.value_digest
+                else:
+                    continue  # a Reply that arrived after its frame's window
+                if msg.frame == frame and signed.verify(self.registry):
+                    box.setdefault(env.to, {}).setdefault(signed.sender, vote)
 
     def _vote_rounds(self, frame: int, outputs, replies: dict[int, str]):
         s = self.s
         fastpath = s.strategy.kind == "fastpath"
-        inboxes: dict[int, dict[int, ModuleOutput]] = {}
+        inboxes: dict[int, dict[int, str]] = {}
         digest_boxes: dict[int, dict[int, bytes]] = {}
 
         rounds_used = 1
@@ -445,8 +437,8 @@ class EpisodeRunner:
         if fastpath:
             # each participant decides locally whether the fast path closed
             for m in range(self.n):
-                if isinstance(outputs[m], ModuleOutput):
-                    digest_boxes.setdefault(m, {})[m] = value_digest(outputs[m].value)
+                if isinstance(outputs[m], str):
+                    digest_boxes.setdefault(m, {})[m] = value_digest(outputs[m])
             seen_by = [digest_boxes.get(m, {}) for m in (*range(self.n), OBSERVER)]
             if any(len(seen) < self.n or len(set(seen.values())) > 1 for seen in seen_by):
                 rounds_used = 2
@@ -455,14 +447,12 @@ class EpisodeRunner:
 
         def verdict_of(m: int) -> Verdict:
             """What module ``m``, or the observer, concludes from what it holds."""
-            own = [outputs[m]] if isinstance(outputs.get(m), ModuleOutput) else []
-            box = dict(inboxes.get(m, {}))
-            for out in own:
-                box[m] = out
+            own = {m: outputs[m]} if isinstance(outputs.get(m), str) else {}
+            box = {**inboxes.get(m, {}), **own}
             if fastpath:
-                full = box.values() if rounds_used == 2 else own
+                full = box if rounds_used == 2 else own
                 return fast_path_agree(digest_boxes.get(m, {}), full, s.quorum).verdict
-            return tally(sorted(box.values(), key=attrgetter("module_id")), s.strategy, s.quorum)
+            return tally(box, s.strategy, s.quorum)
 
         # every module taking part tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}

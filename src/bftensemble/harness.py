@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DecisionSpace, KeyRegistry, canonical, digest, int64, make_output
+from .core import DecisionSpace, canonical, digest, int64
 
 
 # scenario-file profile option -> (FaultProfile field, reader)
@@ -149,38 +149,34 @@ def module_rng(scenario_seed: int, module_id: int, perturb_seed: int = 0) -> ran
 
 def produce_output(
     profile: FaultProfile,
-    module_id: int,
     frame: int,
     observation: str,
     space: DecisionSpace,
-    registry: KeyRegistry,
     rng: random.Random,
 ):
     """One module's proposal for one frame, per its fault profile.
 
-    Returns a ModuleOutput, None, or for an equivocator a pair of
-    conflicting ModuleOutputs (partition assignment is the caller's job).
-    Slow modules produce normally; their delay is applied by the network.
+    Returns a label, None, or for an equivocator a pair of conflicting
+    labels (partition assignment is the caller's job).  The caller signs
+    what the module sends.  Slow modules produce normally; their delay is
+    applied by the network.
     """
     if observation not in space:
         raise ValueError(f"observation {observation!r} not in decision space")
     if not profile.emits(frame):
         return None
     if profile.kind in ("honest", "slow", "crash"):
-        return make_output(registry, module_id, frame, observation)
+        return observation
     if profile.kind == "diverse_honest":
-        value = observation
         if rng.random() < profile.error_rate:
             wrong = [l for l in space.labels if l != observation]
             if wrong:
-                value = space.value(rng.choice(wrong))
-        return make_output(registry, module_id, frame, value)
+                return space.value(rng.choice(wrong))
+        return observation
     if profile.kind == "byzantine_fixed":
-        return make_output(registry, module_id, frame, space.value(profile.bad_label))
+        return space.value(profile.bad_label)
     if profile.kind == "byzantine_random":
-        return make_output(registry, module_id, frame, space.value(rng.choice(space.labels)))
+        return space.value(rng.choice(space.labels))
     if profile.kind == "byzantine_equivocate":
-        out_a = make_output(registry, module_id, frame, space.value(profile.label_a))
-        out_b = make_output(registry, module_id, frame, space.value(profile.label_b))
-        return (out_a, out_b)
+        return (space.value(profile.label_a), space.value(profile.label_b))
     raise AssertionError(profile.kind)

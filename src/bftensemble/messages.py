@@ -1,7 +1,7 @@
 """Protocol messages exchanged between replicas, with canonical byte layouts.
 
 Kind tags: 1=PrePrepare 2=Prepare 3=Commit 4=ViewChange 5=NewView 6=Reply
-7=StateRequest 8=StateSnapshot 9=CheckpointAttest.
+7=StateRequest 8=StateSnapshot 9=CheckpointAttest 10=OutputDigest 11=Output.
 """
 from __future__ import annotations
 
@@ -267,6 +267,21 @@ class OutputDigest(Encoded):
         return (self.KIND, self.frame, self.value_digest)
 
 
+@dataclass(frozen=True)
+class Output(Encoded):
+    """Vote-only mode: one module's full output for one frame.  It encodes
+    under the tag "output" rather than its kind number.  A receiver counts
+    it as the vote of its ``Signed.sender``, whatever ``module_id`` says."""
+
+    KIND = 11
+    module_id: int
+    frame: int
+    value: str
+
+    def _fields(self) -> tuple:
+        return ("output", self.module_id, self.frame, self.value)
+
+
 Message = Union[
     PrePrepare,
     Prepare,
@@ -278,6 +293,7 @@ Message = Union[
     StateSnapshot,
     CheckpointAttest,
     OutputDigest,
+    Output,
 ]
 
 KIND_NAMES = {
@@ -291,6 +307,7 @@ KIND_NAMES = {
     8: "statesnapshot",
     9: "checkpoint",
     10: "outputdigest",
+    11: "output",
 }
 
 

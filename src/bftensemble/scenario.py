@@ -318,7 +318,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     return Scenario(
         **{attr: getattr(top, attr) for attr, _ in TOP_KEYS.values()},
         name=top.name,
-        quorum=QuorumConfig(n=n, f=f, enforce_resilience=pbft),
+        quorum=QuorumConfig(n=n, f=f),
         decision_space=space,
         modules=tuple(profiles[m] for m in range(n)),
         observations=observations,

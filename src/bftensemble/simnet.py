@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .core import BROADCAST, DIGEST_SIZE, OBSERVER, PEERS, Encoded, canonical, short_digest
+from .core import BROADCAST, DIGEST_SIZE, OBSERVER, PEERS, canonical, short_digest
 from .messages import KIND_NAMES, Signed
 
 
@@ -90,7 +90,7 @@ class Envelope(NamedTuple):
     frm: int
     to: int
     seq: int
-    payload: object  # Signed protocol message or ModuleOutput
+    payload: object  # a Signed message
     kind: str
     log_tag: str  # "kind|short digest", the payload's part of its event-log line
 
@@ -98,16 +98,12 @@ class Envelope(NamedTuple):
 def payload_kind(payload) -> str:
     if isinstance(payload, Signed):
         return KIND_NAMES[payload.msg.KIND]
-    if isinstance(payload, Encoded):
-        return "output"
     return "opaque"
 
 
 def payload_digest_hex(payload) -> str:
     if isinstance(payload, Signed):
         return payload.msg.short_hex()
-    if isinstance(payload, Encoded):
-        return payload.short_hex()
     return short_digest(repr(payload).encode("utf-8"))
 
 

@@ -70,30 +70,18 @@ class Verdict:
         return self.kind == "decided"
 
 
-def _check_inputs(outputs) -> None:
-    seen = set()
-    for out in outputs:
-        if out.module_id in seen:
-            raise ValueError(f"duplicate module id {out.module_id} in vote set")
-        seen.add(out.module_id)
-
-
-def _decided(value: str, outputs) -> Verdict:
-    supporters = frozenset(o.module_id for o in outputs if o.value == value)
-    return Verdict("decided", value=value, supporters=supporters)
-
-
-def tally(outputs, strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
-    """Combine one frame's verified outputs: a value decides when it alone
-    has at least the strategy's k votes.  Absent modules count as votes
-    against it, and two values reaching k are a tie, which is NoQuorum."""
-    outputs = list(outputs)
-    _check_inputs(outputs)
+def tally(votes: dict[int, str], strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
+    """Combine one frame's verified votes, a {module: value} map: a value
+    decides when it alone has at least the strategy's k votes.  Absent
+    modules count as votes against it, and two values reaching k are a tie,
+    which is NoQuorum."""
     k = strategy.threshold(cfg.n)
-    counts = Counter(out.value for out in outputs)
+    counts = Counter(votes.values())
     reaching = [value for value, count in counts.items() if count >= k]
     if len(reaching) == 1:
-        return _decided(reaching[0], outputs)
+        value = reaching[0]
+        supporters = frozenset(m for m, v in votes.items() if v == value)
+        return Verdict("decided", value=value, supporters=supporters)
     return Verdict("no-quorum", cause="tie" if reaching else "below-threshold")
 
 
@@ -103,25 +91,25 @@ class FastPathResult:
     rounds_used: int  # 1 when all digests matched, else 2
 
 
-def fast_path_agree(digests: dict[int, bytes], full_outputs, cfg: QuorumConfig) -> FastPathResult:
+def fast_path_agree(digests: dict[int, bytes], votes: dict[int, str], cfg: QuorumConfig) -> FastPathResult:
     """Hash fast path with full-output fallback.
 
     ``digests`` maps module id to its announced output digest.  When they all
     match (one per module, none missing) the decision closes in one round;
-    otherwise the caller supplies the second-round full outputs and a majority
-    tally decides.  The fast path by itself cannot attribute equivocation: a
-    split announcement only surfaces as a mismatch forcing the fallback.
+    otherwise the caller supplies the second-round full outputs as
+    ``votes``, a {module: value} map, and a majority tally decides.  The
+    fast path by itself cannot attribute equivocation: a split announcement
+    only surfaces as a mismatch forcing the fallback.
     """
     missing = cfg.n - len(digests)
     if missing > cfg.f:
         return FastPathResult(
             Verdict("no-quorum", cause="missing-announcements"), rounds_used=1
         )
-    unique = set(digests.values())
-    outputs = list(full_outputs)
-    if missing == 0 and len(unique) == 1 and outputs:
+    if missing == 0 and len(set(digests.values())) == 1 and votes:
         # every announcement matched, so any locally known output is the value
-        verdict = Verdict("decided", value=outputs[0].value, supporters=frozenset(digests))
+        value = next(iter(votes.values()))
+        verdict = Verdict("decided", value=value, supporters=frozenset(digests))
         return FastPathResult(verdict, rounds_used=1)
-    verdict = tally(outputs, VoteStrategy("majority"), cfg)
+    verdict = tally(votes, VoteStrategy("majority"), cfg)
     return FastPathResult(verdict, rounds_used=2)

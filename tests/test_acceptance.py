@@ -11,14 +11,7 @@ from collections import Counter
 import pytest
 
 from bftensemble.campaign import fuzz_campaign
-from bftensemble.core import (
-    KeyRegistry,
-    QuorumConfig,
-    client_match,
-    make_output,
-    min_replicas,
-    quorum_size,
-)
+from bftensemble.core import QuorumConfig, client_match, min_replicas, quorum_size
 from bftensemble.episode import liveness_bound, run_episode
 from bftensemble.scenario import load_bundled, parse_scenario_text
 from bftensemble.voter import VoteStrategy, tally
@@ -81,18 +74,13 @@ def test_criterion_04_voter_oracle_equivalence():
     space = ("a", "b", "c")
     cases = 0
     for n in range(1, 6):
-        registry = KeyRegistry(3, range(n))
         cfg = QuorumConfig(n=n, f=0)
         strategies = [VoteStrategy("majority"), VoteStrategy("unanimity")]
         strategies += [VoteStrategy("k_of_n", k=k) for k in range(2, n + 1)]
         for assignment in itertools.product(space + (None,), repeat=n):
-            outputs = [
-                make_output(registry, m, 0, label)
-                for m, label in enumerate(assignment)
-                if label is not None
-            ]
+            votes = {m: label for m, label in enumerate(assignment) if label is not None}
             for strategy in strategies:
-                verdict = tally(outputs, strategy, cfg)
+                verdict = tally(votes, strategy, cfg)
                 want = oracle(assignment, strategy, n)
                 if want is None:
                     assert not verdict.decided, (n, strategy.describe(), assignment)

@@ -26,6 +26,7 @@ from bftensemble.consensus import (
 )
 from bftensemble.messages import (
     Commit,
+    EquivocationProof,
     NewView,
     Prepare,
     PrepareCertificate,
@@ -91,6 +92,16 @@ def make_ensemble(n=4, f=1, leader_cls=Replica, timeout_rounds=10, **leader_kwar
             m, cfg, SPACE, registry, timeout_rounds=timeout_rounds, **kwargs
         )
     return replicas, registry
+
+
+@pytest.mark.parametrize("n, f", [(3, 1), (6, 1)])
+def test_a_replica_needs_n_equal_3f_plus_1(n, f):
+    """QuorumConfig(n=6, f=1) builds, with quorum 3, for vote-only use; PBFT
+    refuses it, since two quorums of 3 among 6 need not share an honest
+    replica."""
+    cfg = QuorumConfig(n=n, f=f)
+    with pytest.raises(ValueError, match=r"n = 3f\+1"):
+        Replica(0, cfg, SPACE, KeyRegistry(17, range(n)))
 
 
 def start(replicas, pump, outputs, frame=0):
@@ -247,6 +258,33 @@ class TestViewChange:
         forged = Signed(PrePrepare(0, 1, value_digest(SOUTH), SOUTH), 1, bytes(16))
         assert rep2.handle(sign_message(registry, 1, NewView(0, 1, (), forged)), 5) == []
         assert rep2.inst.leader_endorsements == {}
+
+    @pytest.mark.parametrize(
+        "signer, kind, view, moves",
+        [
+            (0, PrePrepare, 0, True),  # view 0's leader equivocated
+            (3, Prepare, 0, False),  # a non-leader's own conflicting votes
+            (3, PrePrepare, 3, False),  # a view its signer leads, not yet reached
+        ],
+    )
+    def test_one_view_change_moves_a_replica_only_on_proof_against_a_leader(
+        self, signer, kind, view, moves
+    ):
+        """Module 3 sends ViewChange(0, 50) carrying a valid EquivocationProof
+        signed by ``signer``.  A replica in view 0 follows it to view 50 only
+        when the proof convicts the leader of frame 0 in a view it has
+        reached."""
+        replicas, registry = make_ensemble()
+        proof = EquivocationProof(
+            *(sign_message(registry, signer, kind(0, view, value_digest(v), v)) for v in (NORTH, SOUTH))
+        )
+        assert proof.valid(registry)
+        vc = sign_message(registry, 3, ViewChange(0, 50, None, proof))
+        for rep in (replicas[1], replicas[2]):
+            rep.start_frame(0, None, 0)
+            rep.handle(vc, 1)
+            assert rep.inst.view == (50 if moves else 0)
+            assert (rep.inst.evidence is proof) is moves
 
     def test_view_change_needs_a_quorum_of_voices(self):
         replicas, registry = make_ensemble()

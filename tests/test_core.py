@@ -14,12 +14,11 @@ from bftensemble.core import (
     client_match,
     digest,
     encoding,
-    make_output,
     min_replicas,
     quorum_size,
     short_digest,
-    verify_output,
 )
+from bftensemble.messages import Output, Signed, sign_message
 
 
 class TestQuorumArithmetic:
@@ -49,10 +48,11 @@ class TestQuorumArithmetic:
 
     def test_config_rejects_insufficient_replicas(self):
         with pytest.raises(ValueError):
-            QuorumConfig(n=3, f=1)
+            QuorumConfig(n=2, f=1)  # no room for a quorum of 3
 
     def test_config_relaxed_for_vote_only_ensembles(self):
-        cfg = QuorumConfig(n=3, f=1, enforce_resilience=False)
+        # only a PBFT Replica insists on n = 3f+1
+        cfg = QuorumConfig(n=3, f=1)
         assert cfg.quorum == 3
         assert cfg.reply_matches == 2
 
@@ -261,19 +261,18 @@ class TestAuthentication:
 
     def test_output_verification(self):
         reg = self.fresh_registry()
-        out = make_output(reg, 1, frame=0, value="go")
-        assert verify_output(reg, out)
+        out = sign_message(reg, 1, Output(1, frame=0, value="go"))
+        assert out.verify(reg)
 
     def test_forged_output_rejected(self):
         reg = self.fresh_registry()
-        out = make_output(reg, 1, frame=0, value="go")
-        forged = type(out)(module_id=out.module_id, frame=out.frame, value="stop", sig=out.sig)
-        assert not verify_output(reg, forged)
+        out = sign_message(reg, 1, Output(1, frame=0, value="go"))
+        forged = Signed(Output(1, frame=0, value="stop"), out.sender, out.tag)
+        assert not forged.verify(reg)
 
     def test_payload_binds_all_fields(self):
-        reg = self.fresh_registry()
         go, stop = "go", "stop"
-        a = make_output(reg, 1, 0, go).payload()
-        assert a != make_output(reg, 2, 0, go).payload()
-        assert a != make_output(reg, 1, 1, go).payload()
-        assert a != make_output(reg, 1, 0, stop).payload()
+        a = Output(1, 0, go).payload()
+        assert a != Output(2, 0, go).payload()
+        assert a != Output(1, 1, go).payload()
+        assert a != Output(1, 0, stop).payload()

@@ -1,11 +1,11 @@
 """The observer's side of `EpisodeRunner._run_frame`: which Replies it keeps,
 and when f+1 matching Replies finalize a frame.  Both consensus modes end a
 frame through these two helpers.  Also what `supervise = false` turns off,
-what the observer receives, that a restarted vote-only module recovers, that
-a module restarted as honest is judged by its new profile and a slow one
-loses its delay, that an episode leaves no reference cycle, one campaign
-episode that once broke the liveness bound, and that long network delays
-cost no empty rounds."""
+what the observer receives, whose vote a vote-only Output counts as, that a
+restarted vote-only module recovers, that a module restarted as honest is
+judged by its new profile and a slow one loses its delay, that an episode
+leaves no reference cycle, one campaign episode that once broke the liveness
+bound, and that long network delays cost no empty rounds."""
 import gc
 import hashlib
 import random
@@ -16,7 +16,7 @@ import pytest
 from bftensemble.campaign import randomize_episode
 from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
-from bftensemble.messages import Reply, Signed, sign_message
+from bftensemble.messages import Output, Reply, Signed, sign_message
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
 from bftensemble.simnet import Envelope, World
 from bftensemble.voter import VoteStrategy
@@ -111,6 +111,18 @@ def test_supervise_false_never_judges_a_module(mode):
     assert not any("|SUPERVISOR|" in line for line in result.decision_log)
     assert result.supervisor_events == []
     assert result.module_agreement == {m: 1.0 for m in range(4)}
+
+
+def test_a_vote_only_output_counts_as_its_signers_vote():
+    """Module 1 signs and sends an Output that names module 2.  A vote is
+    keyed by its authenticated sender, so this is module 1's vote, and
+    module 2 has cast none."""
+    runner = EpisodeRunner(load_bundled("av_plastic_bag"))
+    label = runner.s.decision_space.labels[0]
+    runner.world.send(1, 0, sign_message(runner.registry, 1, Output(2, 0, label)))
+    outputs, digests = {}, {}
+    runner._deliver_window(0, outputs, digests)
+    assert outputs == {0: {1: label}} and digests == {}
 
 
 def test_a_restarted_vote_only_module_recovers_at_the_end_of_its_restart_frame():

@@ -1,7 +1,7 @@
 """Fault profile behaviors, restart profiles, and per-module randomness."""
 import pytest
 
-from bftensemble.core import DecisionSpace, KeyRegistry, verify_output
+from bftensemble.core import DecisionSpace
 from bftensemble.harness import (
     FaultProfile,
     ObservationTable,
@@ -10,63 +10,59 @@ from bftensemble.harness import (
 )
 
 SPACE = DecisionSpace(labels=("stop", "go", "slow"), safe_default="stop")
-REGISTRY = KeyRegistry(21, range(4))
 GO = SPACE.value("go")
 
 
 class TestProfiles:
     def test_honest_reports_observation(self):
         rng = module_rng(1, 0)
-        out = produce_output(FaultProfile(kind="honest"), 0, 0, GO, SPACE, REGISTRY, rng)
-        assert out.value == GO
+        out = produce_output(FaultProfile(kind="honest"), 0, GO, SPACE, rng)
+        assert out == GO
 
     def test_silent_produces_nothing(self):
         rng = module_rng(1, 0)
-        out = produce_output(FaultProfile(kind="silent"), 0, 0, GO, SPACE, REGISTRY, rng)
+        out = produce_output(FaultProfile(kind="silent"), 0, GO, SPACE, rng)
         assert out is None
 
     def test_crash_stops_at_configured_frame(self):
         profile = FaultProfile(kind="crash", at_frame=2)
         rng = module_rng(1, 0)
-        assert produce_output(profile, 0, 1, GO, SPACE, REGISTRY, rng) is not None
-        assert produce_output(profile, 0, 2, GO, SPACE, REGISTRY, rng) is None
-        assert produce_output(profile, 0, 3, GO, SPACE, REGISTRY, rng) is None
+        assert produce_output(profile, 1, GO, SPACE, rng) is not None
+        assert produce_output(profile, 2, GO, SPACE, rng) is None
+        assert produce_output(profile, 3, GO, SPACE, rng) is None
 
     def test_byzantine_fixed_ignores_observation(self):
         profile = FaultProfile(kind="byzantine_fixed", bad_label="stop")
         rng = module_rng(1, 0)
-        out = produce_output(profile, 0, 0, GO, SPACE, REGISTRY, rng)
-        assert out.value == SPACE.value("stop")
+        out = produce_output(profile, 0, GO, SPACE, rng)
+        assert out == SPACE.value("stop")
 
     def test_equivocator_returns_a_conflicting_pair(self):
         profile = FaultProfile(kind="byzantine_equivocate", label_a="go", label_b="stop")
         rng = module_rng(1, 0)
-        pair = produce_output(profile, 0, 0, GO, SPACE, REGISTRY, rng)
-        a, b = pair
-        assert a.value != b.value
-        assert a.module_id == b.module_id
-        assert verify_output(REGISTRY, a) and verify_output(REGISTRY, b)
+        pair = produce_output(profile, 0, GO, SPACE, rng)
+        assert pair == (SPACE.value("go"), SPACE.value("stop"))
 
     def test_diverse_honest_error_rate_zero_is_honest(self):
         profile = FaultProfile(kind="diverse_honest", error_rate=0.0)
         rng = module_rng(1, 0)
         for frame in range(20):
-            out = produce_output(profile, 0, frame, GO, SPACE, REGISTRY, rng)
-            assert out.value == GO
+            out = produce_output(profile, frame, GO, SPACE, rng)
+            assert out == GO
 
     def test_diverse_honest_errors_land_inside_the_space(self):
         profile = FaultProfile(kind="diverse_honest", error_rate=1.0)
         rng = module_rng(1, 0)
         for frame in range(20):
-            out = produce_output(profile, 0, frame, GO, SPACE, REGISTRY, rng)
-            assert out.value in SPACE
-            assert out.value != GO  # error rate 1: always perturbed
+            out = produce_output(profile, frame, GO, SPACE, rng)
+            assert out in SPACE
+            assert out != GO  # error rate 1: always perturbed
 
     def test_byzantine_random_draws_from_the_space(self):
         profile = FaultProfile(kind="byzantine_random")
         rng = module_rng(1, 0)
         seen = {
-            produce_output(profile, 0, fr, GO, SPACE, REGISTRY, rng).value
+            produce_output(profile, fr, GO, SPACE, rng)
             for fr in range(30)
         }
         assert seen <= set(SPACE.labels)
@@ -88,7 +84,7 @@ class TestDeterminism:
         def stream():
             rng = module_rng(77, 2)
             return [
-                produce_output(profile, 2, fr, GO, SPACE, REGISTRY, rng).value
+                produce_output(profile, fr, GO, SPACE, rng)
                 for fr in range(10)
             ]
 

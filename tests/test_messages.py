@@ -1,13 +1,12 @@
 """Message encodings and the caches of bytes, digest and tag check.
 
-A message or module output takes its canonical bytes and digest from the
-process-wide encoding memo, so a second signer of an equal message encodes
-nothing; a Signed or module output keeps its verification result for the
-registry it was checked against; a KeyRegistry reuses one MAC state per
-signer.  These tests pin what that must not change: tags are those of a
-fresh keyed hash, forged or swapped messages still fail, another registry
-still gets its own answer, and equality, hashing and repr still see only the
-dataclass fields.
+A message takes its canonical bytes and digest from the process-wide
+encoding memo, so a second signer of an equal message encodes nothing; a
+Signed keeps its verification result for the registry it was checked
+against; a KeyRegistry reuses one MAC state per signer.  These tests pin
+what that must not change: tags are those of a fresh keyed hash, forged or
+swapped messages still fail, another registry still gets its own answer, and
+equality, hashing and repr still see only the dataclass fields.
 """
 import hashlib
 import random
@@ -21,16 +20,14 @@ from bftensemble.core import (
     TAG_SIZE,
     DecisionSpace,
     KeyRegistry,
-    ModuleOutput,
     canonical,
     digest,
-    make_output,
-    verify_output,
 )
 from bftensemble.messages import (
     Commit,
     EquivocationProof,
     FrameCert,
+    Output,
     PrePrepare,
     Prepare,
     PrepareCertificate,
@@ -40,6 +37,7 @@ from bftensemble.messages import (
     sign_message,
     Signed,
 )
+from bftensemble.simnet import payload_digest_hex, payload_kind
 
 SPACE = DecisionSpace(labels=("north", "south"), safe_default="north")
 NORTH, SOUTH = SPACE.value("north"), SPACE.value("south")
@@ -155,52 +153,54 @@ class TestEvidenceRejectsForgeries:
 
 
 class TestOutputCache:
-    """ModuleOutput shares the message memo, and verify_output keeps its
-    result per registry as Signed.verify does."""
+    """A vote-only Output is a Signed message like any other: it shares the
+    message memo, and Signed.verify keeps its result per registry."""
 
     def test_payload_and_digest(self, registry):
-        out = make_output(registry, 1, 2, NORTH)
+        out = Output(1, 2, NORTH)
         assert out.payload() == canonical("output", 1, 2, NORTH)
         assert out.payload_digest() == digest(out.payload())
         assert out.short_hex() == digest(out.payload()).hex()[:12]
+        signed = sign_message(registry, 1, out)
+        assert (payload_kind(signed), payload_digest_hex(signed)) == ("output", out.short_hex())
 
     def test_forged_tag_fails_after_a_cached_success(self, registry):
-        out = make_output(registry, 1, 0, NORTH)
-        assert verify_output(registry, out)
-        stolen = replace(out, sig=registry.sign(2, out.payload_digest()))
-        minted = replace(out, sig=KeyRegistry(99, range(4)).sign(1, out.payload_digest()))
+        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        assert out.verify(registry)
+        stolen = replace(out, tag=registry.sign(2, out.msg.payload_digest()))
+        minted = replace(out, tag=KeyRegistry(99, range(4)).sign(1, out.msg.payload_digest()))
         for forged in (stolen, minted):
-            assert not verify_output(registry, forged)
-        assert verify_output(registry, out)
+            assert not forged.verify(registry)
+        assert out.verify(registry)
 
     def test_result_is_per_registry(self, registry):
         other = KeyRegistry(18, range(4))
-        out = make_output(registry, 1, 0, NORTH)
-        assert verify_output(registry, out)
-        assert not verify_output(other, out)
-        assert verify_output(registry, out)
-        assert not verify_output(other, out)
+        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        assert out.verify(registry)
+        assert not out.verify(other)
+        assert out.verify(registry)
+        assert not out.verify(other)
 
     @pytest.mark.parametrize(
         "change", [{"module_id": 2}, {"frame": 1}, {"value": SOUTH}]
     )
     def test_swapped_field_fails_after_a_cached_success(self, registry, change):
-        out = make_output(registry, 1, 0, NORTH)
-        assert verify_output(registry, out)
-        swapped = replace(out, **change)
-        assert not verify_output(registry, swapped)
-        assert verify_output(registry, out)
+        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        assert out.verify(registry)
+        swapped = Signed(replace(out.msg, **change), out.sender, out.tag)
+        assert not swapped.verify(registry)
+        assert out.verify(registry)
 
     def test_caches_leave_equality_hash_repr_and_replace_alone(self, registry):
-        used = make_output(registry, 2, 1, NORTH)
-        used.payload(), used.payload_digest(), used.short_hex()
-        assert verify_output(registry, used)
-        fresh = ModuleOutput(2, 1, NORTH, used.sig)
+        used = sign_message(registry, 2, Output(2, 1, NORTH))
+        used.msg.payload(), used.msg.payload_digest(), used.msg.short_hex()
+        assert used.verify(registry)
+        fresh = Signed(Output(2, 1, NORTH), 2, used.tag)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert {used: 1}[fresh] == 1
-        moved = replace(used, frame=4)
+        moved = replace(used.msg, frame=4)
         assert moved.payload() == canonical("output", 2, 4, NORTH)
-        assert not verify_output(registry, moved)
+        assert not Signed(moved, 2, used.tag).verify(registry)
 
 
 def module_secret(master_seed, module_id):
@@ -260,6 +260,7 @@ class TestSigningState:
             Reply(4, SOUTH),
             StateRequest(7),
             ViewChange(2, 1, None),
+            Output(1, 2, NORTH),
         ],
     )
     def test_sign_message_seeds_the_memo(self, registry, msg):
@@ -272,25 +273,17 @@ class TestSigningState:
         assert signed.verify(registry)
         assert not Signed(msg, 1, signed.tag).verify(registry)
 
-    def test_make_output_seeds_the_memo(self, registry):
-        out = make_output(registry, 1, 2, NORTH)
-        fresh = canonical(*out._fields())
-        assert out.payload() == fresh
-        assert out.payload_digest() == digest(fresh)
-        assert out.sig == fresh_tag(17, 1, digest(fresh))
-        assert out.short_hex() == digest(fresh).hex()[:12]
-
     def test_forgeries_fail_after_a_seeded_success(self, registry):
         signed = sign_message(registry, 1, Commit(0, 0, D_NORTH, NORTH))
         assert signed.verify(registry)
         for msg in (replace(signed.msg, value=SOUTH), replace(signed.msg, view=1)):
             assert not Signed(msg, 1, signed.tag).verify(registry)
         assert not Signed(signed.msg, 2, signed.tag).verify(registry)
-        out = make_output(registry, 1, 0, NORTH)
-        assert verify_output(registry, out)
-        assert not verify_output(registry, replace(out, value=SOUTH))
-        assert not verify_output(registry, replace(out, sig=registry.sign(2, out.payload_digest())))
-        assert signed.verify(registry) and verify_output(registry, out)
+        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        assert out.verify(registry)
+        assert not Signed(replace(out.msg, value=SOUTH), 1, out.tag).verify(registry)
+        assert not Signed(out.msg, 1, registry.sign(2, out.msg.payload_digest())).verify(registry)
+        assert signed.verify(registry) and out.verify(registry)
 
 
 class TestSharedEncoding:

@@ -10,12 +10,10 @@ from bftensemble.core import (
     PEERS,
     DecisionSpace,
     KeyRegistry,
-    ModuleOutput,
     canonical,
     digest,
-    make_output,
 )
-from bftensemble.messages import KIND_NAMES, Commit, Prepare, Reply, Signed, sign_message
+from bftensemble.messages import KIND_NAMES, Commit, Output, Prepare, Reply, Signed, sign_message
 from bftensemble.simnet import NetworkPolicy, Partition, World
 
 MODULES = (0, 1, 2, 3)
@@ -352,14 +350,12 @@ class ListScanWorld:
 def kind_of(payload):
     if isinstance(payload, Signed):
         return KIND_NAMES[payload.msg.KIND]
-    return "output" if isinstance(payload, ModuleOutput) else "opaque"
+    return "opaque"
 
 
 def hex_of(payload):
     if isinstance(payload, Signed):
         raw = canonical(*payload.msg._fields())
-    elif isinstance(payload, ModuleOutput):
-        raw = canonical("output", payload.module_id, payload.frame, payload.value)
     else:
         raw = repr(payload).encode("utf-8")
     return digest(raw).hex()[:12]
@@ -380,7 +376,7 @@ class TestAgainstListScan:
             sign_message(registry, 1, Prepare(0, 0, d, go)),
             sign_message(registry, 2, Commit(0, 1, d, go)),
             sign_message(registry, 0, Reply(2, go)),
-            make_output(registry, 3, 1, go),
+            sign_message(registry, 3, Output(3, 1, go)),
         ]
 
     @pytest.mark.parametrize("seed", range(24))

@@ -104,7 +104,7 @@ class TestSupervisor:
 
     def test_budget_refusal_flags_without_isolating(self):
         sup = Supervisor(
-            quorum_cfg=QuorumConfig(n=3, f=1, enforce_resilience=False),
+            quorum_cfg=QuorumConfig(n=3, f=1),
             cfg=SupervisorConfig(window=2, flag_threshold=0.5, restart_delay=2),
         )
         feed(sup, 2, n=3, deviant=2)
@@ -114,7 +114,7 @@ class TestSupervisor:
 
     def test_flag_event_not_repeated(self):
         sup = Supervisor(
-            quorum_cfg=QuorumConfig(n=3, f=1, enforce_resilience=False),
+            quorum_cfg=QuorumConfig(n=3, f=1),
             cfg=SupervisorConfig(window=2, flag_threshold=0.5, restart_delay=2),
         )
         feed(sup, 6, n=3, deviant=2)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from bftensemble.core import KeyRegistry, QuorumConfig, make_output
+from bftensemble.core import QuorumConfig
 from bftensemble.voter import (
     FastPathResult,
     VoteStrategy,
@@ -16,11 +16,9 @@ from bftensemble.voter import (
 LABELS3 = ("alpha", "beta", "gamma")
 
 
-def outputs_for(labels, registry, frame=0):
+def votes_for(labels):
     """labels: per-module label or None for an absent module."""
-    return [
-        make_output(registry, m, frame, label) for m, label in enumerate(labels) if label is not None
-    ]
+    return {m: label for m, label in enumerate(labels) if label is not None}
 
 
 # --- independent oracle ------------------------------------------------------
@@ -56,13 +54,12 @@ class TestOracleEquivalence:
         """Every assignment (including absences) for n <= 5 against the naive
         counting oracle — the full enumeration behind threshold voting."""
         for n in range(1, 6):
-            registry = KeyRegistry(3, range(n))
             cfg = QuorumConfig(n=n, f=0)
             choices = LABELS3 + (None,)
             for assignment in itertools.product(choices, repeat=n):
-                outs = outputs_for(assignment, registry)
+                votes = votes_for(assignment)
                 for strategy in all_strategies(n):
-                    verdict = tally(outs, strategy, cfg)
+                    verdict = tally(votes, strategy, cfg)
                     expected = oracle(assignment, strategy, n)
                     if expected is None:
                         assert not verdict.decided, (assignment, strategy)
@@ -71,60 +68,48 @@ class TestOracleEquivalence:
                         assert verdict.value == expected
 
     def test_supporters_are_exactly_the_agreeing_modules(self):
-        registry = KeyRegistry(3, range(5))
         cfg = QuorumConfig(n=5, f=1)
-        outs = outputs_for(("alpha", "alpha", "beta", "alpha", None), registry)
-        verdict = tally(outs, VoteStrategy("majority"), cfg)
+        votes = votes_for(("alpha", "alpha", "beta", "alpha", None))
+        verdict = tally(votes, VoteStrategy("majority"), cfg)
         assert verdict.decided
         assert verdict.supporters == frozenset({0, 1, 3})
 
 
 class TestTallyEdges:
-    REGISTRY = KeyRegistry(3, range(5))
-
-    def test_duplicate_module_rejected(self):
-        cfg = QuorumConfig(n=4, f=1)
-        out = make_output(self.REGISTRY, 0, 0, "alpha")
-        with pytest.raises(ValueError):
-            tally([out, out], VoteStrategy("majority"), cfg)
-
     def test_k_of_n_tie_is_no_quorum(self):
         cfg = QuorumConfig(n=4, f=1)
-        outs = outputs_for(("alpha", "alpha", "beta", "beta"), self.REGISTRY)
-        verdict = tally(outs, VoteStrategy("k_of_n", k=2), cfg)
+        votes = votes_for(("alpha", "alpha", "beta", "beta"))
+        verdict = tally(votes, VoteStrategy("k_of_n", k=2), cfg)
         assert verdict.kind == "no-quorum"
         assert verdict.cause == "tie"
 
     def test_exact_half_is_not_a_majority(self):
         cfg = QuorumConfig(n=4, f=1)
-        outs = outputs_for(("alpha", "alpha", "beta", None), self.REGISTRY)
-        verdict = tally(outs, VoteStrategy("majority"), cfg)
+        votes = votes_for(("alpha", "alpha", "beta", None))
+        verdict = tally(votes, VoteStrategy("majority"), cfg)
         assert verdict.kind == "no-quorum"
 
     def test_absent_modules_count_against_unanimity(self):
         cfg = QuorumConfig(n=4, f=1)
-        outs = outputs_for(("alpha", "alpha", "alpha", None), self.REGISTRY)
-        verdict = tally(outs, VoteStrategy("unanimity"), cfg)
+        votes = votes_for(("alpha", "alpha", "alpha", None))
+        verdict = tally(votes, VoteStrategy("unanimity"), cfg)
         assert verdict.kind == "no-quorum"
 
     @given(st.lists(st.sampled_from(LABELS3 + (None,)), min_size=1, max_size=5))
     def test_majority_monotone_in_extra_agreeing_votes(self, labels):
         """Adding one more vote for the winner never flips the decision."""
         n = len(labels) + 1
-        registry = KeyRegistry(3, range(n))
         cfg_small = QuorumConfig(n=n - 1, f=0)
-        outs = outputs_for(labels, registry)
-        verdict = tally(outs, VoteStrategy("majority"), cfg_small)
+        votes = votes_for(labels)
+        verdict = tally(votes, VoteStrategy("majority"), cfg_small)
         if not verdict.decided:
             return
         cfg_big = QuorumConfig(n=n, f=0)
-        extra = make_output(registry, n - 1, 0, verdict.value)
-        again = tally(outs + [extra], VoteStrategy("majority"), cfg_big)
+        again = tally({**votes, n - 1: verdict.value}, VoteStrategy("majority"), cfg_big)
         assert again.decided and again.value == verdict.value
 
 
 class TestFastPath:
-    REGISTRY = KeyRegistry(3, range(4))
     CFG = QuorumConfig(n=4, f=1)
 
     def digests(self, labels):
@@ -134,8 +119,7 @@ class TestFastPath:
 
     def test_unanimous_digests_decide_in_one_round(self):
         labels = ("alpha",) * 4
-        outs = outputs_for(labels, self.REGISTRY)
-        res = fast_path_agree(self.digests(labels), outs[:1], self.CFG)
+        res = fast_path_agree(self.digests(labels), {0: "alpha"}, self.CFG)
         assert res.rounds_used == 1
         assert res.verdict.decided
         assert res.verdict.value == "alpha"
@@ -143,22 +127,20 @@ class TestFastPath:
 
     def test_single_dissent_falls_back_to_majority(self):
         labels = ("alpha", "alpha", "beta", "alpha")
-        outs = outputs_for(labels, self.REGISTRY)
-        res = fast_path_agree(self.digests(labels), outs, self.CFG)
+        res = fast_path_agree(self.digests(labels), votes_for(labels), self.CFG)
         assert res.rounds_used == 2
         assert res.verdict.decided
         assert res.verdict.value == "alpha"
 
     def test_one_missing_announcement_falls_back(self):
         labels = ("alpha", "alpha", "alpha", None)
-        outs = outputs_for(labels, self.REGISTRY)
-        res = fast_path_agree(self.digests(labels), outs, self.CFG)
+        res = fast_path_agree(self.digests(labels), votes_for(labels), self.CFG)
         assert res.rounds_used == 2
         assert res.verdict.decided
 
     def test_too_many_missing_is_no_quorum(self):
         labels = ("alpha", "alpha", None, None)
-        res = fast_path_agree(self.digests(labels), [], self.CFG)
+        res = fast_path_agree(self.digests(labels), {}, self.CFG)
         assert res.rounds_used == 1
         assert res.verdict.kind == "no-quorum"
         assert res.verdict.cause == "missing-announcements"
