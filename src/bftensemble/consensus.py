@@ -357,7 +357,7 @@ class Replica:
     def _on_viewchange(self, signed: Signed, round_: int) -> list[Outbound]:
         inst = self.inst
         msg = signed.msg
-        if msg.cert is not None and not msg.cert.valid(self.registry, self.quorum):
+        if msg.cert is not None and not self._cert_holds(msg.cert):
             self.misbehavior.append((inst.frame, signed.sender, "bad-cert"))
             return []
         inst.view_changes.setdefault(msg.new_view, {}).setdefault(signed.sender, signed)
@@ -369,6 +369,10 @@ class Replica:
             if proven or len(inst.view_changes[msg.new_view]) >= self.cfg.f + 1:
                 out = self._initiate_viewchange(msg.new_view, round_)
         return out + self._maybe_newview(msg.new_view, round_)
+
+    def _cert_holds(self, cert: PrepareCertificate) -> bool:
+        """``cert`` is a valid certificate for the current frame."""
+        return cert.frame == self.inst.frame and cert.valid(self.registry, self.quorum)
 
     def _convicts_a_leader(self, proof: Optional[EquivocationProof]) -> bool:
         """``proof`` is valid and its signer led the current frame in the
@@ -438,9 +442,9 @@ class Replica:
             return self._note_leader_endorsement(pp, round_)
 
         def fits(vc) -> bool:
-            if not isinstance(vc, ViewChange) or vc.new_view != msg.view:
+            if not isinstance(vc, ViewChange) or (vc.frame, vc.new_view) != (inst.frame, msg.view):
                 return False
-            return vc.cert is None or vc.cert.valid(self.registry, self.quorum)
+            return vc.cert is None or self._cert_holds(vc.cert)
 
         voters = signers(msg.view_changes, self.registry, fits)
         if voters is None:

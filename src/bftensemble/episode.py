@@ -96,7 +96,7 @@ class EpisodeRunner:
         # each module's current profile, the only record of what it does; a
         # restart may replace it
         self.profiles = list(scenario.modules)
-        self.rngs = [module_rng(scenario.seed, m, p.perturb_seed) for m, p in enumerate(self.profiles)]
+        self.rngs = [self._rng(m, p) for m, p in enumerate(self.profiles)]
         # the supervisor owns module status; `supervise = false` only stops
         # it from judging frames, so no module is ever isolated.  The network
         # reads its isolation map at every send and delivery.
@@ -134,6 +134,10 @@ class EpisodeRunner:
             )
         return Replica(m, self.s.quorum, self.s.decision_space, self.registry, **kwargs)
 
+    def _rng(self, m: int, profile: FaultProfile):
+        """Module ``m``'s random stream, or None if ``profile`` never draws."""
+        return module_rng(self.s.seed, m, profile.perturb_seed) if profile.draws else None
+
     def _takes_part(self, m: int, frame: int) -> bool:
         """Module ``m`` is active and emits at ``frame``.  In PBFT mode such
         a module always has an engine."""
@@ -166,7 +170,7 @@ class EpisodeRunner:
             if profile.kind != "slow":
                 self.world.slow_extra.pop(m, None)
             self.engines[m] = self._make_engine(m, profile)
-            self.rngs[m] = module_rng(self.s.seed, m, profile.perturb_seed)
+            self.rngs[m] = self._rng(m, profile)
         # restarting modules keep asking for state until a snapshot lands
         for m in sorted(self.supervisor.restarting):
             if self.engines[m] is not None:

@@ -52,6 +52,7 @@ class FaultProfile:
         "byzantine_equivocate": ("a", "b"),
     }
     BYZANTINE_KINDS = ("byzantine_fixed", "byzantine_random", "byzantine_equivocate")
+    DRAWING_KINDS = ("diverse_honest", "byzantine_random")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KIND_OPTIONS:
@@ -83,6 +84,12 @@ class FaultProfile:
     def faulty(self) -> bool:
         """Counts against f: Byzantine, crash or silent."""
         return self.byzantine or self.kind in ("crash", "silent")
+
+    @property
+    def draws(self) -> bool:
+        """produce_output reads the module's random stream; no other kind
+        needs one."""
+        return self.kind in self.DRAWING_KINDS
 
     def emits(self, frame: int) -> bool:
         """The module outputs at ``frame``: it is not silent, and not
@@ -152,14 +159,15 @@ def produce_output(
     frame: int,
     observation: str,
     space: DecisionSpace,
-    rng: random.Random,
+    rng: Optional[random.Random],
 ):
     """One module's proposal for one frame, per its fault profile.
 
     Returns a label, None, or for an equivocator a pair of conflicting
     labels (partition assignment is the caller's job).  The caller signs
-    what the module sends.  Slow modules produce normally; their delay is
-    applied by the network.
+    what the module sends.  ``rng`` is the module's stream, or None for a
+    profile that does not draw.  Slow modules produce normally; their
+    delay is applied by the network.
     """
     if observation not in space:
         raise ValueError(f"observation {observation!r} not in decision space")

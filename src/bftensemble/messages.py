@@ -58,7 +58,9 @@ class Signed:
         """Check the tag against ``registry``.  The result is kept on this
         object for the registry it was checked against: the message, the tag
         and the registry are immutable, so it cannot change, and a tampered
-        message or forged tag is a new object with its own check."""
+        message or forged tag is a new object with its own check.
+        :func:`sign_message` seeds the result for the registry that made
+        the tag, so only a ``Signed`` built another way is checked by MAC."""
         memo = self.__dict__.get("_verified")
         if memo is not None and memo[0] is registry:
             return memo[1]
@@ -68,7 +70,10 @@ class Signed:
 
 
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
-    return Signed(msg, sender, registry.sign(sender, msg.payload_digest()))
+    signed = Signed(msg, sender, registry.sign(sender, msg.payload_digest()))
+    # the tag is this registry's MAC over this digest, so its check is True
+    signed.__dict__["_verified"] = (registry, True)
+    return signed
 
 
 def signers(votes: Iterable[Signed], registry: KeyRegistry, fits: Callable) -> Optional[set[int]]:

@@ -152,14 +152,14 @@ LEADER = 1  # the leader of frame 0, view 1, for n = 4
 RECEIVER = 2
 
 
-def view_change(sender, new_view=NEW_VIEW, cert=None):
-    return sign(sender, ViewChange(0, new_view, cert))
+def view_change(sender, new_view=NEW_VIEW, cert=None, frame=0):
+    return sign(sender, ViewChange(frame, new_view, cert))
 
 
-def prepare_cert(value, votes_from=(0, 1, 3)):
+def prepare_cert(value, votes_from=(0, 1, 3), frame=0):
     d = value_digest(value)
-    votes = tuple(sign(m, Prepare(0, 0, d, value)) for m in votes_from)
-    return PrepareCertificate(0, 0, d, value, votes)
+    votes = tuple(sign(m, Prepare(frame, 0, d, value)) for m in votes_from)
+    return PrepareCertificate(frame, 0, d, value, votes)
 
 
 def view_changes(case):
@@ -172,6 +172,8 @@ def view_changes(case):
         "mismatched-field": vcs[:2] + (view_change(3, new_view=2),),
         "forged-tag": vcs[:2] + (forge(vcs[2]),),
         "bad-inner-certificate": vcs[:2] + (view_change(3, cert=prepare_cert(NORTH, (0, 1))),),
+        "other-frame": vcs[:2] + (view_change(3, frame=1),),
+        "other-frame-certificate": vcs[:2] + (view_change(3, cert=prepare_cert(NORTH, frame=1)),),
         "repeated-signer": vcs[:2] + (vcs[1],),
         "one-short": vcs[:2],
         "certified-north": vcs[:2] + (view_change(3, cert=prepare_cert(NORTH)),),
@@ -188,6 +190,8 @@ def view_changes(case):
         ("mismatched-field", False, None),
         ("forged-tag", False, None),
         ("bad-inner-certificate", False, None),
+        ("other-frame", False, None),
+        ("other-frame-certificate", False, None),
         ("repeated-signer", False, "underfull-newview"),
         ("one-short", False, "underfull-newview"),
         ("certified-south", False, "newview-ignored-certificate"),
@@ -227,5 +231,28 @@ def test_a_certificate_off_its_digest_is_blamed_on_its_sender():
     (newview,) = [signed for _, signed in out if isinstance(signed.msg, NewView)]
     assert newview.msg.proposal.msg.value == NORTH
     assert receiver.handle(newview, 6)  # the receiver prepares the proposal
+    assert receiver.inst.view == NEW_VIEW
+    assert receiver.misbehavior == []
+
+
+def test_a_certificate_from_another_frame_is_blamed_on_its_sender():
+    """At frame 1, faulty replica 3 carries a valid frame-0 certificate for
+    SOUTH into its ViewChange for view 1.  View 1's leader, replica 2,
+    records it as ``bad-cert`` and re-proposes its own NORTH from the honest
+    ViewChanges, so replica 0 still checks the proposal against its own
+    output."""
+    leader = Replica(2, CFG, SPACE, REGISTRY)
+    receiver = Replica(0, CFG, SPACE, REGISTRY)
+    for rep in (leader, receiver):
+        rep.start_frame(1, NORTH, 0)
+    bad = view_change(3, cert=prepare_cert(SOUTH), frame=1)
+    out = []
+    for vc in (bad, view_change(0, frame=1), view_change(1, frame=1)):
+        out += leader.handle(vc, 5)
+    assert leader.misbehavior == [(1, 3, "bad-cert")]
+    (newview,) = [signed for _, signed in out if isinstance(signed.msg, NewView)]
+    assert newview.msg.proposal.msg.value == NORTH
+    assert 3 not in {vc.sender for vc in newview.msg.view_changes}
+    assert receiver.handle(newview, 6)
     assert receiver.inst.view == NEW_VIEW
     assert receiver.misbehavior == []

@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from bftensemble import episode
 from bftensemble.campaign import randomize_episode
 from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
@@ -154,14 +155,15 @@ def test_pbft_traffic_stops_at_the_replicas():
     }
 
 
-def restarted_honest_scenario(mode: str, profile: str):
+def restarted_scenario(mode: str, profile: str, on_restart: str = "honest"):
     """fuzz_base_n4 over twelve ``continue`` frames, with module 3 running
-    ``profile`` until its first restart and honest after it."""
+    ``profile`` until its first restart, and after it honest or, with
+    ``on_restart = same``, ``profile`` again."""
     text = scenario_to_text(load_bundled("fuzz_base_n4"))
     text = text.split("[observations]")[0] + "[observations]\n"
     text += "".join(f"{k} | continue |\n" for k in range(12))
     text = text.replace("frames = 5", "frames = 12")
-    text = text.replace("3 = honest", f"3 = {profile} on_restart=honest")
+    text = text.replace("3 = honest", f"3 = {profile} on_restart={on_restart}")
     text = text.replace("window = 10", "window = 2").replace("flag_threshold = 0.3", "flag_threshold = 0.5")
     return parse_scenario_text(text.replace("consensus_mode = pbft", f"consensus_mode = {mode}"))
 
@@ -174,10 +176,39 @@ def test_a_module_restarted_honest_is_judged_by_its_new_profile(mode, profile):
     """Once restarted as honest, a former equivocator is no longer counted as
     one: like any other faulty kind it goes through one cycle and then
     agrees on every judged frame."""
-    result = run_episode(restarted_honest_scenario(mode, profile))
+    result = run_episode(restarted_scenario(mode, profile))
     isolations = [frame for frame, m, event in result.supervisor_events if event == "isolated"]
     assert isolations == [1]
     assert result.module_agreement[3] == pytest.approx(0.8)
+
+
+def counting_module_rng(monkeypatch) -> list[int]:
+    """The module id of every random stream the runner seeds."""
+    calls = []
+    real = episode.module_rng
+    monkeypatch.setattr(episode, "module_rng", lambda seed, m, *a: calls.append(m) or real(seed, m, *a))
+    return calls
+
+
+def test_only_a_drawing_profile_gets_a_random_stream(monkeypatch):
+    calls = counting_module_rng(monkeypatch)
+    run_episode(load_bundled("fuzz_base_n7"))
+    assert calls == []
+    text = scenario_to_text(load_bundled("fuzz_base_n7"))
+    text = text.replace("2 = honest", "2 = diverse_honest error_rate=0.3")
+    run_episode(parse_scenario_text(text.replace("5 = honest", "5 = byzantine_random")))
+    assert calls == [2, 5]
+
+
+@pytest.mark.parametrize("on_restart", ["same", "honest"])
+def test_a_restart_seeds_a_stream_only_for_a_drawing_profile(monkeypatch, on_restart):
+    """A module that always errs is restarted; only a restart back into
+    ``diverse_honest`` seeds it a new stream."""
+    calls = counting_module_rng(monkeypatch)
+    result = run_episode(restarted_scenario("pbft", "diverse_honest error_rate=1.0", on_restart))
+    restarts = [frame for frame, m, event in result.supervisor_events if event == "restarting"]
+    assert restarts
+    assert calls == [3] * (1 + len(restarts) if on_restart == "same" else 1)
 
 
 SLOW_THEN_HONEST = """\

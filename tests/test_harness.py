@@ -68,6 +68,15 @@ class TestProfiles:
         assert seen <= set(SPACE.labels)
         assert len(seen) > 1
 
+    @pytest.mark.parametrize("kind", sorted(FaultProfile.KIND_OPTIONS))
+    def test_a_profile_reads_its_stream_only_if_its_kind_draws(self, kind):
+        profile = FaultProfile(kind, error_rate=0.5, bad_label="stop", label_a="go", label_b="stop")
+        rng = module_rng(1, 0)
+        before = rng.getstate()
+        produce_output(profile, 0, GO, SPACE, rng if profile.draws else None)
+        assert (rng.getstate() != before) is profile.draws
+        assert profile.draws is (kind in ("diverse_honest", "byzantine_random"))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FaultProfile(kind="gremlin")

@@ -285,6 +285,22 @@ class TestSigningState:
         assert not Signed(out.msg, 1, registry.sign(2, out.msg.payload_digest())).verify(registry)
         assert signed.verify(registry) and out.verify(registry)
 
+    def test_only_a_signed_its_registry_did_not_make_is_checked_by_mac(self, registry, monkeypatch):
+        calls = []
+        real = KeyRegistry.verify
+        monkeypatch.setattr(KeyRegistry, "verify", lambda self, *a: calls.append(a) or real(self, *a))
+        signed = sign_message(registry, 1, Commit(0, 0, D_NORTH, NORTH))
+        assert signed.verify(registry) and calls == []
+        cases = [
+            (Signed(signed.msg, signed.sender, signed.tag), registry, True),
+            (replace(signed, msg=replace(signed.msg, value=SOUTH)), registry, False),
+            (signed, KeyRegistry(18, range(4)), False),
+        ]
+        for copy, checked_under, verdict in cases:
+            calls.clear()
+            assert copy.verify(checked_under) is verdict
+            assert len(calls) == 1
+
 
 class TestSharedEncoding:
     def test_a_second_signer_of_an_equal_commit_encodes_nothing(self, registry, monkeypatch):
