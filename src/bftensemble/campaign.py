@@ -3,7 +3,9 @@ generation for episodes and campaigns."""
 from __future__ import annotations
 
 import random
+import traceback
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .core import canonical, digest
 from .episode import EpisodeResult, liveness_bound, run_episode
@@ -110,9 +112,17 @@ def randomize_episode(base: Scenario, rng: random.Random, episode_seed: int) -> 
     return replace(base, modules=tuple(modules), network=network, seed=episode_seed)
 
 
+def _raised_at(exc: Exception) -> str:
+    """``exc``'s type and the file:line of the innermost frame it came from."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    return f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
+
+
 def fuzz_campaign(base: Scenario, episodes: int, seed: int, strict: bool = True) -> CampaignReport:
     """Run randomized variants of a base scenario and check the safety and
-    liveness claims on every frame of every episode."""
+    liveness claims on every frame of every episode.  An episode that
+    raises has failed: ``strict`` stops at it, otherwise it is listed in
+    ``failures`` and adds nothing to the counts."""
     if episodes < 1:
         raise ValueError(f"a campaign needs at least one episode, got {episodes}")
     if base.expects_violation:
@@ -135,7 +145,13 @@ def fuzz_campaign(base: Scenario, episodes: int, seed: int, strict: bool = True)
     for index in range(episodes):
         episode_seed = int.from_bytes(digest(canonical("fuzz", seed, index))[:8], "big") % 2**31
         scenario = randomize_episode(base, rng, episode_seed)
-        result = run_episode(scenario)
+        try:
+            result = run_episode(scenario)
+        except Exception as exc:  # a raising episode has failed, like a violating one
+            if strict:
+                raise CampaignViolation(f"{_raised_at(exc)} in fuzz episode", episode_seed, index) from exc
+            failures.append((episode_seed, index))
+            continue
         frames_total += len(result.records)
         agreement_violations += len(result.agreement_violations)
         liveness_failures += len(result.liveness_failures)

@@ -27,6 +27,7 @@ from .messages import (
     StateRequest,
     StateSnapshot,
     ViewChange,
+    interned,
     log_prefix_digest,
     sign_message,
     signers,
@@ -167,7 +168,7 @@ class Replica:
         if inst.phase != PHASE_IDLE or inst.own_output is None:
             return []
         signed_pp = self._to_peers(
-            PrePrepare(inst.frame, inst.view, value_digest(inst.own_output), inst.own_output)
+            interned(PrePrepare, inst.frame, inst.view, value_digest(inst.own_output), inst.own_output)
         )
         return [(PEERS, signed_pp)] + self._accept_proposal(signed_pp)
 
@@ -249,7 +250,7 @@ class Replica:
         if inst.phase == PHASE_IDLE:
             inst.phase = PHASE_PRE_PREPARED
         pp = signed_pp.msg
-        signed_prep = self._to_peers(Prepare(inst.frame, pp.view, pp.value_digest, pp.value))
+        signed_prep = self._to_peers(interned(Prepare, inst.frame, pp.view, pp.value_digest, pp.value))
         self._record_vote(signed_prep)
         return [(PEERS, signed_prep)] + self._check_prepared()
 
@@ -309,7 +310,7 @@ class Replica:
         )
         if inst.prepared_cert is None or cert.view > inst.prepared_cert.view:
             inst.prepared_cert = cert
-        signed_commit = self._to_peers(Commit(inst.frame, inst.view, want, inst.proposal.msg.value))
+        signed_commit = self._to_peers(interned(Commit, inst.frame, inst.view, want, inst.proposal.msg.value))
         out = [(PEERS, signed_commit)]
         if self._record_vote(signed_commit) == self.quorum and not inst.decided:
             out += self._commit(inst.matching(Commit, inst.view, want))
@@ -320,7 +321,7 @@ class Replica:
         frame, value = self.inst.frame, votes[0].msg.value
         self._decide(value, votes[0].msg.view)
         self.frame_certs[frame] = FrameCert(frame=frame, value=value, votes=votes)
-        return [(OBSERVER, self._sign(Reply(frame, value)))] + self._maybe_checkpoint()
+        return [(OBSERVER, self._sign(interned(Reply, frame, value)))] + self._maybe_checkpoint()
 
     def _decide(self, value: str, view: int = -1) -> None:
         """Decide the current frame: on a Commit quorum of ``view``, or, with
@@ -417,7 +418,7 @@ class Replica:
             return []  # nothing proposable; let the next timeout rotate further
         inst.newviews.add(new_view)
         self._enter_view(new_view, round_)
-        pp = self._sign(PrePrepare(inst.frame, new_view, value_digest(value), value))
+        pp = self._sign(interned(PrePrepare, inst.frame, new_view, value_digest(value), value))
         nv = self._to_peers(NewView(inst.frame, new_view, ordered, pp))
         return [(PEERS, nv)] + self._accept_proposal(pp)
 
@@ -480,7 +481,7 @@ class Replica:
         if elapsed >= self.timeout_rounds:
             out += self._initiate_viewchange(inst.view + 1, round_)
             # also ask peers whether the frame already committed without us
-            out.append((PEERS, self._sign(StateRequest(inst.frame))))
+            out.append((PEERS, self._sign(interned(StateRequest, inst.frame))))
         return out
 
     # --- checkpoints & state transfer ---------------------------------------
@@ -496,7 +497,7 @@ class Replica:
         """Broadcast an attestation over the committed log prefix."""
         if self.last_contiguous_frame < up_to_frame:
             raise ValueError(f"cannot checkpoint frame {up_to_frame}: log incomplete")
-        signed = self._sign(CheckpointAttest(up_to_frame, self._committed_prefix(up_to_frame)[1]))
+        signed = self._sign(interned(CheckpointAttest, up_to_frame, self._committed_prefix(up_to_frame)[1]))
         self._attested_up_to = max(self._attested_up_to, up_to_frame)
         self._record_attest(signed)
         return [(PEERS, signed)]
@@ -557,7 +558,7 @@ class Replica:
         if inst is None or inst.decided or inst.frame not in self.committed:
             return []
         self._decide(self.committed[inst.frame])
-        return [(OBSERVER, self._sign(Reply(inst.frame, inst.decided_value)))]
+        return [(OBSERVER, self._sign(interned(Reply, inst.frame, inst.decided_value)))]
 
     def _adopt(self, frame: int, value: str, cert: Optional[FrameCert] = None) -> None:
         prev = self.committed.get(frame)
@@ -588,13 +589,13 @@ class EquivocatingReplica(Replica):
         out: list[Outbound] = []
         for value, side in ((self.label_a, side_a), (self.label_b, side_b)):
             d = value_digest(value)
-            pp = self._sign(PrePrepare(inst.frame, inst.view, d, value))
-            prep = self._sign(Prepare(inst.frame, inst.view, d, value))
+            pp = self._sign(interned(PrePrepare, inst.frame, inst.view, d, value))
+            prep = self._sign(interned(Prepare, inst.frame, inst.view, d, value))
             for dest in side:
                 out.append((dest, pp))
                 out.append((dest, prep))
             if self.sloppy:
-                commit = self._sign(Commit(inst.frame, inst.view, d, value))
+                commit = self._sign(interned(Commit, inst.frame, inst.view, d, value))
                 out.append((PEERS, commit))
         inst.phase = PHASE_PRE_PREPARED
         return out
@@ -608,7 +609,7 @@ class EquivocatingReplica(Replica):
         if inst is None:
             return []
         if isinstance(msg, PrePrepare) and msg.frame == inst.frame and inst.proposal is None:
-            prep = self._sign(Prepare(msg.frame, msg.view, msg.value_digest, msg.value))
+            prep = self._sign(interned(Prepare, msg.frame, msg.view, msg.value_digest, msg.value))
             inst.proposal = signed
             return [(PEERS, prep)]
         return []

@@ -20,6 +20,7 @@ from .messages import (
     Reply,
     Signed,
     StateRequest,
+    interned,
     sign_message,
     value_digest,
 )
@@ -174,7 +175,7 @@ class EpisodeRunner:
         # restarting modules keep asking for state until a snapshot lands
         for m in sorted(self.supervisor.restarting):
             if self.engines[m] is not None:
-                req = sign_message(self.registry, m, StateRequest(max(frame - 1, 0)))
+                req = sign_message(self.registry, m, interned(StateRequest, max(frame - 1, 0)))
                 self.world.send(m, PEERS, req)
 
     def _check_recoveries(self, frame: int) -> None:
@@ -342,7 +343,7 @@ class EpisodeRunner:
         if finalized is not None:
             for m, engine in live:
                 if not engine.inst.decided:
-                    req = sign_message(self.registry, m, StateRequest(frame))
+                    req = sign_message(self.registry, m, interned(StateRequest, frame))
                     send(m, PEERS, req)
             sync = 2 * (s.network.base_delay_rounds + s.network.jitter_rounds) + 2
             for due in world.delivery_rounds(sync):
@@ -405,7 +406,10 @@ class EpisodeRunner:
     def _vote_payload(self, m: int, label: str, frame: int, digests_only: bool) -> Signed:
         """Module ``m``'s signed vote: the digest of ``label`` on the fast
         path's first round, else the full output."""
-        msg = OutputDigest(frame, value_digest(label)) if digests_only else Output(m, frame, label)
+        if digests_only:
+            msg = interned(OutputDigest, frame, value_digest(label))
+        else:
+            msg = interned(Output, m, frame, label)
         return sign_message(self.registry, m, msg)
 
     def _deliver_window(self, frame: int, collect_outputs: dict, collect_digests: dict) -> None:
@@ -465,7 +469,7 @@ class EpisodeRunner:
                 continue
             verdicts[m] = verdict_of(m)
             if verdicts[m].decided:
-                reply = sign_message(self.registry, m, Reply(frame, verdicts[m].value))
+                reply = sign_message(self.registry, m, interned(Reply, frame, verdicts[m].value))
                 self.world.send(m, OBSERVER, reply)
 
         window = s.network.base_delay_rounds + s.network.jitter_rounds

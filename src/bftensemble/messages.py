@@ -18,6 +18,24 @@ def value_digest(value: str) -> bytes:
     return digest(canonical("decision", value))
 
 
+@lru_cache(maxsize=4096, typed=True)
+def interned(cls: type, *fields) -> "Message":
+    """The one shared ``cls(*fields)``, already encoded, for a flat message:
+    PrePrepare, Prepare, Commit, Reply, StateRequest, CheckpointAttest,
+    OutputDigest or Output.
+
+    A message does not name its sender, so up to n replicas build the same
+    content each frame, and a campaign's episodes build it again; each
+    content is constructed and encoded once while it is among the 4,096
+    most recent.  ``typed`` keeps ``1`` and ``True`` apart, which encode
+    differently.  A message is immutable and its ``__dict__`` memos (its
+    encoding and log tag) follow from its fields, so one object serves
+    every sender; ``dataclasses.replace`` still builds a fresh one."""
+    msg = cls(*fields)
+    msg.payload()
+    return msg
+
+
 @dataclass(frozen=True)
 class Endorsement(Encoded):
     """The shared layout of PrePrepare, Prepare and Commit."""
@@ -70,9 +88,19 @@ class Signed:
 
 
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
-    signed = Signed(msg, sender, registry.sign(sender, msg.payload_digest()))
+    """``Signed(msg, sender, tag)`` with ``sender``'s tag over ``msg``.
+
+    A frozen dataclass ``__init__`` sets each field through
+    ``object.__setattr__``, which costs more than the MAC, so this fills
+    the new object's ``__dict__`` directly.  The object is the same:
+    equality, hashing, repr and ``dataclasses.replace`` read the fields."""
+    signed = object.__new__(Signed)
+    fields = signed.__dict__
+    fields["msg"] = msg
+    fields["sender"] = sender
+    fields["tag"] = registry.sign(sender, msg.payload_digest())
     # the tag is this registry's MAC over this digest, so its check is True
-    signed.__dict__["_verified"] = (registry, True)
+    fields["_verified"] = (registry, True)
     return signed
 
 
@@ -207,7 +235,7 @@ class Checkpoint:
             return False
         if log_prefix_digest(self.values) != self.log_digest:
             return False
-        want = CheckpointAttest(self.up_to_frame, self.log_digest)
+        want = interned(CheckpointAttest, self.up_to_frame, self.log_digest)
         return len(signers(self.attestations, registry, lambda m: m == want) or ()) >= quorum
 
 

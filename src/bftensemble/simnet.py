@@ -107,6 +107,17 @@ def payload_digest_hex(payload) -> str:
     return short_digest(repr(payload).encode("utf-8"))
 
 
+def _tags(payload) -> tuple[str, str]:
+    """The kind of ``payload`` and its "kind|short digest" log tag.  A
+    signed message keeps them on its message object, where they follow from
+    its fields, so an interned message computes them once."""
+    kind = payload_kind(payload)
+    tags = (kind, f"{kind}|{payload_digest_hex(payload)}")
+    if isinstance(payload, Signed):
+        payload.msg.__dict__["_log_tags"] = tags
+    return tags
+
+
 class World:
     """Single-owner message queue plus round counter for one episode.
 
@@ -145,8 +156,8 @@ class World:
             skipped = 1  # the observer's slot
         else:
             recipients = (to,)
-        kind = payload_kind(payload)
-        log_tag = f"{kind}|{payload_digest_hex(payload)}"
+        tags = payload.msg.__dict__.get("_log_tags") if isinstance(payload, Signed) else None
+        kind, log_tag = tags or _tags(payload)
         policy = self.policy
         partitioned = policy.partitioned if policy.partitions else None
         now = self.round
@@ -205,6 +216,3 @@ class World:
                 queue = self._queue
                 nearest = min(queue).deliver_round if queue else end + 1
                 self.round = min(nearest - 1, end)
-
-    def pending(self) -> int:
-        return len(self._queue)

@@ -1,6 +1,9 @@
 """fuzz_campaign's report: each failing episode is listed once, whatever
-ways it fails."""
+ways it fails, an exception included."""
+import inspect
 from dataclasses import replace
+
+import pytest
 
 from bftensemble import campaign
 from bftensemble.episode import liveness_bound, run_episode
@@ -24,3 +27,49 @@ def test_an_episode_that_fails_every_way_is_listed_once(monkeypatch):
     assert report.liveness_failures == 3
     assert [index for _, index in report.failures] == [0, 1, 2]
     assert sum(line.startswith("failure|") for line in report.to_lines()) == 3
+
+
+def raising_on(indices):
+    """A run_episode that raises ZeroDivisionError on the given campaign
+    episodes (counted from 0) and runs the others."""
+    calls = []
+
+    def run(scenario):
+        calls.append(scenario.seed)
+        if len(calls) - 1 in indices:
+            return 1 // 0
+        return run_episode(scenario)
+
+    return run
+
+
+def test_an_episode_that_raises_is_listed_once_and_counts_nothing(monkeypatch):
+    base = load_bundled("fuzz_base_n4")
+    clean = campaign.fuzz_campaign(base, episodes=4, seed=7, strict=False)
+    monkeypatch.setattr(campaign, "run_episode", raising_on({1, 2}))
+    report = campaign.fuzz_campaign(base, episodes=4, seed=7, strict=False)
+    assert [index for _, index in report.failures] == [1, 2]
+    assert sum(line.startswith("failure|") for line in report.to_lines()) == 2
+    # the episodes that ran are those of the clean campaign, and only they count
+    assert report.frames_total == clean.frames_total // 2
+    assert report.agreement_violations == report.liveness_failures == 0
+    assert sum(report.rounds_histogram.values()) == report.frames_total
+
+
+def test_a_strict_campaign_names_the_exception_and_where_it_was_raised(monkeypatch):
+    base = load_bundled("fuzz_base_n4")
+    monkeypatch.setattr(campaign, "run_episode", raising_on({2}))
+    with pytest.raises(campaign.CampaignViolation) as caught:
+        campaign.fuzz_campaign(base, episodes=4, seed=7)
+    lines, first = inspect.getsourcelines(raising_on)
+    line = first + next(i for i, text in enumerate(lines) if "1 // 0" in text)
+    assert str(caught.value).startswith(f"ZeroDivisionError at test_campaign.py:{line} in fuzz episode")
+    assert caught.value.episode_index == 2
+    assert isinstance(caught.value.__cause__, ZeroDivisionError)
+
+
+def test_a_campaign_in_which_nothing_raises_keeps_its_digest(monkeypatch):
+    base = load_bundled("fuzz_base_n4")
+    clean = campaign.fuzz_campaign(base, episodes=4, seed=7).digest_hex()
+    monkeypatch.setattr(campaign, "run_episode", raising_on(set()))
+    assert campaign.fuzz_campaign(base, episodes=4, seed=7).digest_hex() == clean

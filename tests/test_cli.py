@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import bftensemble
+from bftensemble import campaign
 from bftensemble.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from bftensemble.scenario import bundled_scenario_path
 
 PLASTIC_BAG = str(bundled_scenario_path("av_plastic_bag"))
 BREACH = str(bundled_scenario_path("common_mode_breach"))
 FUZZ_N4 = str(bundled_scenario_path("fuzz_base_n4"))
+# the benchmark's supervised PBFT base, whose silent draws raise (ROADMAP item 1)
+FUZZ_LONG_N4 = Path(__file__).parents[1] / "bench" / "scenarios" / "fuzz_long_n4.scn"
 
 
 def test_run_clean_scenario(capsys):
@@ -85,6 +88,32 @@ def test_fuzz_digest_is_stable(capsys):
     first = capsys.readouterr().out
     main(["fuzz", FUZZ_N4, "--episodes", "5", "--seed", "7"])
     assert capsys.readouterr().out == first
+
+
+def test_fuzz_of_a_raising_episode_exits_2_with_its_cause(monkeypatch, capsys):
+    def raising(scenario):
+        raise KeyError("engine")
+
+    monkeypatch.setattr(campaign, "run_episode", raising)
+    assert main(["fuzz", FUZZ_N4, "--episodes", "5", "--seed", "7"]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("campaign failed: KeyError at test_cli.py:")
+    assert "(seed=" in captured.err and "episode=0)" in captured.err
+    assert "report_digest|" not in captured.out
+
+
+def test_fuzz_of_the_supervised_bench_base_exits_without_a_traceback():
+    """Exit 0, or 2 for a failed episode; never a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "bftensemble.cli", "fuzz", str(FUZZ_LONG_N4),
+         "--episodes", "30", "--seed", "2026"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(bftensemble.__file__).parents[1])),
+        timeout=120,
+    )
+    assert proc.returncode in (EXIT_OK, EXIT_VIOLATION), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_fuzz_requires_episodes_and_seed(capsys):

@@ -10,12 +10,12 @@ equality, hashing and repr still see only the dataclass fields.
 """
 import hashlib
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from bftensemble import core
+from bftensemble import campaign, core
 from bftensemble.core import (
     TAG_SIZE,
     DecisionSpace,
@@ -23,20 +23,25 @@ from bftensemble.core import (
     canonical,
     digest,
 )
+from bftensemble.episode import run_episode
 from bftensemble.messages import (
+    CheckpointAttest,
     Commit,
     EquivocationProof,
     FrameCert,
     Output,
+    OutputDigest,
     PrePrepare,
     Prepare,
     PrepareCertificate,
     Reply,
     StateRequest,
     ViewChange,
+    interned,
     sign_message,
     Signed,
 )
+from bftensemble.scenario import load_bundled
 from bftensemble.simnet import payload_digest_hex, payload_kind
 
 SPACE = DecisionSpace(labels=("north", "south"), safe_default="north")
@@ -320,3 +325,122 @@ class TestSharedEncoding:
             tampered = Signed(replace(second.msg, **change), 1, second.tag)
             assert not tampered.verify(registry)
         assert "canonical" in calls  # the tampered messages were encoded afresh
+
+
+FLAT = [
+    (PrePrepare, (0, 1, D_NORTH, NORTH)),
+    (Prepare, (2, 0, D_SOUTH, SOUTH)),
+    (Commit, (3, 4, D_NORTH, NORTH)),
+    (Reply, (5, SOUTH)),
+    (StateRequest, (6,)),
+    (CheckpointAttest, (4, D_SOUTH)),
+    (OutputDigest, (7, D_NORTH)),
+    (Output, (1, 8, NORTH)),
+]
+
+
+class TestInterned:
+    """``interned`` hands every sender one shared, encoded object per
+    content; it must be indistinguishable from a message built directly."""
+
+    @pytest.mark.parametrize("cls, fields", FLAT, ids=[cls.__name__ for cls, _ in FLAT])
+    def test_an_interned_message_is_its_directly_built_twin(self, cls, fields):
+        shared, twin = interned(cls, *fields), cls(*fields)
+        assert shared is interned(cls, *fields)
+        assert type(shared) is cls and shared == twin and hash(shared) == hash(twin)
+        assert repr(shared) == repr(twin)
+        assert shared.payload() == twin.payload() == canonical(*twin._fields())
+        assert shared.payload_digest() == twin.payload_digest() == digest(twin.payload())
+        assert shared.short_hex() == twin.short_hex()
+
+    @pytest.mark.parametrize("first, second", [(1, True), (True, 1)])
+    def test_bool_and_int_fields_get_separate_entries_and_bytes(self, first, second):
+        interned.cache_clear()
+        core._memo.cache_clear()
+        a, b = interned(StateRequest, first), interned(StateRequest, second)
+        assert a is not b and a == b  # equal fields, as 1 == True
+        assert a.payload() == canonical(7, first) and b.payload() == canonical(7, second)
+        assert a.payload_digest() != b.payload_digest()
+        assert interned(Output, True, 0, NORTH).payload() == canonical("output", True, 0, NORTH)
+        assert interned(Output, 1, 0, NORTH).payload() == canonical("output", 1, 0, NORTH)
+
+    def test_results_stay_exact_after_a_flood_past_maxsize(self):
+        interned.cache_clear()
+        maxsize = interned.cache_info().maxsize
+        early = interned(Commit, 0, 0, D_NORTH, NORTH)
+        for frame in range(maxsize + 500):
+            msg = interned(Prepare, frame, frame % 3, D_SOUTH, SOUTH)
+            assert msg.payload() == canonical(2, frame, frame % 3, D_SOUTH, SOUTH)
+        assert interned.cache_info().currsize == maxsize
+        rebuilt = interned(Commit, 0, 0, D_NORTH, NORTH)  # evicted, so built anew
+        assert rebuilt is not early and rebuilt == early
+        assert rebuilt.payload() == early.payload() == canonical(3, 0, 0, D_NORTH, NORTH)
+        for frame in (0, maxsize // 2, maxsize + 499):
+            msg = interned(Prepare, frame, frame % 3, D_SOUTH, SOUTH)
+            assert msg.payload_digest() == digest(canonical(2, frame, frame % 3, D_SOUTH, SOUTH))
+
+    def test_replace_gives_a_fresh_encoding_and_leaves_the_shared_one(self):
+        shared = interned(Prepare, 9, 0, D_NORTH, NORTH)
+        payload, tag = shared.payload(), sign_message(KeyRegistry(17, range(4)), 1, shared).tag
+        moved = replace(shared, view=5)
+        assert moved.payload() == canonical(2, 9, 5, D_NORTH, NORTH)
+        assert moved.payload_digest() == digest(moved.payload())
+        assert interned(Prepare, 9, 0, D_NORTH, NORTH) is shared
+        assert shared.payload() == payload and shared.view == 0
+        assert replace(shared) == shared and replace(shared) is not shared
+        assert sign_message(KeyRegistry(17, range(4)), 1, shared).tag == tag
+
+    @pytest.mark.parametrize("name", ["fuzz_base_n4", "fuzz_base_n7", "av_plastic_bag"])
+    def test_campaign_logs_are_the_same_with_cold_and_warm_caches(self, name, monkeypatch):
+        """The logs of the first campaign episodes are the same bytes whether
+        every episode starts from empty caches or from warm ones."""
+
+        def logs(cold: bool) -> list:
+            out = []
+
+            def run(scenario):
+                if cold:
+                    interned.cache_clear()
+                    core._memo.cache_clear()
+                result = run_episode(scenario)
+                out.append((result.decision_log_text, result.event_log_text))
+                return result
+
+            monkeypatch.setattr(campaign, "run_episode", run)
+            campaign.fuzz_campaign(load_bundled(name), episodes=8, seed=2026, strict=False)
+            return out
+
+        warm = logs(cold=False)
+        assert logs(cold=True) == warm == logs(cold=False)
+        assert interned.cache_info().currsize > 0
+
+
+class TestSignMessage:
+    """``sign_message`` fills a ``Signed``'s ``__dict__`` instead of running
+    the dataclass ``__init__``; nothing else may tell the two apart."""
+
+    @pytest.mark.parametrize("cls, fields", FLAT, ids=[cls.__name__ for cls, _ in FLAT])
+    def test_it_builds_what_the_dataclass_builds(self, registry, cls, fields):
+        msg = interned(cls, *fields)
+        signed = sign_message(registry, 3, msg)
+        built = Signed(msg, 3, signed.tag)
+        assert type(signed) is Signed
+        assert signed == built and hash(signed) == hash(built) and repr(signed) == repr(built)
+        assert {built: 1}[signed] == 1
+        assert (signed.msg, signed.sender, signed.tag) == (msg, 3, fresh_tag(17, 3, msg.payload_digest()))
+        with pytest.raises(FrozenInstanceError):
+            signed.sender = 2
+
+    def test_replace_works_and_checks_the_copy_afresh(self, registry, monkeypatch):
+        signed = sign_message(registry, 1, interned(Commit, 0, 0, D_NORTH, NORTH))
+        calls = []
+        real = KeyRegistry.verify
+        monkeypatch.setattr(KeyRegistry, "verify", lambda self, *a: calls.append(a) or real(self, *a))
+        assert signed.verify(registry) and calls == []
+        same = replace(signed)
+        assert same == signed and same is not signed
+        assert same.verify(registry) and len(calls) == 1
+        forged = replace(signed, sender=2)
+        assert (forged.msg, forged.sender, forged.tag) == (signed.msg, 2, signed.tag)
+        assert not forged.verify(registry) and len(calls) == 2
+        assert signed.verify(registry) and len(calls) == 2
