@@ -25,7 +25,7 @@ from .messages import (
     value_digest,
 )
 from .scenario import Scenario
-from .simnet import World
+from .simnet import Deliveries, World, render_event_log
 from .supervisor import Supervisor
 from .voter import Verdict, fast_path_agree, tally
 
@@ -72,7 +72,7 @@ class EpisodeResult:
     scenario: Scenario
     records: list[DecisionRecord]
     decision_log: list[str]
-    event_log: list[str]
+    deliveries: Deliveries  # the world's delivery record; event.log renders from it
     supervisor_events: list[tuple[int, int, str]]
     vote_logs: dict[int, FrameVoteLog]
     agreement_violations: list[int]
@@ -82,6 +82,10 @@ class EpisodeResult:
     @property
     def decision_log_text(self) -> str:
         return "\n".join(self.decision_log) + "\n"
+
+    @property
+    def event_log(self) -> list[str]:
+        return render_event_log(self.deliveries)
 
     @property
     def event_log_text(self) -> str:
@@ -500,7 +504,7 @@ class EpisodeRunner:
             scenario=self.s,
             records=self.records,
             decision_log=self.decision_log,
-            event_log=list(self.world.event_log),
+            deliveries=self.world.deliveries,
             supervisor_events=list(self.supervisor.events),
             vote_logs=self.vote_logs,
             agreement_violations=sorted(set(self.agreement_violations)),

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Optional
 
 from .core import DecisionSpace, canonical, digest, int64
@@ -114,6 +115,9 @@ class FaultProfile:
         return errors
 
 
+MISSING_SHOWN = 5  # missing frames an error list names before it counts the rest
+
+
 @dataclass(frozen=True)
 class ObservationTable:
     """Per-frame ground truth, per-module observation overrides, and the set of
@@ -124,15 +128,20 @@ class ObservationTable:
     critical_frames: frozenset[int] = frozenset()
 
     def validate(self, space: DecisionSpace, frames: int, n: int) -> list[str]:
-        extra = sorted(set(self.ground_truth) - set(range(frames)))
-        errors = [f"frame {frame}: no such frame, want 0..{frames - 1}" for frame in extra]
-        for frame in range(frames):
-            if frame not in self.ground_truth:
-                errors.append(f"frame {frame}: missing ground truth")
-            elif self.ground_truth[frame] not in space:
-                errors.append(
-                    f"frame {frame}: ground truth {self.ground_truth[frame]!r} not in decision space"
-                )
+        """Problems with this table for a run of ``frames`` frames and ``n``
+        modules.  Its cost follows the table's size, not ``frames``: missing
+        frames are named up to ``MISSING_SHOWN`` and then counted."""
+        errors = []
+        for frame, label in sorted(self.ground_truth.items()):
+            if not 0 <= frame < frames:
+                errors.append(f"frame {frame}: no such frame, want 0..{frames - 1}")
+            elif label not in space:
+                errors.append(f"frame {frame}: ground truth {label!r} not in decision space")
+        missing = frames - sum(0 <= frame < frames for frame in self.ground_truth)
+        shown = islice((fr for fr in count() if fr not in self.ground_truth), min(missing, MISSING_SHOWN))
+        errors += [f"frame {frame}: missing ground truth" for frame in shown]
+        if missing > MISSING_SHOWN:
+            errors.append(f"{missing - MISSING_SHOWN} more frames missing ground truth")
         for (frame, module_id), label in sorted(self.overrides.items()):
             if label not in space:
                 errors.append(f"frame {frame}: label {label!r} not in decision space")

@@ -30,7 +30,7 @@ from .core import DecisionSpace, QuorumConfig, int64, min_replicas
 from .harness import FaultProfile, ObservationTable
 from .simnet import NetworkPolicy, Partition
 from .supervisor import SupervisorConfig
-from .voter import VoteStrategy
+from .voter import MAJORITY, VoteStrategy
 
 CONSENSUS_MODES = ("pbft", "vote-only")
 
@@ -52,7 +52,7 @@ class Scenario:
     frames: int
     seed: int = 0
     consensus_mode: str = "pbft"
-    strategy: VoteStrategy = VoteStrategy("majority")
+    strategy: VoteStrategy = MAJORITY
     timeout_rounds: int = 10
     checkpoint_interval: int = 5
     supervise: bool = True
@@ -172,7 +172,7 @@ def _parse_partition(text: str, where: str, n, errors: list[str]) -> Optional[Pa
     except ValueError:
         errors.append(f"{where}: bad partition spec {text!r} (want 'start:end a,b|c,d')")
         return None
-    outside = n is not None and not side_a | side_b <= set(range(n))
+    outside = n is not None and any(not 0 <= m < n for m in side_a | side_b)
     checks = (
         (side_a & side_b, f"partition sides overlap: {sorted(side_a & side_b)}"),
         (start > end, f"partition starts at round {start}, after its end {end}"),
@@ -293,7 +293,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if n is not None and f is not None:
         if pbft and n != min_replicas(f):
             errors.append(f"n={n} with f={f}: pbft mode requires n = 3f+1 = {min_replicas(f)}")
-        if profiles and (set(profiles) != set(range(n))):
+        # the ids are distinct, so n of them in 0..n-1 are exactly 0..n-1
+        if profiles and (len(profiles) != n or any(not 0 <= m < n for m in profiles)):
             errors.append(f"[modules] must define exactly ids 0..{n - 1}, got {sorted(profiles)}")
         elif not profiles:
             errors.append("missing [modules] section")

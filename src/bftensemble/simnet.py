@@ -1,7 +1,9 @@
 """Deterministic discrete-round network: the sole medium between modules.
 
 Delivery fate (drop, jitter) is a pure function of (policy seed, envelope
-index), so identical scenarios replay to byte-identical event logs.
+index), so identical scenarios replay to byte-identical event logs.  A world
+records its deliveries as data; ``render_event_log`` turns that record into
+event-log lines only when someone reads them.
 """
 from __future__ import annotations
 
@@ -95,6 +97,22 @@ class Envelope(NamedTuple):
     log_tag: str  # "kind|short digest", the payload's part of its event-log line
 
 
+# Each round that delivered something: the round, then its envelopes' senders,
+# recipients and log tags, in delivery order.
+Deliveries = list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[str, ...]]]
+
+
+def render_event_log(deliveries: Deliveries) -> list[str]:
+    """The event-log lines of a delivery record, one per delivered envelope:
+    ``round|from|to|kind|short digest``.  It reads only the record, so a log
+    renders the same at any later time."""
+    return [
+        f"{now}|{frm}|{to}|{tag}"
+        for now, senders, recipients, tags in deliveries
+        for frm, to, tag in zip(senders, recipients, tags)
+    ]
+
+
 def payload_kind(payload) -> str:
     if isinstance(payload, Signed):
         return KIND_NAMES[payload.msg.KIND]
@@ -136,7 +154,11 @@ class World:
         self._queue: list[Envelope] = []
         self._seq = 0
         self.isolated = isolated
-        self.event_log: list[str] = []
+        self.deliveries: Deliveries = []
+
+    @property
+    def event_log(self) -> list[str]:
+        return render_event_log(self.deliveries)
 
     def send(self, frm: int, to: int, payload) -> None:
         """Queue one envelope; BROADCAST and PEERS expand to one per
@@ -183,7 +205,8 @@ class World:
 
     def advance_round(self) -> list[Envelope]:
         """Advance the clock one round; return due envelopes in deterministic
-        order (deliver_round, send_round, from, to, send sequence)."""
+        order (deliver_round, send_round, from, to, send sequence), and
+        record them in ``deliveries``."""
         self.round = now = self.round + 1
         due: list[Envelope] = []
         later: list[Envelope] = []
@@ -194,7 +217,11 @@ class World:
         isolated = self.isolated
         if isolated:
             due = [e for e in due if e.to not in isolated and e.frm not in isolated]
-        self.event_log.extend([f"{now}|{e.frm}|{e.to}|{e.log_tag}" for e in due])
+        if due:
+            # the columns hold only ints and strings, so the record keeps no
+            # envelope alive for the cyclic collector to keep scanning
+            _, _, senders, recipients, _, _, _, tags = zip(*due)
+            self.deliveries.append((now, senders, recipients, tags))
         return due
 
     def delivery_rounds(self, rounds: int):

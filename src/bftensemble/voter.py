@@ -58,6 +58,9 @@ class VoteStrategy:
     __str__ = describe  # the scenario-file form, which the writer prints
 
 
+MAJORITY = VoteStrategy("majority")  # the default, and the fast path's fallback
+
+
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # decided | no-quorum | safe-mode
@@ -111,5 +114,5 @@ def fast_path_agree(digests: dict[int, bytes], votes: dict[int, str], cfg: Quoru
         value = next(iter(votes.values()))
         verdict = Verdict("decided", value=value, supporters=frozenset(digests))
         return FastPathResult(verdict, rounds_used=1)
-    verdict = tally(votes, VoteStrategy("majority"), cfg)
+    verdict = tally(votes, MAJORITY, cfg)
     return FastPathResult(verdict, rounds_used=2)

@@ -1,11 +1,11 @@
 """fuzz_campaign's report: each failing episode is listed once, whatever
-ways it fails, an exception included."""
+ways it fails, an exception included; and a campaign renders no event log."""
 import inspect
 from dataclasses import replace
 
 import pytest
 
-from bftensemble import campaign
+from bftensemble import campaign, episode, simnet
 from bftensemble.episode import liveness_bound, run_episode
 from bftensemble.scenario import load_bundled
 
@@ -73,3 +73,25 @@ def test_a_campaign_in_which_nothing_raises_keeps_its_digest(monkeypatch):
     clean = campaign.fuzz_campaign(base, episodes=4, seed=7).digest_hex()
     monkeypatch.setattr(campaign, "run_episode", raising_on(set()))
     assert campaign.fuzz_campaign(base, episodes=4, seed=7).digest_hex() == clean
+
+
+# fuzz_campaign(load_bundled(name), 20, 2026).digest_hex()
+SHORT_CAMPAIGNS = {
+    "av_plastic_bag": "9ed3970c706cbac98170caccaf04ce697dd1a8d2c52f7b81b23aa5c6921728ce",
+    "fuzz_base_n4": "7ea2266ddfe5d90c36016e7ff5369c195a536f270369de1c003be553b29696e7",
+    "fuzz_base_n7": "79dc6f7c70b8fdab95fbd8a73e76eb6d0176f7d6b907be0021b29e0445cde629",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_CAMPAIGNS))
+def test_a_campaign_renders_no_event_log(monkeypatch, name):
+    """A campaign reads decisions, never event-log lines: with rendering
+    made to raise, it still gives its report."""
+
+    def render(deliveries):
+        raise AssertionError("a campaign rendered an event log")
+
+    monkeypatch.setattr(simnet, "render_event_log", render)
+    monkeypatch.setattr(episode, "render_event_log", render)
+    report = campaign.fuzz_campaign(load_bundled(name), episodes=20, seed=2026)
+    assert report.digest_hex() == SHORT_CAMPAIGNS[name]

@@ -247,12 +247,14 @@ HUGE_WINDOW = "[supervisor]\nwindow = 99999999999999999999\n[observations]"
         ("run", _base_edit("timeout_rounds = 10", "timeout_round = 3")),
         ("run", _base_edit("[observations]", HUGE_WINDOW)),
         ("run", _base_edit("labels = continue brake swerve-left", "labels = continue brake swerve-left -")),
+        ("run", _base_edit("n = 4", "n = 99999999999999999999")),
+        ("run", _base_edit("frames = 5", "frames = 99999999999999999999999")),
     ],
     ids=["run-non-utf8", "verify-non-utf8", "negative-delay", "drop-rate-above-1",
          "jitter-minus-1", "jitter-minus-3", "checkpoint-interval-0", "error-rate-above-1",
          "confidence-option", "weighted-strategy",
          "seed-above-int64", "seed-below-int64", "perturb-seed-above-int64", "misspelt-key",
-         "window-above-int64", "label-dash"],
+         "window-above-int64", "label-dash", "n-huge", "frames-huge"],
 )
 def test_malformed_input_is_a_usage_error(tmp_path, command, content):
     path = tmp_path / "input"

@@ -5,7 +5,8 @@ what the observer receives, whose vote a vote-only Output counts as, that a
 restarted vote-only module recovers, that a module restarted as honest is
 judged by its new profile and a slow one loses its delay, that an episode
 leaves no reference cycle, one campaign episode that once broke the liveness
-bound, and that long network delays cost no empty rounds."""
+bound, that long network delays cost no empty rounds, and that the event log
+renders from the delivery record alone."""
 import gc
 import hashlib
 import random
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from bftensemble import episode
+from bftensemble import core, episode, messages
 from bftensemble.campaign import randomize_episode
 from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
@@ -368,3 +369,51 @@ def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
     result = run_episode(delayed("av_plastic_bag", "fastpath", jitter_rounds=10**12))
     assert [r.verdict for r in result.records] == ["decided"] * 3
     assert calls[0] <= 400
+
+
+def campaign_draws(name: str, count: int, seed: int = 2026):
+    """The first ``count`` episode scenarios of ``name``'s campaign at
+    ``seed``, drawn as fuzz_campaign draws them."""
+    base, rng = load_bundled(name), random.Random(seed)
+    for index in range(count):
+        episode_seed = int.from_bytes(digest(canonical("fuzz", seed, index))[:8], "big") % 2**31
+        yield randomize_episode(base, rng, episode_seed)
+
+
+# Episode 8 of the fuzz_base_n7 campaign at seed 2026 (a crashed and a
+# diverse_honest module, jitter 1, drop rate 1%): it delivers seven message
+# kinds, view changes and state transfer among them.
+N7_EPISODE_8_EVENTS = "b93dfd69efc9f9c362bd94564c283b268ee360ea4f32cea357a370e69109233d"
+
+
+def test_the_event_log_renders_from_the_delivery_record_alone():
+    """Rendering reads only the recorded envelopes, so a result renders the
+    same bytes after other episodes have run and the message and encoding
+    memos have been emptied."""
+    *others, kept = campaign_draws("fuzz_base_n7", 9)
+    result = run_episode(kept)
+    text = result.event_log_text
+    for scenario in others:
+        run_episode(scenario)
+    messages.interned.cache_clear()
+    core._memo.cache_clear()
+    again = result.event_log_text
+    assert hashlib.sha256(again.encode("utf-8")).hexdigest() == N7_EPISODE_8_EVENTS
+    assert again == text
+
+
+def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
+    *_, scenario = campaign_draws("fuzz_base_n7", 9)
+    runner = EpisodeRunner(scenario)
+    world, advance, seen = runner.world, runner.world.advance_round, []
+
+    def advance_and_read():
+        seen.append(world.event_log)
+        return advance()
+
+    world.advance_round = advance_and_read
+    final = runner.run().event_log
+    assert final == world.event_log
+    assert len({len(log) for log in seen}) > 1
+    assert all(log == final[: len(log)] for log in seen)
+    assert [len(log) for log in seen] == sorted(len(log) for log in seen)

@@ -301,11 +301,16 @@ def test_unknown_duplicate_and_unreadable_keys_are_errors(text, message):
         (MINIMAL + "[supervisor]\nwindow = 99999999999999999999\n", "outside the signed 64-bit range"),
         (MINIMAL.replace("labels = go hold", "labels = go hold -"), "label '-' cannot be logged"),
         (MINIMAL.replace("labels = go hold", "labels = go hold|on"), "label 'hold|on' cannot be logged"),
+        (MINIMAL.replace("n = 4", "n = 99999999999999999999"), r"must define exactly ids 0\.\.99999999999999999998"),
+        (MINIMAL.replace("frames = 2", "frames = 99999999999999999999999"),
+         "^frame 2: missing ground truth;.*; 99999999999999999999992 more frames missing ground truth$"),
+        (MINIMAL.replace("frames = 2", "frames = 3000000"), "; 2999993 more frames missing ground truth$"),
     ],
     ids=["frames-0", "timeout-0", "timeout-negative", "checkpoint-interval-0",
          "partition-start-after-end", "partition-unknown-module",
          "second-row-for-frame", "row-past-last-frame", "error-rate-above-1",
-         "window-above-int64", "label-dash", "label-with-bar"],
+         "window-above-int64", "label-dash", "label-with-bar",
+         "n-huge", "frames-huge", "frames-3-million"],
 )
 def test_values_no_run_could_use_are_errors(text, message):
     with pytest.raises(ScenarioError, match=message):

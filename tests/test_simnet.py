@@ -244,6 +244,18 @@ class TestEventLog:
 
         assert run() == run()
 
+    def test_the_delivery_record_holds_only_ints_and_strings(self):
+        """The record keeps no envelope or payload alive, so it gives the
+        cyclic collector nothing to scan while an episode runs."""
+        world = World(quiet_policy(jitter_rounds=2), MODULES)
+        registry = KeyRegistry(1, MODULES)
+        for m in MODULES:
+            world.send(m, BROADCAST, sign_message(registry, m, Reply(0, "go")))
+        drain(world, 4)
+        assert len(world.event_log) == 16
+        for now, *columns in world.deliveries:
+            assert type(now) is int
+            assert all(type(x) in (int, str) for column in columns for x in column)
 
 
 class TestFatePrefix:
