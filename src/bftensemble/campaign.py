@@ -112,7 +112,7 @@ def randomize_episode(base: Scenario, rng: random.Random, episode_seed: int) -> 
     return replace(base, modules=tuple(modules), network=network, seed=episode_seed)
 
 
-def _raised_at(exc: Exception) -> str:
+def raised_at(exc: Exception) -> str:
     """``exc``'s type and the file:line of the innermost frame it came from."""
     frame = traceback.extract_tb(exc.__traceback__)[-1]
     return f"{type(exc).__name__} at {Path(frame.filename).name}:{frame.lineno}"
@@ -149,7 +149,7 @@ def fuzz_campaign(base: Scenario, episodes: int, seed: int, strict: bool = True)
             result = run_episode(scenario)
         except Exception as exc:  # a raising episode has failed, like a violating one
             if strict:
-                raise CampaignViolation(f"{_raised_at(exc)} in fuzz episode", episode_seed, index) from exc
+                raise CampaignViolation(f"{raised_at(exc)} in fuzz episode", episode_seed, index) from exc
             failures.append((episode_seed, index))
             continue
         frames_total += len(result.records)

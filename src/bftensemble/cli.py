@@ -1,7 +1,8 @@
 """Command-line entry point: run episodes, fuzz campaigns, verify stored
 decision logs, and summarize log directories.
 
-Exit codes: 0 success, 1 usage/config error, 2 invariant violation detected.
+Exit codes: 0 success, 1 usage/config error, 2 invariant violation detected
+or an episode that raised.
 """
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .campaign import CampaignViolation, episode_report, fuzz_campaign
+from .campaign import CampaignViolation, episode_report, fuzz_campaign, raised_at
 from .core import int64
 from .episode import run_episode
 from .scenario import parse_scenario
@@ -32,13 +33,21 @@ def cmd_run(args) -> int:
     except (OSError, ValueError) as exc:  # ScenarioError and UnicodeDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = run_episode(scenario)
+    try:
+        result = run_episode(scenario)
+    except Exception as exc:  # a raising episode has failed, as in a campaign
+        print(f"run failed: {raised_at(exc)}", file=sys.stderr)
+        return EXIT_VIOLATION
     if args.log_dir:
         log_dir = Path(args.log_dir)
-        log_dir.mkdir(parents=True, exist_ok=True)
-        (log_dir / "decision.log").write_text(result.decision_log_text)
-        (log_dir / "event.log").write_text(result.event_log_text)
-        (log_dir / "report.txt").write_text(episode_report(result))
+        try:
+            log_dir.mkdir(parents=True, exist_ok=True)
+            (log_dir / "decision.log").write_text(result.decision_log_text)
+            (log_dir / "event.log").write_text(result.event_log_text)
+            (log_dir / "report.txt").write_text(episode_report(result))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     print(episode_report(result), end="")
     if result.agreement_violations and not scenario.expects_violation:
         print(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 
 # Reserved destination ids used by the simulated network.  The observer is
 # the client: it takes part in no protocol phase, so replicas send their
@@ -146,6 +145,13 @@ def short_digest(payload: bytes) -> str:
     return digest(payload).hex()[:12]
 
 
+def encoding(*fields) -> tuple[bytes, bytes, str]:
+    """``canonical(*fields)``, its :func:`digest` and its :func:`short_digest`."""
+    payload = canonical(*fields)
+    payload_digest = digest(payload)
+    return payload, payload_digest, payload_digest.hex()[:12]
+
+
 # --- simulated message authentication ---------------------------------------
 
 
@@ -193,61 +199,6 @@ class KeyRegistry:
         mac = mac.copy()
         mac.update(payload_digest)
         return mac.digest() == tag
-
-
-# --- the encoding memo -------------------------------------------------------
-#
-# A message does not name its sender, so up to n replicas build equal
-# Prepares, Commits and Replies each frame, and a campaign's episodes build
-# the same contents again: each distinct content is encoded once per process.
-# Like ``messages.value_digest``, the memo is a bounded ``lru_cache``; it
-# holds field values and bytes, never an episode's objects.
-
-# types whose equal values encode alike
-_PLAIN = frozenset((bool, int, str, bytes, type(None)))
-
-
-def _shape(fields: tuple):
-    """The types of ``fields`` at every depth, or None when a field cannot be
-    keyed exactly: a float (``0.0 == -0.0``), a list, a subclass or any
-    other type."""
-    shape = []
-    for field in fields:
-        kind = type(field)
-        if kind is tuple:
-            kind = _shape(field)
-            if kind is None:
-                return None
-        elif kind not in _PLAIN:
-            return None
-        shape.append(kind)
-    return tuple(shape)
-
-
-def _encode(fields: tuple) -> tuple[bytes, bytes, str]:
-    payload = canonical(*fields)
-    payload_digest = digest(payload)
-    return payload, payload_digest, payload_digest.hex()[:12]
-
-
-@lru_cache(maxsize=4096, typed=True)
-def _memo(shape, *fields) -> tuple[bytes, bytes, str]:
-    return _encode(fields)
-
-
-def encoding(*fields) -> tuple[bytes, bytes, str]:
-    """``canonical(*fields)``, its :func:`digest` and its :func:`short_digest`.
-
-    Equal fields need not encode alike (``1 == True``), so the memo keys on
-    each field's type, and on the :func:`_shape` when a field is a tuple;
-    fields with no exact key skip it."""
-    if _PLAIN.issuperset(map(type, fields)):
-        shape = None
-    else:
-        shape = _shape(fields)
-        if shape is None:
-            return _encode(fields)
-    return _memo(shape, *fields)
 
 
 class Encoded:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
-from .core import Encoded, KeyRegistry, canonical, digest, encoding
+from .core import Encoded, KeyRegistry, canonical, digest
 
 
 @lru_cache(maxsize=256)
@@ -222,30 +222,38 @@ class CheckpointAttest(Encoded):
 
 
 @dataclass(frozen=True)
-class Checkpoint:
-    """A committed-log prefix plus 2f+1 matching attestations over its digest."""
+class Checkpoint(Encoded):
+    """A committed-log prefix plus 2f+1 matching attestations over its digest.
+    Its bytes leave out the values, which the digest stands for."""
 
     up_to_frame: int
     values: tuple[str, ...]  # committed values for frames 0..up_to_frame
     log_digest: bytes
     attestations: tuple[Signed, ...]
 
+    def _fields(self) -> tuple:
+        return (self.up_to_frame, self.log_digest, tuple(a.msg.payload() for a in self.attestations))
+
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
-        if len(self.values) != self.up_to_frame + 1:
+        # committed values are labels, and only a tuple of them keys the cache
+        if len(self.values) != self.up_to_frame + 1 or not all(isinstance(v, str) for v in self.values):
             return False
-        if log_prefix_digest(self.values) != self.log_digest:
+        if log_prefix_digest(tuple(self.values)) != self.log_digest:
             return False
         want = interned(CheckpointAttest, self.up_to_frame, self.log_digest)
         return len(signers(self.attestations, registry, lambda m: m == want) or ()) >= quorum
 
 
 @dataclass(frozen=True)
-class FrameCert:
+class FrameCert(Encoded):
     """A commit certificate for one frame: 2f+1 matching signed Commits."""
 
     frame: int
     value: str
     votes: tuple[Signed, ...]
+
+    def _fields(self) -> tuple:
+        return (self.frame, self.value, tuple(v.msg.payload() for v in self.votes))
 
     def valid(self, registry: KeyRegistry, quorum: int) -> bool:
         def fits(m) -> bool:
@@ -267,18 +275,8 @@ class StateSnapshot(Encoded):
     frame_certs: tuple[FrameCert, ...]  # frames after the checkpoint, ascending
 
     def _fields(self) -> tuple:
-        cp = b""
-        if self.checkpoint:
-            cp = encoding(
-                self.checkpoint.up_to_frame,
-                self.checkpoint.log_digest,
-                tuple(a.msg.payload() for a in self.checkpoint.attestations),
-            )[0]
-        certs = tuple(
-            encoding(c.frame, c.value, tuple(v.msg.payload() for v in c.votes))[0]
-            for c in self.frame_certs
-        )
-        return (self.KIND, cp, certs)
+        cp = self.checkpoint.payload() if self.checkpoint else b""
+        return (self.KIND, cp, tuple(c.payload() for c in self.frame_certs))
 
     def up_to_frame(self) -> int:
         if self.frame_certs:
@@ -344,6 +342,8 @@ KIND_NAMES = {
 }
 
 
-def log_prefix_digest(values) -> bytes:
-    """Digest of a committed decision-log prefix (frames 0..k in order)."""
-    return encoding("log-prefix", tuple(values))[1]
+@lru_cache(maxsize=256)
+def log_prefix_digest(values: tuple[str, ...]) -> bytes:
+    """Digest of a committed decision-log prefix (frames 0..k in order).
+    Every replica digests the same prefix at each checkpoint."""
+    return digest(canonical("log-prefix", values))

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .core import QuorumConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class SupervisorConfig:
     window: int = 10
     flag_threshold: float = 0.3

@@ -7,10 +7,14 @@ that fits it, under a tag that verifies.  `PrepareCertificate`, `Checkpoint`,
 tables pin their verdicts and, for a NewView, the misbehaviour entry the
 receiving replica records.
 """
+import hashlib
+from dataclasses import replace
+
 import pytest
 
+from bftensemble import core
 from bftensemble.consensus import Replica
-from bftensemble.core import DecisionSpace, KeyRegistry, QuorumConfig
+from bftensemble.core import DecisionSpace, KeyRegistry, QuorumConfig, canonical, digest, encoding
 from bftensemble.messages import (
     Checkpoint,
     CheckpointAttest,
@@ -21,6 +25,7 @@ from bftensemble.messages import (
     PrepareCertificate,
     PrePrepare,
     Signed,
+    StateSnapshot,
     ViewChange,
     log_prefix_digest,
     sign_message,
@@ -129,6 +134,8 @@ def test_checkpoint_values_must_match_the_attested_digest():
     votes = bundle("checkpoint", "valid")
     assert not Checkpoint(1, (NORTH, NORTH), LOG_DIGEST, votes).valid(REGISTRY, QUORUM)
     assert not Checkpoint(2, LOG, LOG_DIGEST, votes).valid(REGISTRY, QUORUM)
+    for values in (([NORTH], SOUTH), (1, SOUTH), (True, SOUTH)):  # not labels
+        assert not Checkpoint(1, values, LOG_DIGEST, votes).valid(REGISTRY, QUORUM)
 
 
 @pytest.mark.parametrize(
@@ -143,6 +150,37 @@ def test_checkpoint_values_must_match_the_attested_digest():
 def test_frame_cert_needs_one_views_quorum(views, valid):
     votes = tuple(sign(m, Commit(0, v, D_NORTH, NORTH)) for m, v in enumerate(views))
     assert FrameCert(0, NORTH, votes).valid(REGISTRY, QUORUM) is valid
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_checkpoint_judges_list_values_as_their_tuple(case):
+    cert = certificate("checkpoint", bundle("checkpoint", case), off_digest=case == "value-off-digest")
+    as_list = replace(cert, values=list(cert.values))
+    assert as_list.valid(REGISTRY, QUORUM) is cert.valid(REGISTRY, QUORUM) is (case == "valid")
+
+
+# A snapshot that carries a checkpoint and two frame certificates, and the
+# SHA-256 of its canonical bytes: each certificate is encoded on its own and
+# the snapshot holds those bytes.
+SNAPSHOT_DIGEST = "dfb565d0917a0ca9f0c4460582126e2b869c9761e5a9583a3047c70ce02d93c4"
+
+
+def test_a_snapshot_keeps_its_certificates_byte_layout(monkeypatch):
+    attests = bundle("checkpoint", "valid")
+    checkpoint = Checkpoint(up_to_frame=1, values=LOG, log_digest=LOG_DIGEST, attestations=attests)
+    certs = tuple(
+        FrameCert(frame, value, tuple(sign(m, Commit(frame, m % 2, value_digest(value), value)) for m in range(3)))
+        for frame, value in ((2, SOUTH), (3, NORTH))
+    )
+    snapshot = StateSnapshot(checkpoint=checkpoint, frame_certs=certs)
+    assert hashlib.sha256(snapshot.payload()).hexdigest() == SNAPSHOT_DIGEST
+    assert snapshot.payload_digest() == digest(snapshot.payload())
+    # a certificate keeps its bytes, so another snapshot encodes only itself
+    calls = []
+    monkeypatch.setattr(core, "encoding", lambda *fields: calls.append(fields) or encoding(*fields))
+    assert StateSnapshot(checkpoint, certs).payload() == snapshot.payload()
+    assert [fields[0] for fields in calls] == [StateSnapshot.KIND]
+    assert StateSnapshot(None, ()).payload() == canonical(8, b"", ())
 
 
 # --- the ViewChange set of a NewView ---------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bftensemble
-from bftensemble import campaign
+from bftensemble import campaign, cli
 from bftensemble.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from bftensemble.scenario import bundled_scenario_path
 
@@ -68,6 +68,28 @@ def test_run_bad_scenario_text(tmp_path, capsys):
     bad.write_text("n = 4\n")
     assert main(["run", str(bad)]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+
+
+def test_run_into_a_log_dir_that_is_a_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", FUZZ_N4, "--log-dir", str(taken)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
+    assert taken.read_text() == ""
+
+
+def test_run_of_a_raising_episode_exits_2_with_its_cause(monkeypatch, tmp_path, capsys):
+    def raising(scenario):
+        raise AttributeError("engine")
+
+    monkeypatch.setattr(cli, "run_episode", raising)
+    log_dir = tmp_path / "logs"
+    assert main(["run", FUZZ_N4, "--log-dir", str(log_dir)]) == EXIT_VIOLATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("run failed: AttributeError at test_cli.py:")
+    assert captured.out == ""
+    assert not log_dir.exists()
 
 
 def test_run_expected_violation_exits_ok(capsys):

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 import pytest
 
-from bftensemble import core, episode, messages
+from bftensemble import episode, messages
 from bftensemble.campaign import randomize_episode
 from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
@@ -388,15 +388,15 @@ N7_EPISODE_8_EVENTS = "b93dfd69efc9f9c362bd94564c283b268ee360ea4f32cea357a370e69
 
 def test_the_event_log_renders_from_the_delivery_record_alone():
     """Rendering reads only the recorded envelopes, so a result renders the
-    same bytes after other episodes have run and the message and encoding
-    memos have been emptied."""
+    same bytes after other episodes have run and the message memos have been
+    emptied."""
     *others, kept = campaign_draws("fuzz_base_n7", 9)
     result = run_episode(kept)
     text = result.event_log_text
     for scenario in others:
         run_episode(scenario)
     messages.interned.cache_clear()
-    core._memo.cache_clear()
+    messages.log_prefix_digest.cache_clear()
     again = result.event_log_text
     assert hashlib.sha256(again.encode("utf-8")).hexdigest() == N7_EPISODE_8_EVENTS
     assert again == text

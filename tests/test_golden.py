@@ -12,8 +12,9 @@ import random
 import pytest
 
 from bftensemble.campaign import episode_report, fuzz_campaign, randomize_episode
-from bftensemble.core import _memo, canonical, digest
+from bftensemble.core import canonical, digest
 from bftensemble.episode import run_episode
+from bftensemble.messages import interned, log_prefix_digest
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
 
 
@@ -221,14 +222,16 @@ def test_campaign_episode_logs_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(CAMPAIGN_LOGS))
 def test_campaign_episode_logs_do_not_depend_on_the_encoding_memo(name):
-    """The process-wide encoding memo carries entries from one episode to the
-    next; the bytes are the same in reverse order, and from a cold memo."""
+    """The process-wide message memos (``interned`` and the log-prefix digest)
+    carry entries from one episode to the next; the bytes are the same in
+    reverse order, and from cold memos."""
     scenarios = list(campaign_episodes(fuzz_base(name), 40))
     backwards = [episode_logs(scenario) for scenario in reversed(scenarios)]
     assert log_digests(reversed(backwards)) == CAMPAIGN_LOGS[name]
 
     def cold(scenario):
-        _memo.cache_clear()
+        interned.cache_clear()
+        log_prefix_digest.cache_clear()
         return episode_logs(scenario)
 
     assert log_digests(map(cold, scenarios)) == CAMPAIGN_LOGS[name]

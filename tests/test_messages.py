@@ -1,9 +1,9 @@
 """Message encodings and the caches of bytes, digest and tag check.
 
-A message takes its canonical bytes and digest from the process-wide
-encoding memo, so a second signer of an equal message encodes nothing; a
-Signed keeps its verification result for the registry it was checked
-against; a KeyRegistry reuses one MAC state per signer.  These tests pin
+A flat message is built and encoded once per content by ``interned``, so a
+second signer of an equal message encodes nothing; a Signed keeps its
+verification result for the registry it was checked against; a KeyRegistry
+reuses one MAC state per signer.  These tests pin
 what that must not change: tags are those of a fresh keyed hash, forged or
 swapped messages still fail, another registry still gets its own answer, and
 equality, hashing and repr still see only the dataclass fields.
@@ -38,6 +38,7 @@ from bftensemble.messages import (
     StateRequest,
     ViewChange,
     interned,
+    log_prefix_digest,
     sign_message,
     Signed,
 )
@@ -309,16 +310,15 @@ class TestSigningState:
 
 class TestSharedEncoding:
     def test_a_second_signer_of_an_equal_commit_encodes_nothing(self, registry, monkeypatch):
-        core._memo.cache_clear()
-        first = sign_message(registry, 0, Commit(5, 2, D_SOUTH, SOUTH))
+        interned.cache_clear()
+        first = sign_message(registry, 0, interned(Commit, 5, 2, D_SOUTH, SOUTH))
         calls = []
         for name in ("canonical", "digest"):
             real = getattr(core, name)
             monkeypatch.setattr(core, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-        second = sign_message(registry, 1, Commit(5, 2, D_SOUTH, SOUTH))
+        second = sign_message(registry, 1, interned(Commit, 5, 2, D_SOUTH, SOUTH))
         assert calls == []
-        assert second.msg is not first.msg
-        assert second.msg.payload_digest() == first.msg.payload_digest()
+        assert second.msg is first.msg
         assert second.tag != first.tag
         assert first.verify(registry) and second.verify(registry)
         for change in ({"view": 3}, {"frame": 4}, {"value": NORTH}, {"value_digest": D_NORTH}):
@@ -356,7 +356,6 @@ class TestInterned:
     @pytest.mark.parametrize("first, second", [(1, True), (True, 1)])
     def test_bool_and_int_fields_get_separate_entries_and_bytes(self, first, second):
         interned.cache_clear()
-        core._memo.cache_clear()
         a, b = interned(StateRequest, first), interned(StateRequest, second)
         assert a is not b and a == b  # equal fields, as 1 == True
         assert a.payload() == canonical(7, first) and b.payload() == canonical(7, second)
@@ -401,7 +400,7 @@ class TestInterned:
             def run(scenario):
                 if cold:
                     interned.cache_clear()
-                    core._memo.cache_clear()
+                    log_prefix_digest.cache_clear()
                 result = run_episode(scenario)
                 out.append((result.decision_log_text, result.event_log_text))
                 return result

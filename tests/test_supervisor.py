@@ -1,4 +1,6 @@
 """Deviation tracking, isolation budget, and the recovery cycle."""
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from bftensemble.core import QuorumConfig
@@ -175,3 +177,12 @@ class TestSupervisor:
             SupervisorConfig(flag_threshold=0.0)
         with pytest.raises(ValueError):
             SupervisorConfig(restart_delay=-1)
+
+    def test_config_is_frozen_and_hashes(self):
+        """Drawn episodes share their base's config, so it must not change."""
+        cfg = SupervisorConfig(window=4, flag_threshold=0.5, restart_delay=1)
+        with pytest.raises(FrozenInstanceError):
+            cfg.window = 5
+        assert cfg.window == 4
+        assert hash(cfg) == hash(SupervisorConfig(window=4, flag_threshold=0.5, restart_delay=1))
+        assert len({cfg, SupervisorConfig(window=4, flag_threshold=0.5, restart_delay=1), SupervisorConfig()}) == 2
