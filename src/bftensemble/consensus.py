@@ -40,6 +40,7 @@ PHASE_PREPARED = "prepared"
 PHASE_COMMITTED = "committed"
 
 Outbound = tuple[int, Signed]  # (destination, signed message)
+SENDER = attrgetter("sender")
 
 
 def validate_proposal(own: Optional[str], proposed: str) -> bool:
@@ -71,7 +72,7 @@ class FrameInstance:
     decided_view: int = -1
     # Prepare or Commit -> view -> signer -> first signed vote of that class
     votes: dict = field(default_factory=lambda: {Prepare: {}, Commit: {}})
-    # (class, view, digest) -> signers in votes whose vote has that digest
+    # (class, view, digest) -> the votes in `votes` with that digest, in arrival order
     tallies: dict = field(default_factory=dict)
     # new_view -> signer -> signed ViewChange
     view_changes: dict = field(default_factory=dict)
@@ -87,8 +88,7 @@ class FrameInstance:
 
     def matching(self, kind: type, view: int, digest: bytes) -> tuple[Signed, ...]:
         """The recorded ``kind`` votes of ``view`` that name ``digest``, by signer."""
-        by_signer = sorted(self.votes[kind].get(view, {}).items())
-        return tuple(s for _, s in by_signer if s.msg.value_digest == digest)
+        return tuple(sorted(self.tallies.get((kind, view, digest), ()), key=SENDER))
 
 
 class Replica:
@@ -138,9 +138,6 @@ class Replica:
         self.inst.outbox.append((PEERS, signed))
         return signed
 
-    def is_leader(self, frame: int, view: int = 0) -> bool:
-        return self.leader_of(frame, view) == self.module_id
-
     @property
     def last_contiguous_frame(self) -> int:
         frame = -1
@@ -155,14 +152,14 @@ class Replica:
         if frame in self.committed:
             self._decide(self.committed[frame])  # already learned via state transfer
             return []
-        if self.is_leader(frame, 0):
+        if self.leader_of(frame, 0) == self.module_id:
             return self.propose()
         return []
 
     def propose(self) -> list[Outbound]:
         """Leader broadcasts its own output as the PrePrepare for view 0."""
         inst = self.inst
-        if not self.is_leader(inst.frame, inst.view):
+        if self.leader_of(inst.frame, inst.view) != self.module_id:
             self.violations.append(f"frame {inst.frame}: non-leader {self.module_id} tried to propose")
             return []
         if inst.phase != PHASE_IDLE or inst.own_output is None:
@@ -186,9 +183,10 @@ class Replica:
                 return []  # another frame, or a stale view: views only move forward
             if kind is PrePrepare:
                 return self._on_preprepare(signed, round_)
-            recorded = inst.votes[kind].get(msg.view)
-            if recorded is not None and recorded.get(signed.sender) is signed:
-                return []  # a retransmission of a vote already counted and checked
+            by_signer = inst.votes[kind].setdefault(msg.view, {})
+            prev = by_signer.get(signed.sender)
+            if prev is signed:
+                return []  # a retransmission of a vote already recorded and checked
             if kind is Commit and msg.value_digest != value_digest(msg.value):
                 # the value is decided from the Commits, so each must carry
                 # the value its digest names
@@ -197,9 +195,9 @@ class Replica:
             out = []
             if signed.sender == self.leader_of(inst.frame, msg.view):
                 out = self._note_leader_endorsement(signed, round_)
-            count = self._record_vote(signed)
-            # counts rise one vote at a time and every new count is checked,
-            # so a vote not newly counted passes no check, and an undecided
+            count = self._record_vote(signed, by_signer, prev)
+            # buckets grow one vote at a time and every new size is checked,
+            # so a vote not newly recorded passes no check, and an undecided
             # frame's Commit bucket cannot pass the quorum without reaching it
             if count is None:
                 return out
@@ -273,21 +271,22 @@ class Replica:
             return out  # withhold the Prepare; dissent surfaces as timeout
         return out + self._accept_proposal(signed)
 
-    def _record_vote(self, signed: Signed) -> Optional[int]:
-        """Keep each signer's first Prepare or Commit per view, count it
-        under its (class, view, digest) and return that bucket's new count;
-        None when the vote was not newly counted.  A later vote of the same
-        class with another digest is misbehaviour."""
+    def _record_vote(self, signed: Signed, by_signer: Optional[dict] = None, prev=None) -> Optional[int]:
+        """Keep each signer's first Prepare or Commit per view, add it to its
+        (class, view, digest) bucket and return the bucket's new size; None if
+        not newly recorded.  A later vote of the same class with another digest
+        is misbehaviour.  ``handle`` passes the signer table and vote it found."""
         msg = signed.msg
         kind = type(msg)
         inst = self.inst
-        votes = inst.votes[kind].setdefault(msg.view, {})
-        prev = votes.get(signed.sender)
+        if by_signer is None:
+            by_signer = inst.votes[kind].setdefault(msg.view, {})
+            prev = by_signer.get(signed.sender)
         if prev is None:
-            votes[signed.sender] = signed
-            key = (kind, msg.view, msg.value_digest)
-            inst.tallies[key] = count = inst.tallies.get(key, 0) + 1
-            return count
+            by_signer[signed.sender] = signed
+            bucket = inst.tallies.setdefault((kind, msg.view, msg.value_digest), [])
+            bucket.append(signed)
+            return len(bucket)
         if prev.msg.value_digest != msg.value_digest:
             conflict = f"conflicting-{kind.__name__.lower()}"
             self.misbehavior.append((inst.frame, signed.sender, conflict))
@@ -298,7 +297,7 @@ class Replica:
         if inst.phase != PHASE_PRE_PREPARED or inst.proposal is None:
             return []
         want = inst.proposal.msg.value_digest
-        if inst.tallies.get((Prepare, inst.view, want), 0) < self.quorum:
+        if len(inst.tallies.get((Prepare, inst.view, want), ())) < self.quorum:
             return []
         inst.phase = PHASE_PREPARED
         cert = PrepareCertificate(
@@ -406,7 +405,7 @@ class Replica:
         vcs = inst.view_changes.get(new_view, {})
         if len(vcs) < self.quorum:
             return []
-        ordered = tuple(sorted(vcs.values(), key=lambda s: s.sender))[: self.cfg.n]
+        ordered = tuple(sorted(vcs.values(), key=SENDER))[: self.cfg.n]
         best = self._select_newview_value(ordered)
         if best is not None:
             value = best.value
@@ -523,7 +522,7 @@ class Replica:
                     up_to_frame=msg.up_to_frame,
                     values=values,
                     log_digest=msg.log_digest,
-                    attestations=tuple(sorted(slot.values(), key=lambda s: s.sender)),
+                    attestations=tuple(sorted(slot.values(), key=SENDER)),
                 )
                 # certificates before the stable checkpoint are now redundant
                 for frame in list(self.frame_certs):
@@ -583,7 +582,7 @@ class EquivocatingReplica(Replica):
 
     def propose(self) -> list[Outbound]:
         inst = self.inst
-        if not self.is_leader(inst.frame, inst.view):
+        if self.leader_of(inst.frame, inst.view) != self.module_id:
             return []
         side_a, side_b = split_others(self.module_id, self.cfg.n)
         out: list[Outbound] = []

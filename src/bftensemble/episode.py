@@ -114,7 +114,7 @@ class EpisodeRunner:
         self.vote_logs: dict[int, FrameVoteLog] = {}
         self.agreement_violations: list[int] = []
         self.liveness_failures: list[int] = []
-        self._finalized: dict[int, str] = {}
+        self._last_finalized = -1  # the last frame finalized before the running one
 
     # --- construction --------------------------------------------------------
 
@@ -186,28 +186,22 @@ class EpisodeRunner:
         # a snapshot requested while frame `frame` was still running can only
         # cover the frames decided before it; a vote-only module holds no
         # replicated state, so it recovers at the end of its restart frame
-        target = max((f for f in self._finalized if f < frame), default=-1)
         vote_only = self.s.consensus_mode != "pbft"
         for m in sorted(self.supervisor.restarting):
             engine = self.engines[m]
-            if vote_only or (engine is not None and engine.last_contiguous_frame >= target):
+            if vote_only or (engine is not None and engine.last_contiguous_frame >= self._last_finalized):
                 self.supervisor.recovered(m, frame)
-
-    def _honest_committed(self, frame: int) -> dict[int, str]:
-        committed = {}
-        for m in range(self.n):
-            if self.profiles[m].byzantine:
-                continue
-            engine = self.engines[m]
-            if engine is not None and frame in engine.committed:
-                committed[m] = engine.committed[frame]
-        return committed
 
     def _frame_flags(
         self, frame: int, verdict: str, value: Optional[str], split: bool
     ) -> tuple[str, ...]:
         flags = []
-        distinct = set(self._honest_committed(frame).values())
+        # the values honest replicas committed for the frame, and the final one
+        distinct = {
+            engine.committed[frame]
+            for m, engine in self.engines.items()
+            if engine is not None and not self.profiles[m].byzantine and frame in engine.committed
+        }
         if value is not None:
             distinct.add(value)
         if len(distinct) > 1:
@@ -271,7 +265,6 @@ class EpisodeRunner:
 
         if finalized is not None:
             verdict, value = "decided", finalized
-            self._finalized[frame] = finalized
         elif frame in s.observations.critical_frames:
             verdict, value = "safe-mode", s.decision_space.value(s.decision_space.safe_default)
         else:
@@ -291,6 +284,8 @@ class EpisodeRunner:
         )
         self._supervise(frame, finalized, outputs, equivocators)
         self._check_recoveries(frame)
+        if finalized is not None:
+            self._last_finalized = frame
         return record
 
     # --- PBFT mode -----------------------------------------------------------
@@ -366,22 +361,13 @@ class EpisodeRunner:
         decided_views = []
         for m, engine in self.engines.items():
             inst = engine.inst if engine is not None else None
-            if (
-                inst is None
-                or inst.frame != frame
-                or inst.decided_view < 0
-                or self.profiles[m].byzantine
-            ):
+            if inst is None or inst.frame != frame or inst.decided_view < 0 or self.profiles[m].byzantine:
                 continue
             view = inst.decided_view
             if not decided_views:
                 want = value_digest(inst.decided_value)
-                self.vote_logs[frame] = FrameVoteLog(
-                    frame,
-                    view,
-                    frozenset(s_.sender for s_ in inst.matching(Prepare, view, want)),
-                    frozenset(s_.sender for s_ in inst.matching(Commit, view, want)),
-                )
+                voters = [frozenset(v.sender for v in inst.matching(k, view, want)) for k in (Prepare, Commit)]
+                self.vote_logs[frame] = FrameVoteLog(frame, view, *voters)
             decided_views.append(view)
         view_changes = min(decided_views, default=0)
 

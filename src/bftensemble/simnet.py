@@ -46,6 +46,21 @@ def _fate_hash(seed: int):
     return hashlib.blake2b(canonical("net-fate", seed) + b"i", digest_size=DIGEST_SIZE)
 
 
+@lru_cache(maxsize=16)
+def drop_limit(drop_rate: float) -> int:
+    """The least ``d`` in [0, 2**64] with ``d / 2**64 >= drop_rate``, found by
+    bisection over that float expression, which never falls as ``d`` rises: a
+    draw ``d`` is dropped by ``d < drop_limit(rate)`` exactly as by the float rule."""
+    lo, hi = 0, 2**64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid / 2**64 >= drop_rate:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 @dataclass(frozen=True)
 class NetworkPolicy:
     base_delay_rounds: int = 1
@@ -69,13 +84,13 @@ class NetworkPolicy:
         if not drop_rate and not jitter:
             return [0] * count  # a quiet network: no draw can drop or delay
         base, pack, draws = _fate_hash(self.seed), _INDEX.pack, _DRAWS.unpack_from
-        modulus = jitter + 1
+        limit, modulus = drop_limit(drop_rate), jitter + 1
         fates = []
         for index in range(first_index, first_index + count):
             state = base.copy()
             state.update(pack(index))
             drop, delay = draws(state.digest())
-            fates.append(None if drop / 2**64 < drop_rate else delay % modulus)
+            fates.append(None if drop < limit else delay % modulus)
         return fates
 
     def partitioned(self, round_: int, frm: int, to: int) -> bool:

@@ -793,6 +793,16 @@ class TestRunningTallies:
                 outs = [rep.handle(signed, step) for rep in pair]
                 assert outs[0] == outs[1], (seed, step)
                 assert replica_state(pair[0]) == replica_state(pair[1]), (seed, step)
+                recorded = {
+                    (kind, view, s.msg.value_digest)
+                    for kind, by_view in pair[1].inst.votes.items()
+                    for view, by_signer in by_view.items()
+                    for s in by_signer.values()
+                }
+                assert recorded == pair[0].inst.tallies.keys(), (seed, step)
+                for kind, view, d in recorded:
+                    bucket = pair[0].inst.matching(kind, view, d)
+                    assert bucket == rescan(pair[1].inst, kind, view, d), (seed, step)
             tallied = pair[0]
             reached["prepared"] += tallied.inst.prepared_cert is not None
             reached["decided"] += tallied.inst.decided

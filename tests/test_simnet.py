@@ -14,7 +14,8 @@ from bftensemble.core import (
     digest,
 )
 from bftensemble.messages import KIND_NAMES, Commit, Output, Prepare, Reply, Signed, sign_message
-from bftensemble.simnet import NetworkPolicy, Partition, World
+from bftensemble.campaign import FUZZ_DROP_RATES
+from bftensemble.simnet import NetworkPolicy, Partition, World, drop_limit
 
 MODULES = (0, 1, 2, 3)
 
@@ -281,6 +282,18 @@ class TestFatePrefix:
             assert policy.fate(first, count) == [
                 self.reference_fate(policy, i) for i in range(first, first + count)
             ]
+
+    @pytest.mark.parametrize(
+        "drop_rate", sorted({*FUZZ_DROP_RATES, 5e-324, 2**-64, 0.5, 1 - 2**-53})
+    )
+    def test_drop_limit_is_the_float_rule(self, drop_rate):
+        """``d < drop_limit(rate)`` is the rule ``d / 2**64 < rate`` of
+        reference_fate, at the limit's edge and for random draws."""
+        limit = drop_limit(drop_rate)
+        rng = random.Random(drop_rate)
+        edge = range(max(limit - 2, 0), min(limit + 3, 2**64))
+        for d in [*edge, *(rng.getrandbits(64) for _ in range(5000))]:
+            assert (d < limit) == (d / 2**64 < drop_rate), (drop_rate, d)
 
     def test_policy_from_replace_uses_its_own_seed(self):
         policy = quiet_policy(jitter_rounds=2, drop_rate=0.1, seed=5)
