@@ -7,6 +7,7 @@ through the simulated network.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -27,6 +28,7 @@ from .messages import (
     StateRequest,
     StateSnapshot,
     ViewChange,
+    direct_constructor,
     interned,
     log_prefix_digest,
     sign_message,
@@ -41,6 +43,8 @@ PHASE_COMMITTED = "committed"
 
 Outbound = tuple[int, Signed]  # (destination, signed message)
 SENDER = attrgetter("sender")
+_new_prepare_cert = direct_constructor(PrepareCertificate)
+_new_frame_cert = direct_constructor(FrameCert)
 
 
 def validate_proposal(own: Optional[str], proposed: str) -> bool:
@@ -70,10 +74,11 @@ class FrameInstance:
     decided: bool = False
     decided_value: Optional[str] = None
     decided_view: int = -1
-    # Prepare or Commit -> view -> signer -> first signed vote of that class
-    votes: dict = field(default_factory=lambda: {Prepare: {}, Commit: {}})
+    # Prepare or Commit -> view -> signer -> first signed vote of that class;
+    # here and in `tallies` a lookup allocates only when it adds an entry
+    votes: dict = field(default_factory=lambda: {Prepare: defaultdict(dict), Commit: defaultdict(dict)})
     # (class, view, digest) -> the votes in `votes` with that digest, in arrival order
-    tallies: dict = field(default_factory=dict)
+    tallies: dict = field(default_factory=lambda: defaultdict(list))
     # new_view -> signer -> signed ViewChange
     view_changes: dict = field(default_factory=dict)
     # view -> digest -> first signed leader endorsement (equivocation detection)
@@ -183,7 +188,7 @@ class Replica:
                 return []  # another frame, or a stale view: views only move forward
             if kind is PrePrepare:
                 return self._on_preprepare(signed, round_)
-            by_signer = inst.votes[kind].setdefault(msg.view, {})
+            by_signer = inst.votes[kind][msg.view]
             prev = by_signer.get(signed.sender)
             if prev is signed:
                 return []  # a retransmission of a vote already recorded and checked
@@ -280,11 +285,11 @@ class Replica:
         kind = type(msg)
         inst = self.inst
         if by_signer is None:
-            by_signer = inst.votes[kind].setdefault(msg.view, {})
+            by_signer = inst.votes[kind][msg.view]
             prev = by_signer.get(signed.sender)
         if prev is None:
             by_signer[signed.sender] = signed
-            bucket = inst.tallies.setdefault((kind, msg.view, msg.value_digest), [])
+            bucket = inst.tallies[kind, msg.view, msg.value_digest]
             bucket.append(signed)
             return len(bucket)
         if prev.msg.value_digest != msg.value_digest:
@@ -300,7 +305,7 @@ class Replica:
         if len(inst.tallies.get((Prepare, inst.view, want), ())) < self.quorum:
             return []
         inst.phase = PHASE_PREPARED
-        cert = PrepareCertificate(
+        cert = _new_prepare_cert(
             frame=inst.frame,
             view=inst.view,
             value_digest=want,
@@ -319,7 +324,7 @@ class Replica:
         """Decide on a quorum of matching Commits, sorted by signer."""
         frame, value = self.inst.frame, votes[0].msg.value
         self._decide(value, votes[0].msg.view)
-        self.frame_certs[frame] = FrameCert(frame=frame, value=value, votes=votes)
+        self.frame_certs[frame] = _new_frame_cert(frame=frame, value=value, votes=votes)
         return [(OBSERVER, self._sign(interned(Reply, frame, value)))] + self._maybe_checkpoint()
 
     def _decide(self, value: str, view: int = -1) -> None:

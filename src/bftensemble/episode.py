@@ -330,9 +330,11 @@ class EpisodeRunner:
                     continue
                 for dest, payload in engine.handle(env.payload, now):
                     send(to, dest, payload)
+            # a decided replica's timers do nothing, and it stays decided
             for m, engine in live:
-                for dest, payload in engine.on_round(now):
-                    send(m, dest, payload)
+                if not engine.inst.decided:
+                    for dest, payload in engine.on_round(now):
+                        send(m, dest, payload)
             if finalized is None:
                 finalized = self._reply_quorum(replies)
                 finality_round = now

@@ -87,20 +87,35 @@ class Signed:
         return ok
 
 
-def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
-    """``Signed(msg, sender, tag)`` with ``sender``'s tag over ``msg``.
+def direct_constructor(cls: type) -> Callable[..., object]:
+    """A constructor for the frozen dataclass ``cls`` that takes every field
+    by keyword and fills the new object's ``__dict__`` directly.
 
     A frozen dataclass ``__init__`` sets each field through
-    ``object.__setattr__``, which costs more than the MAC, so this fills
-    the new object's ``__dict__`` directly.  The object is the same:
-    equality, hashing, repr and ``dataclasses.replace`` read the fields."""
-    signed = object.__new__(Signed)
-    fields = signed.__dict__
-    fields["msg"] = msg
-    fields["sender"] = sender
-    fields["tag"] = registry.sign(sender, msg.payload_digest())
+    ``object.__setattr__``, which costs more than a MAC.  The object is the
+    same: equality, hashing, repr and ``dataclasses.replace`` read the
+    fields.  A class with a ``__post_init__`` is refused, since this
+    constructor would skip its check."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} defines __post_init__; use its own constructor")
+    new = object.__new__
+
+    def construct(**fields):
+        obj = new(cls)
+        obj.__dict__.update(fields)
+        return obj
+
+    return construct
+
+
+_new_signed = direct_constructor(Signed)
+
+
+def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
+    """``Signed(msg, sender, tag)`` with ``sender``'s tag over ``msg``."""
+    signed = _new_signed(msg=msg, sender=sender, tag=registry.sign(sender, msg.payload_digest()))
     # the tag is this registry's MAC over this digest, so its check is True
-    fields["_verified"] = (registry, True)
+    signed.__dict__["_verified"] = (registry, True)
     return signed
 
 

@@ -11,7 +11,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import BROADCAST, DIGEST_SIZE, OBSERVER, PEERS, canonical, short_digest
 from .messages import KIND_NAMES, Signed
@@ -38,11 +38,11 @@ _INDEX = struct.Struct(">q")
 _DRAWS = struct.Struct(">QQ")  # a digest's drop draw and delay draw
 
 
-@lru_cache(maxsize=64, typed=True)
 def _fate_hash(seed: int):
     """The hash state of ``canonical("net-fate", seed)`` and the index's
     type byte: ``canonical`` concatenates per-field encodings, so feeding a
-    copy the index's 8 bytes digests ``canonical("net-fate", seed, i)``."""
+    copy the index's 8 bytes digests ``canonical("net-fate", seed, i)``.
+    A world builds it once, through ``NetworkPolicy.draw``."""
     return hashlib.blake2b(canonical("net-fate", seed) + b"i", digest_size=DIGEST_SIZE)
 
 
@@ -77,21 +77,31 @@ class NetworkPolicy:
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValueError("drop rate must be in [0, 1)")
 
-    def fate(self, first_index: int, count: int) -> list[Optional[int]]:
-        """Extra delays of the ``count`` envelopes numbered from
-        ``first_index``, each None if that envelope is dropped."""
+    def draw(self) -> Optional[Callable[[int], Optional[int]]]:
+        """The fate rule: a function of an envelope's index that returns its
+        extra delay, or None if it is dropped.  None on a quiet network
+        (no drops, no jitter), where every fate is 0 and nothing is drawn."""
         drop_rate, jitter = self.drop_rate, self.jitter_rounds
         if not drop_rate and not jitter:
-            return [0] * count  # a quiet network: no draw can drop or delay
+            return None
         base, pack, draws = _fate_hash(self.seed), _INDEX.pack, _DRAWS.unpack_from
         limit, modulus = drop_limit(drop_rate), jitter + 1
-        fates = []
-        for index in range(first_index, first_index + count):
+
+        def fate(index: int) -> Optional[int]:
             state = base.copy()
             state.update(pack(index))
             drop, delay = draws(state.digest())
-            fates.append(None if drop < limit else delay % modulus)
-        return fates
+            return None if drop < limit else delay % modulus
+
+        return fate
+
+    def fate(self, first_index: int, count: int) -> list[Optional[int]]:
+        """Extra delays of the ``count`` envelopes numbered from
+        ``first_index``, each None if that envelope is dropped."""
+        draw = self.draw()
+        if draw is None:
+            return [0] * count
+        return [draw(i) for i in range(first_index, first_index + count)]
 
     def partitioned(self, round_: int, frm: int, to: int) -> bool:
         return any(p.blocks(round_, frm, to) for p in self.partitions)
@@ -160,6 +170,7 @@ class World:
 
     def __init__(self, policy: NetworkPolicy, module_ids, slow_extra=None, isolated=frozenset()):
         self.policy = policy
+        self._fate = policy.draw()  # None on a quiet network
         self.module_ids = sorted(module_ids)
         self.slow_extra = dict(slow_extra or {})  # sender -> extra rounds
         self.round = 0
@@ -179,9 +190,10 @@ class World:
         """Queue one envelope; BROADCAST and PEERS expand to one per
         recipient, each with an independent delivery fate.  Drops are silent.
 
-        A PEERS send numbers its slots as a BROADCAST does; the observer's
-        slot takes its sequence number and nothing else, so every
-        module-to-module envelope keeps its fate either way."""
+        Every slot takes the next sequence number, and its fate is a pure
+        function of that number, so a slot that is not queued (to an
+        isolated module, across a partition, or the observer's slot of a
+        PEERS send) draws nothing and changes no other slot's fate."""
         isolated = self.isolated
         if frm in isolated:
             return
@@ -203,19 +215,22 @@ class World:
         # tuple.__new__ builds an Envelope without the Python-level __new__
         # a NamedTuple adds: one call less per queued envelope
         new = tuple.__new__
+        fate = self._fate
+        extra = 0  # every fate on a quiet network
         seq = self._seq
-        # one draw per slot; a slot skipped below leaves its draw unused
-        for recipient, fate in zip(recipients, policy.fate(seq + 1, len(recipients))):
+        for recipient in recipients:
             seq += 1
             if recipient in isolated:
                 continue
             if partitioned is not None and partitioned(now, frm, recipient):
                 continue
-            if fate is None:
-                if recipient != OBSERVER:
-                    continue
-                fate = 0
-            append(new(Envelope, (earliest + fate, now, frm, recipient, seq, payload, kind, log_tag)))
+            if fate is not None:
+                extra = fate(seq)
+                if extra is None:
+                    if recipient != OBSERVER:
+                        continue
+                    extra = 0
+            append(new(Envelope, (earliest + extra, now, frm, recipient, seq, payload, kind, log_tag)))
         self._seq = seq + skipped
 
     def advance_round(self) -> list[Envelope]:

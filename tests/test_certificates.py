@@ -7,6 +7,7 @@ that fits it, under a tag that verifies.  `PrepareCertificate`, `Checkpoint`,
 tables pin their verdicts and, for a NewView, the misbehaviour entry the
 receiving replica records.
 """
+import dataclasses
 import hashlib
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from bftensemble.messages import (
     Signed,
     StateSnapshot,
     ViewChange,
+    direct_constructor,
     log_prefix_digest,
     sign_message,
     value_digest,
@@ -294,3 +296,52 @@ def test_a_certificate_from_another_frame_is_blamed_on_its_sender():
     assert receiver.handle(newview, 6)
     assert receiver.inst.view == NEW_VIEW
     assert receiver.misbehavior == []
+
+
+# Each certificate class the replica builds with ``direct_constructor``, with
+# the fields of one such certificate and a replacement field for it.
+DIRECT = [
+    (
+        PrepareCertificate,
+        dict(frame=0, view=1, value_digest=D_NORTH, value=NORTH, votes=bundle("prepare-cert", "valid")),
+        dict(view=2),
+    ),
+    (FrameCert, dict(frame=0, value=NORTH, votes=bundle("frame-cert", "valid")), dict(value=SOUTH)),
+]
+
+
+@pytest.mark.parametrize("cls, fields, changes", DIRECT)
+def test_a_directly_constructed_certificate_is_the_constructed_one(cls, fields, changes):
+    """Filling the ``__dict__`` gives the object the dataclass ``__init__``
+    gives: the same equality, hash, repr, bytes and replacements, and it is
+    still frozen."""
+    direct, built = direct_constructor(cls)(**fields), cls(**fields)
+    assert type(direct) is cls
+    assert direct == built and hash(direct) == hash(built) and repr(direct) == repr(built)
+    assert direct.payload() == built.payload()
+    assert direct.payload_digest() == built.payload_digest()
+    assert replace(direct, **changes) == replace(built, **changes) != built
+    assert direct.valid(REGISTRY, QUORUM) and built.valid(REGISTRY, QUORUM)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        direct.frame = 5
+
+
+def test_direct_construction_refuses_a_class_that_checks_its_fields():
+    """A ``__post_init__`` check would be skipped, so such a class is refused
+    when its constructor is made, not silently at each object."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Checked:
+        frame: int
+
+        def __post_init__(self):
+            if self.frame < 0:
+                raise ValueError("negative frame")
+
+    @dataclasses.dataclass(frozen=True)
+    class Inherits(Checked):
+        value: str = ""
+
+    for cls in (Checked, Inherits):
+        with pytest.raises(TypeError, match="__post_init__"):
+            direct_constructor(cls)

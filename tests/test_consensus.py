@@ -332,6 +332,35 @@ class TestTimeout:
             assert rep.inst.decided and rep.inst.view_start_round == 0
             assert [rep.on_round(r) for r in (9, 10, 100)] == [[], [], []]
 
+    @pytest.mark.parametrize("how", ["commit-quorum", "snapshot", "start-frame"])
+    def test_a_replica_decided_any_way_stays_silent(self, how):
+        """The episode runner fires no timer of a decided replica.  That sends
+        the same bytes only if ``on_round`` sends nothing after each way a
+        replica decides: a Commit quorum, a snapshot, or the start of a frame
+        it already learned."""
+        replicas, registry = make_ensemble(timeout_rounds=10)
+        pump = Pump(replicas)
+        pump.blocked.add(1)  # replica 1 hears only the proposal of frame 0
+        start(replicas, pump, {m: NORTH for m in replicas})
+        pump.drain()
+        rep, snap = replicas[1], replicas[0].build_snapshot()
+        assert [type(s.msg) for _, s in rep.handle(replicas[0].inst.proposal, 1)] == [Prepare]
+        assert not rep.inst.decided and rep.inst.outbox
+        if how == "commit-quorum":
+            d = value_digest(NORTH)
+            for sender in (0, 2, 3):
+                rep.handle(sign_message(registry, sender, Commit(0, 0, d, NORTH)), 1)
+        elif how == "snapshot":
+            assert [type(s.msg) for _, s in rep.apply_snapshot(snap)] == [Reply]
+        else:
+            rep = Replica(1, rep.cfg, SPACE, registry, timeout_rounds=10)
+            assert rep.apply_snapshot(snap) == []  # no frame running yet
+            assert rep.start_frame(0, NORTH, 0) == []
+        assert rep.inst.decided and rep.inst.decided_value == NORTH
+        # a retransmission point, the timeout, and both at once
+        assert [rep.on_round(r) for r in (3, 10, 30)] == [[], [], []]
+        assert rep.inst.view == 0
+
     def test_newview_for_the_entered_view_keeps_its_clock(self):
         """A replica that timed out into view 1 at round 12 and then gets a
         NewView(1) it does not endorse still times out of view 1 at 22."""

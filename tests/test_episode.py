@@ -16,6 +16,7 @@ import pytest
 
 from bftensemble import episode, messages
 from bftensemble.campaign import randomize_episode
+from bftensemble.consensus import Replica
 from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
 from bftensemble.messages import Output, Reply, Signed, sign_message
@@ -417,3 +418,32 @@ def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
     assert len({len(log) for log in seen}) > 1
     assert all(log == final[: len(log)] for log in seen)
     assert [len(log) for log in seen] == sorted(len(log) for log in seen)
+
+
+# (SHA-256 over the decision logs, SHA-256 over the event logs) of the first
+# 8 episodes of the fuzz_base_n7 campaign at seed 2026, written by a runner
+# that fired the timers of every live replica, decided or not.
+N7_FIRST_8_LOGS = (
+    "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
+    "4268650d666f8175f174dd2446fcee85e621f8162518e3145540fa4da11b038e",
+)
+
+
+def test_timers_fire_only_on_undecided_replicas(monkeypatch):
+    """The PBFT loop skips the timers of a replica that has decided: they
+    would send nothing, so the logs are those of a loop that fired them."""
+    fired = []
+    on_round = Replica.on_round
+
+    def spy(engine, round_):
+        fired.append(engine.inst.decided)
+        return on_round(engine, round_)
+
+    monkeypatch.setattr(Replica, "on_round", spy)
+    decisions, events = hashlib.sha256(), hashlib.sha256()
+    for scenario in campaign_draws("fuzz_base_n7", 8):
+        result = run_episode(scenario)
+        decisions.update(result.decision_log_text.encode("utf-8"))
+        events.update(result.event_log_text.encode("utf-8"))
+    assert fired and not any(fired)
+    assert (decisions.hexdigest(), events.hexdigest()) == N7_FIRST_8_LOGS

@@ -1,5 +1,6 @@
 """Deterministic network: delays, drops, partitions, and delivery order."""
 import random
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -103,6 +104,46 @@ class TestDelivery:
         assert len(got) == 50  # nothing dropped
         # all deliveries landed between base and base+jitter
         assert all(1 <= env.deliver_round <= 3 for env in got)
+
+
+class TestSequenceNumbers:
+    @pytest.mark.parametrize("block", ["isolated", "partitioned"])
+    def test_an_unqueued_slot_keeps_every_other_fate(self, monkeypatch, block):
+        """A slot to an isolated module, or across a partition, takes its
+        sequence number and draws nothing, so every other slot of that send
+        and of the next keeps the fate it has on an open network."""
+        drawn = []
+        draw = NetworkPolicy.draw
+
+        def counting_draw(policy):
+            fate = draw(policy)
+
+            def counted(index):
+                drawn.append(index)
+                return fate(index)
+
+            return counted
+
+        monkeypatch.setattr(NetworkPolicy, "draw", counting_draw)
+        policy = quiet_policy(drop_rate=0.2, jitter_rounds=3, seed=12)
+        cut = Partition(start=0, end=0, side_a=frozenset({0}), side_b=frozenset({2}))
+        if block == "isolated":
+            blocked = World(policy, MODULES, isolated={2})
+        else:
+            blocked = World(replace(policy, partitions=(cut,)), MODULES)
+        worlds = [World(policy, MODULES), blocked]
+        logs = []
+        for world in worlds:
+            drawn.clear()
+            world.send(0, BROADCAST, "first")  # slots 1-4; slot 2 is to module 2
+            world.send(0, 3, "next")  # slot 5
+            logs.append(([e[:5] for e in drain(world, 6)], list(drawn)))
+        (open_envelopes, open_draws), (blocked_envelopes, blocked_draws) = logs
+        # on the open network, slot 2 reaches module 2
+        assert [e[4] for e in open_envelopes if e[3] == 2] == [2]
+        assert blocked_envelopes == [e for e in open_envelopes if e[3] != 2]
+        assert open_draws == [1, 2, 3, 4, 5] and blocked_draws == [1, 3, 4, 5]
+        assert blocked._seq == 5
 
 
 class TestPartitions:
@@ -283,6 +324,23 @@ class TestFatePrefix:
                 self.reference_fate(policy, i) for i in range(first, first + count)
             ]
 
+    @pytest.mark.parametrize("seed", [0, 2026, 2**40])
+    @pytest.mark.parametrize(
+        "drop_rate,jitter", [(0.0, 0), (0.0, 2), (0.01, 0), (0.01, 1), (0.3, 3)]
+    )
+    def test_the_draw_is_the_rule_per_index(self, seed, drop_rate, jitter):
+        """``draw()`` is None exactly on a quiet network, where every fate is
+        0; otherwise it gives each index its reference fate, and ``fate``
+        gives the same, index by index."""
+        policy = quiet_policy(jitter_rounds=jitter, drop_rate=drop_rate, seed=seed)
+        draw = policy.draw()
+        assert (draw is None) == (drop_rate == 0 and jitter == 0)
+        indices = [*range(300), 2**31 + 5, 2**62]
+        expected = [self.reference_fate(policy, i) for i in indices]
+        assert [0 if draw is None else draw(i) for i in indices] == expected
+        assert policy.fate(0, 300) == expected[:300]
+        assert [policy.fate(i, 1) for i in indices] == [[fate] for fate in expected]
+
     @pytest.mark.parametrize(
         "drop_rate", sorted({*FUZZ_DROP_RATES, 5e-324, 2**-64, 0.5, 1 - 2**-53})
     )
@@ -328,7 +386,8 @@ class TestFatePrefix:
 class ListScanWorld:
     """A plain reimplementation of the network: one list of envelopes,
     scanned in full every round, with fates drawn from the full encoding.
-    World must return the same envelopes and write the same event log."""
+    World must return the same envelopes and write the same event log.
+    ``skipped`` counts the slots left unqueued, by cause."""
 
     def __init__(self, policy, module_ids, slow_extra):
         self.policy = policy
@@ -339,6 +398,7 @@ class ListScanWorld:
         self.seq = 0
         self.muted = set()
         self.event_log = []
+        self.skipped = {"muted": 0, "partitioned": 0, "dropped": 0}
 
     def send(self, frm, to, payload):
         if frm in self.muted:
@@ -352,11 +412,14 @@ class ListScanWorld:
             if to == PEERS and recipient == OBSERVER:
                 continue
             if recipient in self.muted:
+                self.skipped["muted"] += 1
                 continue
             if any(p.blocks(self.round, frm, recipient) for p in self.policy.partitions):
+                self.skipped["partitioned"] += 1
                 continue
             fate = TestFatePrefix.reference_fate(self.policy, self.seq)
             if fate is None and recipient != OBSERVER:
+                self.skipped["dropped"] += 1
                 continue
             delay = self.policy.base_delay_rounds + (fate or 0)
             delay += self.slow_extra.get(frm, 0)
@@ -386,9 +449,19 @@ def hex_of(payload):
     return digest(raw).hex()[:12]
 
 
+# (drop rates, jitters) of each class of network; a quiet one draws nothing
+NETWORKS = {
+    "quiet": ([0.0], [0]),
+    "drop-only": ([0.1, 0.4], [0]),
+    "jitter-only": ([0.0], [1, 2, 3]),
+    "drop+jitter": ([0.1, 0.4], [1, 2, 3]),
+}
+
+
 class TestAgainstListScan:
-    """Random sends, broadcasts, mutes, partitions, slow senders and jitter:
-    World's deliveries and event log equal those of ListScanWorld."""
+    """Random sends, broadcasts, slow senders and base delays over each
+    class of network, with and without partitions and mutes: World's
+    deliveries and event log equal those of ListScanWorld."""
 
     @staticmethod
     def payloads(registry):
@@ -404,8 +477,37 @@ class TestAgainstListScan:
             sign_message(registry, 3, Output(3, 1, go)),
         ]
 
+    def replay(self, policy, modules, slow, rng, toggle_mutes):
+        """80 rounds of random sends through World and ListScanWorld, which
+        must deliver the same envelopes, keep the same queue and write the
+        same log.  ``toggle_mutes(round, muted)`` mutes and unmutes modules
+        before each round's sends.  Returns the model."""
+        model = ListScanWorld(policy, modules, slow)
+        world = World(policy, modules, slow, model.muted)
+        payloads = self.payloads(KeyRegistry(policy.seed, range(8)))
+        delivered = 0
+        for now in range(80):
+            toggle_mutes(now, model.muted)
+            for _ in range(rng.randrange(1, 6)):
+                frm = rng.choice(modules)
+                to = rng.choice([BROADCAST, PEERS, OBSERVER, *modules])
+                payload = rng.choice(payloads)
+                world.send(frm, to, payload)
+                model.send(frm, to, payload)
+            got = [
+                (e.deliver_round, e.send_round, e.frm, e.to, e.seq, e.payload)
+                for e in world.advance_round()
+            ]
+            assert got == model.advance_round()
+            assert [e[:6] for e in world._queue] == model.queue
+            delivered += len(got)
+        assert world.event_log == model.event_log
+        assert delivered > 0
+        return model
+
     @pytest.mark.parametrize("seed", range(24))
     def test_same_deliveries_and_log(self, seed):
+        """Settings drawn at random, mutes toggled at random."""
         rng = random.Random(seed)
         modules = tuple(range(rng.choice([4, 5, 7])))
         partitions = tuple(
@@ -425,27 +527,53 @@ class TestAgainstListScan:
             seed=seed,
         )
         slow = {m: rng.randrange(1, 4) for m in rng.sample(modules, rng.randrange(3))}
-        model = ListScanWorld(policy, modules, slow)
-        world = World(policy, modules, slow, model.muted)
-        payloads = self.payloads(KeyRegistry(seed, range(8)))
-        delivered = 0
-        for _ in range(80):
-            for _ in range(rng.randrange(6)):
-                frm = rng.choice(modules)
-                to = rng.choice([BROADCAST, PEERS, OBSERVER, *modules])
-                payload = rng.choice(payloads)
-                world.send(frm, to, payload)
-                model.send(frm, to, payload)
+
+        def toggle_mutes(now, muted):
             if rng.random() < 0.1:
-                model.muted.add(rng.choice(modules))
-            if rng.random() < 0.1 and model.muted:
-                model.muted.discard(rng.choice(sorted(model.muted)))
-            got = [
-                (e.deliver_round, e.send_round, e.frm, e.to, e.seq, e.payload)
-                for e in world.advance_round()
-            ]
-            assert got == model.advance_round()
-            assert [e[:6] for e in world._queue] == model.queue
-            delivered += len(got)
-        assert world.event_log == model.event_log
-        assert delivered > 0
+                muted.add(rng.choice(modules))
+            if rng.random() < 0.1 and muted:
+                muted.discard(rng.choice(sorted(muted)))
+
+        self.replay(policy, modules, slow, rng, toggle_mutes)
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    @pytest.mark.parametrize("partitions", [False, True], ids=["open", "partitioned"])
+    @pytest.mark.parametrize("mutes", [False, True], ids=["all-on", "muted"])
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    def test_each_class_of_network(self, network, mutes, partitions, n):
+        """Every class of network, with and without partitions and mutes, by
+        construction: each case drops, blocks and mutes exactly as named."""
+        seed = zlib.crc32(f"{network}|{mutes}|{partitions}|{n}".encode())
+        rng = random.Random(seed)
+        modules = tuple(range(n))
+        drop_rates, jitters = NETWORKS[network]
+        # the first partition is open from round 0, so it blocks some sends
+        cuts = [0, *(rng.randrange(30) for _ in range(rng.randrange(2)))] if partitions else []
+        policy = quiet_policy(
+            base_delay_rounds=rng.randrange(3),
+            jitter_rounds=rng.choice(jitters),
+            drop_rate=rng.choice(drop_rates),
+            partitions=tuple(
+                Partition(
+                    start=start,
+                    end=start + rng.randrange(5, 15),
+                    side_a=frozenset(side := rng.sample(modules, 2)),
+                    side_b=frozenset(m for m in modules if m not in side),
+                )
+                for start in cuts
+            ),
+            seed=seed,
+        )
+        assert (policy.draw() is None) == (network == "quiet")
+        slow = {m: rng.randrange(1, 4) for m in rng.sample(modules, rng.randrange(3))}
+
+        def toggle_mutes(now, muted):
+            if mutes and now % 20 == 0:
+                muted.add(rng.choice(modules))
+            if mutes and now % 20 == 10:
+                muted.discard(rng.choice(sorted(muted)))
+
+        model = self.replay(policy, modules, slow, rng, toggle_mutes)
+        assert (model.skipped["muted"] > 0) == mutes
+        assert (model.skipped["partitioned"] > 0) == partitions
+        assert (model.skipped["dropped"] > 0) == ("drop" in network)
