@@ -74,6 +74,8 @@ class FrameInstance:
     decided: bool = False
     decided_value: Optional[str] = None
     decided_view: int = -1
+    # view -> leader_of(frame, view), filled by `handle` as votes arrive
+    leaders: dict = field(default_factory=dict)
     # Prepare or Commit -> view -> signer -> first signed vote of that class;
     # here and in `tallies` a lookup allocates only when it adds an entry
     votes: dict = field(default_factory=lambda: {Prepare: defaultdict(dict), Commit: defaultdict(dict)})
@@ -134,12 +136,9 @@ class Replica:
     def leader_of(self, frame: int, view: int) -> int:
         return (frame + view) % self.cfg.n
 
-    def _sign(self, msg) -> Signed:
-        return sign_message(self.registry, self.module_id, msg)
-
     def _to_peers(self, msg) -> Signed:
         """Sign ``msg`` and keep it for re-broadcast while the view lasts."""
-        signed = self._sign(msg)
+        signed = sign_message(self.registry, self.module_id, msg)
         self.inst.outbox.append((PEERS, signed))
         return signed
 
@@ -177,40 +176,53 @@ class Replica:
     # --- message handling ----------------------------------------------------
 
     def handle(self, signed: Signed, round_: int) -> list[Outbound]:
-        if not signed.verify(self.registry):
+        registry = self.registry
+        # a Signed that passed under this registry, or that sign_message
+        # made with it, carries the registry as its stamp
+        if signed.__dict__.get("_verified") is not registry and not signed.verify(registry):
             self.misbehavior.append((getattr(signed.msg, "frame", -1), signed.sender, "bad-tag"))
             return []
         msg = signed.msg
         kind = type(msg)
         if kind is Prepare or kind is Commit or kind is PrePrepare:
             inst = self.inst
-            if inst is None or msg.frame != inst.frame or msg.view < inst.view:
+            view = msg.view
+            if inst is None or msg.frame != inst.frame or view < inst.view:
                 return []  # another frame, or a stale view: views only move forward
             if kind is PrePrepare:
                 return self._on_preprepare(signed, round_)
-            by_signer = inst.votes[kind][msg.view]
-            prev = by_signer.get(signed.sender)
+            sender = signed.sender
+            by_signer = inst.votes[kind][view]
+            prev = by_signer.get(sender)
             if prev is signed:
                 return []  # a retransmission of a vote already recorded and checked
             if kind is Commit and msg.value_digest != value_digest(msg.value):
                 # the value is decided from the Commits, so each must carry
                 # the value its digest names
-                self.misbehavior.append((inst.frame, signed.sender, "digest-mismatch"))
+                self.misbehavior.append((inst.frame, sender, "digest-mismatch"))
                 return []
             out = []
-            if signed.sender == self.leader_of(inst.frame, msg.view):
+            leader = inst.leaders.get(view)
+            if leader is None:
+                leader = inst.leaders[view] = self.leader_of(inst.frame, view)
+            if sender == leader:
                 out = self._note_leader_endorsement(signed, round_)
-            count = self._record_vote(signed, by_signer, prev)
+            if prev is not None:
+                self._record_vote(signed)  # records nothing; notes a conflicting vote
+                return out
+            # a first vote, recorded as _record_vote records it
+            by_signer[sender] = signed
+            bucket = inst.tallies[kind, view, msg.value_digest]
+            bucket.append(signed)
+            count = len(bucket)
             # buckets grow one vote at a time and every new size is checked,
             # so a vote not newly recorded passes no check, and an undecided
             # frame's Commit bucket cannot pass the quorum without reaching it
-            if count is None:
-                return out
             if kind is Prepare:
                 if count >= self.quorum and inst.phase == PHASE_PRE_PREPARED:
                     return out + self._check_prepared()
             elif count == self.quorum and not inst.decided:
-                return out + self._commit(inst.matching(Commit, msg.view, msg.value_digest))
+                return out + self._commit(inst.matching(Commit, view, msg.value_digest))
             return out
         if kind is CheckpointAttest:
             self._record_attest(signed)
@@ -218,7 +230,7 @@ class Replica:
         if kind is StateRequest:
             snap = self.build_snapshot()
             if snap is not None and snap.up_to_frame() >= msg.up_to_frame:
-                return [(signed.sender, self._sign(snap))]
+                return [(signed.sender, sign_message(self.registry, self.module_id, snap))]
             return []
         if kind is StateSnapshot:
             return self.apply_snapshot(msg)
@@ -276,17 +288,16 @@ class Replica:
             return out  # withhold the Prepare; dissent surfaces as timeout
         return out + self._accept_proposal(signed)
 
-    def _record_vote(self, signed: Signed, by_signer: Optional[dict] = None, prev=None) -> Optional[int]:
+    def _record_vote(self, signed: Signed) -> Optional[int]:
         """Keep each signer's first Prepare or Commit per view, add it to its
         (class, view, digest) bucket and return the bucket's new size; None if
         not newly recorded.  A later vote of the same class with another digest
-        is misbehaviour.  ``handle`` passes the signer table and vote it found."""
+        is misbehaviour.  ``handle`` records a delivered first vote itself."""
         msg = signed.msg
         kind = type(msg)
         inst = self.inst
-        if by_signer is None:
-            by_signer = inst.votes[kind][msg.view]
-            prev = by_signer.get(signed.sender)
+        by_signer = inst.votes[kind][msg.view]
+        prev = by_signer.get(signed.sender)
         if prev is None:
             by_signer[signed.sender] = signed
             bucket = inst.tallies[kind, msg.view, msg.value_digest]
@@ -325,7 +336,8 @@ class Replica:
         frame, value = self.inst.frame, votes[0].msg.value
         self._decide(value, votes[0].msg.view)
         self.frame_certs[frame] = _new_frame_cert(frame=frame, value=value, votes=votes)
-        return [(OBSERVER, self._sign(interned(Reply, frame, value)))] + self._maybe_checkpoint()
+        reply = sign_message(self.registry, self.module_id, interned(Reply, frame, value))
+        return [(OBSERVER, reply)] + self._maybe_checkpoint()
 
     def _decide(self, value: str, view: int = -1) -> None:
         """Decide the current frame: on a Commit quorum of ``view``, or, with
@@ -422,7 +434,9 @@ class Replica:
             return []  # nothing proposable; let the next timeout rotate further
         inst.newviews.add(new_view)
         self._enter_view(new_view, round_)
-        pp = self._sign(interned(PrePrepare, inst.frame, new_view, value_digest(value), value))
+        pp = sign_message(
+            self.registry, self.module_id, interned(PrePrepare, inst.frame, new_view, value_digest(value), value)
+        )
         nv = self._to_peers(NewView(inst.frame, new_view, ordered, pp))
         return [(PEERS, nv)] + self._accept_proposal(pp)
 
@@ -485,7 +499,8 @@ class Replica:
         if elapsed >= self.timeout_rounds:
             out += self._initiate_viewchange(inst.view + 1, round_)
             # also ask peers whether the frame already committed without us
-            out.append((PEERS, self._sign(interned(StateRequest, inst.frame))))
+            request = sign_message(self.registry, self.module_id, interned(StateRequest, inst.frame))
+            out.append((PEERS, request))
         return out
 
     # --- checkpoints & state transfer ---------------------------------------
@@ -501,7 +516,8 @@ class Replica:
         """Broadcast an attestation over the committed log prefix."""
         if self.last_contiguous_frame < up_to_frame:
             raise ValueError(f"cannot checkpoint frame {up_to_frame}: log incomplete")
-        signed = self._sign(interned(CheckpointAttest, up_to_frame, self._committed_prefix(up_to_frame)[1]))
+        attest = interned(CheckpointAttest, up_to_frame, self._committed_prefix(up_to_frame)[1])
+        signed = sign_message(self.registry, self.module_id, attest)
         self._attested_up_to = max(self._attested_up_to, up_to_frame)
         self._record_attest(signed)
         return [(PEERS, signed)]
@@ -562,7 +578,8 @@ class Replica:
         if inst is None or inst.decided or inst.frame not in self.committed:
             return []
         self._decide(self.committed[inst.frame])
-        return [(OBSERVER, self._sign(interned(Reply, inst.frame, inst.decided_value)))]
+        reply = sign_message(self.registry, self.module_id, interned(Reply, inst.frame, inst.decided_value))
+        return [(OBSERVER, reply)]
 
     def _adopt(self, frame: int, value: str, cert: Optional[FrameCert] = None) -> None:
         prev = self.committed.get(frame)
@@ -591,15 +608,16 @@ class EquivocatingReplica(Replica):
             return []
         side_a, side_b = split_others(self.module_id, self.cfg.n)
         out: list[Outbound] = []
+        registry, me = self.registry, self.module_id
         for value, side in ((self.label_a, side_a), (self.label_b, side_b)):
             d = value_digest(value)
-            pp = self._sign(interned(PrePrepare, inst.frame, inst.view, d, value))
-            prep = self._sign(interned(Prepare, inst.frame, inst.view, d, value))
+            pp = sign_message(registry, me, interned(PrePrepare, inst.frame, inst.view, d, value))
+            prep = sign_message(registry, me, interned(Prepare, inst.frame, inst.view, d, value))
             for dest in side:
                 out.append((dest, pp))
                 out.append((dest, prep))
             if self.sloppy:
-                commit = self._sign(interned(Commit, inst.frame, inst.view, d, value))
+                commit = sign_message(registry, me, interned(Commit, inst.frame, inst.view, d, value))
                 out.append((PEERS, commit))
         inst.phase = PHASE_PRE_PREPARED
         return out
@@ -613,10 +631,12 @@ class EquivocatingReplica(Replica):
         if inst is None:
             return []
         if isinstance(msg, PrePrepare) and msg.frame == inst.frame and inst.proposal is None:
-            prep = self._sign(interned(Prepare, msg.frame, msg.view, msg.value_digest, msg.value))
+            prep = interned(Prepare, msg.frame, msg.view, msg.value_digest, msg.value)
+            prep = sign_message(self.registry, self.module_id, prep)
             inst.proposal = signed
             return [(PEERS, prep)]
         return []
 
     def on_round(self, round_: int) -> list[Outbound]:
+        # its timers never send, so the episode runner does not fire them
         return []

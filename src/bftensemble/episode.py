@@ -218,18 +218,21 @@ class EpisodeRunner:
             self.agreement_violations.append(frame)
         return tuple(flags)
 
-    def _observe_reply(self, replies: dict[int, str], env, frame: int) -> None:
+    def _observe_reply(self, replies: dict[int, str], env, frame: int) -> bool:
         """Keep the first verified Reply for ``frame`` from each sender that
-        reaches the observer."""
+        reaches the observer; True if ``env`` was one."""
         payload = env.payload
         if (
             env.to == OBSERVER
             and isinstance(payload, Signed)
             and isinstance(payload.msg, Reply)
             and payload.msg.frame == frame
+            and payload.sender not in replies
             and payload.verify(self.registry)
         ):
-            replies.setdefault(payload.sender, payload.msg.value)
+            replies[payload.sender] = payload.msg.value
+            return True
+        return False
 
     def _reply_quorum(self, replies: dict[int, str]) -> Optional[str]:
         """The value at least f+1 senders replied with (the lowest label if
@@ -302,6 +305,8 @@ class EpisodeRunner:
         for m in self.supervisor.restarting:
             receivers[m] = self.engines[m]
         receiver = receivers.get
+        # an equivocator's timers never send
+        timed = [(m, engine) for m, engine in live if not isinstance(engine, EquivocatingReplica)]
         for m, engine in live:
             out = outputs[m]
             own = out[0] if isinstance(out, tuple) else out
@@ -321,21 +326,24 @@ class EpisodeRunner:
                 break
             due = world.advance_round()
             now = world.round
+            replied = False
             for env in due:
                 to = env.to
                 # a restarting silent module's engine is None, and raises here
                 engine = receiver(to, _NOT_RECEIVING)
                 if engine is _NOT_RECEIVING:
-                    self._observe_reply(replies, env, frame)
+                    if self._observe_reply(replies, env, frame):
+                        replied = True
                     continue
                 for dest, payload in engine.handle(env.payload, now):
                     send(to, dest, payload)
-            # a decided replica's timers do nothing, and it stays decided
-            for m, engine in live:
+            # a decided replica's timers send nothing, and it stays decided
+            for m, engine in timed:
                 if not engine.inst.decided:
                     for dest, payload in engine.on_round(now):
                         send(m, dest, payload)
-            if finalized is None:
+            # the count changes only when a new sender's Reply arrives
+            if finalized is None and replied:
                 finalized = self._reply_quorum(replies)
                 finality_round = now
 

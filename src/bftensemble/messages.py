@@ -73,17 +73,18 @@ class Signed:
     tag: bytes
 
     def verify(self, registry: KeyRegistry) -> bool:
-        """Check the tag against ``registry``.  The result is kept on this
-        object for the registry it was checked against: the message, the tag
-        and the registry are immutable, so it cannot change, and a tampered
-        message or forged tag is a new object with its own check.
-        :func:`sign_message` seeds the result for the registry that made
-        the tag, so only a ``Signed`` built another way is checked by MAC."""
-        memo = self.__dict__.get("_verified")
-        if memo is not None and memo[0] is registry:
-            return memo[1]
+        """Check the tag against ``registry``.  A passing check stamps this
+        object with the registry it passed under (``_verified``): the
+        message, the tag and the registry are immutable, so the result
+        cannot change, and a tampered message or forged tag is a new object
+        with its own check.  :func:`sign_message` stamps the registry that
+        made the tag, so only a ``Signed`` built another way is checked by
+        MAC; a failing tag is checked again each time."""
+        if self.__dict__.get("_verified") is registry:
+            return True
         ok = registry.verify(self.tag, self.sender, self.msg.payload_digest())
-        self.__dict__["_verified"] = (registry, ok)
+        if ok:
+            self.__dict__["_verified"] = registry
         return ok
 
 
@@ -108,14 +109,14 @@ def direct_constructor(cls: type) -> Callable[..., object]:
     return construct
 
 
-_new_signed = direct_constructor(Signed)
-
-
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
-    """``Signed(msg, sender, tag)`` with ``sender``'s tag over ``msg``."""
-    signed = _new_signed(msg=msg, sender=sender, tag=registry.sign(sender, msg.payload_digest()))
-    # the tag is this registry's MAC over this digest, so its check is True
-    signed.__dict__["_verified"] = (registry, True)
+    """``Signed(msg, sender, tag)`` with ``sender``'s tag over ``msg``, built
+    as :func:`direct_constructor` builds an object.  The tag is this
+    registry's MAC over the message's digest, so the ``Signed`` is stamped
+    as passed under it (see :meth:`Signed.verify`)."""
+    enc = msg.__dict__.get("_encoding") or msg._encoding()
+    signed = object.__new__(Signed)
+    signed.__dict__.update(msg=msg, sender=sender, tag=registry.sign(sender, enc[1]), _verified=registry)
     return signed
 
 

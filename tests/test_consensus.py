@@ -6,6 +6,7 @@ for the equivocation property, enumerated) exactly.
 """
 import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -35,6 +36,7 @@ from bftensemble.messages import (
     Signed,
     StateRequest,
     ViewChange,
+    interned,
     sign_message,
     value_digest,
 )
@@ -193,14 +195,32 @@ class TestProposalValidation:
         assert rep.handle(stale, 0) == []
         assert 1 not in rep.inst.votes[Prepare] or 2 not in rep.inst.votes[Prepare][1]
 
-    def test_bad_tag_is_recorded_and_ignored(self):
-        replicas, _ = make_ensemble()
-        other_registry = KeyRegistry(999, range(4))
+    @pytest.mark.parametrize(
+        "make, accepted",
+        [
+            (lambda reg, msg: Signed(msg, 3, reg.sign(3, msg.payload_digest())), True),
+            (lambda reg, msg: Signed(msg, 3, reg.sign(2, msg.payload_digest())), False),
+            (lambda reg, msg: replace(sign_message(reg, 3, msg), msg=replace(msg, value=SOUTH)), False),
+            (lambda reg, msg: sign_message(KeyRegistry(999, range(4)), 3, msg), False),
+        ],
+        ids=["built-directly", "forged-tag", "tampered-copy", "other-master-seed"],
+    )
+    def test_bad_tag_is_recorded_and_ignored(self, make, accepted, monkeypatch):
+        """Only a Signed that sign_message made with the replica's own
+        registry skips the MAC: any other is checked once, and a tag that
+        fails is recorded as misbehaviour and its vote is not."""
+        replicas, registry = make_ensemble()
         pump = Pump(replicas)
         start(replicas, pump, {m: NORTH for m in replicas})
-        forged = sign_message(other_registry, 3, Prepare(0, 0, value_digest(NORTH), NORTH))
-        assert replicas[1].handle(forged, 0) == []
-        assert any(kind == "bad-tag" for _, _, kind in replicas[1].misbehavior)
+        signed = make(registry, Prepare(0, 0, value_digest(NORTH), NORTH))
+        checks = []
+        real = KeyRegistry.verify
+        monkeypatch.setattr(KeyRegistry, "verify", lambda self, *a: checks.append(a) or real(self, *a))
+        rep = replicas[1]
+        assert rep.handle(signed, 0) == []
+        assert len(checks) == 1
+        assert (rep.inst.votes[Prepare][0].get(3) is signed) == accepted
+        assert ((0, 3, "bad-tag") in rep.misbehavior) != accepted
 
 
 class TestViewChange:
@@ -838,3 +858,56 @@ class TestRunningTallies:
             reached["no-decision"] += not tallied.inst.decided
             reached["conflict"] += any("conflicting" in what for _, _, what in tallied.misbehavior)
         assert all(reached.values()), reached
+
+
+def python_calls(fn, *args) -> list[str]:
+    """The names of the Python-level functions ``fn(*args)`` enters, itself
+    first; builtins and C-level methods are not counted."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+class TestCallBudget:
+    """The per-message path runs in one Python frame per delivered vote and
+    two per signature.  Every Prepare and Commit of a frame goes through
+    these paths, so a helper call added to them costs on every delivery."""
+
+    def replica_with_votes(self):
+        """Replica 1 of seven in view 0, holding the leader's proposal, its
+        own Prepare and replica 2's: two of the five a quorum needs.  The
+        first vote of a view has also filled the view's leader."""
+        replicas, registry = make_ensemble(n=7, f=2)
+        rep = replicas[1]
+        rep.start_frame(0, NORTH, 0)
+        proposal = PrePrepare(0, 0, value_digest(NORTH), NORTH)
+        rep.handle(sign_message(registry, 0, proposal), 0)
+        rep.handle(sign_message(registry, 2, Prepare(0, 0, value_digest(NORTH), NORTH)), 0)
+        return rep, registry
+
+    def test_a_fresh_vote_below_the_quorum(self):
+        rep, registry = self.replica_with_votes()
+        vote = sign_message(registry, 3, Prepare(0, 0, value_digest(NORTH), NORTH))
+        assert python_calls(rep.handle, vote, 0) == ["handle"]
+        assert len(rep.inst.matching(Prepare, 0, value_digest(NORTH))) == 3
+
+    def test_a_retransmission_of_a_recorded_vote(self):
+        rep, registry = self.replica_with_votes()
+        vote = sign_message(registry, 3, Prepare(0, 0, value_digest(NORTH), NORTH))
+        rep.handle(vote, 0)
+        assert python_calls(rep.handle, vote, 0) == ["handle"]
+        assert len(rep.inst.matching(Prepare, 0, value_digest(NORTH))) == 3
+
+    def test_signing_an_interned_message(self):
+        registry = KeyRegistry(17, range(4))
+        msg = interned(Commit, 0, 0, value_digest(NORTH), NORTH)
+        assert python_calls(sign_message, registry, 1, msg) == ["sign_message", "sign"]

@@ -16,7 +16,7 @@ import pytest
 
 from bftensemble import episode, messages
 from bftensemble.campaign import randomize_episode
-from bftensemble.consensus import Replica
+from bftensemble.consensus import EquivocatingReplica, Replica
 from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
 from bftensemble.messages import Output, Reply, Signed, sign_message
@@ -446,4 +446,21 @@ def test_timers_fire_only_on_undecided_replicas(monkeypatch):
         decisions.update(result.decision_log_text.encode("utf-8"))
         events.update(result.event_log_text.encode("utf-8"))
     assert fired and not any(fired)
+    assert (decisions.hexdigest(), events.hexdigest()) == N7_FIRST_8_LOGS
+
+
+def test_timers_never_fire_on_an_equivocator(monkeypatch):
+    """The PBFT loop skips an equivocator's timers, which never send: the
+    first 8 draws include two equivocators, and the logs are those of a loop
+    that fired them."""
+    fired = []
+    monkeypatch.setattr(EquivocatingReplica, "on_round", lambda engine, round_: fired.append(round_) or [])
+    decisions, events = hashlib.sha256(), hashlib.sha256()
+    drawn = 0
+    for scenario in campaign_draws("fuzz_base_n7", 8):
+        drawn += any(p.kind == "byzantine_equivocate" for p in scenario.modules)
+        result = run_episode(scenario)
+        decisions.update(result.decision_log_text.encode("utf-8"))
+        events.update(result.event_log_text.encode("utf-8"))
+    assert drawn == 2 and fired == []
     assert (decisions.hexdigest(), events.hexdigest()) == N7_FIRST_8_LOGS
