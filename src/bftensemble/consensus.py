@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
 
-from .core import OBSERVER, PEERS, DecisionSpace, KeyRegistry, QuorumConfig, min_replicas
+from .core import OBSERVER, PEERS, DecisionSpace, KeyRegistry, QuorumConfig, direct_constructor, min_replicas
 from .messages import (
     Checkpoint,
     CheckpointAttest,
@@ -28,7 +28,6 @@ from .messages import (
     StateRequest,
     StateSnapshot,
     ViewChange,
-    direct_constructor,
     interned,
     log_prefix_digest,
     sign_message,

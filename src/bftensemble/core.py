@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 # Reserved destination ids used by the simulated network.  The observer is
 # the client: it takes part in no protocol phase, so replicas send their
@@ -227,3 +228,25 @@ class Encoded:
     def short_hex(self) -> str:
         """:func:`short_digest` of the payload, as used in log lines."""
         return (self.__dict__.get("_encoding") or self._encoding())[2]
+
+
+def direct_constructor(cls: type) -> Callable[..., object]:
+    """A constructor for the frozen dataclass ``cls`` that takes every field
+    by keyword and fills the new object's ``__dict__`` directly.  It fills
+    no defaults, so each call passes every field.
+
+    A frozen dataclass ``__init__`` sets each field through
+    ``object.__setattr__``, which costs more than a MAC.  The object is the
+    same: equality, hashing, repr and ``dataclasses.replace`` read the
+    fields.  A class with a ``__post_init__`` is refused, since this
+    constructor would skip its check."""
+    if hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__name__} defines __post_init__; use its own constructor")
+    new = object.__new__
+
+    def construct(**fields):
+        obj = new(cls)
+        obj.__dict__.update(fields)
+        return obj
+
+    return construct

@@ -6,6 +6,7 @@ final only after f+1 matching Reply messages from distinct replicas.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -412,12 +413,13 @@ class EpisodeRunner:
             msg = interned(Output, m, frame, label)
         return sign_message(self.registry, m, msg)
 
-    def _deliver_window(self, frame: int, collect_outputs: dict, collect_digests: dict) -> None:
+    def _deliver_window(self, frame: int, collect_outputs: defaultdict, collect_digests: defaultdict) -> None:
         """Deliver one round of votes: each receiver keeps the first verified
         Output value and OutputDigest of each signer for ``frame``."""
         s = self.s
         window = s.network.base_delay_rounds + s.network.jitter_rounds
         window += max(self.world.slow_extra.values(), default=0)
+        registry = self.registry
         for due in self.world.delivery_rounds(window + 1):
             for env in due:
                 signed = env.payload
@@ -429,14 +431,15 @@ class EpisodeRunner:
                     box, vote = collect_digests, msg.value_digest
                 else:
                     continue  # a Reply that arrived after its frame's window
-                if msg.frame == frame and signed.verify(self.registry):
-                    box.setdefault(env.to, {}).setdefault(signed.sender, vote)
+                # a vote sign_message made with this registry carries it as its stamp
+                if msg.frame == frame and (signed.__dict__.get("_verified") is registry or signed.verify(registry)):
+                    box[env.to].setdefault(signed.sender, vote)
 
     def _vote_rounds(self, frame: int, outputs, replies: dict[int, str]):
         s = self.s
         fastpath = s.strategy.kind == "fastpath"
-        inboxes: dict[int, dict[int, str]] = {}
-        digest_boxes: dict[int, dict[int, bytes]] = {}
+        inboxes: defaultdict[int, dict[int, str]] = defaultdict(dict)
+        digest_boxes: defaultdict[int, dict[int, bytes]] = defaultdict(dict)
 
         rounds_used = 1
         self._broadcast_outputs(frame, outputs, digests_only=fastpath)
@@ -446,7 +449,7 @@ class EpisodeRunner:
             # each participant decides locally whether the fast path closed
             for m in range(self.n):
                 if isinstance(outputs[m], str):
-                    digest_boxes.setdefault(m, {})[m] = value_digest(outputs[m])
+                    digest_boxes[m][m] = value_digest(outputs[m])
             seen_by = [digest_boxes.get(m, {}) for m in (*range(self.n), OBSERVER)]
             if any(len(seen) < self.n or len(set(seen.values())) > 1 for seen in seen_by):
                 rounds_used = 2
@@ -456,10 +459,10 @@ class EpisodeRunner:
         def verdict_of(m: int) -> Verdict:
             """What module ``m``, or the observer, concludes from what it holds."""
             own = {m: outputs[m]} if isinstance(outputs.get(m), str) else {}
-            box = {**inboxes.get(m, {}), **own}
+            # a one-round fast-path frame delivered no full output
+            box = own if fastpath and rounds_used == 1 else {**inboxes.get(m, {}), **own}
             if fastpath:
-                full = box if rounds_used == 2 else own
-                return fast_path_agree(digest_boxes.get(m, {}), full, s.quorum).verdict
+                return fast_path_agree(digest_boxes.get(m, {}), box, s.quorum).verdict
             return tally(box, s.strategy, s.quorum)
 
         # every module taking part tallies what it saw and replies with its verdict

@@ -88,30 +88,9 @@ class Signed:
         return ok
 
 
-def direct_constructor(cls: type) -> Callable[..., object]:
-    """A constructor for the frozen dataclass ``cls`` that takes every field
-    by keyword and fills the new object's ``__dict__`` directly.
-
-    A frozen dataclass ``__init__`` sets each field through
-    ``object.__setattr__``, which costs more than a MAC.  The object is the
-    same: equality, hashing, repr and ``dataclasses.replace`` read the
-    fields.  A class with a ``__post_init__`` is refused, since this
-    constructor would skip its check."""
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"{cls.__name__} defines __post_init__; use its own constructor")
-    new = object.__new__
-
-    def construct(**fields):
-        obj = new(cls)
-        obj.__dict__.update(fields)
-        return obj
-
-    return construct
-
-
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
     """``Signed(msg, sender, tag)`` with ``sender``'s tag over ``msg``, built
-    as :func:`direct_constructor` builds an object.  The tag is this
+    as :func:`core.direct_constructor` builds an object.  The tag is this
     registry's MAC over the message's digest, so the ``Signed`` is stamped
     as passed under it (see :meth:`Signed.verify`)."""
     enc = msg.__dict__.get("_encoding") or msg._encoding()

@@ -290,6 +290,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if top.consensus_mode not in CONSENSUS_MODES:
         errors.append(f"consensus_mode {top.consensus_mode!r} is not one of {CONSENSUS_MODES}")
     pbft = top.consensus_mode == "pbft"
+    if n is not None and top.strategy.kind == "k_of_n" and top.strategy.k > n:
+        errors.append(f"strategy {top.strategy} needs {top.strategy.k} votes for a value, more than n={n}")
     if n is not None and f is not None:
         if pbft and n != min_replicas(f):
             errors.append(f"n={n} with f={f}: pbft mode requires n = 3f+1 = {min_replicas(f)}")

@@ -5,11 +5,10 @@ only the scenario layer may convert NoQuorum into the safe-mode fallback.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import QuorumConfig
+from .core import QuorumConfig, direct_constructor
 
 
 @dataclass(frozen=True)
@@ -73,25 +72,36 @@ class Verdict:
         return self.kind == "decided"
 
 
+_new_verdict = direct_constructor(Verdict)
+
+
 def tally(votes: dict[int, str], strategy: VoteStrategy, cfg: QuorumConfig) -> Verdict:
     """Combine one frame's verified votes, a {module: value} map: a value
     decides when it alone has at least the strategy's k votes.  Absent
     modules count as votes against it, and two values reaching k are a tie,
     which is NoQuorum."""
     k = strategy.threshold(cfg.n)
-    counts = Counter(votes.values())
-    reaching = [value for value, count in counts.items() if count >= k]
+    backers: dict[str, list[int]] = {}  # each value's voters, in vote order
+    for m, value in votes.items():
+        backers.setdefault(value, []).append(m)
+    reaching = []
+    for value, voters in backers.items():
+        if len(voters) >= k:
+            reaching.append(value)
     if len(reaching) == 1:
         value = reaching[0]
-        supporters = frozenset(m for m, v in votes.items() if v == value)
-        return Verdict("decided", value=value, supporters=supporters)
-    return Verdict("no-quorum", cause="tie" if reaching else "below-threshold")
+        return _new_verdict(kind="decided", value=value, supporters=frozenset(backers[value]), cause="")
+    cause = "tie" if reaching else "below-threshold"
+    return _new_verdict(kind="no-quorum", value=None, supporters=frozenset(), cause=cause)
 
 
 @dataclass(frozen=True)
 class FastPathResult:
     verdict: Verdict
     rounds_used: int  # 1 when all digests matched, else 2
+
+
+_new_result = direct_constructor(FastPathResult)
 
 
 def fast_path_agree(digests: dict[int, bytes], votes: dict[int, str], cfg: QuorumConfig) -> FastPathResult:
@@ -106,13 +116,11 @@ def fast_path_agree(digests: dict[int, bytes], votes: dict[int, str], cfg: Quoru
     """
     missing = cfg.n - len(digests)
     if missing > cfg.f:
-        return FastPathResult(
-            Verdict("no-quorum", cause="missing-announcements"), rounds_used=1
-        )
+        verdict = _new_verdict(kind="no-quorum", value=None, supporters=frozenset(), cause="missing-announcements")
+        return _new_result(verdict=verdict, rounds_used=1)
     if missing == 0 and len(set(digests.values())) == 1 and votes:
         # every announcement matched, so any locally known output is the value
         value = next(iter(votes.values()))
-        verdict = Verdict("decided", value=value, supporters=frozenset(digests))
-        return FastPathResult(verdict, rounds_used=1)
-    verdict = tally(votes, MAJORITY, cfg)
-    return FastPathResult(verdict, rounds_used=2)
+        verdict = _new_verdict(kind="decided", value=value, supporters=frozenset(digests), cause="")
+        return _new_result(verdict=verdict, rounds_used=1)
+    return _new_result(verdict=tally(votes, MAJORITY, cfg), rounds_used=2)

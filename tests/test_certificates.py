@@ -15,7 +15,15 @@ import pytest
 
 from bftensemble import core
 from bftensemble.consensus import Replica
-from bftensemble.core import DecisionSpace, KeyRegistry, QuorumConfig, canonical, digest, encoding
+from bftensemble.core import (
+    DecisionSpace,
+    KeyRegistry,
+    QuorumConfig,
+    canonical,
+    digest,
+    direct_constructor,
+    encoding,
+)
 from bftensemble.messages import (
     Checkpoint,
     CheckpointAttest,
@@ -28,7 +36,6 @@ from bftensemble.messages import (
     Signed,
     StateSnapshot,
     ViewChange,
-    direct_constructor,
     log_prefix_digest,
     sign_message,
     value_digest,

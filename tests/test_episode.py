@@ -10,6 +10,7 @@ renders from the delivery record alone."""
 import gc
 import hashlib
 import random
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -17,7 +18,7 @@ import pytest
 from bftensemble import episode, messages
 from bftensemble.campaign import randomize_episode
 from bftensemble.consensus import EquivocatingReplica, Replica
-from bftensemble.core import OBSERVER, canonical, digest
+from bftensemble.core import OBSERVER, KeyRegistry, canonical, digest
 from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
 from bftensemble.messages import Output, Reply, Signed, sign_message
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
@@ -123,9 +124,28 @@ def test_a_vote_only_output_counts_as_its_signers_vote():
     runner = EpisodeRunner(load_bundled("av_plastic_bag"))
     label = runner.s.decision_space.labels[0]
     runner.world.send(1, 0, sign_message(runner.registry, 1, Output(2, 0, label)))
-    outputs, digests = {}, {}
+    outputs, digests = defaultdict(dict), defaultdict(dict)
     runner._deliver_window(0, outputs, digests)
     assert outputs == {0: {1: label}} and digests == {}
+
+
+@pytest.mark.parametrize("made", ["signed", "built-directly", "forged-tag", "other-master-seed"])
+def test_a_vote_is_kept_only_under_a_tag_that_verifies(made):
+    """A vote ``sign_message`` made with the runner's registry passes on its
+    stamp; any other is checked by MAC, and only a valid tag is kept."""
+    runner = EpisodeRunner(load_bundled("av_plastic_bag"))
+    label = runner.s.decision_space.labels[0]
+    msg = Output(1, 0, label)
+    vote = {
+        "signed": lambda: sign_message(runner.registry, 1, msg),
+        "built-directly": lambda: Signed(msg, 1, sign_message(runner.registry, 1, msg).tag),
+        "forged-tag": lambda: Signed(msg, 1, bytes(16)),
+        "other-master-seed": lambda: sign_message(KeyRegistry(runner.s.seed + 1, range(runner.n)), 1, msg),
+    }[made]()
+    runner.world.send(1, 0, vote)
+    outputs, digests = defaultdict(dict), defaultdict(dict)
+    runner._deliver_window(0, outputs, digests)
+    assert outputs == ({0: {1: label}} if made in ("signed", "built-directly") else {}) and digests == {}
 
 
 def test_a_restarted_vote_only_module_recovers_at_the_end_of_its_restart_frame():

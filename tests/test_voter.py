@@ -1,13 +1,16 @@
 """Vote combination strategies against an independent brute-force oracle."""
+import dataclasses
 import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
+from test_consensus import python_calls
 
 from bftensemble.core import QuorumConfig
 from bftensemble.voter import (
     FastPathResult,
+    Verdict,
     VoteStrategy,
     fast_path_agree,
     tally,
@@ -27,19 +30,41 @@ def votes_for(labels):
 # with the implementation under test.
 
 def oracle(labels, strategy, n):
+    """(decided value or None, no-quorum cause or "", supporters)."""
     present = [l for l in labels if l is not None]
     counts = Counter(present)
     if strategy.kind == "majority":
         winners = [l for l, c in counts.items() if c > n / 2]
-        return winners[0] if winners else None
-    if strategy.kind == "k_of_n":
+    elif strategy.kind == "k_of_n":
         winners = [l for l, c in counts.items() if c >= strategy.k]
-        return winners[0] if len(winners) == 1 else None
-    if strategy.kind == "unanimity":
-        if len(present) == n and len(counts) == 1:
-            return present[0]
-        return None
-    raise AssertionError(strategy.kind)
+    elif strategy.kind == "unanimity":
+        winners = present[:1] if len(present) == n and len(counts) == 1 else []
+    else:
+        raise AssertionError(strategy.kind)
+    if len(winners) == 1:
+        supporters = frozenset(m for m, l in enumerate(labels) if l == winners[0])
+        return winners[0], "", supporters
+    return None, "tie" if winners else "below-threshold", frozenset()
+
+
+# A field change per class the voter builds, for ``dataclasses.replace``.
+CHANGES = {Verdict: dict(cause="changed"), FastPathResult: dict(rounds_used=3)}
+
+
+def assert_as_constructed(obj):
+    """``obj`` is the object its dataclass constructor builds from the same
+    fields: the same ``__dict__`` (so no field was left to a class default),
+    equality, hash, repr and replacements, and it is still frozen."""
+    cls = type(obj)
+    built = cls(**{field.name: getattr(obj, field.name) for field in dataclasses.fields(cls)})
+    assert vars(obj) == vars(built)
+    assert obj == built and hash(obj) == hash(built) and repr(obj) == repr(built)
+    changes = CHANGES[cls]
+    assert dataclasses.replace(obj, **changes) == dataclasses.replace(built, **changes) != built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.kind = "changed"
+    if cls is FastPathResult:
+        assert_as_constructed(obj.verdict)
 
 
 def all_strategies(n):
@@ -60,12 +85,10 @@ class TestOracleEquivalence:
                 votes = votes_for(assignment)
                 for strategy in all_strategies(n):
                     verdict = tally(votes, strategy, cfg)
-                    expected = oracle(assignment, strategy, n)
-                    if expected is None:
-                        assert not verdict.decided, (assignment, strategy)
-                    else:
-                        assert verdict.decided, (assignment, strategy)
-                        assert verdict.value == expected
+                    value, cause, supporters = oracle(assignment, strategy, n)
+                    assert verdict.decided == (value is not None), (assignment, strategy)
+                    assert (verdict.value, verdict.cause, verdict.supporters) == (value, cause, supporters)
+                    assert_as_constructed(verdict)
 
     def test_supporters_are_exactly_the_agreeing_modules(self):
         cfg = QuorumConfig(n=5, f=1)
@@ -124,6 +147,7 @@ class TestFastPath:
         assert res.verdict.decided
         assert res.verdict.value == "alpha"
         assert res.verdict.supporters == frozenset({0, 1, 2, 3})
+        assert_as_constructed(res)
 
     def test_single_dissent_falls_back_to_majority(self):
         labels = ("alpha", "alpha", "beta", "alpha")
@@ -131,12 +155,14 @@ class TestFastPath:
         assert res.rounds_used == 2
         assert res.verdict.decided
         assert res.verdict.value == "alpha"
+        assert_as_constructed(res)
 
     def test_one_missing_announcement_falls_back(self):
         labels = ("alpha", "alpha", "alpha", None)
         res = fast_path_agree(self.digests(labels), votes_for(labels), self.CFG)
         assert res.rounds_used == 2
         assert res.verdict.decided
+        assert_as_constructed(res)
 
     def test_too_many_missing_is_no_quorum(self):
         labels = ("alpha", "alpha", None, None)
@@ -144,6 +170,26 @@ class TestFastPath:
         assert res.rounds_used == 1
         assert res.verdict.kind == "no-quorum"
         assert res.verdict.cause == "missing-announcements"
+        assert_as_constructed(res)
+
+
+class TestCallBudget:
+    """A vote-only frame tallies or fast-paths once per module and once for
+    the observer, so a helper call added to these paths costs on every
+    frame.  Counting the votes enters no Python function, and each object
+    is built in one frame of its direct constructor."""
+
+    CFG = QuorumConfig(n=4, f=1)
+
+    def test_a_tally_of_four_votes(self):
+        votes = votes_for(("alpha", "alpha", "beta", "alpha"))
+        calls = python_calls(tally, votes, VoteStrategy("majority"), self.CFG)
+        assert calls == ["tally", "threshold", "construct"]
+
+    def test_a_one_round_fast_path(self):
+        digests = TestFastPath().digests(("alpha",) * 4)
+        calls = python_calls(fast_path_agree, digests, {0: "alpha"}, self.CFG)
+        assert calls == ["fast_path_agree", "construct", "construct"]
 
 
 class TestStrategyParsing:
