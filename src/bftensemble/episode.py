@@ -72,13 +72,20 @@ class FrameVoteLog:
 class EpisodeResult:
     scenario: Scenario
     records: list[DecisionRecord]
-    decision_log: list[str]
     deliveries: Deliveries  # the world's delivery record; event.log renders from it
     supervisor_events: list[tuple[int, int, str]]
     vote_logs: dict[int, FrameVoteLog]
     agreement_violations: list[int]
     liveness_failures: list[int]
     module_agreement: dict[int, float]
+
+    @property
+    def decision_log(self) -> list[str]:
+        """Each frame's supervisor events, in order, then its record; an
+        event carries the frame it happened in, and the sort is stable."""
+        lines = [(at, f"{at}|SUPERVISOR|{m}|{event}") for at, m, event in self.supervisor_events]
+        lines += [(record.frame, record.line()) for record in self.records]
+        return [line for _, line in sorted(lines, key=lambda pair: pair[0])]
 
     @property
     def decision_log_text(self) -> str:
@@ -110,10 +117,7 @@ class EpisodeRunner:
         slow_extra = {m: p.delay_rounds for m, p in enumerate(self.profiles) if p.kind == "slow"}
         self.world = World(scenario.network, range(self.n), slow_extra, self.supervisor.isolated)
         self.engines = {m: self._make_engine(m, p) for m, p in enumerate(self.profiles)}
-        self.records: list[DecisionRecord] = []
-        self.decision_log: list[str] = []
         self.vote_logs: dict[int, FrameVoteLog] = {}
-        self.agreement_violations: list[int] = []
         self.liveness_failures: list[int] = []
         self._last_finalized = -1  # the last frame finalized before the running one
 
@@ -163,11 +167,10 @@ class EpisodeRunner:
             outputs[m] = produce_output(self.profiles[m], frame, obs, self.s.decision_space, self.rngs[m])
         return outputs
 
-    def _supervise(self, frame: int, committed: Optional[str], outputs, equivocators) -> None:
+    def _supervise(self, frame: int, committed: Optional[str], outputs) -> None:
         if not self.s.supervise or committed is None:
             return  # only committed frames are judged
-        values = {m: out if isinstance(out, str) else None for m, out in outputs.items()}
-        self.supervisor.record_round(frame, committed, values, equivocators)
+        self.supervisor.record_round(frame, committed, outputs)
         self.supervisor.review(frame)
 
     def _handle_restarts(self, frame: int) -> None:
@@ -193,31 +196,41 @@ class EpisodeRunner:
             if vote_only or (engine is not None and engine.last_contiguous_frame >= self._last_finalized):
                 self.supervisor.recovered(m, frame)
 
-    def _frame_flags(
-        self, frame: int, verdict: str, value: Optional[str], split: bool
-    ) -> tuple[str, ...]:
-        flags = []
-        # the values honest replicas committed for the frame, and the final one
-        distinct = {
-            engine.committed[frame]
-            for m, engine in self.engines.items()
-            if engine is not None and not self.profiles[m].byzantine and frame in engine.committed
-        }
-        if value is not None:
-            distinct.add(value)
-        if len(distinct) > 1:
-            flags.append("agreement-violation")
+    def _judge(self, frame: int, verdict: str, value: Optional[str], verdicts: dict[int, Verdict]):
+        """The frame's flags and view changes, given its verdict, finalized
+        ``value`` and each vote-only module's own verdict; also files the
+        frame's vote log.  The test oracle: the only code here that reads
+        which modules are Byzantine."""
+        honest = [m for m, p in enumerate(self.profiles) if not p.byzantine]
+        # the values honest replicas committed for the frame, and the final
+        # one; the first honest replica that decided it gives the vote log
+        committed = {value} if value is not None else set()
+        decided_views = []
+        for m in honest:
+            engine = self.engines[m]
+            if engine is None:
+                continue
+            if frame in engine.committed:
+                committed.add(engine.committed[frame])
+            inst = engine.inst
+            if inst is None or inst.frame != frame or inst.decided_view < 0:
+                continue
+            view = inst.decided_view
+            if not decided_views:
+                want = value_digest(inst.decided_value)
+                voters = [frozenset(v.sender for v in inst.matching(k, view, want)) for k in (Prepare, Commit)]
+                self.vote_logs[frame] = FrameVoteLog(frame, view, *voters)
+            decided_views.append(view)
+        flags = ["agreement-violation"] if len(committed) > 1 else []
         if verdict == "safe-mode":
             flags.append("safe-mode")
-        truth = self.s.observations.truth(self.s.decision_space, frame)
-        if value is not None and value != truth:
+        if value is not None and value != self.s.observations.truth(self.s.decision_space, frame):
             flags.append("ground-truth-mismatch")
         # vote-only uniformity check: honest module verdicts must not conflict
+        split = len({v.value for m, v in verdicts.items() if v.decided and m in honest}) > 1
         if split and "agreement-violation" not in flags:
             flags.append("agreement-violation")
-        if "agreement-violation" in flags:
-            self.agreement_violations.append(frame)
-        return tuple(flags)
+        return tuple(flags), min(decided_views, default=0)
 
     def _observe_reply(self, replies: dict[int, str], env, frame: int) -> bool:
         """Keep the first verified Reply for ``frame`` from each sender that
@@ -249,23 +262,19 @@ class EpisodeRunner:
     def _run_frame(self, frame: int) -> DecisionRecord:
         """Run one frame in the scenario's consensus mode and judge it.
 
-        The mode body moves the frame's messages and fills ``replies`` with
-        the observer's verified Replies.  It returns the finalized value, the
-        rounds it took, the view changes, the observer's own vote-only
-        verdict (or None) and whether honest vote-only verdicts split.
+        The mode body only moves the frame's messages and fills ``replies``
+        with the observer's verified Replies.  It returns the finalized value,
+        the rounds it took, the observer's own vote-only verdict (or None)
+        and each vote-only module's verdict; ``_judge`` does the rest.
         """
         s = self.s
         self._handle_restarts(frame)
         outputs = self._produce(frame)
-        equivocators = {
-            m for m, p in enumerate(self.profiles)
-            if p.kind == "byzantine_equivocate" and self.supervisor.active(m)
-        }
         replies: dict[int, str] = {}
         # picked per frame: a bound method stored on the runner would make it
         # a reference cycle that only the cyclic collector can free
         mode = self._pbft_rounds if s.consensus_mode == "pbft" else self._vote_rounds
-        finalized, rounds, view_changes, observed, split = mode(frame, outputs, replies)
+        finalized, rounds, observed, verdicts = mode(frame, outputs, replies)
 
         if finalized is not None:
             verdict, value = "decided", finalized
@@ -277,16 +286,9 @@ class EpisodeRunner:
             supporters = tuple(sorted(observed.supporters))
         else:
             supporters = tuple(sorted(m for m, v in replies.items() if finalized is not None and v == finalized))
-        record = DecisionRecord(
-            frame=frame,
-            verdict=verdict,
-            value=value,
-            supporters=supporters,
-            rounds_to_commit=rounds,
-            view_changes=view_changes,
-            flags=self._frame_flags(frame, verdict, finalized, split),
-        )
-        self._supervise(frame, finalized, outputs, equivocators)
+        flags, view_changes = self._judge(frame, verdict, finalized, verdicts)
+        record = DecisionRecord(frame, verdict, value, supporters, rounds, view_changes, flags)
+        self._supervise(frame, finalized, outputs)
         self._check_recoveries(frame)
         if finalized is not None:
             self._last_finalized = frame
@@ -366,24 +368,8 @@ class EpisodeRunner:
                             send(to, dest, payload)
         else:
             self.liveness_failures.append(frame)
-
-        # views in which honest replicas committed this frame; the first such
-        # replica's votes for its decided value become the frame's vote log
-        decided_views = []
-        for m, engine in self.engines.items():
-            inst = engine.inst if engine is not None else None
-            if inst is None or inst.frame != frame or inst.decided_view < 0 or self.profiles[m].byzantine:
-                continue
-            view = inst.decided_view
-            if not decided_views:
-                want = value_digest(inst.decided_value)
-                voters = [frozenset(v.sender for v in inst.matching(k, view, want)) for k in (Prepare, Commit)]
-                self.vote_logs[frame] = FrameVoteLog(frame, view, *voters)
-            decided_views.append(view)
-        view_changes = min(decided_views, default=0)
-
         rounds = finality_round - start_round if finalized is not None else bound
-        return finalized, rounds, view_changes, None, False
+        return finalized, rounds, None, {}
 
     # --- vote-only mode ------------------------------------------------------
 
@@ -440,6 +426,12 @@ class EpisodeRunner:
         fastpath = s.strategy.kind == "fastpath"
         inboxes: defaultdict[int, dict[int, str]] = defaultdict(dict)
         digest_boxes: defaultdict[int, dict[int, bytes]] = defaultdict(dict)
+        # a module holds its own vote as if it had delivered it to itself
+        for m in range(self.n):
+            if isinstance(outputs[m], str):
+                inboxes[m][m] = outputs[m]
+                if fastpath:
+                    digest_boxes[m][m] = value_digest(outputs[m])
 
         rounds_used = 1
         self._broadcast_outputs(frame, outputs, digests_only=fastpath)
@@ -447,9 +439,6 @@ class EpisodeRunner:
 
         if fastpath:
             # each participant decides locally whether the fast path closed
-            for m in range(self.n):
-                if isinstance(outputs[m], str):
-                    digest_boxes[m][m] = value_digest(outputs[m])
             seen_by = [digest_boxes.get(m, {}) for m in (*range(self.n), OBSERVER)]
             if any(len(seen) < self.n or len(set(seen.values())) > 1 for seen in seen_by):
                 rounds_used = 2
@@ -458,12 +447,9 @@ class EpisodeRunner:
 
         def verdict_of(m: int) -> Verdict:
             """What module ``m``, or the observer, concludes from what it holds."""
-            own = {m: outputs[m]} if isinstance(outputs.get(m), str) else {}
-            # a one-round fast-path frame delivered no full output
-            box = own if fastpath and rounds_used == 1 else {**inboxes.get(m, {}), **own}
             if fastpath:
-                return fast_path_agree(digest_boxes.get(m, {}), box, s.quorum).verdict
-            return tally(box, s.strategy, s.quorum)
+                return fast_path_agree(digest_boxes.get(m, {}), inboxes.get(m, {}), s.quorum).verdict
+            return tally(inboxes.get(m, {}), s.strategy, s.quorum)
 
         # every module taking part tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}
@@ -480,33 +466,22 @@ class EpisodeRunner:
             for env in due:
                 self._observe_reply(replies, env, frame)
 
-        decided_labels = {
-            v.value
-            for m, v in verdicts.items()
-            if v.decided and not self.profiles[m].byzantine
-        }
-        return self._reply_quorum(replies), rounds_used, 0, verdict_of(OBSERVER), len(decided_labels) > 1
+        # an observer that holds no output, as after a one-round fast path,
+        # decides nothing
+        observed = verdict_of(OBSERVER) if inboxes.get(OBSERVER) else None
+        return self._reply_quorum(replies), rounds_used, observed, verdicts
 
     # --- top level -----------------------------------------------------------
 
     def run(self) -> EpisodeResult:
-        events = self.supervisor.events
-        for frame in range(self.s.frames):
-            emitted = len(events)
-            record = self._run_frame(frame)
-            # the supervisor events of this frame, before its record
-            for at, module, event in events[emitted:]:
-                self.decision_log.append(f"{at}|SUPERVISOR|{module}|{event}")
-            self.records.append(record)
-            self.decision_log.append(record.line())
+        records = [self._run_frame(frame) for frame in range(self.s.frames)]
         return EpisodeResult(
             scenario=self.s,
-            records=self.records,
-            decision_log=self.decision_log,
+            records=records,
             deliveries=self.world.deliveries,
             supervisor_events=list(self.supervisor.events),
             vote_logs=self.vote_logs,
-            agreement_violations=sorted(set(self.agreement_violations)),
+            agreement_violations=[r.frame for r in records if "agreement-violation" in r.flags],
             liveness_failures=self.liveness_failures,
             module_agreement=self.supervisor.agreement_rates(),
         )

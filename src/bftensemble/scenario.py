@@ -292,6 +292,8 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     pbft = top.consensus_mode == "pbft"
     if n is not None and top.strategy.kind == "k_of_n" and top.strategy.k > n:
         errors.append(f"strategy {top.strategy} needs {top.strategy.k} votes for a value, more than n={n}")
+    if pbft and top.strategy.kind != "majority":
+        errors.append(f"strategy {top.strategy} is vote-only: pbft mode takes only majority (2f+1 Commits)")
     if n is not None and f is not None:
         if pbft and n != min_replicas(f):
             errors.append(f"n={n} with f={f}: pbft mode requires n = 3f+1 = {min_replicas(f)}")

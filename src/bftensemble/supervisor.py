@@ -61,18 +61,16 @@ class Supervisor:
     def active(self, module_id: int) -> bool:
         return module_id not in self.isolated and module_id not in self.restarting
 
-    def record_round(self, frame: int, committed, outputs, equivocators=()) -> None:
-        """Judge one committed frame.  ``outputs`` maps module id to its value
-        (or None for no output); an active module agreed if it output the
-        committed value and is not a proven equivocator.  A module we took
-        offline ourselves is not deviating by being absent: its window
-        starts over instead."""
+    def record_round(self, frame: int, committed: str, outputs) -> None:
+        """Judge one committed frame by each module's output alone: an active
+        module agreed if it output the committed value, so no output and an
+        equivocator's pair never agree.  A module we took offline ourselves
+        is not deviating by being absent: its window starts over instead."""
         for m, window in self.windows.items():
             if not self.active(m):
                 window.clear()
                 continue
-            value = outputs.get(m)
-            agreed = m not in equivocators and value is not None and value == committed
+            agreed = outputs.get(m) == committed
             window.append(agreed)
             self.agreement[m][0] += agreed
             self.agreement[m][1] += 1

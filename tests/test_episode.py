@@ -3,7 +3,9 @@ and when f+1 matching Replies finalize a frame.  Both consensus modes end a
 frame through these two helpers.  Also what `supervise = false` turns off,
 what the observer receives, whose vote a vote-only Output counts as, that a
 restarted vote-only module recovers, that a module restarted as honest is
-judged by its new profile and a slow one loses its delay, that an episode
+judged by its new profile and a slow one loses its delay, that an
+equivocator never agrees, that split honest vote-only verdicts are flagged,
+that the observer judges only a frame that delivered it an output, that an episode
 leaves no reference cycle, one campaign episode that once broke the liveness
 bound, that long network delays cost no empty rounds, and that the event log
 renders from the delivery record alone."""
@@ -202,6 +204,92 @@ def test_a_module_restarted_honest_is_judged_by_its_new_profile(mode, profile):
     isolations = [frame for frame, m, event in result.supervisor_events if event == "isolated"]
     assert isolations == [1]
     assert result.module_agreement[3] == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("mode", ["pbft", "vote-only"])
+def test_an_equivocator_never_agrees_and_is_flagged_once_its_window_is_full(mode):
+    """An equivocator's output is a pair, so it agrees on no judged frame,
+    even though one of its labels is the committed value: with two-frame
+    windows it is flagged and isolated at frame 1, and it is judged the
+    same way after its restart."""
+    result = run_episode(restarted_scenario(mode, "byzantine_equivocate a=continue b=brake", on_restart="same"))
+    assert {r.value for r in result.records} == {"continue"}
+    assert result.supervisor_events[:2] == [(1, 3, "flagged"), (1, 3, "isolated")]
+    assert result.module_agreement == {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.0}
+
+
+SPLIT_VOTE = """\
+name = split_vote
+n = 4
+f = 1
+frames = 1
+consensus_mode = vote-only
+strategy = k_of_n:2
+
+[decision_space]
+labels = go stop
+safe_default = stop
+
+[modules]
+0 = honest
+1 = honest
+2 = honest
+3 = byzantine_equivocate a=go b=stop
+
+[network]
+partition = 0:100 0|1,2
+
+[observations]
+0 | go | 1:stop 2:stop
+"""
+
+
+def test_honest_vote_only_verdicts_that_split_flag_an_agreement_violation():
+    """Cut off from modules 1 and 2, module 0 holds its own ``go`` and the
+    equivocator's ``go``, and decides it; modules 1 and 2 observe ``stop``
+    and decide that, as the Replies do.  The split flag comes after the
+    ground-truth mismatch."""
+    result = run_episode(parse_scenario_text(SPLIT_VOTE))
+    assert result.decision_log == ["0|decided|stop|1,2,3|1|0|ground-truth-mismatch,agreement-violation"]
+    assert result.agreement_violations == [0]
+
+
+FAST_PATH_FRAMES = """\
+name = fast_path_frames
+n = 4
+f = 1
+frames = 2
+consensus_mode = vote-only
+strategy = fastpath
+
+[decision_space]
+labels = go stop
+safe_default = stop
+
+[modules]
+0 = honest
+1 = honest
+2 = honest
+3 = honest
+
+[observations]
+0 | go |
+1 | go | 1:stop
+"""
+
+
+def test_the_observer_judges_only_a_frame_that_delivered_it_an_output(monkeypatch):
+    """A fast-path frame that closes in one round delivers the observer
+    digests only, so it runs ``fast_path_agree`` once per module taking
+    part; on a two-round frame it holds the outputs, and runs it once more."""
+    calls = []
+    real = episode.fast_path_agree
+    monkeypatch.setattr(episode, "fast_path_agree", lambda *args: calls.append(args) or real(*args))
+    runner = EpisodeRunner(parse_scenario_text(FAST_PATH_FRAMES))
+    assert runner._run_frame(0).line() == "0|decided|go|0,1,2,3|1|0|-"
+    assert len(calls) == 4
+    assert runner._run_frame(1).line() == "1|decided|go|0,2,3|2|0|-"
+    assert len(calls) == 4 + 5
 
 
 def counting_module_rng(monkeypatch) -> list[int]:

@@ -306,12 +306,14 @@ def test_unknown_duplicate_and_unreadable_keys_are_errors(text, message):
          "^frame 2: missing ground truth;.*; 99999999999999999999992 more frames missing ground truth$"),
         (MINIMAL.replace("frames = 2", "frames = 3000000"), "; 2999993 more frames missing ground truth$"),
         ("strategy = k_of_n:5\n" + MINIMAL, r"strategy k_of_n:5 needs 5 votes for a value, more than n=4"),
+        ("strategy = unanimity\n" + MINIMAL, r"strategy unanimity is vote-only: pbft mode takes only majority \(2f\+1 Commits\)"),
     ],
     ids=["frames-0", "timeout-0", "timeout-negative", "checkpoint-interval-0",
          "partition-start-after-end", "partition-unknown-module",
          "second-row-for-frame", "row-past-last-frame", "error-rate-above-1",
          "window-above-int64", "label-dash", "label-with-bar",
-         "n-huge", "frames-huge", "frames-3-million", "k-above-n"],
+         "n-huge", "frames-huge", "frames-3-million", "k-above-n",
+         "pbft-strategy"],
 )
 def test_values_no_run_could_use_are_errors(text, message):
     with pytest.raises(ScenarioError, match=message):

@@ -74,13 +74,6 @@ class TestDeviationLedger:
         feed(sup, 2, deviant=1)  # two of the last four frames are bad
         assert sup.review(9) == [1]
 
-    def test_equivocators_deviate_regardless_of_value(self):
-        sup = self.supervisor(window=2, threshold=0.5)
-        outputs = {m: GOOD for m in range(4)}
-        sup.record_round(0, GOOD, outputs, equivocators={2})
-        sup.record_round(1, GOOD, outputs, equivocators={2})
-        assert sup.review(1) == [2]
-
 
 class TestSupervisor:
     def supervisor(self, n=4, f=1, window=4, threshold=0.5):
