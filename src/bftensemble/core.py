@@ -161,29 +161,35 @@ class UnknownSignerError(KeyError):
 
 
 class KeyRegistry:
-    """Immutable map of module ids to keyed MAC states, private to the harness.
+    """Module ids and their keyed MAC states, private to the harness.
 
     A tag is the TAG_SIZE bytes of a keyed MAC over a payload digest.  It is
     unforgeable within the simulation: per-module secrets live only inside
     the harness's registry, so a faulty module can replay its own tags but
     can never mint one for another signer.
+
+    A registry keeps the master seed and the signer ids, and derives a
+    signer's keyed MAC state on its first ``sign`` or ``verify``: an episode
+    that reads no tag derives no key.
     """
 
     def __init__(self, master_seed: int, module_ids) -> None:
-        # One keyed MAC state per signer, built once: a tag is
-        # blake2b(digest, key=secret, digest_size=TAG_SIZE), and each sign or
-        # verify feeds the digest to a copy of the signer's state.
-        self._macs = {
-            m: hashlib.blake2b(
-                key=hashlib.blake2b(canonical(master_seed, m, "module-secret"), digest_size=32).digest(),
-                digest_size=TAG_SIZE,
-            )
-            for m in module_ids
-        }
+        self._seed = master_seed
+        self.ids = frozenset(module_ids)
+        self._macs: dict = {}
+
+    def _mac(self, module_id: int):
+        """``module_id``'s keyed MAC state, derived once (each tag feeds the
+        digest to a copy), or None for an id outside the registry."""
+        mac = self._macs.get(module_id)
+        if mac is None and module_id in self.ids:
+            secret = hashlib.blake2b(canonical(self._seed, module_id, "module-secret"), digest_size=32).digest()
+            mac = self._macs[module_id] = hashlib.blake2b(key=secret, digest_size=TAG_SIZE)
+        return mac
 
     def sign(self, module_id: int, payload_digest: bytes) -> bytes:
         """Tag ``payload_digest``, the :func:`digest` of a canonical payload."""
-        mac = self._macs.get(module_id)
+        mac = self._mac(module_id)
         if mac is None:
             raise UnknownSignerError(module_id)
         mac = mac.copy()
@@ -194,7 +200,7 @@ class KeyRegistry:
         """Check that ``tag`` is ``module_id``'s tag over ``payload_digest``,
         the digest of the payload the caller holds: the key binds the signer
         and the MAC input binds the digest."""
-        mac = self._macs.get(module_id)
+        mac = self._mac(module_id)
         if mac is None:
             return False
         mac = mac.copy()

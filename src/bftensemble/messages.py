@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Union
 
-from .core import Encoded, KeyRegistry, canonical, digest
+from .core import Encoded, KeyRegistry, UnknownSignerError, canonical, digest
 
 
 @lru_cache(maxsize=256)
@@ -72,14 +72,28 @@ class Signed:
     sender: int
     tag: bytes
 
+    def __getattr__(self, name: str):
+        # Reached only for a name missing from __dict__: the tag that
+        # sign_message left to its first read, made by the registry it stamped.
+        if name != "tag":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        tag = self.__dict__["tag"] = self._verified.sign(self.sender, self.msg.payload_digest())
+        return tag
+
+    def __getstate__(self) -> dict:
+        # a pickle or copy carries the fields, not the stamp, and is checked
+        # by MAC on its first verify
+        return {"msg": self.msg, "sender": self.sender, "tag": self.tag}
+
     def verify(self, registry: KeyRegistry) -> bool:
         """Check the tag against ``registry``.  A passing check stamps this
         object with the registry it passed under (``_verified``): the
         message, the tag and the registry are immutable, so the result
         cannot change, and a tampered message or forged tag is a new object
         with its own check.  :func:`sign_message` stamps the registry that
-        made the tag, so only a ``Signed`` built another way is checked by
-        MAC; a failing tag is checked again each time."""
+        computes its tag on first read, so only a ``Signed`` built another
+        way, or checked under another registry, runs a MAC here; a failing
+        tag is checked again each time."""
         if self.__dict__.get("_verified") is registry:
             return True
         ok = registry.verify(self.tag, self.sender, self.msg.payload_digest())
@@ -90,12 +104,16 @@ class Signed:
 
 def sign_message(registry: KeyRegistry, sender: int, msg: "Message") -> Signed:
     """``Signed(msg, sender, tag)`` with ``sender``'s tag over ``msg``, built
-    as :func:`core.direct_constructor` builds an object.  The tag is this
-    registry's MAC over the message's digest, so the ``Signed`` is stamped
-    as passed under it (see :meth:`Signed.verify`)."""
-    enc = msg.__dict__.get("_encoding") or msg._encoding()
+    as :func:`core.direct_constructor` builds an object and stamped as
+    passed under ``registry`` (see :meth:`Signed.verify`).  The tag, this
+    registry's MAC over the message's digest, is computed on its first
+    read, so a signature no one compares, hashes, prints or checks under
+    another registry runs no MAC.  An unknown ``sender`` raises
+    :class:`core.UnknownSignerError` here, as ``KeyRegistry.sign`` does."""
+    if sender not in registry.ids:
+        raise UnknownSignerError(sender)
     signed = object.__new__(Signed)
-    signed.__dict__.update(msg=msg, sender=sender, tag=registry.sign(sender, enc[1]), _verified=registry)
+    signed.__dict__.update(msg=msg, sender=sender, _verified=registry)
     return signed
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from bftensemble.campaign import fuzz_campaign
 from bftensemble.core import QuorumConfig, client_match, min_replicas, quorum_size
-from bftensemble.episode import liveness_bound, run_episode
+from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
 from bftensemble.scenario import load_bundled, parse_scenario_text
 from bftensemble.voter import VoteStrategy, tally
 
@@ -22,12 +22,41 @@ EPISODES = 1000
 
 
 @pytest.fixture(scope="module")
-def campaigns():
+def replica_violations():
+    """Each campaign's ``Replica.violations`` entries, filled by ``campaigns``."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def campaigns(replica_violations):
+    """Both fuzz campaigns.  Every replica an episode builds, a restarted
+    module's new one included, has its ``violations`` read once the
+    episode has run."""
     results = {}
+    built = []
+    make_engine, run = EpisodeRunner._make_engine, EpisodeRunner.run
+
+    def tracked_make_engine(runner, m, profile):
+        engine = make_engine(runner, m, profile)
+        if engine is not None:
+            built.append(engine)
+        return engine
+
+    def tracked_run(runner):
+        try:
+            return run(runner)
+        finally:
+            replica_violations[runner.s.name].extend(v for engine in built for v in engine.violations)
+            built.clear()
+
     started = time.monotonic()
-    for name in ("fuzz_base_n4", "fuzz_base_n7"):
-        base = load_bundled(name)
-        results[name] = (base, fuzz_campaign(base, episodes=EPISODES, seed=2026))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(EpisodeRunner, "_make_engine", tracked_make_engine)
+        patch.setattr(EpisodeRunner, "run", tracked_run)
+        for name in ("fuzz_base_n4", "fuzz_base_n7"):
+            base = load_bundled(name)
+            replica_violations[name] = []
+            results[name] = (base, fuzz_campaign(base, episodes=EPISODES, seed=2026))
     return results, time.monotonic() - started
 
 
@@ -39,11 +68,12 @@ def test_criterion_01_quorum_arithmetic():
         assert client_match(f) == match
 
 
-def test_criterion_02_agreement_under_fuzz(campaigns):
+def test_criterion_02_agreement_under_fuzz(campaigns, replica_violations):
     results, elapsed = campaigns
     for name, (_, report) in results.items():
         assert report.episodes == EPISODES, name
         assert report.agreement_violations == 0, (name, report.failures)
+        assert replica_violations[name] == [], name
     assert elapsed < 60.0, f"campaigns took {elapsed:.1f}s"
 
 

@@ -879,7 +879,7 @@ def python_calls(fn, *args) -> list[str]:
 
 class TestCallBudget:
     """The per-message path runs in one Python frame per delivered vote and
-    two per signature.  Every Prepare and Commit of a frame goes through
+    one per signature, whose tag waits for its first read.  Every Prepare and Commit of a frame goes through
     these paths, so a helper call added to them costs on every delivery."""
 
     def replica_with_votes(self):
@@ -910,4 +910,4 @@ class TestCallBudget:
     def test_signing_an_interned_message(self):
         registry = KeyRegistry(17, range(4))
         msg = interned(Commit, 0, 0, value_digest(NORTH), NORTH)
-        assert python_calls(sign_message, registry, 1, msg) == ["sign_message", "sign"]
+        assert python_calls(sign_message, registry, 1, msg) == ["sign_message"]

@@ -2,13 +2,15 @@
 
 A flat message is built and encoded once per content by ``interned``, so a
 second signer of an equal message encodes nothing; a Signed keeps its
-verification result for the registry it was checked against; a KeyRegistry
-reuses one MAC state per signer.  These tests pin
+verification result for the registry it was checked against, and a
+``sign_message`` tag is computed on its first read; a KeyRegistry derives a
+signer's MAC state on its first use and reuses it.  These tests pin
 what that must not change: tags are those of a fresh keyed hash, forged or
 swapped messages still fail, another registry still gets its own answer, and
 equality, hashing and repr still see only the dataclass fields.
 """
 import hashlib
+import pickle
 import random
 from dataclasses import FrozenInstanceError, replace
 
@@ -20,6 +22,7 @@ from bftensemble.core import (
     TAG_SIZE,
     DecisionSpace,
     KeyRegistry,
+    UnknownSignerError,
     canonical,
     digest,
 )
@@ -44,6 +47,9 @@ from bftensemble.messages import (
 )
 from bftensemble.scenario import load_bundled
 from bftensemble.simnet import payload_digest_hex, payload_kind
+
+from test_consensus import python_calls
+from test_golden import supervised_base
 
 SPACE = DecisionSpace(labels=("north", "south"), safe_default="north")
 NORTH, SOUTH = SPACE.value("north"), SPACE.value("south")
@@ -443,3 +449,138 @@ class TestSignMessage:
         assert (forged.msg, forged.sender, forged.tag) == (signed.msg, 2, signed.tag)
         assert not forged.verify(registry) and len(calls) == 2
         assert signed.verify(registry) and len(calls) == 2
+
+
+class TestTagOnFirstRead:
+    """``sign_message`` leaves the tag to its first read, which computes it
+    with the stamped registry and keeps it; nothing that reads the fields
+    can tell the object from ``Signed(msg, sender, tag)``."""
+
+    def test_the_tag_is_computed_once_on_first_read(self, registry, monkeypatch):
+        signed = sign_message(registry, 2, interned(Commit, 0, 1, D_NORTH, NORTH))
+        assert "tag" not in signed.__dict__
+        calls = []
+        real = KeyRegistry.sign
+        monkeypatch.setattr(KeyRegistry, "sign", lambda self, *a: calls.append(a) or real(self, *a))
+        tag = signed.tag
+        assert tag == real(registry, 2, signed.msg.payload_digest()) == fresh_tag(17, 2, signed.msg.payload_digest())
+        assert signed.__dict__["tag"] is tag and signed.tag is tag
+        assert len(calls) == 1
+
+    def test_other_missing_names_are_still_missing(self, registry):
+        signed = sign_message(registry, 2, Reply(0, NORTH))
+        assert getattr(signed, "other", None) is None
+        with pytest.raises(AttributeError, match="other"):
+            signed.other
+        assert "tag" not in signed.__dict__
+        with pytest.raises(AttributeError):
+            object.__new__(Signed).tag  # no stamp, so no registry to ask
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda signed, built: signed == built and built == signed,
+            lambda signed, built: hash(signed) == hash(built) and {built: 1}[signed] == 1,
+            lambda signed, built: repr(signed) == repr(built),
+            lambda signed, built: replace(signed) == built and replace(signed, sender=1) == replace(built, sender=1),
+            lambda signed, built: pickle.loads(pickle.dumps(signed)) == built,
+        ],
+        ids=["eq", "hash", "repr", "replace", "pickle"],
+    )
+    def test_each_read_of_the_fields_sees_the_dataclass(self, registry, read):
+        msg = interned(Prepare, 3, 0, D_SOUTH, SOUTH)
+        built = Signed(msg, 2, fresh_tag(17, 2, msg.payload_digest()))
+        signed = sign_message(registry, 2, msg)
+        assert "tag" not in signed.__dict__
+        assert read(signed, built)
+        assert signed.__dict__["tag"] == built.tag
+
+    def test_a_copy_carries_the_tag_but_not_the_stamp(self, registry):
+        signed = sign_message(registry, 1, Output(1, 0, NORTH))
+        other = KeyRegistry(18, range(4))  # same modules, other master seed
+        copy = pickle.loads(pickle.dumps(signed))
+        assert copy.__dict__.keys() == {"msg", "sender", "tag"}
+        for checked in (copy, Signed(signed.msg, signed.sender, signed.tag), signed):
+            assert not checked.verify(other)
+            assert checked.verify(registry)
+            assert not checked.verify(other)
+
+    def test_an_unknown_sender_fails_at_signing(self, registry):
+        with pytest.raises(UnknownSignerError):
+            sign_message(registry, 4, Reply(0, NORTH))
+
+
+class TestKeysOnFirstUse:
+    """A KeyRegistry keeps the master seed and the ids; a signer's keyed MAC
+    state is derived on its first sign or verify, once."""
+
+    def test_building_a_registry_derives_no_key(self, monkeypatch):
+        real = hashlib.blake2b
+        monkeypatch.setattr(hashlib, "blake2b", lambda *a, **k: real(*a, **k))
+        assert python_calls(KeyRegistry, 17, range(7)) == ["__init__"]
+
+    def test_each_signers_state_is_derived_once(self, monkeypatch):
+        calls = []
+        real = core.canonical
+        monkeypatch.setattr(core, "canonical", lambda *a: calls.append(a) or real(*a))
+        registry = KeyRegistry(17, range(4))
+        payload = digest(b"payload")
+        for _ in range(3):
+            for signer in (2, 0):
+                tag = registry.sign(signer, payload)
+                assert tag == fresh_tag(17, signer, payload)
+                assert registry.verify(tag, signer, payload)
+        assert registry.verify(fresh_tag(17, 3, payload), 3, payload)  # derived by verify
+        assert calls == [(17, 2, "module-secret"), (17, 0, "module-secret"), (17, 3, "module-secret")]
+
+    def test_an_unknown_signer_derives_nothing(self, monkeypatch):
+        payload = digest(b"payload")
+        forged = fresh_tag(17, 4, payload)  # what signer 4 would sign under a larger registry
+        calls = []
+        real = core.canonical
+        monkeypatch.setattr(core, "canonical", lambda *a: calls.append(a) or real(*a))
+        registry = KeyRegistry(17, range(4))
+        for _ in range(2):
+            with pytest.raises(UnknownSignerError):
+                registry.sign(4, payload)
+            assert not registry.verify(forged, 4, payload)
+        assert calls == []
+        assert registry.sign(1, payload) == fresh_tag(17, 1, payload)
+
+
+# SHA-256 over the decision logs and over the event logs of the first 8
+# seed-2026 campaign episodes, as they were while every signature ran a MAC.
+NO_TAG_READ_LOGS = {
+    "fuzz_base_n7": (
+        "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
+        "4268650d666f8175f174dd2446fcee85e621f8162518e3145540fa4da11b038e",
+    ),
+    "vote_fastpath": (
+        "d6654fa2f68e532ff9e95c33eb7faa44c35a4daf75144b7caa50e2e3a0da7eaf",
+        "6f79d09b8aeae4e97cbb224e72d42ecd7d5a938724dc5abeb7e5e8f5378b3016",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_TAG_READ_LOGS))
+def test_a_campaign_reads_no_tag_it_signed(name, monkeypatch):
+    """Every delivered signature carries its registry's stamp, so the first
+    campaign episodes of the PBFT and the vote-only bench bases run no MAC,
+    and their logs are the pinned bytes.  ``vote_fastpath`` is the
+    benchmark's base, as test_golden inlines it."""
+    base = load_bundled(name) if name == "fuzz_base_n7" else supervised_base(name)
+    signs = []
+    real_sign = KeyRegistry.sign
+    monkeypatch.setattr(KeyRegistry, "sign", lambda self, *a: signs.append(a) or real_sign(self, *a))
+    decisions, events = hashlib.sha256(), hashlib.sha256()
+
+    def run(scenario):
+        result = run_episode(scenario)
+        decisions.update(result.decision_log_text.encode("utf-8"))
+        events.update(result.event_log_text.encode("utf-8"))
+        return result
+
+    monkeypatch.setattr(campaign, "run_episode", run)
+    campaign.fuzz_campaign(base, episodes=8, seed=2026, strict=False)
+    assert signs == []
+    assert (decisions.hexdigest(), events.hexdigest()) == NO_TAG_READ_LOGS[name]
