@@ -242,7 +242,8 @@ class EpisodeRunner:
             and isinstance(payload.msg, Reply)
             and payload.msg.frame == frame
             and payload.sender not in replies
-            and payload.verify(self.registry)
+            # a Reply sign_message made with this registry carries it as its stamp
+            and (payload.__dict__.get("_verified") is self.registry or payload.verify(self.registry))
         ):
             replies[payload.sender] = payload.msg.value
             return True
@@ -375,6 +376,8 @@ class EpisodeRunner:
 
     def _broadcast_outputs(self, frame: int, outputs, digests_only: bool) -> None:
         send = self.world.send
+        # the observer is a client: it is sent full outputs, never digests
+        to = PEERS if digests_only else BROADCAST
         for m in range(self.n):
             out = outputs[m]
             if out is None:  # also every module not active
@@ -386,9 +389,10 @@ class EpisodeRunner:
                     send(m, dest, vote_a)
                 for dest in side_b:
                     send(m, dest, vote_b)
-                send(m, OBSERVER, vote_b)
+                if not digests_only:
+                    send(m, OBSERVER, vote_b)
             else:
-                send(m, BROADCAST, self._vote_payload(m, out, frame, digests_only))
+                send(m, to, self._vote_payload(m, out, frame, digests_only))
 
     def _vote_payload(self, m: int, label: str, frame: int, digests_only: bool) -> Signed:
         """Module ``m``'s signed vote: the digest of ``label`` on the fast
@@ -438,18 +442,22 @@ class EpisodeRunner:
         self._deliver_window(frame, inboxes, digest_boxes)
 
         if fastpath:
-            # each participant decides locally whether the fast path closed
-            seen_by = [digest_boxes.get(m, {}) for m in (*range(self.n), OBSERVER)]
+            # each module decides from its own digest box whether the fast path closed
+            seen_by = [digest_boxes.get(m, {}) for m in range(self.n)]
             if any(len(seen) < self.n or len(set(seen.values())) > 1 for seen in seen_by):
                 rounds_used = 2
                 self._broadcast_outputs(frame, outputs, digests_only=False)
                 self._deliver_window(frame, inboxes, digest_boxes)
 
         def verdict_of(m: int) -> Verdict:
-            """What module ``m``, or the observer, concludes from what it holds."""
-            if fastpath:
-                return fast_path_agree(digest_boxes.get(m, {}), inboxes.get(m, {}), s.quorum).verdict
-            return tally(inboxes.get(m, {}), s.strategy, s.quorum)
+            """What module ``m``, or the observer, concludes from what it
+            holds.  The observer reads the digests of the outputs it holds:
+            it loses no vote, so they are the ones the modules announced."""
+            votes = inboxes.get(m, {})
+            if not fastpath:
+                return tally(votes, s.strategy, s.quorum)
+            digests = {k: value_digest(v) for k, v in votes.items()} if m == OBSERVER else digest_boxes.get(m, {})
+            return fast_path_agree(digests, votes, s.quorum).verdict
 
         # every module taking part tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}

@@ -5,7 +5,8 @@ what the observer receives, whose vote a vote-only Output counts as, that a
 restarted vote-only module recovers, that a module restarted as honest is
 judged by its new profile and a slow one loses its delay, that an
 equivocator never agrees, that split honest vote-only verdicts are flagged,
-that the observer judges only a frame that delivered it an output, that an episode
+that the observer judges only a frame that delivered it an output and is
+sent no fast-path digest, that an episode
 leaves no reference cycle, one campaign episode that once broke the liveness
 bound, that long network delays cost no empty rounds, and that the event log
 renders from the delivery record alone."""
@@ -280,8 +281,9 @@ safe_default = stop
 
 def test_the_observer_judges_only_a_frame_that_delivered_it_an_output(monkeypatch):
     """A fast-path frame that closes in one round delivers the observer
-    digests only, so it runs ``fast_path_agree`` once per module taking
-    part; on a two-round frame it holds the outputs, and runs it once more."""
+    Replies only, so it runs ``fast_path_agree`` once per module taking
+    part; on a two-round frame the observer holds the outputs, and runs it
+    once more, on their digests."""
     calls = []
     real = episode.fast_path_agree
     monkeypatch.setattr(episode, "fast_path_agree", lambda *args: calls.append(args) or real(*args))
@@ -290,6 +292,26 @@ def test_the_observer_judges_only_a_frame_that_delivered_it_an_output(monkeypatc
     assert len(calls) == 4
     assert runner._run_frame(1).line() == "1|decided|go|0,2,3|2|0|-"
     assert len(calls) == 4 + 5
+
+
+@pytest.mark.parametrize(
+    "module_3, decisions",
+    [
+        ("honest", ["0|decided|go|0,1,2,3|1|0|-", "1|decided|go|0,2,3|2|0|-"]),
+        ("byzantine_equivocate a=go b=stop", ["0|decided|go|0,1,2|2|0|-", "1|no-quorum|-|-|2|0|-"]),
+    ],
+)
+def test_fast_path_digests_go_to_the_peers_only(module_3, decisions):
+    """The observer is a client: it is sent no digest announcement, an
+    equivocator's included, yet still receives every module's output on a
+    two-round frame and decides as when it was sent the digests."""
+    result = run_episode(parse_scenario_text(FAST_PATH_FRAMES.replace("3 = honest", f"3 = {module_3}")))
+    assert result.decision_log == decisions
+    to_observer = [line.split("|")[1:4] for line in result.event_log if line.split("|")[2] == str(OBSERVER)]
+    assert not any(kind == "outputdigest" for _, _, kind in to_observer)
+    two_round = sum(record.rounds_to_commit == 2 for record in result.records)
+    outputs = sorted(int(frm) for frm, _, kind in to_observer if kind == "output")
+    assert outputs == sorted(list(range(4)) * two_round)
 
 
 def counting_module_rng(monkeypatch) -> list[int]:
@@ -443,7 +465,7 @@ LONG_DELAYS = [
     (
         delayed("av_plastic_bag", "fastpath", jitter_rounds=1000, drop_rate=0.1),
         "177b50bba0fbd3e4340cd1b769f80eed183b7b1b3116fc80db0e1bbbc3cfa4ab",
-        "de519b0cd74d132445515f36ab90d74331a58c4f83d7d1cf536312047f256619",
+        "cde6011aa983eb1f881d7024d4aca86edbf43e136b98bf9af9808a0dbf632e94",
         400,
     ),
     (

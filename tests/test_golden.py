@@ -67,7 +67,8 @@ CAMPAIGN_REPORTS = {
 # (SHA-256 over the decision logs, SHA-256 over the event logs) of the first
 # 40 episodes of the campaign at seed 2026.  The bundled scenarios never
 # change views or transfer state, and a campaign report holds no log bytes;
-# these episodes send every message kind.
+# these episodes send every message kind.  On the fast path the observer is
+# sent no digest announcements.
 CAMPAIGN_LOGS = {
     "fuzz_base_n4": (
         "078efe347cefe5100cb7bf9e29d2bca74de6f8721cb1a4a4efa861ae7af1dc9d",
@@ -79,7 +80,7 @@ CAMPAIGN_LOGS = {
     ),
     "vote_fastpath_n4": (
         "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
-        "a90fc9050c3a4317a4f5fa41b0067fdce632bac56a85224aeb154e78fc160e89",
+        "14a8b1d535ce130d6bf96f616d63610401f8a3713790c3484e3f2c2cc8844a47",
     ),
 }
 
@@ -150,7 +151,7 @@ SUPERVISED_CAMPAIGN_LOGS = {
     ),
     "vote_fastpath": (
         "c25c1d9cb4d8c8735764c9c249f97ec033ebcc83619d62678195add1df01da4f",
-        "90fc2ef8b2c7ed15815f5500b0d3fe19f63cccbdc6687f15764cbed3d9fc4130",
+        "e033b3cfdbddb1527dda4fc360e33f0178287e9b4b5cfa66e0712e5b6de8d215",
     ),
 }
 

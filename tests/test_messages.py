@@ -549,7 +549,8 @@ class TestKeysOnFirstUse:
 
 
 # SHA-256 over the decision logs and over the event logs of the first 8
-# seed-2026 campaign episodes, as they were while every signature ran a MAC.
+# seed-2026 campaign episodes, as they were while every signature ran a MAC
+# (the vote_fastpath event log as the fast path announces to the peers only).
 NO_TAG_READ_LOGS = {
     "fuzz_base_n7": (
         "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
@@ -557,7 +558,7 @@ NO_TAG_READ_LOGS = {
     ),
     "vote_fastpath": (
         "d6654fa2f68e532ff9e95c33eb7faa44c35a4daf75144b7caa50e2e3a0da7eaf",
-        "6f79d09b8aeae4e97cbb224e72d42ecd7d5a938724dc5abeb7e5e8f5378b3016",
+        "c50263b005d3fafb1d2a70e3fdb2ea12be60a7ed2326991231eae1afe5cecb2f",
     ),
 }
 
