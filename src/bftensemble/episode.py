@@ -148,16 +148,13 @@ class EpisodeRunner:
         """Module ``m``'s random stream, or None if ``profile`` never draws."""
         return module_rng(self.s.seed, m, profile.perturb_seed) if profile.draws else None
 
-    def _takes_part(self, m: int, frame: int) -> bool:
-        """Module ``m`` is active and emits at ``frame``.  In PBFT mode such
-        a module always has an engine."""
-        return self.supervisor.active(m) and self.profiles[m].emits(frame)
-
     # --- shared plumbing -----------------------------------------------------
 
     def _produce(self, frame: int):
         """Per-module output labels for this frame, None for a module that
-        outputs nothing.  Equivocators yield a pair."""
+        outputs nothing.  Equivocators yield a pair.  A module takes part in
+        the frame exactly when its output is not None: it is active and
+        emits, and in PBFT mode it then has an engine."""
         outputs = {}
         for m in range(self.n):
             if not self.supervisor.active(m):
@@ -174,6 +171,8 @@ class EpisodeRunner:
         self.supervisor.review(frame)
 
     def _handle_restarts(self, frame: int) -> None:
+        if not self.supervisor.isolated and not self.supervisor.restarting:
+            return
         for m in self.supervisor.due_for_restart(frame):
             profile = self.profiles[m] = self.profiles[m].restarted()
             if profile.kind != "slow":
@@ -187,6 +186,8 @@ class EpisodeRunner:
                 self.world.send(m, PEERS, req)
 
     def _check_recoveries(self, frame: int) -> None:
+        if not self.supervisor.restarting:
+            return
         # a snapshot requested while frame `frame` was still running can only
         # cover the frames decided before it; a vote-only module holds no
         # replicated state, so it recovers at the end of its restart frame
@@ -263,19 +264,20 @@ class EpisodeRunner:
     def _run_frame(self, frame: int) -> DecisionRecord:
         """Run one frame in the scenario's consensus mode and judge it.
 
-        The mode body only moves the frame's messages and fills ``replies``
-        with the observer's verified Replies.  It returns the finalized value,
-        the rounds it took, the observer's own vote-only verdict (or None)
-        and each vote-only module's verdict; ``_judge`` does the rest.
+        The mode body only moves the frame's messages.  It returns the
+        finalized value, the rounds it took, the votes the observer holds
+        (the outputs it was sent, or its verified Replies when it holds no
+        output) and each vote-only module's verdict; the supporters are the
+        senders of those votes that match the finalized value, and
+        ``_judge`` does the rest.
         """
         s = self.s
         self._handle_restarts(frame)
         outputs = self._produce(frame)
-        replies: dict[int, str] = {}
         # picked per frame: a bound method stored on the runner would make it
         # a reference cycle that only the cyclic collector can free
         mode = self._pbft_rounds if s.consensus_mode == "pbft" else self._vote_rounds
-        finalized, rounds, observed, verdicts = mode(frame, outputs, replies)
+        finalized, rounds, held, verdicts = mode(frame, outputs)
 
         if finalized is not None:
             verdict, value = "decided", finalized
@@ -283,10 +285,8 @@ class EpisodeRunner:
             verdict, value = "safe-mode", s.decision_space.value(s.decision_space.safe_default)
         else:
             verdict, value = "no-quorum", None
-        if observed is not None and observed.decided and observed.value == finalized:
-            supporters = tuple(sorted(observed.supporters))
-        else:
-            supporters = tuple(sorted(m for m, v in replies.items() if finalized is not None and v == finalized))
+        # a vote is a label, never None, so no-quorum frames have no supporters
+        supporters = tuple(sorted(m for m, v in held.items() if v == finalized))
         flags, view_changes = self._judge(frame, verdict, finalized, verdicts)
         record = DecisionRecord(frame, verdict, value, supporters, rounds, view_changes, flags)
         self._supervise(frame, finalized, outputs)
@@ -297,14 +297,15 @@ class EpisodeRunner:
 
     # --- PBFT mode -----------------------------------------------------------
 
-    def _pbft_rounds(self, frame: int, outputs, replies: dict[int, str]):
+    def _pbft_rounds(self, frame: int, outputs):
         s = self.s
+        replies: dict[int, str] = {}
         world = self.world
         send = world.send
         start_round = world.round
         # statuses and engines change only between frames: `live` run the
         # frame, and restarting modules also take deliveries to catch up
-        live = [(m, self.engines[m]) for m in range(self.n) if self._takes_part(m, frame)]
+        live = [(m, self.engines[m]) for m in range(self.n) if outputs[m] is not None]
         receivers = dict(live)
         for m in self.supervisor.restarting:
             receivers[m] = self.engines[m]
@@ -370,7 +371,7 @@ class EpisodeRunner:
         else:
             self.liveness_failures.append(frame)
         rounds = finality_round - start_round if finalized is not None else bound
-        return finalized, rounds, None, {}
+        return finalized, rounds, replies, {}
 
     # --- vote-only mode ------------------------------------------------------
 
@@ -425,8 +426,9 @@ class EpisodeRunner:
                 if msg.frame == frame and (signed.__dict__.get("_verified") is registry or signed.verify(registry)):
                     box[env.to].setdefault(signed.sender, vote)
 
-    def _vote_rounds(self, frame: int, outputs, replies: dict[int, str]):
+    def _vote_rounds(self, frame: int, outputs):
         s = self.s
+        replies: dict[int, str] = {}
         fastpath = s.strategy.kind == "fastpath"
         inboxes: defaultdict[int, dict[int, str]] = defaultdict(dict)
         digest_boxes: defaultdict[int, dict[int, bytes]] = defaultdict(dict)
@@ -449,24 +451,19 @@ class EpisodeRunner:
                 self._broadcast_outputs(frame, outputs, digests_only=False)
                 self._deliver_window(frame, inboxes, digest_boxes)
 
-        def verdict_of(m: int) -> Verdict:
-            """What module ``m``, or the observer, concludes from what it
-            holds.  The observer reads the digests of the outputs it holds:
-            it loses no vote, so they are the ones the modules announced."""
-            votes = inboxes.get(m, {})
-            if not fastpath:
-                return tally(votes, s.strategy, s.quorum)
-            digests = {k: value_digest(v) for k, v in votes.items()} if m == OBSERVER else digest_boxes.get(m, {})
-            return fast_path_agree(digests, votes, s.quorum).verdict
-
         # every module taking part tallies what it saw and replies with its verdict
         verdicts: dict[int, Verdict] = {}
         for m in range(self.n):
-            if not self._takes_part(m, frame):
+            if outputs[m] is None:
                 continue
-            verdicts[m] = verdict_of(m)
-            if verdicts[m].decided:
-                reply = sign_message(self.registry, m, interned(Reply, frame, verdicts[m].value))
+            votes = inboxes.get(m, {})
+            if fastpath:
+                verdict = fast_path_agree(digest_boxes.get(m, {}), votes, s.quorum).verdict
+            else:
+                verdict = tally(votes, s.strategy, s.quorum)
+            verdicts[m] = verdict
+            if verdict.decided:
+                reply = sign_message(self.registry, m, interned(Reply, frame, verdict.value))
                 self.world.send(m, OBSERVER, reply)
 
         window = s.network.base_delay_rounds + s.network.jitter_rounds
@@ -474,10 +471,8 @@ class EpisodeRunner:
             for env in due:
                 self._observe_reply(replies, env, frame)
 
-        # an observer that holds no output, as after a one-round fast path,
-        # decides nothing
-        observed = verdict_of(OBSERVER) if inboxes.get(OBSERVER) else None
-        return self._reply_quorum(replies), rounds_used, observed, verdicts
+        # the outputs the observer holds, if it was sent any, name the supporters
+        return self._reply_quorum(replies), rounds_used, inboxes.get(OBSERVER) or replies, verdicts
 
     # --- top level -----------------------------------------------------------
 

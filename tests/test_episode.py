@@ -5,11 +5,12 @@ what the observer receives, whose vote a vote-only Output counts as, that a
 restarted vote-only module recovers, that a module restarted as honest is
 judged by its new profile and a slow one loses its delay, that an
 equivocator never agrees, that split honest vote-only verdicts are flagged,
-that the observer judges only a frame that delivered it an output and is
-sent no fast-path digest, that an episode
-leaves no reference cycle, one campaign episode that once broke the liveness
-bound, that long network delays cost no empty rounds, and that the event log
-renders from the delivery record alone."""
+that the observer judges no output itself, names as supporters the modules
+that output the finalized value and is sent no fast-path digest, that
+restart phases run only while the supervisor holds a module, that an
+episode leaves no reference cycle, one campaign episode that once broke the
+liveness bound, that long network delays cost no empty rounds, and that the
+event log renders from the delivery record alone."""
 import gc
 import hashlib
 import random
@@ -26,6 +27,7 @@ from bftensemble.episode import EpisodeRunner, liveness_bound, run_episode
 from bftensemble.messages import Output, Reply, Signed, sign_message
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
 from bftensemble.simnet import Envelope, World
+from bftensemble.supervisor import Supervisor
 from bftensemble.voter import VoteStrategy
 
 
@@ -279,11 +281,10 @@ safe_default = stop
 """
 
 
-def test_the_observer_judges_only_a_frame_that_delivered_it_an_output(monkeypatch):
-    """A fast-path frame that closes in one round delivers the observer
-    Replies only, so it runs ``fast_path_agree`` once per module taking
-    part; on a two-round frame the observer holds the outputs, and runs it
-    once more, on their digests."""
+def test_the_observer_judges_no_output_itself(monkeypatch):
+    """Only the modules taking part run ``fast_path_agree``, once each, on a
+    frame that closes in one round and on one that needs two: the observer
+    holds the outputs of a two-round frame only to name the supporters."""
     calls = []
     real = episode.fast_path_agree
     monkeypatch.setattr(episode, "fast_path_agree", lambda *args: calls.append(args) or real(*args))
@@ -291,7 +292,19 @@ def test_the_observer_judges_only_a_frame_that_delivered_it_an_output(monkeypatc
     assert runner._run_frame(0).line() == "0|decided|go|0,1,2,3|1|0|-"
     assert len(calls) == 4
     assert runner._run_frame(1).line() == "1|decided|go|0,2,3|2|0|-"
-    assert len(calls) == 4 + 5
+    assert len(calls) == 4 + 4
+
+
+def test_supporters_are_the_modules_that_output_the_value_not_those_that_replied_it():
+    """On ``av_plastic_bag`` module 4 outputs ``brake``, tallies the
+    majority and replies ``continue``, and that Reply reaches the observer;
+    the observer holds every output, so module 4 supports no frame."""
+    result = run_episode(load_bundled("av_plastic_bag"))
+    frames = range(len(result.records))
+    from_4 = {tuple(line.split("|")[3:]) for line in result.event_log if line.split("|")[1:3] == ["4", str(OBSERVER)]}
+    assert {("output", Output(4, k, "brake").short_hex()) for k in frames} <= from_4
+    assert {("reply", Reply(k, "continue").short_hex()) for k in frames} <= from_4
+    assert [(r.value, r.supporters) for r in result.records] == [("continue", (0, 1, 2, 3))] * len(frames)
 
 
 @pytest.mark.parametrize(
@@ -372,6 +385,30 @@ restart_delay = 1
 3 | go |
 4 | go |
 """
+
+
+def counting_due_for_restart(monkeypatch) -> list[int]:
+    """The frame of every ``Supervisor.due_for_restart`` call."""
+    calls = []
+    real = Supervisor.due_for_restart
+    monkeypatch.setattr(Supervisor, "due_for_restart", lambda sup, frame: calls.append(frame) or real(sup, frame))
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["pbft", "vote-only"])
+def test_restart_phases_run_only_while_the_supervisor_holds_a_module(monkeypatch, mode):
+    """An episode that isolates no module never asks for due restarts; one
+    that isolates module 3 at frame 1 asks only at frame 2, where the
+    module restarts and recovers."""
+    calls = counting_due_for_restart(monkeypatch)
+    text = scenario_to_text(load_bundled("fuzz_base_n4"))
+    result = run_episode(parse_scenario_text(text.replace("consensus_mode = pbft", f"consensus_mode = {mode}")))
+    assert result.supervisor_events == [] and calls == []
+    result = run_episode(parse_scenario_text(SLOW_THEN_HONEST.format(mode=mode)))
+    assert result.supervisor_events == [
+        (1, 3, "flagged"), (1, 3, "isolated"), (2, 3, "restarting"), (2, 3, "recovered"),
+    ]
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("mode", ["pbft", "vote-only"])
@@ -483,7 +520,11 @@ LONG_DELAYS = [
 ]
 
 
-@pytest.mark.parametrize("scenario, decisions, events, most_calls", LONG_DELAYS)
+@pytest.mark.parametrize(
+    "scenario, decisions, events, most_calls",
+    LONG_DELAYS,
+    ids=["av_plastic_bag-fastpath", "av_plastic_bag-majority", "fuzz_base_n7-majority"],
+)
 def test_delivery_windows_skip_empty_rounds(monkeypatch, scenario, decisions, events, most_calls):
     """The loops that fire no timers (the vote-only windows and the PBFT
     post-frame sync) jump over rounds in which nothing is due, and write
