@@ -2,7 +2,6 @@
 fault-injection simulator."""
 
 from .core import (
-    BROADCAST,
     OBSERVER,
     PEERS,
     DecisionSpace,
@@ -19,7 +18,6 @@ from .scenario import Scenario, ScenarioError, parse_scenario, parse_scenario_te
 from .voter import Verdict, VoteStrategy, tally
 
 __all__ = [
-    "BROADCAST",
     "OBSERVER",
     "PEERS",
     "CampaignReport",

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 # Reserved destination ids used by the simulated network.  The observer is
-# the client: it takes part in no protocol phase, so replicas send their
-# protocol traffic to PEERS and only their Replies to OBSERVER.
-BROADCAST = -1  # every module except the sender, and the observer
+# the client: it takes part in no protocol phase, so modules send their
+# protocol traffic and votes to PEERS and only their Replies to OBSERVER.
 OBSERVER = -2
 PEERS = -3  # every module except the sender
 

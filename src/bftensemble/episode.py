@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BROADCAST, OBSERVER, PEERS, KeyRegistry
+from .core import OBSERVER, PEERS, KeyRegistry
 from .consensus import EquivocatingReplica, Replica, split_others
 from .harness import FaultProfile, module_rng, produce_output
 from .messages import (
@@ -202,14 +202,14 @@ class EpisodeRunner:
         ``value`` and each vote-only module's own verdict; also files the
         frame's vote log.  The test oracle: the only code here that reads
         which modules are Byzantine."""
-        honest = [m for m, p in enumerate(self.profiles) if not p.byzantine]
         # the values honest replicas committed for the frame, and the final
         # one; the first honest replica that decided it gives the vote log
         committed = {value} if value is not None else set()
         decided_views = []
-        for m in honest:
-            engine = self.engines[m]
-            if engine is None:
+        # only PBFT mode has engines to walk: in vote-only mode each is None
+        engines = self.engines if self.s.consensus_mode == "pbft" else {}
+        for m, engine in engines.items():
+            if engine is None or self.profiles[m].byzantine:
                 continue
             if frame in engine.committed:
                 committed.add(engine.committed[frame])
@@ -228,7 +228,7 @@ class EpisodeRunner:
         if value is not None and value != self.s.observations.truth(self.s.decision_space, frame):
             flags.append("ground-truth-mismatch")
         # vote-only uniformity check: honest module verdicts must not conflict
-        split = len({v.value for m, v in verdicts.items() if v.decided and m in honest}) > 1
+        split = len({v.value for m, v in verdicts.items() if v.decided and not self.profiles[m].byzantine}) > 1
         if split and "agreement-violation" not in flags:
             flags.append("agreement-violation")
         return tuple(flags), min(decided_views, default=0)
@@ -265,11 +265,11 @@ class EpisodeRunner:
         """Run one frame in the scenario's consensus mode and judge it.
 
         The mode body only moves the frame's messages.  It returns the
-        finalized value, the rounds it took, the votes the observer holds
-        (the outputs it was sent, or its verified Replies when it holds no
-        output) and each vote-only module's verdict; the supporters are the
-        senders of those votes that match the finalized value, and
-        ``_judge`` does the rest.
+        finalized value, the rounds it took, the votes ``held`` (the full
+        outputs the modules sent, on a frame that exchanged them, else the
+        observer's verified Replies) and each vote-only module's verdict;
+        the supporters are the senders in ``held`` whose vote is the
+        finalized value, and ``_judge`` does the rest.
         """
         s = self.s
         self._handle_restarts(frame)
@@ -376,9 +376,8 @@ class EpisodeRunner:
     # --- vote-only mode ------------------------------------------------------
 
     def _broadcast_outputs(self, frame: int, outputs, digests_only: bool) -> None:
+        """Send each module's vote to its peers; the observer, a client, is sent none."""
         send = self.world.send
-        # the observer is a client: it is sent full outputs, never digests
-        to = PEERS if digests_only else BROADCAST
         for m in range(self.n):
             out = outputs[m]
             if out is None:  # also every module not active
@@ -390,10 +389,8 @@ class EpisodeRunner:
                     send(m, dest, vote_a)
                 for dest in side_b:
                     send(m, dest, vote_b)
-                if not digests_only:
-                    send(m, OBSERVER, vote_b)
             else:
-                send(m, to, self._vote_payload(m, out, frame, digests_only))
+                send(m, PEERS, self._vote_payload(m, out, frame, digests_only))
 
     def _vote_payload(self, m: int, label: str, frame: int, digests_only: bool) -> Signed:
         """Module ``m``'s signed vote: the digest of ``label`` on the fast
@@ -471,8 +468,12 @@ class EpisodeRunner:
             for env in due:
                 self._observe_reply(replies, env, frame)
 
-        # the outputs the observer holds, if it was sent any, name the supporters
-        return self._reply_quorum(replies), rounds_used, inboxes.get(OBSERVER) or replies, verdicts
+        # the full output each module sent (an equivocator's to its second half),
+        # if the frame exchanged any, else the Replies, name the supporters
+        held = replies if rounds_used == 1 and fastpath else {
+            m: out[1] if isinstance(out, tuple) else out for m, out in outputs.items() if out is not None
+        }
+        return self._reply_quorum(replies), rounds_used, held, verdicts
 
     # --- top level -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
-from .core import BROADCAST, DIGEST_SIZE, OBSERVER, PEERS, canonical, short_digest
+from .core import DIGEST_SIZE, OBSERVER, PEERS, canonical, short_digest
 from .messages import KIND_NAMES, Signed
 
 
@@ -174,9 +174,7 @@ class World:
         self.module_ids = sorted(module_ids)
         self.slow_extra = dict(slow_extra or {})  # sender -> extra rounds
         self.round = 0
-        # sender -> its peers; a BROADCAST adds the observer's slot last
         self._peers = {m: tuple(x for x in self.module_ids if x != m) for m in self.module_ids}
-        self._broadcast = {m: (*peers, OBSERVER) for m, peers in self._peers.items()}
         self._queue: list[Envelope] = []
         self._seq = 0
         self.isolated = isolated
@@ -187,8 +185,10 @@ class World:
         return render_event_log(self.deliveries)
 
     def send(self, frm: int, to: int, payload) -> None:
-        """Queue one envelope; BROADCAST and PEERS expand to one per
-        recipient, each with an independent delivery fate.  Drops are silent.
+        """Queue one envelope to a module or the observer; PEERS expands to
+        one per module but the sender, each with an independent delivery
+        fate.  Drops are silent; an envelope to the observer is never
+        dropped: where its draw drops, it is queued with no extra delay.
 
         Every slot takes the next sequence number, and its fate is a pure
         function of that number, so a slot that is not queued (to an
@@ -198,11 +198,11 @@ class World:
         if frm in isolated:
             return
         skipped = 0
-        if to == BROADCAST:
-            recipients = self._broadcast[frm]
-        elif to == PEERS:
+        if to == PEERS:
             recipients = self._peers[frm]
-            skipped = 1  # the observer's slot
+            # the observer's slot is never queued but takes a sequence number:
+            # every pinned fate depends on that numbering
+            skipped = 1
         else:
             recipients = (to,)
         tags = payload.msg.__dict__.get("_log_tags") if isinstance(payload, Signed) else None

@@ -12,10 +12,11 @@ import random
 import pytest
 
 from bftensemble.campaign import episode_report, fuzz_campaign, randomize_episode
-from bftensemble.core import canonical, digest
+from bftensemble.core import OBSERVER, canonical, digest
 from bftensemble.episode import run_episode
-from bftensemble.messages import interned, log_prefix_digest
+from bftensemble.messages import Reply, interned, log_prefix_digest
 from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_text
+from bftensemble.simnet import World
 
 
 def sha256(text: str) -> str:
@@ -26,19 +27,19 @@ def sha256(text: str) -> str:
 EPISODE_LOGS = {
     "assistant_vetting": (
         "ca9234f382c16a3c44c99a3bf85463def78c9e2393a7df2a7f6e67d96a0fd024",
-        "292227289c0055e612e9d36d5113fa9b81f43cba9fb1ae683e0f3d86c62bf5ad",
+        "ff80a223bb00456c598ef08cdebb3ea38cfe07b07215a655a488b0fbd669cf85",
     ),
     "av_missed_obstacle": (
         "14a69e79bcc3f230dcdc1b1b325b48dfb2d1b8a467cd1b46f0cb21feea9a98ae",
-        "2af94968178e5f319cc2fb8fdc86759de656440366065d8fd0b9848a43161667",
+        "29448ff7912712a43e32c79607611e036283b1b696d62c350d925eb5dadf53c1",
     ),
     "av_plastic_bag": (
         "eeccfc624cab8754ff15c33bb8a4dc1d476107f3de299787500664cff5c073a5",
-        "165651d4e9d4666afbaeb6cf612bb648fa566866cc0521359b755d5d5b12ca9f",
+        "229216d4641c74354d5ebcc7120421ed134bdfb7ebdc87b8c782d9eba3108187",
     ),
     "common_mode_breach": (
         "81a62f5418548277994811851467c31f67497c517ffe2693ca1f6fd79f775e0d",
-        "4f9bacc94640406cd4551e27209eb3d6b745829755b9ef88fc860574b07532e8",
+        "c784f5e35796ba1f822237ce15b01e83ad6a6061fe259cbb2635424bdc41228c",
     ),
     "fuzz_base_n4": (
         "8f7f74e700942589b02c1a3b308e5064556a42e7db95815d659cc50e680f0e41",
@@ -54,7 +55,7 @@ EPISODE_LOGS = {
     ),
     "voter_thresholds_2oo3": (
         "3c8020aebd7fbe81505cd66d7dc97132926da98cd2b3acf4424d977deafc603e",
-        "5112ac3f2e9778b35791784cd2d5e55f64cd17aad7940d40accbbcdf7d1e6c3f",
+        "a038b32f1c79452a4b294fba858799207776e200ef3bb94f4271a23c7f49ecb8",
     ),
 }
 
@@ -80,7 +81,7 @@ CAMPAIGN_LOGS = {
     ),
     "vote_fastpath_n4": (
         "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
-        "14a8b1d535ce130d6bf96f616d63610401f8a3713790c3484e3f2c2cc8844a47",
+        "7b448de7a3a621cfaa1b73be8adf67e8811fad0d72b4437503550a749c1a712e",
     ),
 }
 
@@ -151,7 +152,7 @@ SUPERVISED_CAMPAIGN_LOGS = {
     ),
     "vote_fastpath": (
         "c25c1d9cb4d8c8735764c9c249f97ec033ebcc83619d62678195add1df01da4f",
-        "e033b3cfdbddb1527dda4fc360e33f0178287e9b4b5cfa66e0712e5b6de8d215",
+        "1fdf583713f7364a36e422f6c4df44e796a5fd7677bee43dea7084486a7364e5",
     ),
 }
 
@@ -259,6 +260,36 @@ def test_bundled_episode_report_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(SUPERVISED_CAMPAIGN_LOGS))
 def test_supervised_campaign_logs_are_pinned(name):
     assert campaign_log_digests(supervised_base(name)) == SUPERVISED_CAMPAIGN_LOGS[name]
+
+
+VOTE_ONLY_BUNDLED = [
+    "assistant_vetting", "av_missed_obstacle", "av_plastic_bag", "common_mode_breach", "voter_thresholds_2oo3",
+]
+
+
+@pytest.mark.parametrize("name", VOTE_ONLY_BUNDLED + ["vote_fastpath"])
+def test_a_vote_only_observer_is_sent_only_replies(name, monkeypatch):
+    """The observer is a client in vote-only mode too: every envelope queued
+    for it is a Reply, and the decisions are the pinned ones.  For
+    ``vote_fastpath``, the inlined base, these are its first 40 campaign
+    episodes, which draw equivocators, drops and jitter."""
+    kinds = []
+    send = World.send
+
+    def recording(world, frm, to, payload):
+        queued = len(world._queue)
+        send(world, frm, to, payload)
+        kinds.extend(type(env.payload.msg) for env in world._queue[queued:] if env.to == OBSERVER)
+
+    monkeypatch.setattr(World, "send", recording)
+    if name == "vote_fastpath":
+        decisions = hashlib.sha256()
+        for scenario in campaign_episodes(supervised_base(name), 40):
+            decisions.update(run_episode(scenario).decision_log_text.encode("utf-8"))
+        assert decisions.hexdigest() == SUPERVISED_CAMPAIGN_LOGS[name][0]
+    else:
+        assert sha256(run_episode(load_bundled(name)).decision_log_text) == EPISODE_LOGS[name][0]
+    assert kinds and set(kinds) == {Reply}
 
 
 def vote_log_text(result) -> str:

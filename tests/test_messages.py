@@ -558,7 +558,7 @@ NO_TAG_READ_LOGS = {
     ),
     "vote_fastpath": (
         "d6654fa2f68e532ff9e95c33eb7faa44c35a4daf75144b7caa50e2e3a0da7eaf",
-        "c50263b005d3fafb1d2a70e3fdb2ea12be60a7ed2326991231eae1afe5cecb2f",
+        "fc38fdea490719f5d96e2741aa1cc45a44bdc052354f8f3b8d679b3a91fdfd4c",
     ),
 }
 

@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from bftensemble.core import (
-    BROADCAST,
     OBSERVER,
     PEERS,
     DecisionSpace,
@@ -45,12 +44,14 @@ class TestDelivery:
         world = World(quiet_policy(), MODULES)
         assert world.advance_round() == []
 
-    def test_broadcast_expands_per_recipient(self):
+    def test_a_peers_send_takes_n_sequence_numbers(self):
+        """One per peer, then the observer's slot, which is not queued: the
+        next send is numbered n + 1."""
         world = World(quiet_policy(), MODULES)
-        world.send(0, BROADCAST, "hello")
+        world.send(0, PEERS, "hello")
+        world.send(0, OBSERVER, "reply")
         got = drain(world, 2)
-        destinations = sorted(env.to for env in got)
-        assert destinations == [OBSERVER, 1, 2, 3]
+        assert sorted((env.seq, env.to) for env in got) == [(1, 1), (2, 2), (3, 3), (5, OBSERVER)]
 
     def test_peers_skip_the_observer(self):
         world = World(quiet_policy(), MODULES)
@@ -58,20 +59,22 @@ class TestDelivery:
         assert sorted(env.to for env in drain(world, 2)) == [1, 2, 3]
         assert world.event_log == [f"1|0|{m}|opaque|{hex_of('hello')}" for m in (1, 2, 3)]
 
-    def test_peers_number_slots_as_a_broadcast_does(self):
+    def test_peers_number_slots_as_a_send_to_each_peer_and_the_observer(self):
         def later_envelopes(first):
             world = World(quiet_policy(drop_rate=0.3, jitter_rounds=2, seed=3), MODULES)
-            world.send(1, first, "first")
+            for to in first:
+                world.send(1, to, "first")
             for m in MODULES:
-                world.send(m, BROADCAST, f"after-{m}")
+                world.send(m, PEERS, f"after-{m}")
+                world.send(m, OBSERVER, f"after-{m}")
             return [
                 (e.frm, e.to, e.seq, e.deliver_round)
                 for e in drain(world, 6)
                 if e.payload != "first"
             ]
 
-        after_peers = later_envelopes(PEERS)
-        assert after_peers == later_envelopes(BROADCAST) and len(after_peers) > 4
+        after_peers = later_envelopes([PEERS])
+        assert after_peers == later_envelopes([0, 2, 3, OBSERVER]) and len(after_peers) > 4
 
     def test_drop_rate_one_delivers_nothing(self):
         world = World(quiet_policy(drop_rate=0.999999), MODULES)
@@ -91,7 +94,8 @@ class TestDelivery:
         def run():
             world = World(quiet_policy(jitter_rounds=2, seed=5), MODULES)
             for m in MODULES:
-                world.send(m, BROADCAST, f"m{m}")
+                world.send(m, PEERS, f"m{m}")
+                world.send(m, OBSERVER, f"m{m}")
             return [(e.frm, e.to, e.payload) for e in drain(world, 6)]
 
         assert run() == run()
@@ -135,14 +139,14 @@ class TestSequenceNumbers:
         logs = []
         for world in worlds:
             drawn.clear()
-            world.send(0, BROADCAST, "first")  # slots 1-4; slot 2 is to module 2
+            world.send(0, PEERS, "first")  # slots 1-4; slot 2 is to module 2, slot 4 the observer's
             world.send(0, 3, "next")  # slot 5
             logs.append(([e[:5] for e in drain(world, 6)], list(drawn)))
         (open_envelopes, open_draws), (blocked_envelopes, blocked_draws) = logs
         # on the open network, slot 2 reaches module 2
         assert [e[4] for e in open_envelopes if e[3] == 2] == [2]
         assert blocked_envelopes == [e for e in open_envelopes if e[3] != 2]
-        assert open_draws == [1, 2, 3, 4, 5] and blocked_draws == [1, 3, 4, 5]
+        assert open_draws == [1, 2, 3, 5] and blocked_draws == [1, 3, 5]
         assert blocked._seq == 5
 
 
@@ -196,7 +200,8 @@ class TestEnvelopeOrder:
 
         world = World(quiet_policy(jitter_rounds=3, seed=8), MODULES)
         for m in MODULES:
-            world.send(m, BROADCAST, Opaque())
+            world.send(m, PEERS, Opaque())
+            world.send(m, OBSERVER, Opaque())
             world.send(m, (m + 1) % 4, Opaque())
         got = drain(world, 6)
         assert len(got) == 4 * 5
@@ -217,7 +222,7 @@ class TestEnvelopeOrder:
         slow = {3: rng.randrange(3)}
         worlds = [World(policy, MODULES, slow) for _ in range(2)]
         sends = [
-            (rng.choice(MODULES), rng.choice([BROADCAST, PEERS, *MODULES]), ("msg", i))
+            (rng.choice(MODULES), rng.choice([OBSERVER, PEERS, *MODULES]), ("msg", i))
             for i in range(rng.randrange(1, 12))
         ]
         rounds = rng.randrange(1, 500)
@@ -280,7 +285,8 @@ class TestEventLog:
         def run():
             world = World(quiet_policy(jitter_rounds=2, drop_rate=0.2, seed=44), MODULES)
             for m in MODULES:
-                world.send(m, BROADCAST, ("payload", m))
+                world.send(m, PEERS, ("payload", m))
+                world.send(m, OBSERVER, ("payload", m))
             drain(world, 6)
             return list(world.event_log)
 
@@ -292,7 +298,9 @@ class TestEventLog:
         world = World(quiet_policy(jitter_rounds=2), MODULES)
         registry = KeyRegistry(1, MODULES)
         for m in MODULES:
-            world.send(m, BROADCAST, sign_message(registry, m, Reply(0, "go")))
+            reply = sign_message(registry, m, Reply(0, "go"))
+            world.send(m, PEERS, reply)
+            world.send(m, OBSERVER, reply)
         drain(world, 4)
         assert len(world.event_log) == 16
         for now, *columns in world.deliveries:
@@ -403,7 +411,8 @@ class ListScanWorld:
     def send(self, frm, to, payload):
         if frm in self.muted:
             return
-        if to in (BROADCAST, PEERS):
+        if to == PEERS:
+            # the observer's slot takes a sequence number and is never queued
             recipients = [m for m in self.module_ids if m != frm] + [OBSERVER]
         else:
             recipients = [to]
@@ -459,9 +468,9 @@ NETWORKS = {
 
 
 class TestAgainstListScan:
-    """Random sends, broadcasts, slow senders and base delays over each
-    class of network, with and without partitions and mutes: World's
-    deliveries and event log equal those of ListScanWorld."""
+    """Random sends to one recipient or to the peers, slow senders and base
+    delays over each class of network, with and without partitions and
+    mutes: World's deliveries and event log equal those of ListScanWorld."""
 
     @staticmethod
     def payloads(registry):
@@ -490,7 +499,7 @@ class TestAgainstListScan:
             toggle_mutes(now, model.muted)
             for _ in range(rng.randrange(1, 6)):
                 frm = rng.choice(modules)
-                to = rng.choice([BROADCAST, PEERS, OBSERVER, *modules])
+                to = rng.choice([PEERS, OBSERVER, *modules])
                 payload = rng.choice(payloads)
                 world.send(frm, to, payload)
                 model.send(frm, to, payload)
