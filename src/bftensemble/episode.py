@@ -265,9 +265,9 @@ class EpisodeRunner:
         """Run one frame in the scenario's consensus mode and judge it.
 
         The mode body only moves the frame's messages.  It returns the
-        finalized value, the rounds it took, the votes ``held`` (the full
-        outputs the modules sent, on a frame that exchanged them, else the
-        observer's verified Replies) and each vote-only module's verdict;
+        finalized value, the rounds it took, the votes ``held`` (in PBFT
+        mode the observer's verified Replies, in vote-only mode the outputs
+        the modules sent) and each vote-only module's verdict;
         the supporters are the senders in ``held`` whose vote is the
         finalized value, and ``_judge`` does the rest.
         """
@@ -376,34 +376,31 @@ class EpisodeRunner:
     # --- vote-only mode ------------------------------------------------------
 
     def _broadcast_outputs(self, frame: int, outputs, digests_only: bool) -> None:
-        """Send each module's vote to its peers; the observer, a client, is sent none."""
+        """Send each module's signed vote to its peers: the digest of its
+        output on the fast path's first round, else the full output.  The
+        observer, a client, is sent none."""
         send = self.world.send
+        registry = self.registry
         for m in range(self.n):
             out = outputs[m]
             if out is None:  # also every module not active
                 continue
-            if isinstance(out, tuple):
-                vote_a, vote_b = (self._vote_payload(m, label, frame, digests_only) for label in out)
-                side_a, side_b = split_others(m, self.n)
-                for dest in side_a:
-                    send(m, dest, vote_a)
-                for dest in side_b:
-                    send(m, dest, vote_b)
-            else:
-                send(m, PEERS, self._vote_payload(m, out, frame, digests_only))
+            # an equivocator sends its first label to one half of its peers, its second to the other
+            sends = zip(split_others(m, self.n), out) if isinstance(out, tuple) else (((PEERS,), out),)
+            for dests, label in sends:
+                if digests_only:
+                    vote = sign_message(registry, m, interned(OutputDigest, frame, value_digest(label)))
+                else:
+                    vote = sign_message(registry, m, interned(Output, frame, label))
+                for dest in dests:
+                    send(m, dest, vote)
 
-    def _vote_payload(self, m: int, label: str, frame: int, digests_only: bool) -> Signed:
-        """Module ``m``'s signed vote: the digest of ``label`` on the fast
-        path's first round, else the full output."""
-        if digests_only:
-            msg = interned(OutputDigest, frame, value_digest(label))
-        else:
-            msg = interned(Output, m, frame, label)
-        return sign_message(self.registry, m, msg)
-
-    def _deliver_window(self, frame: int, collect_outputs: defaultdict, collect_digests: defaultdict) -> None:
-        """Deliver one round of votes: each receiver keeps the first verified
-        Output value and OutputDigest of each signer for ``frame``."""
+    def _deliver_window(self, frame: int, collect_votes: defaultdict, collect_digests: defaultdict) -> None:
+        """Deliver everything sent at the window's start, which is due
+        within the base delay, the jitter and the largest slow delay.  Each
+        receiver keeps the first verified vote of each signer for
+        ``frame``: a module its peers' Outputs and OutputDigests, the
+        observer the modules' Replies."""
         s = self.s
         window = s.network.base_delay_rounds + s.network.jitter_rounds
         window += max(self.world.slow_extra.values(), default=0)
@@ -412,29 +409,30 @@ class EpisodeRunner:
             for env in due:
                 signed = env.payload
                 msg = signed.msg
-                kind = type(msg)
-                if kind is Output:
-                    box, vote = collect_outputs, msg.value
-                elif kind is OutputDigest:
+                if type(msg) is OutputDigest:
                     box, vote = collect_digests, msg.value_digest
-                else:
-                    continue  # a Reply that arrived after its frame's window
+                else:  # an Output to a module or a Reply to the observer
+                    box, vote = collect_votes, msg.value
                 # a vote sign_message made with this registry carries it as its stamp
                 if msg.frame == frame and (signed.__dict__.get("_verified") is registry or signed.verify(registry)):
                     box[env.to].setdefault(signed.sender, vote)
 
     def _vote_rounds(self, frame: int, outputs):
         s = self.s
-        replies: dict[int, str] = {}
         fastpath = s.strategy.kind == "fastpath"
         inboxes: defaultdict[int, dict[int, str]] = defaultdict(dict)
         digest_boxes: defaultdict[int, dict[int, bytes]] = defaultdict(dict)
-        # a module holds its own vote as if it had delivered it to itself
+        # the output each module sent (an equivocator's to its second half) names the supporters
+        held: dict[int, str] = {}
         for m in range(self.n):
-            if isinstance(outputs[m], str):
-                inboxes[m][m] = outputs[m]
+            out = outputs[m]
+            if isinstance(out, str):
+                # a module holds its own vote as if it had delivered it to itself
+                inboxes[m][m] = held[m] = out
                 if fastpath:
-                    digest_boxes[m][m] = value_digest(outputs[m])
+                    digest_boxes[m][m] = value_digest(out)
+            elif out is not None:
+                held[m] = out[1]
 
         rounds_used = 1
         self._broadcast_outputs(frame, outputs, digests_only=fastpath)
@@ -462,18 +460,8 @@ class EpisodeRunner:
             if verdict.decided:
                 reply = sign_message(self.registry, m, interned(Reply, frame, verdict.value))
                 self.world.send(m, OBSERVER, reply)
-
-        window = s.network.base_delay_rounds + s.network.jitter_rounds
-        for due in self.world.delivery_rounds(window + 1):
-            for env in due:
-                self._observe_reply(replies, env, frame)
-
-        # the full output each module sent (an equivocator's to its second half),
-        # if the frame exchanged any, else the Replies, name the supporters
-        held = replies if rounds_used == 1 and fastpath else {
-            m: out[1] if isinstance(out, tuple) else out for m, out in outputs.items() if out is not None
-        }
-        return self._reply_quorum(replies), rounds_used, held, verdicts
+        self._deliver_window(frame, inboxes, digest_boxes)  # the Replies land in the observer's inbox
+        return self._reply_quorum(inboxes[OBSERVER]), rounds_used, held, verdicts
 
     # --- top level -----------------------------------------------------------
 

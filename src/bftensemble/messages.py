@@ -313,17 +313,15 @@ class OutputDigest(Encoded):
 
 @dataclass(frozen=True)
 class Output(Encoded):
-    """Vote-only mode: one module's full output for one frame.  It encodes
-    under the tag "output" rather than its kind number.  A receiver counts
-    it as the vote of its ``Signed.sender``, whatever ``module_id`` says."""
+    """Vote-only mode: a module's full output for one frame.  It names no
+    sender: a receiver counts it as the vote of its ``Signed.sender``."""
 
     KIND = 11
-    module_id: int
     frame: int
     value: str
 
     def _fields(self) -> tuple:
-        return ("output", self.module_id, self.frame, self.value)
+        return (self.KIND, self.frame, self.value)
 
 
 Message = Union[

@@ -17,7 +17,7 @@ from bftensemble.core import (
     quorum_size,
     short_digest,
 )
-from bftensemble.messages import Output, Signed, sign_message
+from bftensemble.messages import Output, Reply, Signed, sign_message
 
 
 class TestQuorumArithmetic:
@@ -256,18 +256,18 @@ class TestAuthentication:
 
     def test_output_verification(self):
         reg = self.fresh_registry()
-        out = sign_message(reg, 1, Output(1, frame=0, value="go"))
+        out = sign_message(reg, 1, Output(frame=0, value="go"))
         assert out.verify(reg)
 
     def test_forged_output_rejected(self):
         reg = self.fresh_registry()
-        out = sign_message(reg, 1, Output(1, frame=0, value="go"))
-        forged = Signed(Output(1, frame=0, value="stop"), out.sender, out.tag)
+        out = sign_message(reg, 1, Output(frame=0, value="go"))
+        forged = Signed(Output(frame=0, value="stop"), out.sender, out.tag)
         assert not forged.verify(reg)
 
     def test_payload_binds_all_fields(self):
         go, stop = "go", "stop"
-        a = Output(1, 0, go).payload()
-        assert a != Output(2, 0, go).payload()
-        assert a != Output(1, 1, go).payload()
-        assert a != Output(1, 0, stop).payload()
+        a = Output(0, go).payload()
+        assert a != Output(1, go).payload()
+        assert a != Output(0, stop).payload()
+        assert a != Reply(0, go).payload()  # the kind keeps a vote apart from a Reply

@@ -1,12 +1,15 @@
 """The observer's side of `EpisodeRunner._run_frame`: which Replies it keeps,
-and when f+1 matching Replies finalize a frame.  Both consensus modes end a
-frame through these two helpers.  Also what `supervise = false` turns off,
+and when f+1 matching Replies finalize a frame: PBFT mode keeps them with
+`_observe_reply`, vote-only mode with `_deliver_window`, and both count them
+with `_reply_quorum`.  Also what `supervise = false` turns off,
 what the observer receives, whose vote a vote-only Output counts as, that a
 restarted vote-only module recovers, that a module restarted as honest is
 judged by its new profile and a slow one loses its delay, that an
 equivocator never agrees, that split honest vote-only verdicts are flagged,
 that the observer judges no output itself, names as supporters the modules
-that output the finalized value and is sent no fast-path digest, that
+that output the finalized value and is sent no fast-path digest, that a
+slow module's Replies land in their own frame, so no vote-only frame
+leaves an envelope queued for the next, that
 restart phases run only while the supervisor holds a module, that an
 episode leaves no reference cycle, one campaign episode that once broke the
 liveness bound, that long network delays cost no empty rounds, and that the
@@ -29,6 +32,8 @@ from bftensemble.scenario import load_bundled, parse_scenario_text, scenario_to_
 from bftensemble.simnet import Envelope, World
 from bftensemble.supervisor import Supervisor
 from bftensemble.voter import VoteStrategy
+
+from test_golden import campaign_episodes, supervised_base
 
 
 @pytest.fixture(params=["fuzz_base_n4", "fuzz_base_n7"])
@@ -123,15 +128,17 @@ def test_supervise_false_never_judges_a_module(mode):
 
 
 def test_a_vote_only_output_counts_as_its_signers_vote():
-    """Module 1 signs and sends an Output that names module 2.  A vote is
-    keyed by its authenticated sender, so this is module 1's vote, and
-    module 2 has cast none."""
+    """An Output names no module, and module 2 relays one that module 1
+    signed.  A vote is keyed by its authenticated sender, so this is module
+    1's vote, and module 2 has cast none; the same window delivers module
+    1's Reply to the observer."""
     runner = EpisodeRunner(load_bundled("av_plastic_bag"))
     label = runner.s.decision_space.labels[0]
-    runner.world.send(1, 0, sign_message(runner.registry, 1, Output(2, 0, label)))
+    runner.world.send(2, 0, sign_message(runner.registry, 1, Output(0, label)))
+    runner.world.send(1, OBSERVER, sign_message(runner.registry, 1, Reply(0, label)))
     outputs, digests = defaultdict(dict), defaultdict(dict)
     runner._deliver_window(0, outputs, digests)
-    assert outputs == {0: {1: label}} and digests == {}
+    assert outputs == {0: {1: label}, OBSERVER: {1: label}} and digests == {}
 
 
 @pytest.mark.parametrize("made", ["signed", "built-directly", "forged-tag", "other-master-seed"])
@@ -140,7 +147,7 @@ def test_a_vote_is_kept_only_under_a_tag_that_verifies(made):
     stamp; any other is checked by MAC, and only a valid tag is kept."""
     runner = EpisodeRunner(load_bundled("av_plastic_bag"))
     label = runner.s.decision_space.labels[0]
-    msg = Output(1, 0, label)
+    msg = Output(0, label)
     vote = {
         "signed": lambda: sign_message(runner.registry, 1, msg),
         "built-directly": lambda: Signed(msg, 1, sign_message(runner.registry, 1, msg).tag),
@@ -284,7 +291,7 @@ safe_default = stop
 def test_the_observer_judges_no_output_itself(monkeypatch):
     """Only the modules taking part run ``fast_path_agree``, once each, on a
     frame that closes in one round and on one that needs two: the outputs
-    the modules sent on a two-round frame only name the supporters."""
+    the modules sent only name the supporters, on either frame."""
     calls = []
     real = episode.fast_path_agree
     monkeypatch.setattr(episode, "fast_path_agree", lambda *args: calls.append(args) or real(*args))
@@ -305,7 +312,7 @@ def test_supporters_are_the_modules_that_output_the_value_not_those_that_replied
     assert {kind for _, to, kind, _ in sent if to == str(OBSERVER)} == {"reply"}
     from_4 = {(to, kind, short) for frm, to, kind, short in sent if frm == "4"}
     assert {(str(OBSERVER), "reply", Reply(k, "continue").short_hex()) for k in frames} <= from_4
-    assert {("0", "output", Output(4, k, "brake").short_hex()) for k in frames} <= from_4
+    assert {("0", "output", Output(k, "brake").short_hex()) for k in frames} <= from_4
     assert [(r.value, r.supporters) for r in result.records] == [("continue", (0, 1, 2, 3))] * len(frames)
 
 
@@ -325,6 +332,32 @@ def test_fast_path_digests_go_to_the_peers_only(module_3, decisions):
     assert any(record.rounds_to_commit == 2 for record in result.records)
     to_observer = [line.split("|")[1:4] for line in result.event_log if line.split("|")[2] == str(OBSERVER)]
     assert to_observer and {kind for _, _, kind in to_observer} == {"reply"}
+
+
+def test_a_slow_modules_reply_lands_in_its_own_frame():
+    """Module 3 of the benchmark's fast-path base is slow by two rounds.
+    Its digests and its Replies land within the frame's windows, so every
+    frame closes in one round and names module 3 a supporter."""
+    text = scenario_to_text(supervised_base("vote_fastpath"))
+    result = run_episode(parse_scenario_text(text.replace("3 = honest", "3 = slow delay=2")))
+    records = [(r.verdict, r.supporters, r.rounds_to_commit, r.flags) for r in result.records]
+    assert records == [("decided", (0, 1, 2, 3), 1, ())] * 12
+
+
+@pytest.mark.parametrize("name", ["vote_fastpath", "av_plastic_bag"])
+def test_every_vote_only_frame_delivers_all_it_sent(name):
+    """A vote-only window delivers everything sent at its start, a slow
+    module's Replies too, so no frame of a campaign's first 100 episodes
+    leaves an envelope queued for the next frame."""
+    base = supervised_base(name) if name == "vote_fastpath" else load_bundled(name)
+    left = []
+    for index, scenario in enumerate(campaign_episodes(base, 100)):
+        runner = EpisodeRunner(scenario)
+        for frame in range(scenario.frames):
+            runner._run_frame(frame)
+            if runner.world._queue:
+                left.append((index, frame))
+    assert left == []
 
 
 def counting_module_rng(monkeypatch) -> list[int]:
@@ -502,13 +535,13 @@ LONG_DELAYS = [
     (
         delayed("av_plastic_bag", "fastpath", jitter_rounds=1000, drop_rate=0.1),
         "177b50bba0fbd3e4340cd1b769f80eed183b7b1b3116fc80db0e1bbbc3cfa4ab",
-        "62b07dce52a24ca7618add85f81324862ec5233b64b40f5ae9c55326745f602d",
+        "1092148eaca87919e7366cfeaf525a50d0f4588b402fc695375f30529bb422b6",
         400,
     ),
     (
         delayed("av_plastic_bag", "majority", jitter_rounds=1000),
         "eeccfc624cab8754ff15c33bb8a4dc1d476107f3de299787500664cff5c073a5",
-        "cf2cac670f3d359cafa828618666602ba759926fe8f46c50f52bcb6a362b4059",
+        "53c898a7395e1da89b710ac058d4036e15af6d332b0496c0a326a2c7b64c45cc",
         250,
     ),
     (
@@ -543,15 +576,6 @@ def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
     assert calls[0] <= 400
 
 
-def campaign_draws(name: str, count: int, seed: int = 2026):
-    """The first ``count`` episode scenarios of ``name``'s campaign at
-    ``seed``, drawn as fuzz_campaign draws them."""
-    base, rng = load_bundled(name), random.Random(seed)
-    for index in range(count):
-        episode_seed = int.from_bytes(digest(canonical("fuzz", seed, index))[:8], "big") % 2**31
-        yield randomize_episode(base, rng, episode_seed)
-
-
 # Episode 8 of the fuzz_base_n7 campaign at seed 2026 (a crashed and a
 # diverse_honest module, jitter 1, drop rate 1%): it delivers seven message
 # kinds, view changes and state transfer among them.
@@ -562,7 +586,7 @@ def test_the_event_log_renders_from_the_delivery_record_alone():
     """Rendering reads only the recorded envelopes, so a result renders the
     same bytes after other episodes have run and the message memos have been
     emptied."""
-    *others, kept = campaign_draws("fuzz_base_n7", 9)
+    *others, kept = campaign_episodes(load_bundled("fuzz_base_n7"), 9)
     result = run_episode(kept)
     text = result.event_log_text
     for scenario in others:
@@ -575,7 +599,7 @@ def test_the_event_log_renders_from_the_delivery_record_alone():
 
 
 def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
-    *_, scenario = campaign_draws("fuzz_base_n7", 9)
+    *_, scenario = campaign_episodes(load_bundled("fuzz_base_n7"), 9)
     runner = EpisodeRunner(scenario)
     world, advance, seen = runner.world, runner.world.advance_round, []
 
@@ -612,7 +636,7 @@ def test_timers_fire_only_on_undecided_replicas(monkeypatch):
 
     monkeypatch.setattr(Replica, "on_round", spy)
     decisions, events = hashlib.sha256(), hashlib.sha256()
-    for scenario in campaign_draws("fuzz_base_n7", 8):
+    for scenario in campaign_episodes(load_bundled("fuzz_base_n7"), 8):
         result = run_episode(scenario)
         decisions.update(result.decision_log_text.encode("utf-8"))
         events.update(result.event_log_text.encode("utf-8"))
@@ -628,7 +652,7 @@ def test_timers_never_fire_on_an_equivocator(monkeypatch):
     monkeypatch.setattr(EquivocatingReplica, "on_round", lambda engine, round_: fired.append(round_) or [])
     decisions, events = hashlib.sha256(), hashlib.sha256()
     drawn = 0
-    for scenario in campaign_draws("fuzz_base_n7", 8):
+    for scenario in campaign_episodes(load_bundled("fuzz_base_n7"), 8):
         drawn += any(p.kind == "byzantine_equivocate" for p in scenario.modules)
         result = run_episode(scenario)
         decisions.update(result.decision_log_text.encode("utf-8"))

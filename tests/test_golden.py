@@ -27,19 +27,19 @@ def sha256(text: str) -> str:
 EPISODE_LOGS = {
     "assistant_vetting": (
         "ca9234f382c16a3c44c99a3bf85463def78c9e2393a7df2a7f6e67d96a0fd024",
-        "ff80a223bb00456c598ef08cdebb3ea38cfe07b07215a655a488b0fbd669cf85",
+        "23e6bc62591115cf14ac3e0a005714ad18f09a6a5fdcffedad1015743fd0ef6a",
     ),
     "av_missed_obstacle": (
         "14a69e79bcc3f230dcdc1b1b325b48dfb2d1b8a467cd1b46f0cb21feea9a98ae",
-        "29448ff7912712a43e32c79607611e036283b1b696d62c350d925eb5dadf53c1",
+        "6db2f2905788df43e2a746be98a6b0cd7dad358efe44c5608c007223918faf99",
     ),
     "av_plastic_bag": (
         "eeccfc624cab8754ff15c33bb8a4dc1d476107f3de299787500664cff5c073a5",
-        "229216d4641c74354d5ebcc7120421ed134bdfb7ebdc87b8c782d9eba3108187",
+        "7367e820152aa11c2194addf2a4ec6f1c46b7b91aa59726d3a570e42fd8d0003",
     ),
     "common_mode_breach": (
         "81a62f5418548277994811851467c31f67497c517ffe2693ca1f6fd79f775e0d",
-        "c784f5e35796ba1f822237ce15b01e83ad6a6061fe259cbb2635424bdc41228c",
+        "47075714f07be6ad30207c404a2fcb8ce0f2c115bafccd77d849cb7443919a59",
     ),
     "fuzz_base_n4": (
         "8f7f74e700942589b02c1a3b308e5064556a42e7db95815d659cc50e680f0e41",
@@ -55,7 +55,7 @@ EPISODE_LOGS = {
     ),
     "voter_thresholds_2oo3": (
         "3c8020aebd7fbe81505cd66d7dc97132926da98cd2b3acf4424d977deafc603e",
-        "a038b32f1c79452a4b294fba858799207776e200ef3bb94f4271a23c7f49ecb8",
+        "8d61eae2d007792d166e594a94c22a7b1e3b9bc4869cf06112ffd085404302fa",
     ),
 }
 
@@ -80,8 +80,8 @@ CAMPAIGN_LOGS = {
         "c596329ed6c531bda3f9d09c47bdea43b973f6c0a27dff501356d786351f0729",
     ),
     "vote_fastpath_n4": (
-        "277d3cb432f08d51ef5d70d6a4d9b0cdafb7fdccdc0bd27c6f289e3c853cc1c0",
-        "7b448de7a3a621cfaa1b73be8adf67e8811fad0d72b4437503550a749c1a712e",
+        "0e5ca5f88ef07cf9cd586ff943c3229e2172df00a4243c551fb4e2b899446f32",
+        "1ce6bf33c59bf62e378b36c52cb312ae45fcc118cd544d4e4ebea265025825d8",
     ),
 }
 
@@ -151,8 +151,8 @@ SUPERVISED_CAMPAIGN_LOGS = {
         "e0455757fc91f7465898fb67dda9f89a6a56363d556d1828d118c0226e1b564c",
     ),
     "vote_fastpath": (
-        "c25c1d9cb4d8c8735764c9c249f97ec033ebcc83619d62678195add1df01da4f",
-        "1fdf583713f7364a36e422f6c4df44e796a5fd7677bee43dea7084486a7364e5",
+        "8a82ad3f8bc828b273c9dae11e63f6ec87da7e73ebe334bbba126907d1c99dca",
+        "f5ddce2d1e2c579ded26f9982b9b8a5f2da440d6d4c3ce8de323063ccbed37dd",
     ),
 }
 

@@ -169,15 +169,15 @@ class TestOutputCache:
     message memo, and Signed.verify keeps its result per registry."""
 
     def test_payload_and_digest(self, registry):
-        out = Output(1, 2, NORTH)
-        assert out.payload() == canonical("output", 1, 2, NORTH)
+        out = Output(2, NORTH)
+        assert out.payload() == canonical(11, 2, NORTH)
         assert out.payload_digest() == digest(out.payload())
         assert out.short_hex() == digest(out.payload()).hex()[:12]
         signed = sign_message(registry, 1, out)
         assert (payload_kind(signed), payload_digest_hex(signed)) == ("output", out.short_hex())
 
     def test_forged_tag_fails_after_a_cached_success(self, registry):
-        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        out = sign_message(registry, 1, Output(0, NORTH))
         assert out.verify(registry)
         stolen = replace(out, tag=registry.sign(2, out.msg.payload_digest()))
         minted = replace(out, tag=KeyRegistry(99, range(4)).sign(1, out.msg.payload_digest()))
@@ -187,31 +187,31 @@ class TestOutputCache:
 
     def test_result_is_per_registry(self, registry):
         other = KeyRegistry(18, range(4))
-        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        out = sign_message(registry, 1, Output(0, NORTH))
         assert out.verify(registry)
         assert not out.verify(other)
         assert out.verify(registry)
         assert not out.verify(other)
 
     @pytest.mark.parametrize(
-        "change", [{"module_id": 2}, {"frame": 1}, {"value": SOUTH}]
+        "change", [{"frame": 1}, {"value": SOUTH}]
     )
     def test_swapped_field_fails_after_a_cached_success(self, registry, change):
-        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        out = sign_message(registry, 1, Output(0, NORTH))
         assert out.verify(registry)
         swapped = Signed(replace(out.msg, **change), out.sender, out.tag)
         assert not swapped.verify(registry)
         assert out.verify(registry)
 
     def test_caches_leave_equality_hash_repr_and_replace_alone(self, registry):
-        used = sign_message(registry, 2, Output(2, 1, NORTH))
+        used = sign_message(registry, 2, Output(1, NORTH))
         used.msg.payload(), used.msg.payload_digest(), used.msg.short_hex()
         assert used.verify(registry)
-        fresh = Signed(Output(2, 1, NORTH), 2, used.tag)
+        fresh = Signed(Output(1, NORTH), 2, used.tag)
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         assert {used: 1}[fresh] == 1
         moved = replace(used.msg, frame=4)
-        assert moved.payload() == canonical("output", 2, 4, NORTH)
+        assert moved.payload() == canonical(11, 4, NORTH)
         assert not Signed(moved, 2, used.tag).verify(registry)
 
 
@@ -272,7 +272,7 @@ class TestSigningState:
             Reply(4, SOUTH),
             StateRequest(7),
             ViewChange(2, 1, None),
-            Output(1, 2, NORTH),
+            Output(2, NORTH),
         ],
     )
     def test_sign_message_seeds_the_memo(self, registry, msg):
@@ -291,7 +291,7 @@ class TestSigningState:
         for msg in (replace(signed.msg, value=SOUTH), replace(signed.msg, view=1)):
             assert not Signed(msg, 1, signed.tag).verify(registry)
         assert not Signed(signed.msg, 2, signed.tag).verify(registry)
-        out = sign_message(registry, 1, Output(1, 0, NORTH))
+        out = sign_message(registry, 1, Output(0, NORTH))
         assert out.verify(registry)
         assert not Signed(replace(out.msg, value=SOUTH), 1, out.tag).verify(registry)
         assert not Signed(out.msg, 1, registry.sign(2, out.msg.payload_digest())).verify(registry)
@@ -341,7 +341,7 @@ FLAT = [
     (StateRequest, (6,)),
     (CheckpointAttest, (4, D_SOUTH)),
     (OutputDigest, (7, D_NORTH)),
-    (Output, (1, 8, NORTH)),
+    (Output, (8, NORTH)),
 ]
 
 
@@ -366,8 +366,8 @@ class TestInterned:
         assert a is not b and a == b  # equal fields, as 1 == True
         assert a.payload() == canonical(7, first) and b.payload() == canonical(7, second)
         assert a.payload_digest() != b.payload_digest()
-        assert interned(Output, True, 0, NORTH).payload() == canonical("output", True, 0, NORTH)
-        assert interned(Output, 1, 0, NORTH).payload() == canonical("output", 1, 0, NORTH)
+        assert interned(Output, True, NORTH).payload() == canonical(11, True, NORTH)
+        assert interned(Output, 1, NORTH).payload() == canonical(11, 1, NORTH)
 
     def test_results_stay_exact_after_a_flood_past_maxsize(self):
         interned.cache_clear()
@@ -496,7 +496,7 @@ class TestTagOnFirstRead:
         assert signed.__dict__["tag"] == built.tag
 
     def test_a_copy_carries_the_tag_but_not_the_stamp(self, registry):
-        signed = sign_message(registry, 1, Output(1, 0, NORTH))
+        signed = sign_message(registry, 1, Output(0, NORTH))
         other = KeyRegistry(18, range(4))  # same modules, other master seed
         copy = pickle.loads(pickle.dumps(signed))
         assert copy.__dict__.keys() == {"msg", "sender", "tag"}
@@ -558,7 +558,7 @@ NO_TAG_READ_LOGS = {
     ),
     "vote_fastpath": (
         "d6654fa2f68e532ff9e95c33eb7faa44c35a4daf75144b7caa50e2e3a0da7eaf",
-        "fc38fdea490719f5d96e2741aa1cc45a44bdc052354f8f3b8d679b3a91fdfd4c",
+        "754f3b560ddee8ed7ab0252e33932c69fd57b6c644ac7e34340d69c8cd203cfd",
     ),
 }
 

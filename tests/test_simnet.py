@@ -483,7 +483,7 @@ class TestAgainstListScan:
             sign_message(registry, 1, Prepare(0, 0, d, go)),
             sign_message(registry, 2, Commit(0, 1, d, go)),
             sign_message(registry, 0, Reply(2, go)),
-            sign_message(registry, 3, Output(3, 1, go)),
+            sign_message(registry, 3, Output(1, go)),
         ]
 
     def replay(self, policy, modules, slow, rng, toggle_mutes):
