@@ -31,10 +31,6 @@ from .supervisor import Supervisor
 from .voter import Verdict, fast_path_agree, tally
 
 
-# the default of a receiver lookup for a module that takes no deliveries
-_NOT_RECEIVING = object()
-
-
 def liveness_bound(f: int, timeout_rounds: int) -> int:
     return (f + 1) * timeout_rounds + 3
 
@@ -154,14 +150,22 @@ class EpisodeRunner:
         """Per-module output labels for this frame, None for a module that
         outputs nothing.  Equivocators yield a pair.  A module takes part in
         the frame exactly when its output is not None: it is active and
-        emits, and in PBFT mode it then has an engine."""
-        outputs = {}
+        emits, and in PBFT mode it then has an engine.  The world delivers
+        nothing to a module that takes no part, unless it is a PBFT module
+        restarting, which catches up by state transfer (a vote-only one
+        holds no state)."""
+        supervisor = self.supervisor
+        catching_up = supervisor.restarting if self.s.consensus_mode == "pbft" else ()
+        outputs, absent = {}, ()
         for m in range(self.n):
-            if not self.supervisor.active(m):
-                outputs[m] = None
-                continue
-            obs = self.s.observations.observed(self.s.decision_space, frame, m)
-            outputs[m] = produce_output(self.profiles[m], frame, obs, self.s.decision_space, self.rngs[m])
+            out = None
+            if supervisor.active(m):
+                obs = self.s.observations.observed(self.s.decision_space, frame, m)
+                out = produce_output(self.profiles[m], frame, obs, self.s.decision_space, self.rngs[m])
+            outputs[m] = out
+            if out is None and m not in catching_up:
+                absent += (m,)
+        self.world.absent = absent
         return outputs
 
     def _supervise(self, frame: int, committed: Optional[str], outputs) -> None:
@@ -171,7 +175,7 @@ class EpisodeRunner:
         self.supervisor.review(frame)
 
     def _handle_restarts(self, frame: int) -> None:
-        if not self.supervisor.isolated and not self.supervisor.restarting:
+        if not self.supervisor.isolated:
             return
         for m in self.supervisor.due_for_restart(frame):
             profile = self.profiles[m] = self.profiles[m].restarted()
@@ -179,11 +183,6 @@ class EpisodeRunner:
                 self.world.slow_extra.pop(m, None)
             self.engines[m] = self._make_engine(m, profile)
             self.rngs[m] = self._rng(m, profile)
-        # restarting modules keep asking for state until a snapshot lands
-        for m in sorted(self.supervisor.restarting):
-            if self.engines[m] is not None:
-                req = sign_message(self.registry, m, interned(StateRequest, max(frame - 1, 0)))
-                self.world.send(m, PEERS, req)
 
     def _check_recoveries(self, frame: int) -> None:
         if not self.supervisor.restarting:
@@ -238,8 +237,7 @@ class EpisodeRunner:
         reaches the observer; True if ``env`` was one."""
         payload = env.payload
         if (
-            env.to == OBSERVER
-            and isinstance(payload, Signed)
+            isinstance(payload, Signed)
             and isinstance(payload.msg, Reply)
             and payload.msg.frame == frame
             and payload.sender not in replies
@@ -304,12 +302,14 @@ class EpisodeRunner:
         send = world.send
         start_round = world.round
         # statuses and engines change only between frames: `live` run the
-        # frame, and restarting modules also take deliveries to catch up
+        # frame, and restarting modules also take deliveries to catch up and
+        # keep asking for state until a snapshot lands
         live = [(m, self.engines[m]) for m in range(self.n) if outputs[m] is not None]
         receivers = dict(live)
-        for m in self.supervisor.restarting:
-            receivers[m] = self.engines[m]
-        receiver = receivers.get
+        for m in sorted(self.supervisor.restarting):
+            engine = receivers[m] = self.engines[m]
+            if engine is not None:
+                send(m, PEERS, sign_message(self.registry, m, interned(StateRequest, max(frame - 1, 0))))
         # an equivocator's timers never send
         timed = [(m, engine) for m, engine in live if not isinstance(engine, EquivocatingReplica)]
         for m, engine in live:
@@ -332,15 +332,15 @@ class EpisodeRunner:
             due = world.advance_round()
             now = world.round
             replied = False
+            # the world delivers to the observer and the receivers only
             for env in due:
                 to = env.to
-                # a restarting silent module's engine is None, and raises here
-                engine = receiver(to, _NOT_RECEIVING)
-                if engine is _NOT_RECEIVING:
+                if to == OBSERVER:
                     if self._observe_reply(replies, env, frame):
                         replied = True
                     continue
-                for dest, payload in engine.handle(env.payload, now):
+                # a restarting silent module's engine is None, and raises here
+                for dest, payload in receivers[to].handle(env.payload, now):
                     send(to, dest, payload)
             # a decided replica's timers send nothing, and it stays decided
             for m, engine in timed:
@@ -364,9 +364,8 @@ class EpisodeRunner:
                 now = world.round
                 for env in due:
                     to = env.to
-                    engine = receiver(to, _NOT_RECEIVING)
-                    if engine is not _NOT_RECEIVING:
-                        for dest, payload in engine.handle(env.payload, now):
+                    if to != OBSERVER:
+                        for dest, payload in receivers[to].handle(env.payload, now):
                             send(to, dest, payload)
         else:
             self.liveness_failures.append(frame)

@@ -166,7 +166,10 @@ class World:
 
     ``isolated`` is the caller's container of isolated modules (the
     supervisor's isolation map), read at every send and delivery: an
-    isolated module neither sends nor receives."""
+    isolated module neither sends nor receives.  ``absent`` holds the
+    modules that receive nothing: the isolated ones, unless the caller sets
+    it to a container that holds them too, as the runner does each frame
+    with the modules that take no part in it."""
 
     def __init__(self, policy: NetworkPolicy, module_ids, slow_extra=None, isolated=frozenset()):
         self.policy = policy
@@ -177,7 +180,7 @@ class World:
         self._peers = {m: tuple(x for x in self.module_ids if x != m) for m in self.module_ids}
         self._queue: list[Envelope] = []
         self._seq = 0
-        self.isolated = isolated
+        self.isolated = self.absent = isolated
         self.deliveries: Deliveries = []
 
     @property
@@ -192,10 +195,9 @@ class World:
 
         Every slot takes the next sequence number, and its fate is a pure
         function of that number, so a slot that is not queued (to an
-        isolated module, across a partition, or the observer's slot of a
+        absent module, across a partition, or the observer's slot of a
         PEERS send) draws nothing and changes no other slot's fate."""
-        isolated = self.isolated
-        if frm in isolated:
+        if frm in self.isolated:
             return
         skipped = 0
         if to == PEERS:
@@ -215,12 +217,13 @@ class World:
         # tuple.__new__ builds an Envelope without the Python-level __new__
         # a NamedTuple adds: one call less per queued envelope
         new = tuple.__new__
+        absent = self.absent
         fate = self._fate
         extra = 0  # every fate on a quiet network
         seq = self._seq
         for recipient in recipients:
             seq += 1
-            if recipient in isolated:
+            if recipient in absent:
                 continue
             if partitioned is not None and partitioned(now, frm, recipient):
                 continue
@@ -236,7 +239,8 @@ class World:
     def advance_round(self) -> list[Envelope]:
         """Advance the clock one round; return due envelopes in deterministic
         order (deliver_round, send_round, from, to, send sequence), and
-        record them in ``deliveries``."""
+        record them in ``deliveries``; none is to an absent module or from
+        an isolated one."""
         self.round = now = self.round + 1
         due: list[Envelope] = []
         later: list[Envelope] = []
@@ -244,9 +248,9 @@ class World:
             (due if env.deliver_round <= now else later).append(env)
         self._queue = later
         due.sort()
-        isolated = self.isolated
-        if isolated:
-            due = [e for e in due if e.to not in isolated and e.frm not in isolated]
+        absent, isolated = self.absent, self.isolated
+        if absent:  # it holds every isolated module
+            due = [e for e in due if e.to not in absent and e.frm not in isolated]
         if due:
             # the columns hold only ints and strings, so the record keeps no
             # envelope alive for the cyclic collector to keep scanning

@@ -10,7 +10,9 @@ that the observer judges no output itself, names as supporters the modules
 that output the finalized value and is sent no fast-path digest, that a
 slow module's Replies land in their own frame, so no vote-only frame
 leaves an envelope queued for the next, that
-restart phases run only while the supervisor holds a module, that an
+restart phases run only while the supervisor holds a module, that the
+world delivers nothing to a module taking no part in the frame, which
+moves no decision and removes only that module's event lines, that an
 episode leaves no reference cycle, one campaign episode that once broke the
 liveness bound, that long network delays cost no empty rounds, and that the
 event log renders from the delivery record alone."""
@@ -93,11 +95,7 @@ def test_only_verified_replies_for_this_frame_reach_the_count(runner):
         runner._observe_reply(replies, envelope(reply(runner, m, "brake")), 0)
     honest = reply(runner, f, "brake")
     forged = Signed(honest.msg, f, reply(runner, 0, "brake").tag)
-    rejected = [
-        envelope(forged),
-        envelope(reply(runner, f, "brake", frame=1)),
-        envelope(honest, to=f),
-    ]
+    rejected = [envelope(forged), envelope(reply(runner, f, "brake", frame=1))]
     for env in rejected:
         runner._observe_reply(replies, env, 0)
     assert runner._reply_quorum(replies) is None and len(replies) == f
@@ -478,6 +476,90 @@ def test_a_crashed_module_takes_part_in_no_later_frame(mode, strategy, at_frame)
         assert sent == []
 
 
+@pytest.mark.parametrize("name, module", [("fuzz_base_n4", 3), ("av_plastic_bag", 2)])
+def test_a_silent_module_is_delivered_nothing(name, module):
+    """A silent module takes part in no frame, so the world neither queues
+    nor records an envelope to it, in either mode; the others still hear
+    each other."""
+    text = scenario_to_text(load_bundled(name)).replace(f"{module} = honest", f"{module} = silent")
+    scenario = parse_scenario_text(text)
+    assert scenario.modules[module].kind == "silent"
+    recipients = {int(line.split("|")[2]) for line in run_episode(scenario).event_log}
+    assert module not in recipients
+    assert recipients >= set(range(scenario.quorum.n)) - {module}
+
+
+def deliver_to_every_module(monkeypatch) -> dict[int, tuple]:
+    """Make the world queue, draw for and record every envelope to a module
+    that is not isolated, as if no module were absent, and hand the runner
+    only the envelopes to modules that are not absent.  Returns each
+    delivering round's absent modules."""
+    absent_at = {}
+    send, advance = World.send, World.advance_round
+
+    def sending(world, frm, to, payload):
+        absent, world.absent = world.absent, world.isolated
+        send(world, frm, to, payload)
+        world.absent = absent
+
+    def advancing(world):
+        absent, world.absent = world.absent, world.isolated
+        due = advance(world)
+        world.absent = absent_at[world.round] = absent
+        return [env for env in due if env.to not in absent]
+
+    monkeypatch.setattr(World, "send", sending)
+    monkeypatch.setattr(World, "advance_round", advancing)
+    return absent_at
+
+
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4", "vote_fastpath"])
+def test_what_absent_modules_miss_is_only_their_event_lines(monkeypatch, name):
+    """Delivering nothing to a module that takes no part in the frame moves
+    no decision: over the first 30 campaign episodes (the non-silent ones
+    of fuzz_long_n4, whose silent restarts raise), the decision log and the
+    vote logs are those of a world that delivers to every module, and the
+    event log is that world's with its lines to absent modules removed."""
+    base = load_bundled(name) if name == "fuzz_base_n7" else supervised_base(name)
+    scenarios = [
+        scenario for scenario in campaign_episodes(base, 30)
+        if name != "fuzz_long_n4" or all(p.kind != "silent" for p in scenario.modules)
+    ]
+    results = [run_episode(scenario) for scenario in scenarios]
+    absent_at = deliver_to_every_module(monkeypatch)
+    removed = 0
+    for scenario, result in zip(scenarios, results):
+        absent_at.clear()
+        reference = run_episode(scenario)
+        assert result.decision_log == reference.decision_log
+        assert result.vote_logs == reference.vote_logs
+        kept = []
+        for line in reference.event_log:
+            at, _, to, *_ = line.split("|")
+            if int(to) not in absent_at[int(at)]:
+                kept.append(line)
+        assert result.event_log == kept
+        removed += len(reference.event_log) - len(kept)
+    assert removed > 0
+
+
+def test_the_pbft_loop_observes_only_envelopes_to_the_observer(monkeypatch):
+    """The world delivers nothing to a module outside the frame, so every
+    envelope the PBFT loop hands to no engine is to the observer, and
+    ``_observe_reply`` need not check where one is going."""
+    seen = []
+    observe = EpisodeRunner._observe_reply
+
+    def observing(runner, replies, env, frame):
+        seen.append(env.to)
+        return observe(runner, replies, env, frame)
+
+    monkeypatch.setattr(EpisodeRunner, "_observe_reply", observing)
+    for scenario in campaign_episodes(load_bundled("fuzz_base_n7"), 10):
+        run_episode(scenario)
+    assert seen and set(seen) == {OBSERVER}
+
+
 @pytest.mark.parametrize("name", ["fuzz_base_n7", "av_plastic_bag"])
 def test_an_episode_leaves_no_reference_cycle(name):
     scenario = load_bundled(name)
@@ -579,7 +661,7 @@ def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
 # Episode 8 of the fuzz_base_n7 campaign at seed 2026 (a crashed and a
 # diverse_honest module, jitter 1, drop rate 1%): it delivers seven message
 # kinds, view changes and state transfer among them.
-N7_EPISODE_8_EVENTS = "b93dfd69efc9f9c362bd94564c283b268ee360ea4f32cea357a370e69109233d"
+N7_EPISODE_8_EVENTS = "5fa3e1b67fe9823e0b60cc2041f1df5d53565cd5426c8f616c4747eb0666826e"
 
 
 def test_the_event_log_renders_from_the_delivery_record_alone():
@@ -620,7 +702,7 @@ def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
 # that fired the timers of every live replica, decided or not.
 N7_FIRST_8_LOGS = (
     "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
-    "4268650d666f8175f174dd2446fcee85e621f8162518e3145540fa4da11b038e",
+    "c70f8b1f3e985ebbd247a7b66dd0edfe2fd20f656e347ca97ce00a09572064ff",
 )
 
 

@@ -73,15 +73,15 @@ CAMPAIGN_REPORTS = {
 CAMPAIGN_LOGS = {
     "fuzz_base_n4": (
         "078efe347cefe5100cb7bf9e29d2bca74de6f8721cb1a4a4efa861ae7af1dc9d",
-        "cea3e4ca7323ff4315f67f806c2bb36981ef542cdbadb403647122881dfc77b3",
+        "58c567fb0700456d277d23b5431fde09f5bf12402110a08b3bb4aab941320d97",
     ),
     "fuzz_base_n7": (
         "9618b4e69343884b67fa2726f4a3f00c50cf31e23b5d719716d4899535eee9e9",
-        "c596329ed6c531bda3f9d09c47bdea43b973f6c0a27dff501356d786351f0729",
+        "61c29188af9fcc1136fc21aaf9edb0af101ca6a5443dbc4ab2cdbc8616bfc7f7",
     ),
     "vote_fastpath_n4": (
         "0e5ca5f88ef07cf9cd586ff943c3229e2172df00a4243c551fb4e2b899446f32",
-        "1ce6bf33c59bf62e378b36c52cb312ae45fcc118cd544d4e4ebea265025825d8",
+        "3559f94815e034ffdafa4496d5813df8e798686fe839cc86970e9746a41f34dc",
     ),
 }
 
@@ -148,11 +148,11 @@ OBSERVED = ("continue", "brake", "continue", "swerve-left", "continue")
 SUPERVISED_CAMPAIGN_LOGS = {
     "fuzz_long_n4": (
         "261622b8bb5eebe173f74947394e6ff1406a39e4d1442610e9f5761a31d21268",
-        "e0455757fc91f7465898fb67dda9f89a6a56363d556d1828d118c0226e1b564c",
+        "56a4e26fa631849e640026932debc818fc69f31ee13fb1e2fb22151ef56a8281",
     ),
     "vote_fastpath": (
         "8a82ad3f8bc828b273c9dae11e63f6ec87da7e73ebe334bbba126907d1c99dca",
-        "f5ddce2d1e2c579ded26f9982b9b8a5f2da440d6d4c3ce8de323063ccbed37dd",
+        "956c75f18a52763ab204be5087b041ff076169f49fa16c2496219dd2eb133266",
     ),
 }
 

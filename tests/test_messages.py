@@ -554,11 +554,11 @@ class TestKeysOnFirstUse:
 NO_TAG_READ_LOGS = {
     "fuzz_base_n7": (
         "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
-        "4268650d666f8175f174dd2446fcee85e621f8162518e3145540fa4da11b038e",
+        "c70f8b1f3e985ebbd247a7b66dd0edfe2fd20f656e347ca97ce00a09572064ff",
     ),
     "vote_fastpath": (
         "d6654fa2f68e532ff9e95c33eb7faa44c35a4daf75144b7caa50e2e3a0da7eaf",
-        "754f3b560ddee8ed7ab0252e33932c69fd57b6c644ac7e34340d69c8cd203cfd",
+        "ce0c1ee934124b3fa60142e0a3625e355e53baf27ad6ae7e0383d19eecd09203",
     ),
 }
 
