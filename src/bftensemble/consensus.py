@@ -88,8 +88,8 @@ class FrameInstance:
     evidence: Optional[EquivocationProof] = None
     # views whose NewView this replica has sent (as leader) or entered
     newviews: set = field(default_factory=set)
-    # protocol messages sent in the current view, re-broadcast while undecided
-    # so that an unlucky drop does not cost a whole timeout
+    # protocol messages sent in the current view, re-broadcast while undecided so that an unlucky
+    # drop does not cost a whole timeout; World.send skips a re-send whose earlier copy is on its way
     outbox: list = field(default_factory=list)
 
     def matching(self, kind: type, view: int, digest: bytes) -> tuple[Signed, ...]:
@@ -138,6 +138,7 @@ class Replica:
     def _to_peers(self, msg) -> Signed:
         """Sign ``msg`` and keep it for re-broadcast while the view lasts."""
         signed = sign_message(self.registry, self.module_id, msg)
+        signed.__dict__["_queued"] = {}  # where a world has queued it: see World.send
         self.inst.outbox.append((PEERS, signed))
         return signed
 

@@ -11,6 +11,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from typing import Callable, NamedTuple, Optional
 
 from .core import DIGEST_SIZE, OBSERVER, PEERS, canonical, short_digest
@@ -171,6 +172,8 @@ class World:
     it to a container that holds them too, as the runner does each frame
     with the modules that take no part in it."""
 
+    _keys = count()  # one per world, its key in an outbox message's ``_queued``
+
     def __init__(self, policy: NetworkPolicy, module_ids, slow_extra=None, isolated=frozenset()):
         self.policy = policy
         self._fate = policy.draw()  # None on a quiet network
@@ -180,6 +183,7 @@ class World:
         self._peers = {m: tuple(x for x in self.module_ids if x != m) for m in self.module_ids}
         self._queue: list[Envelope] = []
         self._seq = 0
+        self._key = next(World._keys)
         self.isolated = self.absent = isolated
         self.deliveries: Deliveries = []
 
@@ -195,8 +199,13 @@ class World:
 
         Every slot takes the next sequence number, and its fate is a pure
         function of that number, so a slot that is not queued (to an
-        absent module, across a partition, or the observer's slot of a
-        PEERS send) draws nothing and changes no other slot's fate."""
+        absent module, across a partition, the observer's slot of a PEERS
+        send, or a repeat) draws nothing and changes no other slot's fate.
+
+        A repeat re-sends an outbox message (``Replica._to_peers``) to a
+        recipient this world has queued that object to, due no later than
+        the re-send could arrive; the message's ``_queued`` record keeps, per
+        world, each recipient's earliest deliver round."""
         if frm in self.isolated:
             return
         skipped = 0
@@ -207,7 +216,11 @@ class World:
             skipped = 1
         else:
             recipients = (to,)
-        tags = payload.msg.__dict__.get("_log_tags") if isinstance(payload, Signed) else None
+        tags = due_by = None
+        if isinstance(payload, Signed):
+            fields = payload.__dict__  # one attribute read: Signed's __getattr__ slows each
+            tags, queued = fields["msg"].__dict__.get("_log_tags"), fields.get("_queued")
+            due_by = None if queued is None else queued.setdefault(self._key, {})
         kind, log_tag = tags or _tags(payload)
         policy = self.policy
         partitioned = policy.partitioned if policy.partitions else None
@@ -227,12 +240,16 @@ class World:
                 continue
             if partitioned is not None and partitioned(now, frm, recipient):
                 continue
+            if due_by is not None and due_by.get(recipient, earliest + 1) <= earliest:
+                continue  # a repeat: its queued copy arrives first
             if fate is not None:
                 extra = fate(seq)
                 if extra is None:
                     if recipient != OBSERVER:
                         continue
                     extra = 0
+            if due_by is not None:
+                due_by[recipient] = min(earliest + extra, due_by.get(recipient, earliest + extra))
             append(new(Envelope, (earliest + extra, now, frm, recipient, seq, payload, kind, log_tag)))
         self._seq = seq + skipped
 

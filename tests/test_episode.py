@@ -12,7 +12,9 @@ slow module's Replies land in their own frame, so no vote-only frame
 leaves an envelope queued for the next, that
 restart phases run only while the supervisor holds a module, that the
 world delivers nothing to a module taking no part in the frame, which
-moves no decision and removes only that module's event lines, that an
+moves no decision and removes only that module's event lines, that the
+network carries no re-send whose earlier copy reaches the recipient first,
+which moves no decision and removes only those event lines, that an
 episode leaves no reference cycle, one campaign episode that once broke the
 liveness bound, that long network delays cost no empty rounds, and that the
 event log renders from the delivery record alone."""
@@ -543,6 +545,90 @@ def test_what_absent_modules_miss_is_only_their_event_lines(monkeypatch, name):
     assert removed > 0
 
 
+def delivered_envelopes(monkeypatch) -> list:
+    """Record each envelope ``advance_round`` returns, in event-log order."""
+    delivered = []
+    advance = World.advance_round
+
+    def advancing(world):
+        due = advance(world)
+        delivered.extend(due)
+        return due
+
+    monkeypatch.setattr(World, "advance_round", advancing)
+    return delivered
+
+
+def carry_every_resend(monkeypatch) -> None:
+    """Make the world forget where it has queued each payload, so that it
+    carries every re-send, as if no payload were an outbox message."""
+    send = World.send
+
+    def sending(world, frm, to, payload):
+        if isinstance(payload, Signed):
+            payload.__dict__.pop("_queued", None)
+        send(world, frm, to, payload)
+
+    monkeypatch.setattr(World, "send", sending)
+
+
+def replica_states(runner) -> list:
+    return [
+        None if engine is None else (engine.misbehavior, engine.violations, engine.committed)
+        for engine in runner.engines.values()
+    ]
+
+
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])
+def test_what_the_network_does_not_repeat_is_only_its_event_lines(monkeypatch, name):
+    """Not carrying a re-send whose earlier copy reaches the recipient first
+    moves no decision: over the first 30 campaign episodes (the non-silent
+    ones of fuzz_long_n4, whose silent restarts raise), the decision log,
+    the vote logs and every replica's misbehavior, violations and committed
+    log are those of a world that carries every re-send, and the event log
+    is that world's without the re-sends: each a later envelope of the same
+    payload object, from the same sender to the same recipient."""
+    base = load_bundled(name) if name == "fuzz_base_n7" else supervised_base(name)
+    scenarios = [
+        scenario for scenario in campaign_episodes(base, 30)
+        if name != "fuzz_long_n4" or all(p.kind != "silent" for p in scenario.modules)
+    ]
+    delivered = delivered_envelopes(monkeypatch)
+
+    def run_all():
+        runs = []
+        for scenario in scenarios:
+            delivered.clear()
+            runner = EpisodeRunner(scenario)
+            result = runner.run()
+            runs.append((result, replica_states(runner), list(delivered)))
+        return runs
+
+    runs = run_all()
+    carry_every_resend(monkeypatch)
+    shorter = 0
+    for (result, states, got), (reference, reference_states, sent) in zip(runs, run_all()):
+        assert result.decision_log == reference.decision_log
+        assert result.vote_logs == reference.vote_logs
+        assert states == reference_states
+        # the envelopes carried are the reference's, each with its fate
+        carried = {env.seq for env in got}
+        kept = [index for index, env in enumerate(sent) if env.seq in carried]
+        assert [sent[index][:5] for index in kept] == [env[:5] for env in got]
+        lines = reference.event_log
+        assert len(lines) == len(sent)
+        assert result.event_log == [lines[index] for index in kept]
+        # each envelope left out repeats one delivered before it (``sent``
+        # keeps every payload alive, so no id is reused)
+        earlier = set()
+        for env in sent:
+            copy = (id(env.payload), env.frm, env.to)
+            assert env.seq in carried or copy in earlier
+            earlier.add(copy)
+        shorter += len(got) < len(sent)
+    assert shorter > 0
+
+
 def test_the_pbft_loop_observes_only_envelopes_to_the_observer(monkeypatch):
     """The world delivers nothing to a module outside the frame, so every
     envelope the PBFT loop hands to no engine is to the observer, and
@@ -629,7 +715,7 @@ LONG_DELAYS = [
     (
         delayed("fuzz_base_n7", "majority", jitter_rounds=3, drop_rate=0.02),
         "7fb6b915290e7a24656d88500a59391a24019b482cc2bccab3ebedcbaedecd56",
-        "99e4b6cd31ef4b207f0a23060a39ca370e5a90b12ef3c3627838f98465cf5270",
+        "aff83c22153b084c332c6112fd8696b0c3dac63df5e149f4b30a7275d01dbc09",
         80,
     ),
 ]
@@ -661,7 +747,7 @@ def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
 # Episode 8 of the fuzz_base_n7 campaign at seed 2026 (a crashed and a
 # diverse_honest module, jitter 1, drop rate 1%): it delivers seven message
 # kinds, view changes and state transfer among them.
-N7_EPISODE_8_EVENTS = "5fa3e1b67fe9823e0b60cc2041f1df5d53565cd5426c8f616c4747eb0666826e"
+N7_EPISODE_8_EVENTS = "081f03982f9cd8405cc3b7c4eafe7de9da1c119035cb69ff2881c33c2ea4cac2"
 
 
 def test_the_event_log_renders_from_the_delivery_record_alone():
@@ -702,7 +788,7 @@ def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
 # that fired the timers of every live replica, decided or not.
 N7_FIRST_8_LOGS = (
     "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
-    "c70f8b1f3e985ebbd247a7b66dd0edfe2fd20f656e347ca97ce00a09572064ff",
+    "66b702ddba8325c286ff5922a386d5b3cc8b3b5afeb8251fa4208daa154e7607",
 )
 
 

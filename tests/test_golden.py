@@ -73,11 +73,11 @@ CAMPAIGN_REPORTS = {
 CAMPAIGN_LOGS = {
     "fuzz_base_n4": (
         "078efe347cefe5100cb7bf9e29d2bca74de6f8721cb1a4a4efa861ae7af1dc9d",
-        "58c567fb0700456d277d23b5431fde09f5bf12402110a08b3bb4aab941320d97",
+        "4cf2c21e2220b23af030099c563f2e2202b862b4fb02951d1db78eb5cd3617bd",
     ),
     "fuzz_base_n7": (
         "9618b4e69343884b67fa2726f4a3f00c50cf31e23b5d719716d4899535eee9e9",
-        "61c29188af9fcc1136fc21aaf9edb0af101ca6a5443dbc4ab2cdbc8616bfc7f7",
+        "7a753e67dff10db550cc36febfbb6bf0a2bdb51e0aa9b817df2f3cc8e6483ad5",
     ),
     "vote_fastpath_n4": (
         "0e5ca5f88ef07cf9cd586ff943c3229e2172df00a4243c551fb4e2b899446f32",
@@ -148,7 +148,7 @@ OBSERVED = ("continue", "brake", "continue", "swerve-left", "continue")
 SUPERVISED_CAMPAIGN_LOGS = {
     "fuzz_long_n4": (
         "261622b8bb5eebe173f74947394e6ff1406a39e4d1442610e9f5761a31d21268",
-        "56a4e26fa631849e640026932debc818fc69f31ee13fb1e2fb22151ef56a8281",
+        "53ca1da37025ad9846f2773006ebf1c30806750c5897c72f6e806c97fc77330f",
     ),
     "vote_fastpath": (
         "8a82ad3f8bc828b273c9dae11e63f6ec87da7e73ebe334bbba126907d1c99dca",

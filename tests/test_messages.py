@@ -554,7 +554,7 @@ class TestKeysOnFirstUse:
 NO_TAG_READ_LOGS = {
     "fuzz_base_n7": (
         "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
-        "c70f8b1f3e985ebbd247a7b66dd0edfe2fd20f656e347ca97ce00a09572064ff",
+        "66b702ddba8325c286ff5922a386d5b3cc8b3b5afeb8251fa4208daa154e7607",
     ),
     "vote_fastpath": (
         "d6654fa2f68e532ff9e95c33eb7faa44c35a4daf75144b7caa50e2e3a0da7eaf",

@@ -1,15 +1,17 @@
-"""Deterministic network: delays, drops, partitions, and delivery order."""
+"""Deterministic network: delays, drops, partitions, repeats and delivery order."""
 import random
 import zlib
 from dataclasses import replace
 
 import pytest
 
+from bftensemble.consensus import Replica
 from bftensemble.core import (
     OBSERVER,
     PEERS,
     DecisionSpace,
     KeyRegistry,
+    QuorumConfig,
     canonical,
     digest,
 )
@@ -110,10 +112,21 @@ class TestDelivery:
         assert all(1 <= env.deliver_round <= 3 for env in got)
 
 
+def outbox_message(registry, sender=0):
+    """The PrePrepare that ``sender``'s replica proposes as leader of frame
+    ``sender``: a message it keeps in its outbox and may send again."""
+    space = DecisionSpace(labels=("go", "stop"), safe_default="stop")
+    replica = Replica(sender, QuorumConfig(n=4, f=1), space, registry)
+    replica.start_frame(sender, space.value("go"), 0)
+    (_, signed), *_ = replica.inst.outbox
+    return signed
+
+
 class TestSequenceNumbers:
-    @pytest.mark.parametrize("block", ["isolated", "partitioned"])
+    @pytest.mark.parametrize("block", ["isolated", "partitioned", "repeat"])
     def test_an_unqueued_slot_keeps_every_other_fate(self, monkeypatch, block):
-        """A slot to an isolated module, or across a partition, takes its
+        """A slot to an isolated module, across a partition, or repeating a
+        copy already queued to that module and due no later takes its
         sequence number and draws nothing, so every other slot of that send
         and of the next keeps the fate it has on an open network."""
         drawn = []
@@ -131,23 +144,107 @@ class TestSequenceNumbers:
         monkeypatch.setattr(NetworkPolicy, "draw", counting_draw)
         policy = quiet_policy(drop_rate=0.2, jitter_rounds=3, seed=12)
         cut = Partition(start=0, end=0, side_a=frozenset({0}), side_b=frozenset({2}))
+        open_payload = blocked_payload = "first"
         if block == "isolated":
             blocked = World(policy, MODULES, isolated={2})
-        else:
+        elif block == "partitioned":
             blocked = World(replace(policy, partitions=(cut,)), MODULES)
-        worlds = [World(policy, MODULES), blocked]
+        else:
+            blocked = World(policy, MODULES)
+            registry = KeyRegistry(1, MODULES)
+            # the open world sends a twin its sender never sends again
+            blocked_payload = outbox_message(registry)
+            open_payload = sign_message(registry, 0, blocked_payload.msg)
+        worlds = [(World(policy, MODULES), open_payload), (blocked, blocked_payload)]
         logs = []
-        for world in worlds:
+        before = 1 if block == "repeat" else 0  # slots sent before the PEERS send
+        for world, payload in worlds:
+            envelopes = []
+            if block == "repeat":
+                world.send(0, 2, payload)  # slot 1, due in round 4
+                envelopes = drain(world, 3)
             drawn.clear()
-            world.send(0, PEERS, "first")  # slots 1-4; slot 2 is to module 2, slot 4 the observer's
-            world.send(0, 3, "next")  # slot 5
-            logs.append(([e[:5] for e in drain(world, 6)], list(drawn)))
+            # slots 1-4 after those before: the second to module 2, the fourth the observer's
+            world.send(0, PEERS, payload)
+            world.send(0, 3, "next")
+            envelopes += drain(world, 6)
+            logs.append(([e[:5] for e in envelopes], list(drawn)))
         (open_envelopes, open_draws), (blocked_envelopes, blocked_draws) = logs
-        # on the open network, slot 2 reaches module 2
-        assert [e[4] for e in open_envelopes if e[3] == 2] == [2]
-        assert blocked_envelopes == [e for e in open_envelopes if e[3] != 2]
-        assert open_draws == [1, 2, 3, 5] and blocked_draws == [1, 3, 5]
-        assert blocked._seq == 5
+        to_2 = before + 2
+        # on the open network, slot to_2 reaches module 2
+        assert to_2 in [e[4] for e in open_envelopes if e[3] == 2]
+        assert blocked_envelopes == [e for e in open_envelopes if e[4] != to_2]
+        assert open_draws == [before + 1, to_2, before + 3, before + 5]
+        assert blocked_draws == [before + 1, before + 3, before + 5]
+        assert blocked._seq == before + 5
+
+
+class TestRepeats:
+    """A re-send of an outbox message is carried unless this world has
+    queued that object to that recipient, due no later than the re-send
+    could arrive."""
+
+    registry = KeyRegistry(1, MODULES)
+
+    def queued(self, world, rounds=8):
+        return [(e.send_round, e.seq, e.deliver_round) for e in drain(world, rounds)]
+
+    def test_a_message_kept_for_no_resend_is_always_queued(self):
+        world = World(quiet_policy(), MODULES)
+        reply = sign_message(self.registry, 0, Reply(0, "go"))
+        for payload in ("ping", reply):
+            world.send(0, 1, payload)
+            world.send(0, 1, payload)
+        assert len(drain(world, 2)) == 4
+
+    def test_a_resend_after_a_dropped_copy_is_queued(self):
+        policy = quiet_policy(drop_rate=0.5, seed=2)
+        assert policy.fate(1, 2) == [None, 0]
+        world = World(policy, MODULES)
+        signed = outbox_message(self.registry)
+        for _ in range(3):
+            world.send(0, 1, signed)
+        assert self.queued(world) == [(0, 2, 1)]  # slot 3 repeats slot 2
+
+    def test_a_resend_after_a_blocked_copy_is_queued(self):
+        cut = Partition(start=0, end=0, side_a=frozenset({0}), side_b=frozenset({1}))
+        world = World(quiet_policy(partitions=(cut,)), MODULES)
+        signed = outbox_message(self.registry)
+        world.send(0, 1, signed)
+        world.advance_round()
+        world.send(0, 1, signed)
+        assert self.queued(world) == [(1, 2, 2)]
+
+    def test_a_resend_after_a_copy_to_an_absent_module_is_queued(self):
+        world = World(quiet_policy(), MODULES)
+        signed = outbox_message(self.registry)
+        world.absent = {1}
+        world.send(0, 1, signed)
+        world.absent = world.isolated
+        world.send(0, 1, signed)
+        assert self.queued(world) == [(0, 2, 1)]
+
+    def test_a_resend_that_would_arrive_first_is_queued(self):
+        policy = quiet_policy(jitter_rounds=4, seed=0)
+        assert policy.fate(1, 3) == [4, 2, 0]
+        world = World(policy, MODULES)
+        signed = outbox_message(self.registry)
+        got = []
+        # due in round 5; then in round 4; then in round 3, before both;
+        # the last could arrive in round 4, after the third: a repeat
+        for _ in range(4):
+            world.send(0, 1, signed)
+            got += world.advance_round()
+        got += drain(world, 4)
+        assert [e[:5] for e in got] == [(3, 2, 0, 1, 3), (4, 1, 0, 1, 2), (5, 0, 0, 1, 1)]
+
+    def test_a_copy_queued_in_one_world_suppresses_nothing_in_another(self):
+        signed = outbox_message(self.registry)
+        first, second = World(quiet_policy(), MODULES), World(quiet_policy(), MODULES)
+        first.send(0, 1, signed)
+        second.send(0, 1, signed)
+        second.send(0, 1, signed)  # a repeat in the second world
+        assert self.queued(first) == self.queued(second) == [(0, 1, 1)]
 
 
 class TestPartitions:
@@ -395,18 +492,22 @@ class ListScanWorld:
     """A plain reimplementation of the network: one list of envelopes,
     scanned in full every round, with fates drawn from the full encoding.
     World must return the same envelopes and write the same event log.
-    ``skipped`` counts the slots left unqueued, by cause."""
+    ``skipped`` counts the slots left unqueued, by cause: a repeat is a
+    send of an outbox message to a recipient that some envelope this world
+    has queued, of that object, reaches no later than the send could."""
 
-    def __init__(self, policy, module_ids, slow_extra):
+    def __init__(self, policy, module_ids, slow_extra, outbox=()):
         self.policy = policy
+        self.outbox = outbox  # the payloads a sender may send again
         self.module_ids = sorted(module_ids)
         self.slow_extra = dict(slow_extra)
         self.round = 0
         self.queue = []
+        self.queued = []  # every envelope ever queued
         self.seq = 0
         self.muted = set()
         self.event_log = []
-        self.skipped = {"muted": 0, "partitioned": 0, "dropped": 0}
+        self.skipped = {"muted": 0, "partitioned": 0, "repeat": 0, "dropped": 0}
 
     def send(self, frm, to, payload):
         if frm in self.muted:
@@ -426,13 +527,19 @@ class ListScanWorld:
             if any(p.blocks(self.round, frm, recipient) for p in self.policy.partitions):
                 self.skipped["partitioned"] += 1
                 continue
+            earliest = self.round + self.policy.base_delay_rounds + self.slow_extra.get(frm, 0)
+            if any(payload is p for p in self.outbox) and any(
+                e[5] is payload and e[3] == recipient and e[0] <= earliest for e in self.queued
+            ):
+                self.skipped["repeat"] += 1
+                continue
             fate = TestFatePrefix.reference_fate(self.policy, self.seq)
             if fate is None and recipient != OBSERVER:
                 self.skipped["dropped"] += 1
                 continue
-            delay = self.policy.base_delay_rounds + (fate or 0)
-            delay += self.slow_extra.get(frm, 0)
-            self.queue.append((self.round + delay, self.round, frm, recipient, self.seq, payload))
+            envelope = (earliest + (fate or 0), self.round, frm, recipient, self.seq, payload)
+            self.queue.append(envelope)
+            self.queued.append(envelope)
 
     def advance_round(self):
         self.round += 1
@@ -468,15 +575,18 @@ NETWORKS = {
 
 
 class TestAgainstListScan:
-    """Random sends to one recipient or to the peers, slow senders and base
-    delays over each class of network, with and without partitions and
-    mutes: World's deliveries and event log equal those of ListScanWorld."""
+    """Random sends to one recipient or to the peers, outbox messages sent
+    again among them, slow senders and base delays over each class of
+    network, with and without partitions and mutes: World's deliveries and
+    event log equal those of ListScanWorld."""
 
     @staticmethod
     def payloads(registry):
+        """The payloads to send, and those among them a sender may send again."""
         space = DecisionSpace(labels=("go", "stop"), safe_default="stop")
         go = space.value("go")
         d = digest(b"go")
+        outbox = [outbox_message(registry, 1), outbox_message(registry, 2)]
         return [
             "ping",
             ("tuple", 3),
@@ -484,16 +594,17 @@ class TestAgainstListScan:
             sign_message(registry, 2, Commit(0, 1, d, go)),
             sign_message(registry, 0, Reply(2, go)),
             sign_message(registry, 3, Output(1, go)),
-        ]
+            *outbox,
+        ], outbox
 
     def replay(self, policy, modules, slow, rng, toggle_mutes):
         """80 rounds of random sends through World and ListScanWorld, which
         must deliver the same envelopes, keep the same queue and write the
         same log.  ``toggle_mutes(round, muted)`` mutes and unmutes modules
         before each round's sends.  Returns the model."""
-        model = ListScanWorld(policy, modules, slow)
+        payloads, outbox = self.payloads(KeyRegistry(policy.seed, range(8)))
+        model = ListScanWorld(policy, modules, slow, outbox)
         world = World(policy, modules, slow, model.muted)
-        payloads = self.payloads(KeyRegistry(policy.seed, range(8)))
         delivered = 0
         for now in range(80):
             toggle_mutes(now, model.muted)
@@ -586,3 +697,4 @@ class TestAgainstListScan:
         assert (model.skipped["muted"] > 0) == mutes
         assert (model.skipped["partitioned"] > 0) == partitions
         assert (model.skipped["dropped"] > 0) == ("drop" in network)
+        assert model.skipped["repeat"] > 0
