@@ -88,8 +88,8 @@ class FrameInstance:
     evidence: Optional[EquivocationProof] = None
     # views whose NewView this replica has sent (as leader) or entered
     newviews: set = field(default_factory=set)
-    # protocol messages sent in the current view, re-broadcast while undecided so that an unlucky
-    # drop does not cost a whole timeout; World.send skips a re-send whose earlier copy is on its way
+    # protocol messages sent in the current view, re-broadcast while undecided against unlucky drops;
+    # World.send delivers each to each recipient at most once, through the copy that arrives first
     outbox: list = field(default_factory=list)
 
     def matching(self, kind: type, view: int, digest: bytes) -> tuple[Signed, ...]:
@@ -136,9 +136,10 @@ class Replica:
         return (frame + view) % self.cfg.n
 
     def _to_peers(self, msg) -> Signed:
-        """Sign ``msg`` and keep it for re-broadcast while the view lasts."""
+        """Sign ``msg`` and keep it for re-broadcast while the view lasts; the
+        network delivers it to each peer at most once (``World.send``)."""
         signed = sign_message(self.registry, self.module_id, msg)
-        signed.__dict__["_queued"] = {}  # where a world has queued it: see World.send
+        signed.__dict__["_queued"] = {}  # per world and recipient, its copy on the way
         self.inst.outbox.append((PEERS, signed))
         return signed
 
@@ -195,7 +196,9 @@ class Replica:
             by_signer = inst.votes[kind][view]
             prev = by_signer.get(sender)
             if prev is signed:
-                return []  # a retransmission of a vote already recorded and checked
+                # an exact duplicate, already recorded and checked: never a re-sent outbox
+                # vote, which the network delivers once, but kept for any other duplicate
+                return []
             if kind is Commit and msg.value_digest != value_digest(msg.value):
                 # the value is decided from the Commits, so each must carry
                 # the value its digest names

@@ -173,6 +173,7 @@ class World:
     with the modules that take no part in it."""
 
     _keys = count()  # one per world, its key in an outbox message's ``_queued``
+    _NO_COPY = (float("inf"), 0)  # a ``_queued`` entry's (deliver round, seq) when no copy is on its way
 
     def __init__(self, policy: NetworkPolicy, module_ids, slow_extra=None, isolated=frozenset()):
         self.policy = policy
@@ -184,6 +185,7 @@ class World:
         self._queue: list[Envelope] = []
         self._seq = 0
         self._key = next(World._keys)
+        self._superseded: set[int] = set()  # sequence numbers of queued copies never to deliver
         self.isolated = self.absent = isolated
         self.deliveries: Deliveries = []
 
@@ -200,12 +202,16 @@ class World:
         Every slot takes the next sequence number, and its fate is a pure
         function of that number, so a slot that is not queued (to an
         absent module, across a partition, the observer's slot of a PEERS
-        send, or a repeat) draws nothing and changes no other slot's fate.
+        send, or a repeat) changes no other slot's fate.
 
-        A repeat re-sends an outbox message (``Replica._to_peers``) to a
-        recipient this world has queued that object to, due no later than
-        the re-send could arrive; the message's ``_queued`` record keeps, per
-        world, each recipient's earliest deliver round."""
+        Each outbox message (``Replica._to_peers``) reaches each recipient
+        at most once, through the copy that would arrive first: its
+        ``_queued`` record keeps, per world and recipient, the deliver round
+        and sequence number of the copy on its way.  A re-send is queued
+        only if it would arrive strictly before that copy, which it then
+        supersedes: ``advance_round`` never delivers a superseded copy.  A
+        re-send whose copy is due no later than its earliest arrival draws
+        no fate."""
         if frm in self.isolated:
             return
         skipped = 0
@@ -240,8 +246,8 @@ class World:
                 continue
             if partitioned is not None and partitioned(now, frm, recipient):
                 continue
-            if due_by is not None and due_by.get(recipient, earliest + 1) <= earliest:
-                continue  # a repeat: its queued copy arrives first
+            if due_by is not None and (copy := due_by.get(recipient, World._NO_COPY))[0] <= earliest:
+                continue  # a repeat: the queued copy arrives first
             if fate is not None:
                 extra = fate(seq)
                 if extra is None:
@@ -249,21 +255,28 @@ class World:
                         continue
                     extra = 0
             if due_by is not None:
-                due_by[recipient] = min(earliest + extra, due_by.get(recipient, earliest + extra))
+                if earliest + extra >= copy[0]:
+                    continue  # a repeat too: a tie goes to the copy queued first
+                if copy[1]:
+                    self._superseded.add(copy[1])
+                due_by[recipient] = (earliest + extra, seq)
             append(new(Envelope, (earliest + extra, now, frm, recipient, seq, payload, kind, log_tag)))
         self._seq = seq + skipped
 
     def advance_round(self) -> list[Envelope]:
         """Advance the clock one round; return due envelopes in deterministic
         order (deliver_round, send_round, from, to, send sequence), and
-        record them in ``deliveries``; none is to an absent module or from
-        an isolated one."""
+        record them in ``deliveries``; none is to an absent module, from an
+        isolated one or a superseded copy."""
         self.round = now = self.round + 1
         due: list[Envelope] = []
         later: list[Envelope] = []
         for env in self._queue:
             (due if env.deliver_round <= now else later).append(env)
         self._queue = later
+        if self._superseded:  # copies that a queued re-send overtook leave the queue undelivered
+            superseded, self._superseded = self._superseded, self._superseded.difference([e.seq for e in due])
+            due = [e for e in due if e.seq not in superseded]
         due.sort()
         absent, isolated = self.absent, self.isolated
         if absent:  # it holds every isolated module

@@ -1,11 +1,14 @@
 """fuzz_campaign's report: each failing episode is listed once, whatever
-ways it fails, an exception included; and a campaign renders no event log."""
+ways it fails, an exception included; a strict campaign stops at the first
+episode that a planted defect makes break agreement or liveness; and a
+campaign renders no event log."""
 import inspect
 from dataclasses import replace
 
 import pytest
 
 from bftensemble import campaign, episode, simnet
+from bftensemble.consensus import Replica
 from bftensemble.episode import liveness_bound, run_episode
 from bftensemble.scenario import load_bundled
 
@@ -73,6 +76,35 @@ def test_a_campaign_in_which_nothing_raises_keeps_its_digest(monkeypatch):
     clean = campaign.fuzz_campaign(base, episodes=4, seed=7).digest_hex()
     monkeypatch.setattr(campaign, "run_episode", raising_on(set()))
     assert campaign.fuzz_campaign(base, episodes=4, seed=7).digest_hex() == clean
+
+
+def commit_own_output(monkeypatch):
+    """Plant a safety defect: a replica decides its own output, not the
+    value its Commit quorum names (its Reply still names the quorum's)."""
+    decide = Replica._decide
+    monkeypatch.setattr(Replica, "_decide", lambda r, value, view=-1: decide(r, r.inst.own_output or value, view))
+
+
+def silence_timers(monkeypatch):
+    """Plant a liveness defect: no replica's timer ever fires, so none
+    re-sends or changes view."""
+    monkeypatch.setattr(Replica, "on_round", lambda replica, round_: [])
+
+
+@pytest.mark.parametrize(
+    "kind, count, plant",
+    [("agreement", "agreement_violations", commit_own_output), ("liveness", "liveness_failures", silence_timers)],
+)
+def test_a_strict_campaign_stops_at_the_first_planted_violation(monkeypatch, kind, count, plant):
+    base = load_bundled("fuzz_base_n4")
+    plant(monkeypatch)
+    report = campaign.fuzz_campaign(base, episodes=20, seed=2026, strict=False)
+    assert getattr(report, count) > 0
+    with pytest.raises(campaign.CampaignViolation) as caught:
+        campaign.fuzz_campaign(base, episodes=20, seed=2026)
+    assert str(caught.value).startswith(f"{kind} violation in fuzz episode")
+    assert (caught.value.seed, caught.value.episode_index) == report.failures[0]
+    assert caught.value.__cause__ is None
 
 
 # fuzz_campaign(load_bundled(name), 20, 2026).digest_hex()

@@ -10,11 +10,11 @@ that the observer judges no output itself, names as supporters the modules
 that output the finalized value and is sent no fast-path digest, that a
 slow module's Replies land in their own frame, so no vote-only frame
 leaves an envelope queued for the next, that
-restart phases run only while the supervisor holds a module, that the
-world delivers nothing to a module taking no part in the frame, which
-moves no decision and removes only that module's event lines, that the
-network carries no re-send whose earlier copy reaches the recipient first,
-which moves no decision and removes only those event lines, that an
+restart phases run only while the supervisor holds a module, that each
+outbox message reaches each recipient once, that the world's shortcuts
+(nothing delivered to a module taking no part in the frame, no second copy
+of an outbox message) move no decision against a reference world that takes
+none, and remove only event lines with a named reason, that an
 episode leaves no reference cycle, one campaign episode that once broke the
 liveness bound, that long network delays cost no empty rounds, and that the
 event log renders from the delivery record alone."""
@@ -491,60 +491,6 @@ def test_a_silent_module_is_delivered_nothing(name, module):
     assert recipients >= set(range(scenario.quorum.n)) - {module}
 
 
-def deliver_to_every_module(monkeypatch) -> dict[int, tuple]:
-    """Make the world queue, draw for and record every envelope to a module
-    that is not isolated, as if no module were absent, and hand the runner
-    only the envelopes to modules that are not absent.  Returns each
-    delivering round's absent modules."""
-    absent_at = {}
-    send, advance = World.send, World.advance_round
-
-    def sending(world, frm, to, payload):
-        absent, world.absent = world.absent, world.isolated
-        send(world, frm, to, payload)
-        world.absent = absent
-
-    def advancing(world):
-        absent, world.absent = world.absent, world.isolated
-        due = advance(world)
-        world.absent = absent_at[world.round] = absent
-        return [env for env in due if env.to not in absent]
-
-    monkeypatch.setattr(World, "send", sending)
-    monkeypatch.setattr(World, "advance_round", advancing)
-    return absent_at
-
-
-@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4", "vote_fastpath"])
-def test_what_absent_modules_miss_is_only_their_event_lines(monkeypatch, name):
-    """Delivering nothing to a module that takes no part in the frame moves
-    no decision: over the first 30 campaign episodes (the non-silent ones
-    of fuzz_long_n4, whose silent restarts raise), the decision log and the
-    vote logs are those of a world that delivers to every module, and the
-    event log is that world's with its lines to absent modules removed."""
-    base = load_bundled(name) if name == "fuzz_base_n7" else supervised_base(name)
-    scenarios = [
-        scenario for scenario in campaign_episodes(base, 30)
-        if name != "fuzz_long_n4" or all(p.kind != "silent" for p in scenario.modules)
-    ]
-    results = [run_episode(scenario) for scenario in scenarios]
-    absent_at = deliver_to_every_module(monkeypatch)
-    removed = 0
-    for scenario, result in zip(scenarios, results):
-        absent_at.clear()
-        reference = run_episode(scenario)
-        assert result.decision_log == reference.decision_log
-        assert result.vote_logs == reference.vote_logs
-        kept = []
-        for line in reference.event_log:
-            at, _, to, *_ = line.split("|")
-            if int(to) not in absent_at[int(at)]:
-                kept.append(line)
-        assert result.event_log == kept
-        removed += len(reference.event_log) - len(kept)
-    assert removed > 0
-
-
 def delivered_envelopes(monkeypatch) -> list:
     """Record each envelope ``advance_round`` returns, in event-log order."""
     delivered = []
@@ -559,17 +505,33 @@ def delivered_envelopes(monkeypatch) -> list:
     return delivered
 
 
-def carry_every_resend(monkeypatch) -> None:
-    """Make the world forget where it has queued each payload, so that it
-    carries every re-send, as if no payload were an outbox message."""
-    send = World.send
+def reference_world(monkeypatch) -> list[bool]:
+    """Make the world take none of its shortcuts: it queues, draws for and
+    records every envelope to a module that is not isolated, as if no module
+    were absent, and carries every re-send, superseding no copy, as if no
+    payload were an outbox message.  The runner is handed only the
+    envelopes to modules that are not absent.  Returns, for each envelope
+    ``advance_round`` returns, whether its recipient was absent."""
+    to_absent = []
+    send, advance = World.send, World.advance_round
 
     def sending(world, frm, to, payload):
         if isinstance(payload, Signed):
             payload.__dict__.pop("_queued", None)
+        absent, world.absent = world.absent, world.isolated
         send(world, frm, to, payload)
+        world.absent = absent
+
+    def advancing(world):
+        absent, world.absent = world.absent, world.isolated
+        due = advance(world)
+        world.absent = absent
+        to_absent.extend(env.to in absent for env in due)
+        return [env for env in due if env.to not in absent]
 
     monkeypatch.setattr(World, "send", sending)
+    monkeypatch.setattr(World, "advance_round", advancing)
+    return to_absent
 
 
 def replica_states(runner) -> list:
@@ -579,54 +541,97 @@ def replica_states(runner) -> list:
     ]
 
 
-@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])
-def test_what_the_network_does_not_repeat_is_only_its_event_lines(monkeypatch, name):
-    """Not carrying a re-send whose earlier copy reaches the recipient first
-    moves no decision: over the first 30 campaign episodes (the non-silent
-    ones of fuzz_long_n4, whose silent restarts raise), the decision log,
-    the vote logs and every replica's misbehavior, violations and committed
-    log are those of a world that carries every re-send, and the event log
-    is that world's without the re-sends: each a later envelope of the same
-    payload object, from the same sender to the same recipient."""
+def first_episodes(name: str, count: int = 30) -> list:
+    """The first ``count`` campaign episodes of ``name``, less fuzz_long_n4's
+    silent draws, whose restarts raise."""
     base = load_bundled(name) if name == "fuzz_base_n7" else supervised_base(name)
-    scenarios = [
-        scenario for scenario in campaign_episodes(base, 30)
+    return [
+        scenario for scenario in campaign_episodes(base, count)
         if name != "fuzz_long_n4" or all(p.kind != "silent" for p in scenario.modules)
     ]
+
+
+def run_recorded(scenarios, *records: list) -> list:
+    """Each episode's result and replica states, and what each of
+    ``records`` gathered while it ran."""
+    runs = []
+    for scenario in scenarios:
+        for record in records:
+            record.clear()
+        runner = EpisodeRunner(scenario)
+        result = runner.run()
+        runs.append((result, replica_states(runner), *map(list, records)))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])
+def test_each_outbox_message_reaches_each_recipient_once(monkeypatch, name):
+    """Over the first 30 campaign episodes, no outbox message is delivered
+    twice from one sender to one recipient."""
     delivered = delivered_envelopes(monkeypatch)
+    copies = 0
+    for _, _, got in run_recorded(first_episodes(name), delivered):
+        # ``got`` keeps every payload alive, so no id is reused
+        outbox = [(id(env.payload), env.frm, env.to) for env in got if "_queued" in env.payload.__dict__]
+        assert len(set(outbox)) == len(outbox)
+        copies += len(outbox)
+    assert copies > 0
 
-    def run_all():
-        runs = []
-        for scenario in scenarios:
-            delivered.clear()
-            runner = EpisodeRunner(scenario)
-            result = runner.run()
-            runs.append((result, replica_states(runner), list(delivered)))
-        return runs
 
-    runs = run_all()
-    carry_every_resend(monkeypatch)
-    shorter = 0
-    for (result, states, got), (reference, reference_states, sent) in zip(runs, run_all()):
+def left_out_lines(monkeypatch, name: str) -> dict[str, int]:
+    """Check that the world's shortcuts move no decision: over the first 30
+    campaign episodes, the decision log, the vote logs and every replica's
+    misbehavior, violations and committed log are those of the reference
+    world, and each envelope it delivers is the reference's, with its fate.
+    The event log is the reference's without lines that each have a named
+    reason: to a module absent in that round, or a later copy of a payload
+    already delivered from that sender to that recipient.  Returns how many
+    lines were left out for each reason."""
+    scenarios = first_episodes(name)
+    delivered = delivered_envelopes(monkeypatch)
+    runs = run_recorded(scenarios, delivered)
+    to_absent = reference_world(monkeypatch)
+    reasons = {"absent": 0, "repeat": 0}
+    references = run_recorded(scenarios, delivered, to_absent)
+    for (result, states, got), (reference, reference_states, sent, absent) in zip(runs, references):
         assert result.decision_log == reference.decision_log
         assert result.vote_logs == reference.vote_logs
         assert states == reference_states
-        # the envelopes carried are the reference's, each with its fate
         carried = {env.seq for env in got}
         kept = [index for index, env in enumerate(sent) if env.seq in carried]
         assert [sent[index][:5] for index in kept] == [env[:5] for env in got]
         lines = reference.event_log
-        assert len(lines) == len(sent)
+        assert len(lines) == len(absent) == len(sent)
         assert result.event_log == [lines[index] for index in kept]
-        # each envelope left out repeats one delivered before it (``sent``
-        # keeps every payload alive, so no id is reused)
         earlier = set()
-        for env in sent:
+        for env, to_absent_module in zip(sent, absent):
             copy = (id(env.payload), env.frm, env.to)
-            assert env.seq in carried or copy in earlier
+            if to_absent_module:
+                assert env.seq not in carried
+                reasons["absent"] += 1
+                continue
+            if env.seq not in carried:
+                assert copy in earlier
+                reasons["repeat"] += 1
             earlier.add(copy)
-        shorter += len(got) < len(sent)
-    assert shorter > 0
+    return reasons
+
+
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4", "vote_fastpath"])
+def test_what_absent_modules_miss_is_only_their_event_lines(monkeypatch, name):
+    """Delivering nothing to a module that takes no part in the frame leaves
+    out only event lines, and it leaves some out."""
+    reasons = left_out_lines(monkeypatch, name)
+    assert reasons["absent"] > 0
+    # vote-only episodes have no outbox messages, so nothing repeats
+    assert (reasons["repeat"] > 0) == (name != "vote_fastpath")
+
+
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])
+def test_what_the_network_does_not_repeat_is_only_its_event_lines(monkeypatch, name):
+    """Not carrying a re-send whose copy is already on its way leaves out
+    only event lines, and it leaves some out."""
+    assert left_out_lines(monkeypatch, name)["repeat"] > 0
 
 
 def test_the_pbft_loop_observes_only_envelopes_to_the_observer(monkeypatch):
@@ -677,6 +682,22 @@ def test_two_faulty_leaders_in_a_row_fit_the_liveness_bound():
     assert result.records[3].view_changes == 2
 
 
+def test_a_frame_whose_timers_never_fire_runs_out_its_bound(monkeypatch):
+    """With module 0 crashed, frames 0 and 4 (which it leads in view 0)
+    commit only after a view change.  A planted defect, timers that never
+    fire, takes that away: the PBFT loop leaves each of those frames at its
+    bound and records a liveness failure."""
+    text = scenario_to_text(load_bundled("fuzz_base_n4"))
+    scenario = parse_scenario_text(text.replace("0 = honest", "0 = crash at_frame=0"))
+    bound = liveness_bound(scenario.quorum.f, scenario.timeout_rounds)
+    assert run_episode(scenario).liveness_failures == []
+    monkeypatch.setattr(Replica, "on_round", lambda replica, round_: [])
+    result = run_episode(scenario)
+    assert result.liveness_failures == [0, 4]
+    assert [r.rounds_to_commit for r in result.records] == [bound, 4, 4, 4, bound]
+    assert [r.verdict for r in result.records][::4] == ["no-quorum"] * 2
+
+
 def delayed(name: str, strategy: str, **network):
     scenario = load_bundled(name)
     return replace(
@@ -715,7 +736,7 @@ LONG_DELAYS = [
     (
         delayed("fuzz_base_n7", "majority", jitter_rounds=3, drop_rate=0.02),
         "7fb6b915290e7a24656d88500a59391a24019b482cc2bccab3ebedcbaedecd56",
-        "aff83c22153b084c332c6112fd8696b0c3dac63df5e149f4b30a7275d01dbc09",
+        "ec4db51a3849cb76e4531be3775c0f1e90107cb5f28530421e1628aa467fdc75",
         80,
     ),
 ]
@@ -747,7 +768,7 @@ def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
 # Episode 8 of the fuzz_base_n7 campaign at seed 2026 (a crashed and a
 # diverse_honest module, jitter 1, drop rate 1%): it delivers seven message
 # kinds, view changes and state transfer among them.
-N7_EPISODE_8_EVENTS = "081f03982f9cd8405cc3b7c4eafe7de9da1c119035cb69ff2881c33c2ea4cac2"
+N7_EPISODE_8_EVENTS = "29b0bf1ad5942b48b6c82a05daa24085470e1669ff5cceebb2f91cf756e5af91"
 
 
 def test_the_event_log_renders_from_the_delivery_record_alone():
@@ -788,7 +809,7 @@ def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
 # that fired the timers of every live replica, decided or not.
 N7_FIRST_8_LOGS = (
     "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
-    "66b702ddba8325c286ff5922a386d5b3cc8b3b5afeb8251fa4208daa154e7607",
+    "529471e75843a0f898968881ab3be95517de42e564eb47d93a0d0ea8cd812165",
 )
 
 

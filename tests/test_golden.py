@@ -73,11 +73,11 @@ CAMPAIGN_REPORTS = {
 CAMPAIGN_LOGS = {
     "fuzz_base_n4": (
         "078efe347cefe5100cb7bf9e29d2bca74de6f8721cb1a4a4efa861ae7af1dc9d",
-        "4cf2c21e2220b23af030099c563f2e2202b862b4fb02951d1db78eb5cd3617bd",
+        "1c19bee4784782254452b2746bd07a50c984b21f544315e15f8afb284cd3c7dc",
     ),
     "fuzz_base_n7": (
         "9618b4e69343884b67fa2726f4a3f00c50cf31e23b5d719716d4899535eee9e9",
-        "7a753e67dff10db550cc36febfbb6bf0a2bdb51e0aa9b817df2f3cc8e6483ad5",
+        "7b9d86f9e491fd827a9c9d9f6aa744804072b4381f32ae4b5564a02a123a30f8",
     ),
     "vote_fastpath_n4": (
         "0e5ca5f88ef07cf9cd586ff943c3229e2172df00a4243c551fb4e2b899446f32",
@@ -148,7 +148,7 @@ OBSERVED = ("continue", "brake", "continue", "swerve-left", "continue")
 SUPERVISED_CAMPAIGN_LOGS = {
     "fuzz_long_n4": (
         "261622b8bb5eebe173f74947394e6ff1406a39e4d1442610e9f5761a31d21268",
-        "53ca1da37025ad9846f2773006ebf1c30806750c5897c72f6e806c97fc77330f",
+        "5f8d9dc75273989634eabd8c7ca555bb1710c912024f4cdf80676b61b7878bbf",
     ),
     "vote_fastpath": (
         "8a82ad3f8bc828b273c9dae11e63f6ec87da7e73ebe334bbba126907d1c99dca",

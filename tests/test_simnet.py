@@ -112,12 +112,12 @@ class TestDelivery:
         assert all(1 <= env.deliver_round <= 3 for env in got)
 
 
-def outbox_message(registry, sender=0):
+def outbox_message(registry, sender=0, term=0):
     """The PrePrepare that ``sender``'s replica proposes as leader of frame
-    ``sender``: a message it keeps in its outbox and may send again."""
+    ``sender + 4 * term``: a message it keeps in its outbox and may send again."""
     space = DecisionSpace(labels=("go", "stop"), safe_default="stop")
     replica = Replica(sender, QuorumConfig(n=4, f=1), space, registry)
-    replica.start_frame(sender, space.value("go"), 0)
+    replica.start_frame(sender + 4 * term, space.value("go"), 0)
     (_, signed), *_ = replica.inst.outbox
     return signed
 
@@ -180,9 +180,10 @@ class TestSequenceNumbers:
 
 
 class TestRepeats:
-    """A re-send of an outbox message is carried unless this world has
-    queued that object to that recipient, due no later than the re-send
-    could arrive."""
+    """An outbox message reaches each recipient at most once, through the
+    copy that would arrive first: a re-send is carried only if it would
+    arrive strictly before the copy this world has queued of that object to
+    that recipient, and that copy is then never delivered."""
 
     registry = KeyRegistry(1, MODULES)
 
@@ -197,12 +198,20 @@ class TestRepeats:
             world.send(0, 1, payload)
         assert len(drain(world, 2)) == 4
 
+    @staticmethod
+    def unrecorded(world, signed):
+        """No copy of ``signed`` is on its way in ``world``: the copy sent
+        was dropped, blocked or to an absent module, so nothing records it."""
+        assert signed.__dict__["_queued"] == {world._key: {}}
+
     def test_a_resend_after_a_dropped_copy_is_queued(self):
         policy = quiet_policy(drop_rate=0.5, seed=2)
         assert policy.fate(1, 2) == [None, 0]
         world = World(policy, MODULES)
         signed = outbox_message(self.registry)
-        for _ in range(3):
+        world.send(0, 1, signed)
+        self.unrecorded(world, signed)
+        for _ in range(2):
             world.send(0, 1, signed)
         assert self.queued(world) == [(0, 2, 1)]  # slot 3 repeats slot 2
 
@@ -211,6 +220,7 @@ class TestRepeats:
         world = World(quiet_policy(partitions=(cut,)), MODULES)
         signed = outbox_message(self.registry)
         world.send(0, 1, signed)
+        self.unrecorded(world, signed)
         world.advance_round()
         world.send(0, 1, signed)
         assert self.queued(world) == [(1, 2, 2)]
@@ -220,11 +230,14 @@ class TestRepeats:
         signed = outbox_message(self.registry)
         world.absent = {1}
         world.send(0, 1, signed)
+        self.unrecorded(world, signed)
         world.absent = world.isolated
         world.send(0, 1, signed)
         assert self.queued(world) == [(0, 2, 1)]
 
     def test_a_resend_that_would_arrive_first_is_queued(self):
+        """It is delivered, and the copies it overtakes never are, though
+        they keep their sequence numbers."""
         policy = quiet_policy(jitter_rounds=4, seed=0)
         assert policy.fate(1, 3) == [4, 2, 0]
         world = World(policy, MODULES)
@@ -235,8 +248,32 @@ class TestRepeats:
         for _ in range(4):
             world.send(0, 1, signed)
             got += world.advance_round()
-        got += drain(world, 4)
-        assert [e[:5] for e in got] == [(3, 2, 0, 1, 3), (4, 1, 0, 1, 2), (5, 0, 0, 1, 1)]
+        world.send(0, 2, "next")
+        got += drain(world, 8)
+        assert [e[:5] for e in got if e.to == 1] == [(3, 2, 0, 1, 3)]
+        assert [e.seq for e in got if e.to == 2] == [5]
+        assert not world._superseded and world.event_log[0].startswith("3|0|1|preprepare|")
+
+    @pytest.mark.parametrize("seed, fates", [(0, [1, 1]), (7, [0, 2])], ids=["same-round", "later"])
+    def test_a_resend_due_no_earlier_than_its_copy_is_not_queued(self, seed, fates):
+        """A re-send in the copy's round loses the tie to it, and one due
+        later is not queued either; every other slot keeps its fate, as on a
+        world where the second send is of a twin that no record links."""
+        policy = quiet_policy(jitter_rounds=2, seed=seed)
+        assert policy.fate(1, 2) == fates
+        signed = outbox_message(self.registry)
+        twin = sign_message(self.registry, 0, signed.msg)
+
+        def delivered(second):
+            world = World(policy, MODULES)
+            for payload in (signed, second):
+                world.send(0, 1, payload)
+            world.send(0, PEERS, "next")
+            return [e[:5] for e in drain(world, 6)]
+
+        carried = delivered(twin)
+        assert 2 in [e[4] for e in carried]
+        assert delivered(signed) == [e for e in carried if e[4] != 2]
 
     def test_a_copy_queued_in_one_world_suppresses_nothing_in_another(self):
         signed = outbox_message(self.registry)
@@ -245,6 +282,17 @@ class TestRepeats:
         second.send(0, 1, signed)
         second.send(0, 1, signed)  # a repeat in the second world
         assert self.queued(first) == self.queued(second) == [(0, 1, 1)]
+
+    def test_superseding_in_one_world_leaves_another_worlds_copy_alone(self):
+        policy = quiet_policy(jitter_rounds=2, seed=4)
+        assert policy.fate(1, 2) == [2, 0]
+        signed = outbox_message(self.registry)
+        first, second = World(policy, MODULES), World(policy, MODULES)
+        first.send(0, 1, signed)
+        second.send(0, 1, signed)
+        first.send(0, 1, signed)  # arrives first: supersedes the first world's copy only
+        assert self.queued(first) == [(0, 2, 1)]
+        assert self.queued(second) == [(0, 1, 3)]
 
 
 class TestPartitions:
@@ -492,9 +540,10 @@ class ListScanWorld:
     """A plain reimplementation of the network: one list of envelopes,
     scanned in full every round, with fates drawn from the full encoding.
     World must return the same envelopes and write the same event log.
-    ``skipped`` counts the slots left unqueued, by cause: a repeat is a
-    send of an outbox message to a recipient that some envelope this world
-    has queued, of that object, reaches no later than the send could."""
+    ``skipped`` counts the slots left unqueued or undelivered, by cause.  Of
+    the envelopes this world has queued of one outbox message to one
+    recipient, only the one that sorts first is delivered; the others are
+    superseded.  A send that would not sort before it is a repeat."""
 
     def __init__(self, policy, module_ids, slow_extra, outbox=()):
         self.policy = policy
@@ -507,7 +556,13 @@ class ListScanWorld:
         self.seq = 0
         self.muted = set()
         self.event_log = []
-        self.skipped = {"muted": 0, "partitioned": 0, "repeat": 0, "dropped": 0}
+        self.skipped = {"muted": 0, "partitioned": 0, "repeat": 0, "dropped": 0, "superseded": 0}
+
+    def first_copy(self, payload, recipient):
+        """The envelope queued of outbox ``payload`` to ``recipient`` that
+        sorts first, or None."""
+        if any(payload is p for p in self.outbox):
+            return min((e for e in self.queued if e[5] is payload and e[3] == recipient), default=None)
 
     def send(self, frm, to, payload):
         if frm in self.muted:
@@ -528,9 +583,8 @@ class ListScanWorld:
                 self.skipped["partitioned"] += 1
                 continue
             earliest = self.round + self.policy.base_delay_rounds + self.slow_extra.get(frm, 0)
-            if any(payload is p for p in self.outbox) and any(
-                e[5] is payload and e[3] == recipient and e[0] <= earliest for e in self.queued
-            ):
+            first = self.first_copy(payload, recipient)
+            if first is not None and first[0] <= earliest:
                 self.skipped["repeat"] += 1
                 continue
             fate = TestFatePrefix.reference_fate(self.policy, self.seq)
@@ -538,6 +592,9 @@ class ListScanWorld:
                 self.skipped["dropped"] += 1
                 continue
             envelope = (earliest + (fate or 0), self.round, frm, recipient, self.seq, payload)
+            if first is not None and first[0] <= envelope[0]:
+                self.skipped["repeat"] += 1
+                continue
             self.queue.append(envelope)
             self.queued.append(envelope)
 
@@ -546,6 +603,9 @@ class ListScanWorld:
         due = sorted(e for e in self.queue if e[0] <= self.round)
         self.queue = [e for e in self.queue if e[0] > self.round]
         due = [e for e in due if e[3] not in self.muted and e[2] not in self.muted]
+        first = [e for e in due if self.first_copy(e[5], e[3]) in (None, e)]
+        self.skipped["superseded"] += len(due) - len(first)
+        due = first
         for _, _, frm, to, _, payload in due:
             self.event_log.append(f"{self.round}|{frm}|{to}|{kind_of(payload)}|{hex_of(payload)}")
         return due
@@ -602,7 +662,8 @@ class TestAgainstListScan:
         must deliver the same envelopes, keep the same queue and write the
         same log.  ``toggle_mutes(round, muted)`` mutes and unmutes modules
         before each round's sends.  Returns the model."""
-        payloads, outbox = self.payloads(KeyRegistry(policy.seed, range(8)))
+        registry = KeyRegistry(policy.seed, range(8))
+        payloads, outbox = self.payloads(registry)
         model = ListScanWorld(policy, modules, slow, outbox)
         world = World(policy, modules, slow, model.muted)
         delivered = 0
@@ -614,6 +675,13 @@ class TestAgainstListScan:
                 payload = rng.choice(payloads)
                 world.send(frm, to, payload)
                 model.send(frm, to, payload)
+            # a new outbox message, sent twice in one round as handle and then on_round
+            # may: the second copy may draw less jitter and overtake the first
+            fresh = outbox_message(registry, 1, now)
+            outbox.append(fresh)
+            for _ in range(2):
+                world.send(1, PEERS, fresh)
+                model.send(1, PEERS, fresh)
             got = [
                 (e.deliver_round, e.send_round, e.frm, e.to, e.seq, e.payload)
                 for e in world.advance_round()
@@ -698,3 +766,5 @@ class TestAgainstListScan:
         assert (model.skipped["partitioned"] > 0) == partitions
         assert (model.skipped["dropped"] > 0) == ("drop" in network)
         assert model.skipped["repeat"] > 0
+        if "jitter" in network:
+            assert model.skipped["superseded"] > 0
