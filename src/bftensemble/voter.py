@@ -64,7 +64,6 @@ MAJORITY = VoteStrategy("majority")  # the default, and the fast path's fallback
 class Verdict:
     kind: str  # decided | no-quorum | safe-mode
     value: Optional[str] = None
-    supporters: frozenset[int] = frozenset()
     cause: str = ""
 
     @property
@@ -81,18 +80,17 @@ def tally(votes: dict[int, str], strategy: VoteStrategy, cfg: QuorumConfig) -> V
     modules count as votes against it, and two values reaching k are a tie,
     which is NoQuorum."""
     k = strategy.threshold(cfg.n)
-    backers: dict[str, list[int]] = {}  # each value's voters, in vote order
-    for m, value in votes.items():
-        backers.setdefault(value, []).append(m)
+    counts: dict[str, int] = {}
+    for value in votes.values():
+        counts[value] = counts.get(value, 0) + 1
     reaching = []
-    for value, voters in backers.items():
-        if len(voters) >= k:
+    for value, count in counts.items():
+        if count >= k:
             reaching.append(value)
     if len(reaching) == 1:
-        value = reaching[0]
-        return _new_verdict(kind="decided", value=value, supporters=frozenset(backers[value]), cause="")
+        return _new_verdict(kind="decided", value=reaching[0], cause="")
     cause = "tie" if reaching else "below-threshold"
-    return _new_verdict(kind="no-quorum", value=None, supporters=frozenset(), cause=cause)
+    return _new_verdict(kind="no-quorum", value=None, cause=cause)
 
 
 @dataclass(frozen=True)
@@ -116,11 +114,11 @@ def fast_path_agree(digests: dict[int, bytes], votes: dict[int, str], cfg: Quoru
     """
     missing = cfg.n - len(digests)
     if missing > cfg.f:
-        verdict = _new_verdict(kind="no-quorum", value=None, supporters=frozenset(), cause="missing-announcements")
+        verdict = _new_verdict(kind="no-quorum", value=None, cause="missing-announcements")
         return _new_result(verdict=verdict, rounds_used=1)
     if missing == 0 and len(set(digests.values())) == 1 and votes:
         # every announcement matched, so any locally known output is the value
         value = next(iter(votes.values()))
-        verdict = _new_verdict(kind="decided", value=value, supporters=frozenset(digests), cause="")
+        verdict = _new_verdict(kind="decided", value=value, cause="")
         return _new_result(verdict=verdict, rounds_used=1)
     return _new_result(verdict=tally(votes, MAJORITY, cfg), rounds_used=2)

@@ -13,13 +13,13 @@ leaves an envelope queued for the next, that
 restart phases run only while the supervisor holds a module, that each
 outbox message reaches each recipient once, that the world's shortcuts
 (nothing delivered to a module taking no part in the frame, no second copy
-of an outbox message) move no decision against a reference world that takes
-none, and remove only event lines with a named reason, that an
-episode leaves no reference cycle, one campaign episode that once broke the
-liveness bound, that long network delays cost no empty rounds, and that the
-event log renders from the delivery record alone."""
+of an outbox message) leave out only event lines against the reference
+(tests/test_reference.py), that an episode leaves no reference cycle, one campaign episode that once broke the
+liveness bound, that long network delays cost no empty rounds and give the
+reference's logs (tests/reference.py), that the event log renders from the
+delivery record alone, and that the timers the PBFT loop skips would send
+nothing and change nothing."""
 import gc
-import hashlib
 import random
 from collections import defaultdict
 from dataclasses import replace
@@ -37,7 +37,9 @@ from bftensemble.simnet import Envelope, World
 from bftensemble.supervisor import Supervisor
 from bftensemble.voter import VoteStrategy
 
+from reference import reference_run
 from test_golden import campaign_episodes, supervised_base
+from test_reference import compared
 
 
 @pytest.fixture(params=["fuzz_base_n4", "fuzz_base_n7"])
@@ -491,147 +493,26 @@ def test_a_silent_module_is_delivered_nothing(name, module):
     assert recipients >= set(range(scenario.quorum.n)) - {module}
 
 
-def delivered_envelopes(monkeypatch) -> list:
-    """Record each envelope ``advance_round`` returns, in event-log order."""
-    delivered = []
-    advance = World.advance_round
-
-    def advancing(world):
-        due = advance(world)
-        delivered.extend(due)
-        return due
-
-    monkeypatch.setattr(World, "advance_round", advancing)
-    return delivered
-
-
-def reference_world(monkeypatch) -> list[bool]:
-    """Make the world take none of its shortcuts: it queues, draws for and
-    records every envelope to a module that is not isolated, as if no module
-    were absent, and carries every re-send, superseding no copy, as if no
-    payload were an outbox message.  The runner is handed only the
-    envelopes to modules that are not absent.  Returns, for each envelope
-    ``advance_round`` returns, whether its recipient was absent."""
-    to_absent = []
-    send, advance = World.send, World.advance_round
-
-    def sending(world, frm, to, payload):
-        if isinstance(payload, Signed):
-            payload.__dict__.pop("_queued", None)
-        absent, world.absent = world.absent, world.isolated
-        send(world, frm, to, payload)
-        world.absent = absent
-
-    def advancing(world):
-        absent, world.absent = world.absent, world.isolated
-        due = advance(world)
-        world.absent = absent
-        to_absent.extend(env.to in absent for env in due)
-        return [env for env in due if env.to not in absent]
-
-    monkeypatch.setattr(World, "send", sending)
-    monkeypatch.setattr(World, "advance_round", advancing)
-    return to_absent
-
-
-def replica_states(runner) -> list:
-    return [
-        None if engine is None else (engine.misbehavior, engine.violations, engine.committed)
-        for engine in runner.engines.values()
-    ]
-
-
-def first_episodes(name: str, count: int = 30) -> list:
-    """The first ``count`` campaign episodes of ``name``, less fuzz_long_n4's
-    silent draws, whose restarts raise."""
-    base = load_bundled(name) if name == "fuzz_base_n7" else supervised_base(name)
-    return [
-        scenario for scenario in campaign_episodes(base, count)
-        if name != "fuzz_long_n4" or all(p.kind != "silent" for p in scenario.modules)
-    ]
-
-
-def run_recorded(scenarios, *records: list) -> list:
-    """Each episode's result and replica states, and what each of
-    ``records`` gathered while it ran."""
-    runs = []
-    for scenario in scenarios:
-        for record in records:
-            record.clear()
-        runner = EpisodeRunner(scenario)
-        result = runner.run()
-        runs.append((result, replica_states(runner), *map(list, records)))
-    return runs
-
-
 @pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])
-def test_each_outbox_message_reaches_each_recipient_once(monkeypatch, name):
+def test_each_outbox_message_reaches_each_recipient_once(name):
     """Over the first 30 campaign episodes, no outbox message is delivered
     twice from one sender to one recipient."""
-    delivered = delivered_envelopes(monkeypatch)
-    copies = 0
-    for _, _, got in run_recorded(first_episodes(name), delivered):
-        # ``got`` keeps every payload alive, so no id is reused
-        outbox = [(id(env.payload), env.frm, env.to) for env in got if "_queued" in env.payload.__dict__]
-        assert len(set(outbox)) == len(outbox)
-        copies += len(outbox)
-    assert copies > 0
+    counts = compared(name)
+    assert counts["outbox"] > 0 and counts["outbox twice"] == 0
 
 
-def left_out_lines(monkeypatch, name: str) -> dict[str, int]:
-    """Check that the world's shortcuts move no decision: over the first 30
-    campaign episodes, the decision log, the vote logs and every replica's
-    misbehavior, violations and committed log are those of the reference
-    world, and each envelope it delivers is the reference's, with its fate.
-    The event log is the reference's without lines that each have a named
-    reason: to a module absent in that round, or a later copy of a payload
-    already delivered from that sender to that recipient.  Returns how many
-    lines were left out for each reason."""
-    scenarios = first_episodes(name)
-    delivered = delivered_envelopes(monkeypatch)
-    runs = run_recorded(scenarios, delivered)
-    to_absent = reference_world(monkeypatch)
-    reasons = {"absent": 0, "repeat": 0}
-    references = run_recorded(scenarios, delivered, to_absent)
-    for (result, states, got), (reference, reference_states, sent, absent) in zip(runs, references):
-        assert result.decision_log == reference.decision_log
-        assert result.vote_logs == reference.vote_logs
-        assert states == reference_states
-        carried = {env.seq for env in got}
-        kept = [index for index, env in enumerate(sent) if env.seq in carried]
-        assert [sent[index][:5] for index in kept] == [env[:5] for env in got]
-        lines = reference.event_log
-        assert len(lines) == len(absent) == len(sent)
-        assert result.event_log == [lines[index] for index in kept]
-        earlier = set()
-        for env, to_absent_module in zip(sent, absent):
-            copy = (id(env.payload), env.frm, env.to)
-            if to_absent_module:
-                assert env.seq not in carried
-                reasons["absent"] += 1
-                continue
-            if env.seq not in carried:
-                assert copy in earlier
-                reasons["repeat"] += 1
-            earlier.add(copy)
-    return reasons
-
-
+# The two shortcuts against the reference: each moves no decision and
+# leaves out only event lines, each with its reason, and some.
 @pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4", "vote_fastpath"])
-def test_what_absent_modules_miss_is_only_their_event_lines(monkeypatch, name):
-    """Delivering nothing to a module that takes no part in the frame leaves
-    out only event lines, and it leaves some out."""
-    reasons = left_out_lines(monkeypatch, name)
-    assert reasons["absent"] > 0
+def test_what_absent_modules_miss_is_only_their_event_lines(name):
+    counts = compared(name)
     # vote-only episodes have no outbox messages, so nothing repeats
-    assert (reasons["repeat"] > 0) == (name != "vote_fastpath")
+    assert counts["absent"] > 0 and (counts["repeat"] > 0) == (name != "vote_fastpath")
 
 
 @pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])
-def test_what_the_network_does_not_repeat_is_only_its_event_lines(monkeypatch, name):
-    """Not carrying a re-send whose copy is already on its way leaves out
-    only event lines, and it leaves some out."""
-    assert left_out_lines(monkeypatch, name)["repeat"] > 0
+def test_what_the_network_does_not_repeat_is_only_its_event_lines(name):
+    assert compared(name)["repeat"] > 0
 
 
 def test_the_pbft_loop_observes_only_envelopes_to_the_observer(monkeypatch):
@@ -717,45 +598,29 @@ def counting_advance_round(monkeypatch) -> list[int]:
     return calls
 
 
-# (scenario, SHA-256 of decision.log, SHA-256 of event.log, most advance_round
-# calls).  The logs are those of a loop that stepped through every round:
-# the vote-only cases then made 9,018 and 6,012 calls, the PBFT case 102.
+# (scenario, most advance_round calls).  The reference steps through every
+# round: 9,018 and 6,012 calls in the vote-only cases, 102 in the PBFT case.
 LONG_DELAYS = [
-    (
-        delayed("av_plastic_bag", "fastpath", jitter_rounds=1000, drop_rate=0.1),
-        "177b50bba0fbd3e4340cd1b769f80eed183b7b1b3116fc80db0e1bbbc3cfa4ab",
-        "1092148eaca87919e7366cfeaf525a50d0f4588b402fc695375f30529bb422b6",
-        400,
-    ),
-    (
-        delayed("av_plastic_bag", "majority", jitter_rounds=1000),
-        "eeccfc624cab8754ff15c33bb8a4dc1d476107f3de299787500664cff5c073a5",
-        "53c898a7395e1da89b710ac058d4036e15af6d332b0496c0a326a2c7b64c45cc",
-        250,
-    ),
-    (
-        delayed("fuzz_base_n7", "majority", jitter_rounds=3, drop_rate=0.02),
-        "7fb6b915290e7a24656d88500a59391a24019b482cc2bccab3ebedcbaedecd56",
-        "ec4db51a3849cb76e4531be3775c0f1e90107cb5f28530421e1628aa467fdc75",
-        80,
-    ),
+    (delayed("av_plastic_bag", "fastpath", jitter_rounds=1000, drop_rate=0.1), 400),
+    (delayed("av_plastic_bag", "majority", jitter_rounds=1000), 250),
+    (delayed("fuzz_base_n7", "majority", jitter_rounds=3, drop_rate=0.02), 80),
 ]
 
 
 @pytest.mark.parametrize(
-    "scenario, decisions, events, most_calls",
+    "scenario, most_calls",
     LONG_DELAYS,
     ids=["av_plastic_bag-fastpath", "av_plastic_bag-majority", "fuzz_base_n7-majority"],
 )
-def test_delivery_windows_skip_empty_rounds(monkeypatch, scenario, decisions, events, most_calls):
+def test_delivery_windows_skip_empty_rounds(monkeypatch, scenario, most_calls):
     """The loops that fire no timers (the vote-only windows and the PBFT
     post-frame sync) jump over rounds in which nothing is due, and write
-    the same logs as a loop through every round."""
+    the same logs as the reference, which steps through every round."""
     calls = counting_advance_round(monkeypatch)
     result = run_episode(scenario)
-    sha = lambda text: hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert (sha(result.decision_log_text), sha(result.event_log_text)) == (decisions, events)
     assert calls[0] <= most_calls
+    _, expected = reference_run(scenario)
+    assert (result.decision_log, result.event_log) == (expected.decision_log, expected.event_log)
 
 
 def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
@@ -765,16 +630,12 @@ def test_a_vote_only_episode_under_a_huge_jitter_finishes(monkeypatch):
     assert calls[0] <= 400
 
 
-# Episode 8 of the fuzz_base_n7 campaign at seed 2026 (a crashed and a
-# diverse_honest module, jitter 1, drop rate 1%): it delivers seven message
-# kinds, view changes and state transfer among them.
-N7_EPISODE_8_EVENTS = "29b0bf1ad5942b48b6c82a05daa24085470e1669ff5cceebb2f91cf756e5af91"
-
-
 def test_the_event_log_renders_from_the_delivery_record_alone():
     """Rendering reads only the recorded envelopes, so a result renders the
     same bytes after other episodes have run and the message memos have been
-    emptied."""
+    emptied.  Episode 8 of the fuzz_base_n7 campaign at seed 2026 (a crashed
+    and a diverse_honest module, jitter 1, drop rate 1%) delivers seven
+    message kinds, view changes and state transfer among them."""
     *others, kept = campaign_episodes(load_bundled("fuzz_base_n7"), 9)
     result = run_episode(kept)
     text = result.event_log_text
@@ -782,9 +643,7 @@ def test_the_event_log_renders_from_the_delivery_record_alone():
         run_episode(scenario)
     messages.interned.cache_clear()
     messages.log_prefix_digest.cache_clear()
-    again = result.event_log_text
-    assert hashlib.sha256(again.encode("utf-8")).hexdigest() == N7_EPISODE_8_EVENTS
-    assert again == text
+    assert result.event_log_text == text
 
 
 def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
@@ -804,18 +663,21 @@ def test_the_event_log_read_between_rounds_is_a_prefix_of_the_final_log():
     assert [len(log) for log in seen] == sorted(len(log) for log in seen)
 
 
-# (SHA-256 over the decision logs, SHA-256 over the event logs) of the first
-# 8 episodes of the fuzz_base_n7 campaign at seed 2026, written by a runner
-# that fired the timers of every live replica, decided or not.
-N7_FIRST_8_LOGS = (
-    "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
-    "529471e75843a0f898968881ab3be95517de42e564eb47d93a0d0ea8cd812165",
-)
+def assert_timers_idle(engine):
+    """``engine.on_round`` sends nothing at any round of two timeouts from
+    the start of its view, and changes no state (its fields' repr, which
+    shows its frame instance in full)."""
+    before = repr(vars(engine))
+    start = engine.inst.view_start_round
+    for round_ in range(start, start + 2 * engine.timeout_rounds + 2):
+        assert engine.on_round(round_) == []
+    assert repr(vars(engine)) == before
 
 
 def test_timers_fire_only_on_undecided_replicas(monkeypatch):
-    """The PBFT loop skips the timers of a replica that has decided: they
-    would send nothing, so the logs are those of a loop that fired them."""
+    """The PBFT loop skips the timers of a replica that has decided, over
+    the first 8 fuzz_base_n7 draws; they would send nothing and change
+    nothing."""
     fired = []
     on_round = Replica.on_round
 
@@ -824,27 +686,30 @@ def test_timers_fire_only_on_undecided_replicas(monkeypatch):
         return on_round(engine, round_)
 
     monkeypatch.setattr(Replica, "on_round", spy)
-    decisions, events = hashlib.sha256(), hashlib.sha256()
     for scenario in campaign_episodes(load_bundled("fuzz_base_n7"), 8):
-        result = run_episode(scenario)
-        decisions.update(result.decision_log_text.encode("utf-8"))
-        events.update(result.event_log_text.encode("utf-8"))
+        run_episode(scenario)
     assert fired and not any(fired)
-    assert (decisions.hexdigest(), events.hexdigest()) == N7_FIRST_8_LOGS
+    monkeypatch.undo()
+    runner = EpisodeRunner(load_bundled("fuzz_base_n4"))
+    runner._run_frame(0)
+    for engine in runner.engines.values():
+        assert type(engine) is Replica and engine.inst.decided
+        assert_timers_idle(engine)
 
 
 def test_timers_never_fire_on_an_equivocator(monkeypatch):
-    """The PBFT loop skips an equivocator's timers, which never send: the
-    first 8 draws include two equivocators, and the logs are those of a loop
-    that fired them."""
+    """The PBFT loop skips an equivocator's timers over the first 8
+    fuzz_base_n7 draws, two of which have one; they never send and change
+    nothing."""
     fired = []
     monkeypatch.setattr(EquivocatingReplica, "on_round", lambda engine, round_: fired.append(round_) or [])
-    decisions, events = hashlib.sha256(), hashlib.sha256()
     drawn = 0
     for scenario in campaign_episodes(load_bundled("fuzz_base_n7"), 8):
         drawn += any(p.kind == "byzantine_equivocate" for p in scenario.modules)
-        result = run_episode(scenario)
-        decisions.update(result.decision_log_text.encode("utf-8"))
-        events.update(result.event_log_text.encode("utf-8"))
+        run_episode(scenario)
     assert drawn == 2 and fired == []
-    assert (decisions.hexdigest(), events.hexdigest()) == N7_FIRST_8_LOGS
+    monkeypatch.undo()
+    runner = EpisodeRunner(restarted_scenario("pbft", "byzantine_equivocate a=continue b=brake"))
+    runner._run_frame(0)
+    assert type(runner.engines[3]) is EquivocatingReplica
+    assert_timers_idle(runner.engines[3])

@@ -7,7 +7,9 @@ verification result for the registry it was checked against, and a
 signer's MAC state on its first use and reuses it.  These tests pin
 what that must not change: tags are those of a fresh keyed hash, forged or
 swapped messages still fail, another registry still gets its own answer, and
-equality, hashing and repr still see only the dataclass fields.
+equality, hashing and repr still see only the dataclass fields.  Whole
+episodes run with every message built fresh and every tag checked by MAC
+are compared with ``run_episode`` in tests/test_reference.py.
 """
 import hashlib
 import pickle
@@ -26,7 +28,6 @@ from bftensemble.core import (
     canonical,
     digest,
 )
-from bftensemble.episode import run_episode
 from bftensemble.messages import (
     CheckpointAttest,
     Commit,
@@ -41,7 +42,6 @@ from bftensemble.messages import (
     StateRequest,
     ViewChange,
     interned,
-    log_prefix_digest,
     sign_message,
     Signed,
 )
@@ -50,6 +50,7 @@ from bftensemble.simnet import payload_digest_hex, payload_kind
 
 from test_consensus import python_calls
 from test_golden import supervised_base
+from test_reference import compared
 
 SPACE = DecisionSpace(labels=("north", "south"), safe_default="north")
 NORTH, SOUTH = SPACE.value("north"), SPACE.value("south")
@@ -396,28 +397,11 @@ class TestInterned:
         assert sign_message(KeyRegistry(17, range(4)), 1, shared).tag == tag
 
     @pytest.mark.parametrize("name", ["fuzz_base_n4", "fuzz_base_n7", "av_plastic_bag"])
-    def test_campaign_logs_are_the_same_with_cold_and_warm_caches(self, name, monkeypatch):
-        """The logs of the first campaign episodes are the same bytes whether
-        every episode starts from empty caches or from warm ones."""
-
-        def logs(cold: bool) -> list:
-            out = []
-
-            def run(scenario):
-                if cold:
-                    interned.cache_clear()
-                    log_prefix_digest.cache_clear()
-                result = run_episode(scenario)
-                out.append((result.decision_log_text, result.event_log_text))
-                return result
-
-            monkeypatch.setattr(campaign, "run_episode", run)
-            campaign.fuzz_campaign(load_bundled(name), episodes=8, seed=2026, strict=False)
-            return out
-
-        warm = logs(cold=False)
-        assert logs(cold=True) == warm == logs(cold=False)
-        assert interned.cache_info().currsize > 0
+    def test_campaign_logs_are_the_same_with_cold_and_warm_caches(self, name):
+        """The bundled scenario and its first 30 campaign draws, run in
+        reverse order on warm caches, give the logs of the reference run,
+        which builds every message fresh (tests/test_reference.py)."""
+        assert compared(name)["episodes"] == 31
 
 
 class TestSignMessage:
@@ -548,40 +532,16 @@ class TestKeysOnFirstUse:
         assert registry.sign(1, payload) == fresh_tag(17, 1, payload)
 
 
-# SHA-256 over the decision logs and over the event logs of the first 8
-# seed-2026 campaign episodes, as they were while every signature ran a MAC
-# (the vote_fastpath event log as the fast path announces to the peers only).
-NO_TAG_READ_LOGS = {
-    "fuzz_base_n7": (
-        "49275a1112c8d2e684b1e35769b37464c68ccd8509934a00cfce2de769b49c18",
-        "529471e75843a0f898968881ab3be95517de42e564eb47d93a0d0ea8cd812165",
-    ),
-    "vote_fastpath": (
-        "d6654fa2f68e532ff9e95c33eb7faa44c35a4daf75144b7caa50e2e3a0da7eaf",
-        "ce0c1ee934124b3fa60142e0a3625e355e53baf27ad6ae7e0383d19eecd09203",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(NO_TAG_READ_LOGS))
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "vote_fastpath"])
 def test_a_campaign_reads_no_tag_it_signed(name, monkeypatch):
     """Every delivered signature carries its registry's stamp, so the first
-    campaign episodes of the PBFT and the vote-only bench bases run no MAC,
-    and their logs are the pinned bytes.  ``vote_fastpath`` is the
-    benchmark's base, as test_golden inlines it."""
+    8 seed-2026 campaign episodes of the PBFT and the vote-only bench bases
+    run no MAC.  ``vote_fastpath`` is the benchmark's base, as test_golden
+    inlines it.  tests/test_reference.py checks that these episodes give the
+    logs of a run that signs and checks every tag by MAC."""
     base = load_bundled(name) if name == "fuzz_base_n7" else supervised_base(name)
     signs = []
     real_sign = KeyRegistry.sign
     monkeypatch.setattr(KeyRegistry, "sign", lambda self, *a: signs.append(a) or real_sign(self, *a))
-    decisions, events = hashlib.sha256(), hashlib.sha256()
-
-    def run(scenario):
-        result = run_episode(scenario)
-        decisions.update(result.decision_log_text.encode("utf-8"))
-        events.update(result.event_log_text.encode("utf-8"))
-        return result
-
-    monkeypatch.setattr(campaign, "run_episode", run)
-    campaign.fuzz_campaign(base, episodes=8, seed=2026, strict=False)
-    assert signs == []
-    assert (decisions.hexdigest(), events.hexdigest()) == NO_TAG_READ_LOGS[name]
+    report = campaign.fuzz_campaign(base, episodes=8, seed=2026, strict=False)
+    assert report.frames_total > 0 and signs == []

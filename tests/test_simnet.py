@@ -12,12 +12,13 @@ from bftensemble.core import (
     DecisionSpace,
     KeyRegistry,
     QuorumConfig,
-    canonical,
     digest,
 )
-from bftensemble.messages import KIND_NAMES, Commit, Output, Prepare, Reply, Signed, sign_message
+from bftensemble.messages import Commit, Output, Prepare, Reply, sign_message
 from bftensemble.campaign import FUZZ_DROP_RATES
 from bftensemble.simnet import NetworkPolicy, Partition, World, drop_limit
+
+from reference import ReferenceWorld, log_tag, reference_fate
 
 MODULES = (0, 1, 2, 3)
 
@@ -59,7 +60,7 @@ class TestDelivery:
         world = World(quiet_policy(), MODULES)
         world.send(0, PEERS, "hello")
         assert sorted(env.to for env in drain(world, 2)) == [1, 2, 3]
-        assert world.event_log == [f"1|0|{m}|opaque|{hex_of('hello')}" for m in (1, 2, 3)]
+        assert world.event_log == [f"1|0|{m}|{log_tag('hello')}" for m in (1, 2, 3)]
 
     def test_peers_number_slots_as_a_send_to_each_peer_and_the_observer(self):
         def later_envelopes(first):
@@ -457,15 +458,6 @@ class TestFatePrefix:
     """fate() hashes a per-seed prefix plus the envelope index; the draws
     must equal those over canonical("net-fate", seed, index)."""
 
-    @staticmethod
-    def reference_fate(policy, index):
-        h = digest(canonical("net-fate", policy.seed, index))
-        if int.from_bytes(h[:8], "big") / 2**64 < policy.drop_rate:
-            return None
-        if policy.jitter_rounds == 0:
-            return 0
-        return int.from_bytes(h[8:16], "big") % (policy.jitter_rounds + 1)
-
     @pytest.mark.parametrize("seed", [0, 1, 2026, -7, 2**40])
     @pytest.mark.parametrize(
         "drop_rate,jitter", [(0.0, 0), (0.0, 2), (0.01, 1), (0.3, 3), (0.9, 0)]
@@ -474,7 +466,7 @@ class TestFatePrefix:
         policy = quiet_policy(jitter_rounds=jitter, drop_rate=drop_rate, seed=seed)
         for first, count in [(0, 300), (2**31 + 5, 1), (2**62, 1)]:
             assert policy.fate(first, count) == [
-                self.reference_fate(policy, i) for i in range(first, first + count)
+                reference_fate(policy, i) for i in range(first, first + count)
             ]
 
     @pytest.mark.parametrize("seed", [0, 2026, 2**40])
@@ -489,7 +481,7 @@ class TestFatePrefix:
         draw = policy.draw()
         assert (draw is None) == (drop_rate == 0 and jitter == 0)
         indices = [*range(300), 2**31 + 5, 2**62]
-        expected = [self.reference_fate(policy, i) for i in indices]
+        expected = [reference_fate(policy, i) for i in indices]
         assert [0 if draw is None else draw(i) for i in indices] == expected
         assert policy.fate(0, 300) == expected[:300]
         assert [policy.fate(i, 1) for i in indices] == [[fate] for fate in expected]
@@ -512,7 +504,7 @@ class TestFatePrefix:
         for changes in ({"seed": 6}, {"drop_rate": 0.4}, {"jitter_rounds": 1}, {}):
             derived = replace(policy, **changes)
             assert derived.fate(0, 300) == [
-                self.reference_fate(derived, i) for i in range(300)
+                reference_fate(derived, i) for i in range(300)
             ]
 
     @pytest.mark.parametrize("seed", range(16))
@@ -527,102 +519,13 @@ class TestFatePrefix:
         first, k1, k2 = rng.randrange(2**32), rng.randrange(8), rng.randrange(8)
         whole = policy.fate(first, k1 + k2)
         assert policy.fate(first, k1) + policy.fate(first + k1, k2) == whole
-        assert whole == [self.reference_fate(policy, i) for i in range(first, first + k1 + k2)]
+        assert whole == [reference_fate(policy, i) for i in range(first, first + k1 + k2)]
 
     def test_prefix_is_not_a_field(self):
         a, b = quiet_policy(seed=4), quiet_policy(seed=4)
         a.fate(1, 1)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "net-fate" not in repr(a)
-
-
-class ListScanWorld:
-    """A plain reimplementation of the network: one list of envelopes,
-    scanned in full every round, with fates drawn from the full encoding.
-    World must return the same envelopes and write the same event log.
-    ``skipped`` counts the slots left unqueued or undelivered, by cause.  Of
-    the envelopes this world has queued of one outbox message to one
-    recipient, only the one that sorts first is delivered; the others are
-    superseded.  A send that would not sort before it is a repeat."""
-
-    def __init__(self, policy, module_ids, slow_extra, outbox=()):
-        self.policy = policy
-        self.outbox = outbox  # the payloads a sender may send again
-        self.module_ids = sorted(module_ids)
-        self.slow_extra = dict(slow_extra)
-        self.round = 0
-        self.queue = []
-        self.queued = []  # every envelope ever queued
-        self.seq = 0
-        self.muted = set()
-        self.event_log = []
-        self.skipped = {"muted": 0, "partitioned": 0, "repeat": 0, "dropped": 0, "superseded": 0}
-
-    def first_copy(self, payload, recipient):
-        """The envelope queued of outbox ``payload`` to ``recipient`` that
-        sorts first, or None."""
-        if any(payload is p for p in self.outbox):
-            return min((e for e in self.queued if e[5] is payload and e[3] == recipient), default=None)
-
-    def send(self, frm, to, payload):
-        if frm in self.muted:
-            return
-        if to == PEERS:
-            # the observer's slot takes a sequence number and is never queued
-            recipients = [m for m in self.module_ids if m != frm] + [OBSERVER]
-        else:
-            recipients = [to]
-        for recipient in recipients:
-            self.seq += 1
-            if to == PEERS and recipient == OBSERVER:
-                continue
-            if recipient in self.muted:
-                self.skipped["muted"] += 1
-                continue
-            if any(p.blocks(self.round, frm, recipient) for p in self.policy.partitions):
-                self.skipped["partitioned"] += 1
-                continue
-            earliest = self.round + self.policy.base_delay_rounds + self.slow_extra.get(frm, 0)
-            first = self.first_copy(payload, recipient)
-            if first is not None and first[0] <= earliest:
-                self.skipped["repeat"] += 1
-                continue
-            fate = TestFatePrefix.reference_fate(self.policy, self.seq)
-            if fate is None and recipient != OBSERVER:
-                self.skipped["dropped"] += 1
-                continue
-            envelope = (earliest + (fate or 0), self.round, frm, recipient, self.seq, payload)
-            if first is not None and first[0] <= envelope[0]:
-                self.skipped["repeat"] += 1
-                continue
-            self.queue.append(envelope)
-            self.queued.append(envelope)
-
-    def advance_round(self):
-        self.round += 1
-        due = sorted(e for e in self.queue if e[0] <= self.round)
-        self.queue = [e for e in self.queue if e[0] > self.round]
-        due = [e for e in due if e[3] not in self.muted and e[2] not in self.muted]
-        first = [e for e in due if self.first_copy(e[5], e[3]) in (None, e)]
-        self.skipped["superseded"] += len(due) - len(first)
-        due = first
-        for _, _, frm, to, _, payload in due:
-            self.event_log.append(f"{self.round}|{frm}|{to}|{kind_of(payload)}|{hex_of(payload)}")
-        return due
-
-
-def kind_of(payload):
-    if isinstance(payload, Signed):
-        return KIND_NAMES[payload.msg.KIND]
-    return "opaque"
-
-
-def hex_of(payload):
-    if isinstance(payload, Signed):
-        raw = canonical(*payload.msg._fields())
-    else:
-        raw = repr(payload).encode("utf-8")
-    return digest(raw).hex()[:12]
 
 
 # (drop rates, jitters) of each class of network; a quiet one draws nothing
@@ -638,15 +541,13 @@ class TestAgainstListScan:
     """Random sends to one recipient or to the peers, outbox messages sent
     again among them, slow senders and base delays over each class of
     network, with and without partitions and mutes: World's deliveries and
-    event log equal those of ListScanWorld."""
+    event log equal those of ReferenceWorld."""
 
     @staticmethod
     def payloads(registry):
-        """The payloads to send, and those among them a sender may send again."""
         space = DecisionSpace(labels=("go", "stop"), safe_default="stop")
         go = space.value("go")
         d = digest(b"go")
-        outbox = [outbox_message(registry, 1), outbox_message(registry, 2)]
         return [
             "ping",
             ("tuple", 3),
@@ -654,48 +555,49 @@ class TestAgainstListScan:
             sign_message(registry, 2, Commit(0, 1, d, go)),
             sign_message(registry, 0, Reply(2, go)),
             sign_message(registry, 3, Output(1, go)),
-            *outbox,
-        ], outbox
+            outbox_message(registry, 1),
+            outbox_message(registry, 2),
+        ]
 
     def replay(self, policy, modules, slow, rng, toggle_mutes):
-        """80 rounds of random sends through World and ListScanWorld, which
-        must deliver the same envelopes, keep the same queue and write the
-        same log.  ``toggle_mutes(round, muted)`` mutes and unmutes modules
-        before each round's sends.  Returns the model."""
+        """80 rounds of random sends through World and ReferenceWorld, which
+        must deliver the same envelopes and write the same log; every
+        envelope World holds is queued in the reference with the same fate.
+        ``toggle_mutes(round, muted, absent)`` mutes and unmutes modules, and
+        marks modules absent or present, before each round's sends.  Returns
+        the reference."""
         registry = KeyRegistry(policy.seed, range(8))
-        payloads, outbox = self.payloads(registry)
-        model = ListScanWorld(policy, modules, slow, outbox)
-        world = World(policy, modules, slow, model.muted)
+        payloads = self.payloads(registry)
+        muted, absent = set(), set()
+        reference = ReferenceWorld(policy, modules, slow, muted)
+        world = World(policy, modules, slow, muted)
         delivered = 0
         for now in range(80):
-            toggle_mutes(now, model.muted)
+            toggle_mutes(now, muted, absent)
+            world.absent = reference.absent = muted | absent  # the absent modules include the muted ones
             for _ in range(rng.randrange(1, 6)):
                 frm = rng.choice(modules)
                 to = rng.choice([PEERS, OBSERVER, *modules])
                 payload = rng.choice(payloads)
                 world.send(frm, to, payload)
-                model.send(frm, to, payload)
+                reference.send(frm, to, payload)
             # a new outbox message, sent twice in one round as handle and then on_round
             # may: the second copy may draw less jitter and overtake the first
             fresh = outbox_message(registry, 1, now)
-            outbox.append(fresh)
             for _ in range(2):
                 world.send(1, PEERS, fresh)
-                model.send(1, PEERS, fresh)
-            got = [
-                (e.deliver_round, e.send_round, e.frm, e.to, e.seq, e.payload)
-                for e in world.advance_round()
-            ]
-            assert got == model.advance_round()
-            assert [e[:6] for e in world._queue] == model.queue
+                reference.send(1, PEERS, fresh)
+            got = [e[:6] for e in world.advance_round()]
+            assert got == [e[:6] for e in reference.advance_round()]
+            assert {e[:6] for e in world._queue} <= {e[:6] for e, _ in reference.queue}
             delivered += len(got)
-        assert world.event_log == model.event_log
+        assert world.event_log == reference.event_log
         assert delivered > 0
-        return model
+        return reference
 
     @pytest.mark.parametrize("seed", range(24))
     def test_same_deliveries_and_log(self, seed):
-        """Settings drawn at random, mutes toggled at random."""
+        """Settings drawn at random, mutes and absences toggled at random."""
         rng = random.Random(seed)
         modules = tuple(range(rng.choice([4, 5, 7])))
         partitions = tuple(
@@ -716,11 +618,13 @@ class TestAgainstListScan:
         )
         slow = {m: rng.randrange(1, 4) for m in rng.sample(modules, rng.randrange(3))}
 
-        def toggle_mutes(now, muted):
+        def toggle_mutes(now, muted, absent):
             if rng.random() < 0.1:
                 muted.add(rng.choice(modules))
             if rng.random() < 0.1 and muted:
                 muted.discard(rng.choice(sorted(muted)))
+            if rng.random() < 0.1:
+                absent ^= {rng.choice(modules)}
 
         self.replay(policy, modules, slow, rng, toggle_mutes)
 
@@ -755,16 +659,19 @@ class TestAgainstListScan:
         assert (policy.draw() is None) == (network == "quiet")
         slow = {m: rng.randrange(1, 4) for m in rng.sample(modules, rng.randrange(3))}
 
-        def toggle_mutes(now, muted):
+        def toggle_mutes(now, muted, absent):
             if mutes and now % 20 == 0:
                 muted.add(rng.choice(modules))
             if mutes and now % 20 == 10:
                 muted.discard(rng.choice(sorted(muted)))
 
-        model = self.replay(policy, modules, slow, rng, toggle_mutes)
-        assert (model.skipped["muted"] > 0) == mutes
-        assert (model.skipped["partitioned"] > 0) == partitions
-        assert (model.skipped["dropped"] > 0) == ("drop" in network)
-        assert model.skipped["repeat"] > 0
+        reference = self.replay(policy, modules, slow, rng, toggle_mutes)
+        assert (reference.skipped["isolated"] > 0) == mutes
+        assert (reference.skipped["partitioned"] > 0) == partitions
+        assert (reference.skipped["dropped"] > 0) == ("drop" in network)
+        repeats = [env for reason, env in reference.left_out if reason == "repeat"]
+        assert repeats
         if "jitter" in network:
-            assert model.skipped["superseded"] > 0
+            # some re-send drew less jitter and overtook a copy queued before it
+            first = {(id(e.payload), e.to): e.seq for e in reference.carried}
+            assert any(env.seq < first[id(env.payload), env.to] for env in repeats)

@@ -30,7 +30,7 @@ def votes_for(labels):
 # with the implementation under test.
 
 def oracle(labels, strategy, n):
-    """(decided value or None, no-quorum cause or "", supporters)."""
+    """(decided value or None, no-quorum cause or "")."""
     present = [l for l in labels if l is not None]
     counts = Counter(present)
     if strategy.kind == "majority":
@@ -42,9 +42,8 @@ def oracle(labels, strategy, n):
     else:
         raise AssertionError(strategy.kind)
     if len(winners) == 1:
-        supporters = frozenset(m for m, l in enumerate(labels) if l == winners[0])
-        return winners[0], "", supporters
-    return None, "tie" if winners else "below-threshold", frozenset()
+        return winners[0], ""
+    return None, "tie" if winners else "below-threshold"
 
 
 # A field change per class the voter builds, for ``dataclasses.replace``.
@@ -85,17 +84,10 @@ class TestOracleEquivalence:
                 votes = votes_for(assignment)
                 for strategy in all_strategies(n):
                     verdict = tally(votes, strategy, cfg)
-                    value, cause, supporters = oracle(assignment, strategy, n)
+                    value, cause = oracle(assignment, strategy, n)
                     assert verdict.decided == (value is not None), (assignment, strategy)
-                    assert (verdict.value, verdict.cause, verdict.supporters) == (value, cause, supporters)
+                    assert (verdict.value, verdict.cause) == (value, cause)
                     assert_as_constructed(verdict)
-
-    def test_supporters_are_exactly_the_agreeing_modules(self):
-        cfg = QuorumConfig(n=5, f=1)
-        votes = votes_for(("alpha", "alpha", "beta", "alpha", None))
-        verdict = tally(votes, VoteStrategy("majority"), cfg)
-        assert verdict.decided
-        assert verdict.supporters == frozenset({0, 1, 3})
 
 
 class TestTallyEdges:
@@ -146,7 +138,6 @@ class TestFastPath:
         assert res.rounds_used == 1
         assert res.verdict.decided
         assert res.verdict.value == "alpha"
-        assert res.verdict.supporters == frozenset({0, 1, 2, 3})
         assert_as_constructed(res)
 
     def test_single_dissent_falls_back_to_majority(self):
