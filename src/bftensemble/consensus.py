@@ -396,16 +396,16 @@ class Replica:
 
     def _convicts_a_leader(self, proof: Optional[EquivocationProof]) -> bool:
         """``proof`` is valid and its signer led the current frame in the
-        proof's view, which is no later than this replica's view: a
-        non-leader's conflicting votes, or a proof about a view not yet
-        reached, move no one."""
+        proof's view, which is the replica's own: a non-leader's conflicting
+        votes, or a proof about a view already left or not yet reached, move
+        no one."""
         if proof is None or not proof.valid(self.registry):
             return False
         inst = self.inst
         msg = proof.first.msg
         return (
             msg.frame == inst.frame
-            and msg.view <= inst.view
+            and msg.view == inst.view
             and proof.first.sender == self.leader_of(msg.frame, msg.view)
         )
 
@@ -501,9 +501,11 @@ class Replica:
             out += list(inst.outbox)
         if elapsed >= self.timeout_rounds:
             out += self._initiate_viewchange(inst.view + 1, round_)
-            # also ask peers whether the frame already committed without us
-            request = sign_message(self.registry, self.module_id, interned(StateRequest, inst.frame))
-            out.append((PEERS, request))
+            # f+1 matching Commits, one from a correct replica, show the frame
+            # may have committed without us: only then ask peers for state
+            if any(kind is Commit and len(votes) > self.cfg.f for (kind, _, _), votes in inst.tallies.items()):
+                request = sign_message(self.registry, self.module_id, interned(StateRequest, inst.frame))
+                out.append((PEERS, request))
         return out
 
     # --- checkpoints & state transfer ---------------------------------------

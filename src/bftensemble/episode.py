@@ -310,7 +310,8 @@ class EpisodeRunner:
             engine = receivers[m] = self.engines[m]
             if engine is not None:
                 send(m, PEERS, sign_message(self.registry, m, interned(StateRequest, max(frame - 1, 0))))
-        # an equivocator's timers never send
+        # the replicas that run the honest protocol: an equivocator's timers
+        # never send, and its engine drops every snapshot
         timed = [(m, engine) for m, engine in live if not isinstance(engine, EquivocatingReplica)]
         for m, engine in live:
             out = outputs[m]
@@ -352,10 +353,11 @@ class EpisodeRunner:
                 finalized = self._reply_quorum(replies)
                 finality_round = now
 
-        # post-frame straggler sync: undecided honest replicas ask for the
-        # committed prefix; committed peers answer with certificates.
+        # post-frame straggler sync: the finalized frame is evidence, so the
+        # undecided honest replicas ask for the committed prefix; committed
+        # peers answer with certificates.
         if finalized is not None:
-            for m, engine in live:
+            for m, engine in timed:
                 if not engine.inst.decided:
                     req = sign_message(self.registry, m, interned(StateRequest, frame))
                     send(m, PEERS, req)

@@ -110,8 +110,8 @@ def test_a_strict_campaign_stops_at_the_first_planted_violation(monkeypatch, kin
 # fuzz_campaign(load_bundled(name), 20, 2026).digest_hex()
 SHORT_CAMPAIGNS = {
     "av_plastic_bag": "9ed3970c706cbac98170caccaf04ce697dd1a8d2c52f7b81b23aa5c6921728ce",
-    "fuzz_base_n4": "7ea2266ddfe5d90c36016e7ff5369c195a536f270369de1c003be553b29696e7",
-    "fuzz_base_n7": "79dc6f7c70b8fdab95fbd8a73e76eb6d0176f7d6b907be0021b29e0445cde629",
+    "fuzz_base_n4": "13c3e0e48645717a722b406a867cc85d023ae9b36579bbd7970a9b557a40bbaa",
+    "fuzz_base_n7": "ccf0df313f2c7346a69148738ac8e697cf93d7832282ec188ceaf21386c522f1",
 }
 
 

@@ -306,6 +306,26 @@ class TestViewChange:
             assert rep.inst.view == (50 if moves else 0)
             assert (rep.inst.evidence is proof) is moves
 
+    @pytest.mark.parametrize("leader_of_view, moves", [(0, False), (1, True)])
+    def test_a_proof_moves_a_replica_only_about_its_own_view(self, leader_of_view, moves):
+        """Replica 2 timed out into view 1 of frame 0.  Module 3's
+        ViewChange(0, 2) carries a valid proof against the leader of view
+        ``leader_of_view``: a proof against view 0's leader, a view already
+        left, moves it nowhere; one against view 1's leader moves it to view 2."""
+        replicas, registry = make_ensemble(timeout_rounds=10)
+        rep = replicas[2]
+        rep.start_frame(0, None, 0)
+        rep.on_round(10)
+        assert rep.inst.view == 1
+        signer = rep.leader_of(0, leader_of_view)
+        proof = EquivocationProof(
+            *(sign_message(registry, signer, PrePrepare(0, leader_of_view, value_digest(v), v)) for v in (NORTH, SOUTH))
+        )
+        assert proof.valid(registry)
+        rep.handle(sign_message(registry, 3, ViewChange(0, 2, None, proof)), 11)
+        assert rep.inst.view == (2 if moves else 1)
+        assert (rep.inst.evidence is proof) is moves
+
     def test_view_change_needs_a_quorum_of_voices(self):
         replicas, registry = make_ensemble()
         pump = Pump(replicas)
@@ -318,28 +338,45 @@ class TestViewChange:
 
 class TestTimeout:
     """An undecided replica's round timer fires once the view has been open
-    timeout_rounds rounds: a ViewChange to the next view and a StateRequest
-    for the frame, both to its peers.  A decided replica's timer is silent."""
+    timeout_rounds rounds: a ViewChange to the next view, to its peers.  A
+    StateRequest for the frame follows it only when the replica holds f+1
+    matching Commits for one (view, digest) of the frame, in any view: one of
+    them is a correct replica's, so the frame may have committed without it.
+    With at most f, nothing shows that anyone committed, and it asks no one.
+    A decided replica's timer is silent."""
 
     @staticmethod
     def follower(opened_at=2):
-        replicas, _ = make_ensemble(timeout_rounds=10)
+        replicas, registry = make_ensemble(timeout_rounds=10)
         rep = replicas[1]  # frame 0's view-0 leader is replica 0
         rep.start_frame(0, None, opened_at)
-        return rep
+        return rep, registry
+
+    @staticmethod
+    def hand_commits(rep, registry, votes, view=0):
+        """Deliver one Commit of ``view`` per (signer, value) in ``votes``."""
+        for signer, value in votes:
+            assert rep.handle(sign_message(registry, signer, Commit(0, view, value_digest(value), value)), 3) == []
 
     def test_fires_at_timeout_rounds(self):
-        rep = self.follower()
-        out = rep.on_round(12)
-        assert [(dest, type(signed.msg)) for dest, signed in out] == [
-            (PEERS, ViewChange),
-            (PEERS, StateRequest),
-        ]
-        assert out[0][1].msg.new_view == 1 and out[1][1].msg.up_to_frame == 0
-        assert rep.inst.view == 1 and rep.inst.view_start_round == 12
+        for votes, asks in [
+            ((), False),
+            (((2, NORTH),), False),  # f Commits
+            (((2, NORTH), (3, SOUTH)), False),  # f+1 Commits, but for two digests
+            (((2, NORTH), (3, NORTH)), True),  # f+1 matching Commits
+        ]:
+            rep, registry = self.follower()
+            self.hand_commits(rep, registry, votes)
+            out = rep.on_round(12)
+            assert [(dest, type(signed.msg)) for dest, signed in out] == [
+                (PEERS, ViewChange),
+                *[(PEERS, StateRequest)] * asks,
+            ]
+            assert out[0][1].msg.new_view == 1 and all(s.msg.up_to_frame == 0 for _, s in out[1:])
+            assert rep.inst.view == 1 and rep.inst.view_start_round == 12
 
     def test_quiet_one_round_earlier(self):
-        rep = self.follower()
+        rep, _ = self.follower()
         assert rep.on_round(11) == []
         assert rep.inst.view == 0 and rep.inst.view_start_round == 2
 
@@ -383,14 +420,21 @@ class TestTimeout:
 
     def test_newview_for_the_entered_view_keeps_its_clock(self):
         """A replica that timed out into view 1 at round 12 and then gets a
-        NewView(1) it does not endorse still times out of view 1 at 22."""
-        replicas, _ = make_ensemble(timeout_rounds=10)
+        NewView(1) it does not endorse still times out of view 1 at 22.  It
+        asks for state only if it holds f+1 matching Commits, here of view 0."""
+        for asks in (False, True):
+            self.newview_keeps_the_clock(asks)
+
+    def newview_keeps_the_clock(self, asks):
+        replicas, registry = make_ensemble(timeout_rounds=10)
         for m, rep in replicas.items():
             rep.start_frame(0, None, 2)
             rep.inst.own_output = SOUTH if m == 1 else NORTH
         # view 0's leader (replica 0) is silent; view 1's is replica 1
-        vcs = {m: replicas[m].on_round(12)[0][1] for m in (1, 2, 3)}
         leader, rep = replicas[1], replicas[2]
+        if asks:
+            self.hand_commits(rep, registry, [(1, NORTH), (3, NORTH)])
+        vcs = {m: replicas[m].on_round(12)[0][1] for m in (1, 2, 3)}
         assert leader.handle(vcs[2], 12) == []
         newviews = [s for _, s in leader.handle(vcs[3], 12) if isinstance(s.msg, NewView)]
         assert newviews and newviews[0].msg.proposal.msg.value == SOUTH
@@ -398,12 +442,17 @@ class TestTimeout:
         assert rep.inst.view == 1 and rep.inst.view_start_round == 12
         assert rep.on_round(21) == []
         out = rep.on_round(22)
-        assert [type(signed.msg) for _, signed in out] == [ViewChange, StateRequest]
+        assert [type(signed.msg) for _, signed in out] == [ViewChange] + [StateRequest] * asks
         assert out[0][1].msg.new_view == 2 and rep.inst.view_start_round == 22
 
     def test_view_entered_on_equivocation_proof_starts_its_clock(self):
         """Proof of the leader's equivocation at round 5 moves a replica to
-        view 1, whose timeout runs from round 5, not from view 0's start."""
+        view 1, whose timeout runs from round 5, not from view 0's start.  It
+        asks for state only if it holds f+1 matching Commits, here of view 1."""
+        for asks in (False, True):
+            self.proof_starts_the_clock(asks)
+
+    def proof_starts_the_clock(self, asks):
         replicas, registry = make_ensemble(timeout_rounds=10)
         rep = replicas[1]
         rep.start_frame(0, None, 0)
@@ -412,13 +461,39 @@ class TestTimeout:
             rep.handle(sign_message(registry, 0, PrePrepare(0, 0, value_digest(value), value)), 5)
         assert rep.inst.evidence is not None
         assert rep.inst.view == 1 and rep.inst.view_start_round == 5
+        if asks:
+            self.hand_commits(rep, registry, [(2, SOUTH), (3, SOUTH)], view=1)
         for round_ in range(6, 15):
             # at most a retransmission of its ViewChange for view 1
             for _, signed in rep.on_round(round_):
                 assert isinstance(signed.msg, ViewChange) and signed.msg.new_view == 1
         out = rep.on_round(15)
-        assert [type(signed.msg) for _, signed in out] == [ViewChange, StateRequest]
+        assert [type(signed.msg) for _, signed in out] == [ViewChange] + [StateRequest] * asks
         assert out[0][1].msg.new_view == 2 and rep.inst.view == 2
+
+    @pytest.mark.parametrize("held", [1, 2])
+    def test_a_replica_that_saw_the_frame_commit_catches_up_on_its_timeout(self, held):
+        """Replica 3 hears nothing of frame 0 while the others decide it;
+        then ``held`` of their Commits reach it.  With f+1 its timeout asks
+        for state, and it decides on the first peer's snapshot; with f it
+        only calls for a view change, which one voice cannot bring about."""
+        replicas, registry = make_ensemble(timeout_rounds=10)
+        pump = Pump(replicas)
+        pump.blocked.add(3)
+        start(replicas, pump, {m: NORTH for m in replicas})
+        pump.drain()
+        late = replicas[3]
+        assert all(replicas[m].inst.decided for m in (0, 1, 2)) and not late.inst.decided
+        for signed in replicas[0].frame_certs[0].votes[:held]:
+            assert late.handle(signed, 5) == []
+        pump.blocked.clear()
+        pump.run_rounds(10)
+        assert late.inst.decided is (held == 2)
+        if late.inst.decided:
+            assert late.inst.decided_value == NORTH and late.inst.decided_view == -1
+            assert late.frame_certs[0] == replicas[0].frame_certs[0]
+        assert all(rep.inst.view == 0 for m, rep in replicas.items() if m != 3)
+        assert late.inst.view == 1
 
 
 def equivocation_ensemble(timeout_rounds=4, sloppy=True):

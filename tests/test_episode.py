@@ -38,7 +38,7 @@ from bftensemble.supervisor import Supervisor
 from bftensemble.voter import VoteStrategy
 
 from reference import reference_run
-from test_golden import campaign_episodes, supervised_base
+from test_golden import SUPERVISED_BASES, campaign_episodes, supervised_base
 from test_reference import compared
 
 
@@ -491,6 +491,43 @@ def test_a_silent_module_is_delivered_nothing(name, module):
     recipients = {int(line.split("|")[2]) for line in run_episode(scenario).event_log}
     assert module not in recipients
     assert recipients >= set(range(scenario.quorum.n)) - {module}
+
+
+@pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])
+def test_an_equivocator_takes_no_part_in_state_transfer(name, monkeypatch):
+    """Neither a timeout nor the post-frame sync asks for state on behalf of
+    an equivocator, whose engine drops every snapshot: in each of the first
+    30 campaign draws that places a byzantine_equivocate module, it sends no
+    StateRequest and is delivered no StateSnapshot.  A restart is evidence
+    of lost state, so a restarting module asks whatever its profile; the
+    frames run while a module restarts are left out."""
+    restarting = []  # (start, end] rounds of each frame run while a module restarts
+    pbft_rounds = EpisodeRunner._pbft_rounds
+
+    def recording(runner, frame, outputs):
+        start = runner.world.round
+        ran = pbft_rounds(runner, frame, outputs)
+        if runner.supervisor.restarting:
+            restarting.append((start, runner.world.round))
+        return ran
+
+    monkeypatch.setattr(EpisodeRunner, "_pbft_rounds", recording)
+    base = supervised_base(name) if name in SUPERVISED_BASES else load_bundled(name)
+    placed = 0
+    for scenario in campaign_episodes(base, 30):
+        equivocators = {m for m, p in enumerate(scenario.modules) if p.kind == "byzantine_equivocate"}
+        if not equivocators:
+            continue
+        placed += 1
+        restarting.clear()
+        for now, senders, recipients, tags in run_episode(scenario).deliveries:
+            if any(start < now <= end for start, end in restarting):
+                continue
+            for frm, to, tag in zip(senders, recipients, tags):
+                kind = tag.partition("|")[0]
+                assert not (kind == "staterequest" and frm in equivocators)
+                assert not (kind == "statesnapshot" and to in equivocators)
+    assert placed >= 2
 
 
 @pytest.mark.parametrize("name", ["fuzz_base_n7", "fuzz_long_n4"])

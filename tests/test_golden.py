@@ -61,8 +61,8 @@ EPISODE_LOGS = {
 
 # fuzz_campaign(load_bundled(base), 100, 2026).digest_hex()
 CAMPAIGN_REPORTS = {
-    "fuzz_base_n4": "9a8d9b2ef2bc7fd66ec106334f946724d2ee5ecc65763594b4437967308fc83b",
-    "fuzz_base_n7": "d025c46b7c9b6314bce0b264c84e7c9f521ebeb751c659198add308ebf69d683",
+    "fuzz_base_n4": "e08cd860144ab6055391e1783aecf26a10b04fadd770c75c12a3c4cecb7500d4",
+    "fuzz_base_n7": "d5a6b886918f3bb3f9a2056d2de39b9f24b5eca689afcfa5d2e736ab8504ce4e",
 }
 
 # (SHA-256 over the decision logs, SHA-256 over the event logs) of the first
@@ -72,12 +72,12 @@ CAMPAIGN_REPORTS = {
 # sent no digest announcements.
 CAMPAIGN_LOGS = {
     "fuzz_base_n4": (
-        "078efe347cefe5100cb7bf9e29d2bca74de6f8721cb1a4a4efa861ae7af1dc9d",
-        "1c19bee4784782254452b2746bd07a50c984b21f544315e15f8afb284cd3c7dc",
+        "91bb759175fee506b9f8cd0178660dc3556af1761574175dd1ea8dca07d3445b",
+        "8b72e3f4307dd95ae7337f500174ad299ae9a29e24730ac650baeaad790aaa13",
     ),
     "fuzz_base_n7": (
-        "9618b4e69343884b67fa2726f4a3f00c50cf31e23b5d719716d4899535eee9e9",
-        "7b9d86f9e491fd827a9c9d9f6aa744804072b4381f32ae4b5564a02a123a30f8",
+        "a1369ab8cfb625709b45733932398a2fc097ee18afc7b1e6a52a7332c76f014a",
+        "0baa3a696bc684cd62d6120bf0d0f597ff115b49b8b67e77d0522415e9e22f53",
     ),
     "vote_fastpath_n4": (
         "0e5ca5f88ef07cf9cd586ff943c3229e2172df00a4243c551fb4e2b899446f32",
@@ -147,8 +147,8 @@ OBSERVED = ("continue", "brake", "continue", "swerve-left", "continue")
 # recoveries.
 SUPERVISED_CAMPAIGN_LOGS = {
     "fuzz_long_n4": (
-        "261622b8bb5eebe173f74947394e6ff1406a39e4d1442610e9f5761a31d21268",
-        "5f8d9dc75273989634eabd8c7ca555bb1710c912024f4cdf80676b61b7878bbf",
+        "8226143f8c031332f2117291e62826d01f1af7e1cfd102402e1af1dbb33054a6",
+        "712d428b02f91bb76cfdb94b94fdc1f0f6aa74b0a260b8d9dcfc7ff44968104f",
     ),
     "vote_fastpath": (
         "8a82ad3f8bc828b273c9dae11e63f6ec87da7e73ebe334bbba126907d1c99dca",
@@ -312,7 +312,7 @@ VOTE_LOGS = {
     "common_mode_breach": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "fuzz_base_n4": "e8c455340978d9663931f6d4a809b077b4ee2edd662119657c506aaa66fd72e7",
     "fuzz_base_n7": "1b89a3710675627bb20aa83d8c96b243dad19b2065970b1ee5665f3d03f5f709",
-    "fuzz_long_n4": "9ce01d8294b19d3a3ff4c6cff098ec099ad92547b8e288a7ffb4b34ab14991b4",
+    "fuzz_long_n4": "f6eb12099bb2b3ade5f1df0f6f1d811cf90c3e7674731de4f000417dfa53a0c6",
     "swarm_formation": "09bb9fe6780ed66d41d2d6ff755089796ef1126da9efd2618eac69194b6ac931",
     "vote_fastpath": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "voter_thresholds_2oo3": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
